@@ -28,7 +28,6 @@ from .constraints import (
     conditional_theta,
     constrained_cholesky_estimate,
     flatten_volatility,
-    hedged_conditional_delta,
     hedged_delta_theta,
     inverse_variance_weighting,
     markowitz_coefficient,

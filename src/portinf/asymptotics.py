@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     ZeroSharpe,
 )
-from .kernels import d_inv_vech, vech, vech_indices, vech_len
+from .kernels import d_inv_vech, d_qform_inv_vech, vech, vech_indices, vech_len
 from .moments import AugmentedMoment, MomentLayout, mean_and_covariance, theta_inverse, unpack_theta_inverse
 
 logger = logging.getLogger(__name__)
@@ -53,6 +53,19 @@ class OmegaEstimate:
     @property
     def dim(self) -> int:
         return self.omega.shape[0]
+
+    def sandwich(self, g: np.ndarray) -> np.ndarray | float:
+        """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
+
+        An m-vector gradient gives the scalar variance.
+        """
+        g = np.asarray(g, dtype=float)
+        if g.shape[-1] != self.dim:
+            raise ShapeMismatch(f"gradient of width {g.shape[-1]} does not match omega {self.dim}")
+        out = g @ self.omega @ g.T
+        if g.ndim == 1:
+            return float(out)
+        return 0.5 * (out + out.T)
 
 
 @dataclass
@@ -108,11 +121,9 @@ def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
     z = k / (bandwidth + 1.0)
     if kernel == "bartlett":
         return 1.0 - z
-    if kernel == "parzen":
-        if z <= 0.5:
-            return 1.0 - 6.0 * z**2 + 6.0 * z**3
-        return 2.0 * (1.0 - z) ** 3
-    raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")
+    if z <= 0.5:
+        return 1.0 - 6.0 * z**2 + 6.0 * z**3
+    return 2.0 * (1.0 - z) ** 3
 
 
 def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | None = None) -> OmegaEstimate:
@@ -121,6 +132,10 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') on the demeaned series,
     symmetrized and eigenvalue-clipped to positive semidefinite.
     """
+    if kernel not in HAC_KERNELS:
+        raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")
+    if bandwidth is not None and bandwidth < 0:
+        raise ShapeMismatch(f"bandwidth must be non-negative, got {bandwidth}")
     y = vech_outer_rows(aug_rows)
     t = y.shape[0]
     if bandwidth is None:
@@ -162,8 +177,7 @@ def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> Distribu
     _check_dims(tm, om)
     h = d_inv_vech(tm.theta)
     point = vech(theta_inverse(tm))
-    cov = h @ om.omega @ h.T
-    return DistributionResult(point, cov, om.n_obs, labels=_vech_labels(tm.dim))
+    return DistributionResult(point, om.sandwich(h), om.n_obs, labels=_vech_labels(tm.dim))
 
 
 def _vech_labels(d: int) -> list[str]:
@@ -182,12 +196,10 @@ def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float) -> tuple[
         raise ZeroSharpe("squared maximal Sharpe is numerically zero")
     snr = np.sqrt(snr_sq)
     weights = (risk_budget / snr) * parts.markowitz
-    m = vech_len(tm.dim)
-    # d weights / d vech(theta^-1): [-w/(2 psi^2), -(R/psi) I, 0]
-    front = np.zeros((p, m))
-    front[:, 0] = -weights / (2.0 * snr_sq)
-    front[:, 1 : p + 1] = -(risk_budget / snr) * np.eye(p)
-    h = front @ d_inv_vech(tm.theta)
+    # d weights / d vech(theta^-1) is [-w/(2 psi^2), -(R/psi) I, 0]: only
+    # the first p+1 vech coordinates (the first column) enter
+    front = np.hstack([-weights[:, None] / (2.0 * snr_sq), -(risk_budget / snr) * np.eye(p)])
+    h = front @ d_qform_inv_vech(theta_inverse(tm), rows=np.arange(p + 1))
     return weights, h, snr_sq
 
 
@@ -195,8 +207,7 @@ def portfolio_covariance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: fl
     """Asymptotic law of the risk-budgeted optimal weights."""
     _check_dims(tm, om)
     weights, h, _ = _portfolio_jacobian_chain(tm, risk_budget)
-    cov = h @ om.omega @ h.T
-    return DistributionResult(weights, cov, om.n_obs,
+    return DistributionResult(weights, om.sandwich(h), om.n_obs,
                               labels=[f"w[{k}]" for k in range(weights.size)])
 
 
@@ -216,13 +227,10 @@ def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr
     if snr_sq is None or snr_sq <= 1e-12:
         raise ZeroSharpe("squared maximal Sharpe is numerically zero")
     mu, _ = mean_and_covariance(tm)
-    p = tm.n_assets
-    m = vech_len(tm.dim)
-    row = np.zeros(m)
-    row[0] = 0.5
-    row[1 : p + 1] = mu
-    h = -(rfr / (risk_budget * snr_sq)) * (row @ d_inv_vech(tm.theta))
-    return float(h @ om.omega @ h)
+    # only the first column of theta^-1, vech coordinates 0..p, enters
+    jac = d_qform_inv_vech(theta_inverse(tm), rows=np.arange(tm.dim))
+    h = -(rfr / (risk_budget * snr_sq)) * (np.concatenate([[0.5], mu]) @ jac)
+    return om.sandwich(h)
 
 
 def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> tuple[np.ndarray, np.ndarray]:

@@ -28,16 +28,14 @@ from .errors import (
 from .kernels import (
     MatrixShape,
     chol,
-    commutation_matrix,
+    d_chol_vech,
+    d_gram,
     d_inv_vech,
-    d_qform_inv,
-    duplication_matrix,
+    d_qform_inv_vech,
     eigen_sym,
-    elimination_matrix,
     fd_step,
     finite_difference_jacobian,
     ivech,
-    kron,
     pinv_rank,
     vech,
     vech_len,
@@ -128,15 +126,15 @@ class CholeskyConstraint:
         return self.b_vector.size
 
 
-def _project_core(jt: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J~ theta J~')^-1 and the projection J~' (...)^-1 J~."""
+def _project_core(jt: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The projection J~' (J~ theta J~')^-1 J~."""
     core = jt @ theta @ jt.T
     try:
         core_inv = np.linalg.inv(core)
     except np.linalg.LinAlgError as exc:
         raise SingularProjection("projected moment is singular") from exc
     core_inv = 0.5 * (core_inv + core_inv.T)
-    return core_inv, jt.T @ core_inv @ jt
+    return jt.T @ core_inv @ jt
 
 
 def subspace_theta(
@@ -145,14 +143,10 @@ def subspace_theta(
     """Projection of the inverse moment onto the feasible baskets, with its law."""
     _check_dims(tm, om)
     jt = spec.augmented(tm.f_dim)
-    _, proj = _project_core(jt, tm.theta)
+    proj = _project_core(jt, tm.theta)
     point = vech(proj)
-    d = tm.dim
-    el = elimination_matrix(d).data
-    du = duplication_matrix(d).data
-    h = el @ kron(jt.T, jt.T) @ d_qform_inv(jt, tm.theta) @ du
-    cov = h @ om.omega @ h.T
-    return point, DistributionResult(point, cov, om.n_obs)
+    h = d_qform_inv_vech(proj)
+    return point, DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
 def hedged_delta_theta(
@@ -165,23 +159,11 @@ def hedged_delta_theta(
     """
     _check_dims(tm, om)
     gt = spec.augmented(tm.f_dim)
-    _, proj = _project_core(gt, tm.theta)
+    proj = _project_core(gt, tm.theta)
     delta = theta_inverse(tm) - proj
     point = vech(delta)
-    d = tm.dim
-    el = elimination_matrix(d).data
-    du = duplication_matrix(d).data
-    h = d_inv_vech(tm.theta) - el @ kron(gt.T, gt.T) @ d_qform_inv(gt, tm.theta) @ du
-    cov = h @ om.omega @ h.T
-    return point, DistributionResult(point, cov, om.n_obs)
-
-
-def hedged_conditional_delta(
-    tm: AugmentedMoment, spec: HedgeSpec, om: OmegaEstimate
-) -> tuple[np.ndarray, DistributionResult]:
-    """Hedged delta for the conditional layout; the hedge augmentation
-    carries an identity block of the feature width."""
-    return hedged_delta_theta(tm, spec, om)
+    h = d_inv_vech(tm.theta) - d_qform_inv_vech(proj)
+    return point, DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
 def subspace_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
@@ -263,13 +245,10 @@ def markowitz_coefficient(
     p = d - f
     parts = unpack_theta_inverse(tm, f)
     coef = parts.markowitz.reshape(p, f, order="F") if f > 1 else parts.markowitz.reshape(p, 1)
-    h = d_inv_vech(tm.theta)
-    cov_full = h @ om.omega @ h.T
-    coords = _coefficient_coords(d, f)
+    h = d_qform_inv_vech(theta_inverse(tm), rows=_coefficient_coords(d, f))
     point = coef.reshape(-1, order="F")
-    cov = cov_full[np.ix_(coords, coords)]
     labels = [f"coef[{i},{j}]" for j in range(f) for i in range(p)]
-    return coef, DistributionResult(point, cov, om.n_obs, labels=labels)
+    return coef, DistributionResult(point, om.sandwich(h), om.n_obs, labels=labels)
 
 
 def flatten_volatility(
@@ -349,17 +328,10 @@ def constrained_cholesky_estimate(
 
     factor_c = ivech(z, MatrixShape.LOWER_TRIANGULAR)
     theta_c = factor_c @ factor_c.T
-    el = elimination_matrix(d).data
-    ka = commutation_matrix(d).data
-    h1 = el @ (np.eye(d * d) + ka) @ kron(factor_c, np.eye(d))
-    h2 = el.T @ proj
-    inner = el @ (np.eye(d * d) + ka) @ kron(factor, np.eye(d)) @ el.T
-    h3 = np.linalg.inv(inner)
-    h = h1 @ h2 @ h3
-    cov = h @ om.omega @ h.T
+    h = d_gram(factor_c) @ proj @ d_chol_vech(factor)
     point = vech(theta_c)
     out = AugmentedMoment(theta_c, tm.n_obs, layout=tm.layout, f_dim=tm.f_dim)
-    return out, DistributionResult(point, cov, om.n_obs)
+    return out, DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
 def reduced_rank_coefficient(
@@ -391,7 +363,6 @@ def reduced_rank_coefficient(
     v0 = vech(tm.theta)
     point = coef_map(v0)
     jac = finite_difference_jacobian(coef_map, v0, h=fd_step(tm.theta))
-    cov = jac @ om.omega @ jac.T
     coef = -pinv_rank(tm.theta, r)[f:, :f]
     labels = [f"coef[{i},{j}]" for j in range(f) for i in range(p)]
-    return coef, DistributionResult(point, cov, om.n_obs, labels=labels)
+    return coef, DistributionResult(point, om.sandwich(jac), om.n_obs, labels=labels)

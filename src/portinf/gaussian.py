@@ -24,12 +24,13 @@ from .errors import (
 )
 from .kernels import (
     check_symmetric,
-    commutation_matrix,
     duplication_matrix,
     elimination_matrix,
     kron,
     remove_first,
+    vech,
     vech_len,
+    vech_pair,
 )
 from .moments import AugmentedMoment, MomentLayout
 
@@ -38,13 +39,14 @@ def fisher_information_block(theta: np.ndarray) -> np.ndarray:
     """Per-observation Fisher information of the non-redundant vech coordinates.
 
     The half-sandwich U [A' (D'(T kron T)D) A] U' with A = L(T^-1 kron T^-1)D,
-    without the sample-size factor.
+    without the sample-size factor. Built literally from the structural
+    matrices; kept as the oracle for gaussian_omega.
     """
     theta = check_symmetric(theta)
     d = theta.shape[0]
-    el = elimination_matrix(d).data
-    du = duplication_matrix(d).data
-    un = remove_first(vech_len(d)).data
+    el = elimination_matrix(d)
+    du = duplication_matrix(d)
+    un = remove_first(vech_len(d))
     tinv = np.linalg.inv(theta)
     a = el @ kron(tinv, tinv) @ du
     inner = a.T @ (du.T @ kron(theta, theta) @ du) @ a
@@ -54,18 +56,17 @@ def fisher_information_block(theta: np.ndarray) -> np.ndarray:
 def gaussian_omega(tm: AugmentedMoment) -> OmegaEstimate:
     """Closed-form covariance of vech of the moment matrix under Gaussian returns.
 
-    The first row and column are exactly zero (the corner coordinate is
-    deterministic); the rest is twice the inverse Fisher-information block.
+    Isserlis' theorem for the non-central row r = [1, x']: pair(Theta)
+    minus 2 v v' with v = vech(Theta_0 Theta_0'), Theta_0 the first
+    column of Theta (the mean of r). The first row and column are exactly
+    zero (the corner coordinate is deterministic); the rest is the
+    inverse of fisher_information_block.
     """
     if tm.layout is not MomentLayout.UNCONDITIONAL:
         raise ShapeMismatch("closed form is for the unconditional layout")
-    m = vech_len(tm.dim)
-    try:
-        block = np.linalg.inv(fisher_information_block(tm.theta))
-    except np.linalg.LinAlgError as exc:
-        raise SingularTheta("Fisher information block is singular") from exc
-    omega = np.zeros((m, m))
-    omega[1:, 1:] = 0.5 * (block + block.T)
+    mean = tm.theta[:, 0]
+    v = vech(np.outer(mean, mean))
+    omega = vech_pair(tm.theta) - 2.0 * np.outer(v, v)
     return OmegaEstimate(omega, "gaussian", n_obs=tm.n_obs)
 
 
@@ -78,8 +79,7 @@ def conjecture_itheta_cov(tm: AugmentedMoment) -> np.ndarray:
     """
     theta = tm.theta
     d = theta.shape[0]
-    m = vech_len(d)
-    du = duplication_matrix(d).data
+    du = duplication_matrix(d)
     inner = du.T @ kron(theta, theta) @ du
     try:
         out = 2.0 * np.linalg.inv(inner)
@@ -92,16 +92,11 @@ def conjecture_itheta_cov(tm: AugmentedMoment) -> np.ndarray:
 def omega_gaussian_centered(second_moment: np.ndarray) -> np.ndarray:
     """Covariance of vech(z z') for mean-zero Gaussian z with the given second moment.
 
-    L (I + K) (S kron S) L'. Used as the population omega when augmented
+    pair(S), see vech_pair. Used as the population omega when augmented
     rows are themselves jointly Gaussian with mean zero (for example a
     mean-zero predictive-regression design).
     """
-    s = check_symmetric(second_moment)
-    d = s.shape[0]
-    el = elimination_matrix(d).data
-    ka = commutation_matrix(d).data
-    out = el @ (np.eye(d * d) + ka) @ kron(s, s) @ el.T
-    return 0.5 * (out + out.T)
+    return vech_pair(check_symmetric(second_moment))
 
 
 @dataclass

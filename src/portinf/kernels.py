@@ -1,4 +1,4 @@
-"""Structural matrix operators and matrix-derivative rules.
+"""vec/vech operators and matrix-derivative rules.
 
 Everything here is a pure function over dense numpy arrays. Derivatives
 follow the numerator-layout convention throughout: the derivative of an
@@ -7,14 +7,17 @@ columns are the partials, and matrix derivatives are derivatives of the
 column-major vectorizations. vech stacks the lower triangle column by
 column.
 
-Structural matrices (elimination, duplication, commutation, remove-first)
-are materialized as dense 0/1 arrays; the dimensions in play are small
-enough that implicit-operator tricks would only hurt testability.
+The estimators build their vech Jacobians with index gathers over the
+cached vech coordinates (vech_pair, d_qform_inv_vech, d_gram), which
+cost O(m^2) for m = n(n+1)/2 and never form a Kronecker product. The
+structural matrices (elimination, duplication, commutation,
+remove-first) and the vec-level rules built from kron are kept as dense
+0/1 arrays and literal Magnus-Neudecker forms: they are the oracles the
+tests compare the gathers against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -40,32 +43,6 @@ class MatrixShape(Enum):
     LOWER_TRIANGULAR = "lower_triangular"
 
 
-class StructuralKind(Enum):
-    ELIMINATION = "elimination"
-    DUPLICATION = "duplication"
-    COMMUTATION = "commutation"
-    REMOVE_FIRST = "remove_first"
-
-
-@dataclass(frozen=True)
-class StructuralMatrix:
-    """A dense 0/1 operator tied to a matrix side length."""
-
-    kind: StructuralKind
-    n: int
-    data: np.ndarray
-
-    def __matmul__(self, other):
-        return self.data @ np.asarray(other)
-
-    def __rmatmul__(self, other):
-        return np.asarray(other) @ self.data
-
-    @property
-    def T(self) -> np.ndarray:
-        return self.data.T
-
-
 def vech_len(n: int) -> int:
     return n * (n + 1) // 2
 
@@ -83,6 +60,16 @@ def vech_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) index arrays of the lower triangle in column-major order."""
     cols, rows = np.triu_indices(n)
     return rows, cols
+
+
+@lru_cache(maxsize=64)
+def _vech_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only vech (row, col) indices and the mask of diagonal coordinates."""
+    rows, cols = vech_indices(n)
+    diag = rows == cols
+    for arr in (rows, cols, diag):
+        arr.setflags(write=False)
+    return rows, cols, diag
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -145,18 +132,18 @@ def ivech(v: np.ndarray, shape: MatrixShape = MatrixShape.SYMMETRIC) -> np.ndarr
 
 
 @lru_cache(maxsize=64)
-def elimination_matrix(n: int) -> StructuralMatrix:
+def elimination_matrix(n: int) -> np.ndarray:
     """L with vech(A) = L vec(A)."""
     rows, cols = vech_indices(n)
     m = vech_len(n)
     data = np.zeros((m, n * n))
     data[np.arange(m), rows + n * cols] = 1.0
     data.setflags(write=False)
-    return StructuralMatrix(StructuralKind.ELIMINATION, n, data)
+    return data
 
 
 @lru_cache(maxsize=64)
-def duplication_matrix(n: int) -> StructuralMatrix:
+def duplication_matrix(n: int) -> np.ndarray:
     """D with D vech(A) = vec(A) for symmetric A."""
     m = vech_len(n)
     offsets = np.array([j * n - j * (j - 1) // 2 for j in range(n)])
@@ -166,26 +153,26 @@ def duplication_matrix(n: int) -> StructuralMatrix:
             lo, hi = min(i, j), max(i, j)
             data[i + n * j, offsets[lo] + (hi - lo)] = 1.0
     data.setflags(write=False)
-    return StructuralMatrix(StructuralKind.DUPLICATION, n, data)
+    return data
 
 
 @lru_cache(maxsize=64)
-def commutation_matrix(n: int) -> StructuralMatrix:
+def commutation_matrix(n: int) -> np.ndarray:
     """K with K vec(A) = vec(A') for n-by-n A."""
     data = np.zeros((n * n, n * n))
     for i in range(n):
         for j in range(n):
             data[j + n * i, i + n * j] = 1.0
     data.setflags(write=False)
-    return StructuralMatrix(StructuralKind.COMMUTATION, n, data)
+    return data
 
 
 @lru_cache(maxsize=64)
-def remove_first(n: int) -> StructuralMatrix:
+def remove_first(n: int) -> np.ndarray:
     """All rows but the first of the n-by-n identity."""
     data = np.eye(n)[1:]
     data.setflags(write=False)
-    return StructuralMatrix(StructuralKind.REMOVE_FIRST, n, data)
+    return data
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,6 +191,32 @@ def _inv(a: np.ndarray, err: str) -> np.ndarray:
 
 # --- derivative rules ---------------------------------------------------
 
+def vech_pair(a: np.ndarray, rows=None) -> np.ndarray:
+    """pair(A)[(i,j),(k,l)] = A_ik A_jl + A_il A_jk over vech coordinates.
+
+    For symmetric A this is L (I + K)(A kron A) L', the covariance of
+    vech(z z') for mean-zero Gaussian z with second moment A. rows picks
+    a subset of the vech rows (any numpy index); columns are all of vech.
+    """
+    a = np.asarray(a, dtype=float)
+    r, c, _ = _vech_gather(a.shape[0])
+    ri, rj = (r, c) if rows is None else (r[rows], c[rows])
+    ri, rj = ri[:, None], rj[:, None]
+    return a[ri, r] * a[rj, c] + a[ri, c] * a[rj, r]
+
+
+def d_qform_inv_vech(proj: np.ndarray, rows=None) -> np.ndarray:
+    """vech Jacobian of X -> J'(J X J')^-1 J at the value P it takes there.
+
+    Equals -L (P kron P) D: -pair(P) with the diagonal columns (k = l)
+    halved. With J = I, P is X^-1 and this is the inverse rule. rows
+    picks a subset of the vech rows, as in vech_pair.
+    """
+    out = -vech_pair(proj, rows)
+    out[:, _vech_gather(np.shape(proj)[0])[2]] *= 0.5
+    return out
+
+
 def d_inv_vech(a: np.ndarray) -> np.ndarray:
     """Jacobian of vech(A^-1) with respect to vech(A), symmetric A.
 
@@ -211,26 +224,31 @@ def d_inv_vech(a: np.ndarray) -> np.ndarray:
     d(1/x)/dx = -1/x^2.
     """
     a = check_symmetric(a)
-    n = a.shape[0]
-    ainv = _inv(a, "d_inv_vech: input is singular")
-    el = elimination_matrix(n).data
-    du = duplication_matrix(n).data
-    return -el @ kron(ainv, ainv) @ du
+    return d_qform_inv_vech(_inv(a, "d_inv_vech: input is singular"))
+
+
+def d_gram(y: np.ndarray) -> np.ndarray:
+    """Jacobian of vech(YY') with respect to vech(Y), Y lower triangular.
+
+    d_gram(Y)[(i,j),(k,l)] = delta_ik Y_jl + delta_jk Y_il, which is
+    L (I + K)(Y kron I) L'.
+    """
+    y = np.asarray(y, dtype=float)
+    r, c, _ = _vech_gather(y.shape[0])
+    ri, rj = r[:, None], c[:, None]
+    return (ri == r) * y[rj, c] + (rj == r) * y[ri, c]
 
 
 def d_chol_vech(y: np.ndarray) -> np.ndarray:
     """Jacobian of vech(Y) with respect to vech(YY'), Y lower Cholesky.
 
-    Computed as the inverse of L (I + K) (Y kron I) L'.
+    Computed as the inverse of d_gram(Y).
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if y.shape != (n, n) or np.abs(np.triu(y, 1)).max(initial=0.0) > 0:
         raise ShapeMismatch("d_chol_vech expects a lower-triangular factor")
-    el = elimination_matrix(n).data
-    ka = commutation_matrix(n).data
-    inner = el @ (np.eye(n * n) + ka) @ kron(y, np.eye(n)) @ el.T
-    return _inv(inner, "d_chol_vech: derivative of the gram map is singular")
+    return _inv(d_gram(y), "d_chol_vech: derivative of the gram map is singular")
 
 
 def d_qform_inv(j: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -268,7 +286,7 @@ def d_outer_gram(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     dx = np.asarray(dx, dtype=float)
     if dx.shape[0] != n * n:
         raise ShapeMismatch("dX rows must equal vec(X) length")
-    ka = commutation_matrix(n).data
+    ka = commutation_matrix(n)
     return (np.eye(n * n) + ka) @ kron(x, np.eye(n)) @ dx
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, eigh
 
-from .asymptotics import DistributionResult, OmegaEstimate, _check_dims
+from .asymptotics import OmegaEstimate, _check_dims
 from .errors import (
     RankDeficient,
     RepeatedEigenvalue,
@@ -23,7 +23,7 @@ from .errors import (
     SingularCquad,
     SingularTheta,
 )
-from .kernels import d_qform_inv, duplication_matrix, kron
+from .kernels import vech_indices
 from .moments import AugmentedMoment, MomentLayout
 
 EIG_GAP_RTOL = 1e-10
@@ -180,57 +180,45 @@ def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
 def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
     """Gradient rows of the four statistics with respect to vech(theta).
 
-    Assembled from the quadratic-form inverse rule; the largest-root
-    gradient pairs left and right eigenvectors of the (non-symmetric)
-    product, which finite differences confirm.
+    Each statistic moves as tr(W1 dG1) + tr(W2 dG2). With
+    dG1 = L1' dtheta L1, L1 = E inv(feature gram) C G1 (E the leading
+    columns), and dG2 = -R2' dtheta R2, R2 = M Q S (M the border, Q the
+    inverse bordered moment, S the stacked contrast and target), the
+    full-matrix gradient is Gamma = L1 W1 L1' - R2 W2 R2', and the vech
+    gradient is vech(Gamma + Gamma' - diag Gamma). The largest-root
+    weights pair the left and right eigenvectors of the (non-symmetric)
+    product G1 G2.
     """
     sig_f, _, sigma = regression_blocks(tm)
     f, p = sig_f.shape[0], sigma.shape[0]
     spec.validate_against(f, p)
-    d = tm.dim
-    theta = tm.theta
-    c = spec.c_matrix
-    mt = _border(spec, f)
-    s = _stack(spec)
     g1, g2 = mglh_g1g2(tm, spec)
+    l1 = np.zeros((tm.dim, spec.n_cols))
+    l1[:f] = np.linalg.solve(sig_f, spec.c_matrix @ g1)
+    mt = _border(spec, f)
+    r2 = mt @ np.linalg.solve(mt.T @ tm.theta @ mt, _stack(spec))
 
-    # Jacobians over vec(theta)
-    lead = np.zeros((d, f))
-    lead[:f, :f] = np.eye(f)
-    d_sigf_inv = d_qform_inv(lead.T, theta)                    # vec(inv gram)
-    d_g1 = d_qform_inv(c.T, np.linalg.inv(sig_f)) @ d_sigf_inv
-    core = mt.T @ theta @ mt
-    d_core_inv = d_qform_inv(mt.T, theta)                      # vec(inv bordered)
-    d_g2 = kron(s.T, s.T) @ d_core_inv
-    d_g1_inv = kron(c.T, c.T) @ d_sigf_inv
-    core_inv = np.linalg.inv(core)
-    d_g2_inv = d_qform_inv(s.T, 0.5 * (core_inv + core_inv.T)) @ d_core_inv
-
-    vec_of = lambda m: m.reshape(-1, order="F")
-    q_hlt = vec_of(g1) @ d_g2 + vec_of(g2) @ d_g1
     g1_inv = np.linalg.inv(g1)
     g2_inv = np.linalg.inv(g2)
-    q_pbt = vec_of(g1_inv) @ d_g2_inv + vec_of(g2_inv) @ d_g1_inv
-    # det((G1 G2)^-1) falls as det(G1 G2) grows; the scalar case
-    # d(1/xy)/dx = -1/(x^2 y) fixes the sign
-    det_g1g2 = np.linalg.det(g1) * np.linalg.det(g2)
-    q_wilks = -(vec_of(g1_inv) @ d_g1 + vec_of(g2_inv) @ d_g2) / det_g1g2
-
+    wilks = 1.0 / (np.linalg.det(g1) * np.linalg.det(g2))
     vals, vecs = _g1g2_eigen(g1, g2)
     if len(vals) > 1 and vals[0] - vals[1] < EIG_GAP_RTOL * max(abs(vals[0]), 1e-300):
         raise RepeatedEigenvalue("leading root of the product is not simple")
     v = vecs[:, 0]
     u = g1_inv @ v                      # left eigenvector of G1 G2
-    d_prod = kron(np.eye(spec.n_cols), g1) @ d_g2 + kron(g2.T, np.eye(spec.n_cols)) @ d_g1
-    q_roy = (kron(v, u) @ d_prod) / float(u @ v)
-
-    du = duplication_matrix(d).data
-    return {
-        "hlt": q_hlt @ du,
-        "pbt": q_pbt @ du,
-        "wilks": q_wilks @ du,
-        "roy": q_roy @ du,
+    uv = float(u @ v)
+    weights = {
+        "hlt": (g2, g1),
+        "pbt": (-g1_inv @ g2_inv @ g1_inv, -g2_inv @ g1_inv @ g2_inv),
+        "wilks": (-wilks * g1_inv, -wilks * g2_inv),
+        "roy": (np.outer(g2 @ v, u) / uv, np.outer(v, u @ g1) / uv),
     }
+    rows, cols = vech_indices(tm.dim)
+    grads = {}
+    for name, (w1, w2) in weights.items():
+        gam = l1 @ w1 @ l1.T - r2 @ w2 @ r2.T
+        grads[name] = (gam + gam.T - np.diag(np.diag(gam)))[rows, cols]
+    return grads
 
 
 def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> MglhResult:
@@ -244,7 +232,7 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     _check_dims(tm, om)
     result = mglh_statistics(tm, spec)
     grads = mglh_derivatives(tm, spec)
-    variances = {k: float(q @ om.omega @ q) for k, q in grads.items()}
+    variances = {k: om.sandwich(q) for k, q in grads.items()}
     nulls = {"hlt": 0.0, "pbt": float(spec.n_rows), "wilks": 1.0, "roy": 0.0}
     z = {}
     for k in STAT_NAMES:
@@ -255,12 +243,3 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     result.note = "normal-approximation z-scores; finite-sample laws are chi-square-like"
     return result
 
-
-def mglh_distribution(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> DistributionResult:
-    """The four statistics as one point with a diagonal-free joint covariance."""
-    result = mglh_statistics(tm, spec)
-    grads = mglh_derivatives(tm, spec)
-    q = np.vstack([grads[k] for k in STAT_NAMES])
-    cov = q @ om.omega @ q.T
-    point = np.array([result.as_dict()[k] for k in STAT_NAMES])
-    return DistributionResult(point, cov, tm.n_obs, labels=list(STAT_NAMES))

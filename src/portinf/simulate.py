@@ -220,7 +220,7 @@ def mglh_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteR
 
 def simulate_suite(suite: str, seed: int, trials: int | None = None,
                    sample_size: int | None = None) -> SuiteReport:
-    """Dispatch one named suite with its default sizes."""
+    """Dispatch one named suite; sizes left as None take the suite's defaults."""
     defaults = {
         "theorem1": (theorem1_suite, 5000, 2000),
         "gaussian": (gaussian_suite, 5000, 2000),
@@ -230,4 +230,12 @@ def simulate_suite(suite: str, seed: int, trials: int | None = None,
     if suite not in defaults:
         raise ShapeMismatch(f"unknown suite {suite!r}, expected one of {SUITES}")
     fn, dt, ds = defaults[suite]
-    return fn(seed, trials or dt, sample_size or ds)
+    trials = dt if trials is None else trials
+    sample_size = ds if sample_size is None else sample_size
+    if trials < 2:
+        raise ShapeMismatch(f"need at least 2 trials, got {trials}")
+    if sample_size < 1:
+        raise ShapeMismatch(f"sample size must be positive, got {sample_size}")
+    if seed < 0:
+        raise ShapeMismatch(f"seed must be non-negative, got {seed}")
+    return fn(seed, trials, sample_size)

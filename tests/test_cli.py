@@ -158,6 +158,22 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("hac", ["bartlett:-3", "foo:0"])
+    def test_bad_hac_is_usage_error(self, capsys, hac):
+        code = cli.main(["infer", "--input", FIXTURE, "--assets", ASSETS, "--hac", hac])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed,trials,sample_size",
+                             [("1", "0", "50"), ("1", "1", "50"), ("1", "10", "0"),
+                              ("-1", "10", "50")],
+                             ids=["trials0", "trials1", "sample_size0", "seed-1"])
+    def test_bad_simulate_inputs_are_usage_errors(self, capsys, seed, trials, sample_size):
+        code = cli.main(["simulate", "--suite", "gaussian", "--seed", seed,
+                         "--trials", trials, "--sample-size", sample_size])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         capsys.readouterr()

@@ -26,11 +26,15 @@ class TestGaussianOmega:
         np.testing.assert_allclose(om.omega[1:, 1:], [[1.0, 0.0], [0.0, 2.0]], atol=1e-12)
 
     def test_block_inverse_is_fisher_information(self, rng):
-        theta = rand_unit_corner_theta(rng, 2)
-        om = ga.gaussian_omega(AugmentedMoment(theta, n_obs=10))
-        block_inv = np.linalg.inv(om.omega[1:, 1:])
-        np.testing.assert_allclose(block_inv, ga.fisher_information_block(theta),
-                                   rtol=1e-10, atol=1e-12)
+        for p in (2, 3):
+            theta = rand_unit_corner_theta(rng, p)
+            om = ga.gaussian_omega(AugmentedMoment(theta, n_obs=10))
+            fisher = ga.fisher_information_block(theta)
+            block_inv = np.linalg.inv(om.omega[1:, 1:])
+            np.testing.assert_allclose(block_inv, fisher, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(om.omega[1:, 1:], np.linalg.inv(fisher),
+                                       rtol=1e-10, atol=1e-12)
+            np.testing.assert_array_equal(om.omega[0], np.zeros(om.dim))
 
     def test_block_is_spd(self, rng):
         theta = rand_unit_corner_theta(rng, 3)

@@ -1,4 +1,4 @@
-"""Structural operators and derivative rules against finite differences."""
+"""Structural operators, vech gathers and derivative rules against their oracles."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ class TestVecVech:
 
     def test_vec_transpose_via_commutation(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        k = kn.commutation_matrix(2).data
+        k = kn.commutation_matrix(2)
         np.testing.assert_allclose(k @ kn.vec(a), kn.vec(a.T))
 
     def test_vech_definition(self):
@@ -35,7 +35,7 @@ class TestVecVech:
 
     def test_vech_equals_elimination_of_vec(self):
         m = np.array([[1.0, 2.0], [2.0, 5.0]])
-        np.testing.assert_allclose(kn.elimination_matrix(2).data @ kn.vec(m), kn.vech(m))
+        np.testing.assert_allclose(kn.elimination_matrix(2) @ kn.vec(m), kn.vech(m))
 
     def test_vech_rejects_asymmetry(self):
         with pytest.raises(AsymmetricInput):
@@ -64,20 +64,20 @@ class TestVecVech:
 class TestStructuralMatrices:
     def test_elimination_2(self):
         expect = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-        np.testing.assert_array_equal(kn.elimination_matrix(2).data, expect)
+        np.testing.assert_array_equal(kn.elimination_matrix(2), expect)
 
     def test_duplication_2(self):
         expect = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
-        np.testing.assert_array_equal(kn.duplication_matrix(2).data, expect)
+        np.testing.assert_array_equal(kn.duplication_matrix(2), expect)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_elimination_duplication_identity(self, n):
-        prod = kn.elimination_matrix(n).data @ kn.duplication_matrix(n).data
+        prod = kn.elimination_matrix(n) @ kn.duplication_matrix(n)
         np.testing.assert_array_equal(prod, np.eye(kn.vech_len(n)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_commutation_involution_and_transpose(self, n):
-        k = kn.commutation_matrix(n).data
+        k = kn.commutation_matrix(n)
         np.testing.assert_array_equal(k @ k, np.eye(n * n))
         rng = np.random.default_rng(n)
         for _ in range(100):
@@ -85,14 +85,14 @@ class TestStructuralMatrices:
             np.testing.assert_allclose(k @ kn.vec(a), kn.vec(a.T))
 
     def test_remove_first(self):
-        np.testing.assert_array_equal(kn.remove_first(3).data, np.eye(3)[1:])
+        np.testing.assert_array_equal(kn.remove_first(3), np.eye(3)[1:])
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_kron_commutation_swap(self, n):
         # (I kron X) K = K (X kron I), the identity behind the gram rule
         rng = np.random.default_rng(n + 100)
         x = rng.standard_normal((n, n))
-        k = kn.commutation_matrix(n).data
+        k = kn.commutation_matrix(n)
         lhs = kn.kron(np.eye(n), x) @ k
         rhs = k @ kn.kron(x, np.eye(n))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -191,7 +191,7 @@ class TestProductAndGramRules:
         np.testing.assert_allclose(jac, fd, atol=1e-6)
 
     def test_outer_gram_identity_case(self):
-        k = kn.commutation_matrix(2).data
+        k = kn.commutation_matrix(2)
         np.testing.assert_allclose(
             kn.d_outer_gram(np.eye(2), np.eye(4)), np.eye(4) + k)
 
@@ -291,5 +291,19 @@ class TestFactorizations:
 def test_duplication_recovers_symmetric_vec(n, seed):
     rng = np.random.default_rng(seed)
     m = rand_sym(rng, n)
-    d = kn.duplication_matrix(n).data
+    d = kn.duplication_matrix(n)
     np.testing.assert_allclose(d @ kn.vech(m), kn.vec(m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10_000))
+def test_gathers_match_dense_oracles(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rand_sym(rng, n)
+    y = np.tril(rng.standard_normal((n, n)))
+    el, du, ka = kn.elimination_matrix(n), kn.duplication_matrix(n), kn.commutation_matrix(n)
+    for got, want in (
+        (kn.d_qform_inv_vech(a), -el @ kn.kron(a, a) @ du),
+        (kn.d_gram(y), el @ (np.eye(n * n) + ka) @ kn.kron(y, np.eye(n)) @ el.T),
+    ):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
