@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,23 +36,44 @@ HAC_KERNELS = ("bartlett", "parzen")
 
 @dataclass
 class OmegaEstimate:
-    """Covariance of vech of the per-row outer products, with provenance."""
+    """Covariance of vech of the per-row outer products, with provenance.
 
-    omega: np.ndarray
+    A closed form keeps the m-by-m matrix itself. A data estimate keeps
+    the demeaned T-by-m vech series instead, with the HAC lags weighted
+    by `kernel` up to `bandwidth`: a sandwich projects the series on the
+    gradient first and applies the kernel to the T-by-k projection, so
+    the m-by-m matrix is only formed when `omega` is read or a gradient
+    has at least m rows. Once formed it is cached, and every later
+    sandwich uses it.
+    """
+
+    matrix: np.ndarray | None
     estimator: str              # "vanilla", "hac", or "gaussian"
     n_obs: int
     kernel: str | None = None
     bandwidth: int | None = None
+    series: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        m = self.omega.shape[0]
-        if self.omega.shape != (m, m):
+        if self.series is not None:
+            if self.matrix is not None:
+                raise ShapeMismatch("give omega as a matrix or as a series, not both")
+            return
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        m = self.matrix.shape[0]
+        if self.matrix.shape != (m, m):
             raise ShapeMismatch("omega must be square")
 
     @property
     def dim(self) -> int:
-        return self.omega.shape[0]
+        return (self.matrix if self.series is None else self.series).shape[1]
+
+    @property
+    def omega(self) -> np.ndarray:
+        """The m-by-m matrix; for a data estimate, formed on first read and cached."""
+        if self.matrix is None:
+            self.matrix = self._long_run(self.series)
+        return self.matrix
 
     def sandwich(self, g: np.ndarray) -> np.ndarray | float:
         """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
@@ -62,10 +83,39 @@ class OmegaEstimate:
         g = np.asarray(g, dtype=float)
         if g.shape[-1] != self.dim:
             raise ShapeMismatch(f"gradient of width {g.shape[-1]} does not match omega {self.dim}")
-        out = g @ self.omega @ g.T
-        if g.ndim == 1:
-            return float(out)
-        return 0.5 * (out + out.T)
+        if self.matrix is not None or np.atleast_2d(g).shape[0] >= self.dim:
+            out = g @ self.omega @ g.T
+            if g.ndim == 1:
+                return float(out)
+            return 0.5 * (out + out.T)
+        out = self._long_run(self.series @ np.atleast_2d(g).T)
+        return float(out[0, 0]) if g.ndim == 1 else out
+
+    def _long_run(self, z: np.ndarray) -> np.ndarray:
+        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a projected series z.
+
+        Symmetrized; a HAC result is eigenvalue-clipped to positive
+        semidefinite. Bartlett and Parzen estimates are PSD in exact
+        arithmetic, so the clip only absorbs rounding; it is logged when
+        the clipped eigenvalue is larger than the eigensolver's rounding
+        (k eps times the largest eigenvalue), a loss of precision that
+        exact arithmetic rules out.
+        """
+        t = z.shape[0]
+        out = z.T @ z / t
+        lags = self.bandwidth if self.estimator == "hac" else 0
+        for k in range(1, lags + 1):
+            gamma = z[k:].T @ z[:-k] / t
+            out += _kernel_weight(self.kernel, k, self.bandwidth) * (gamma + gamma.T)
+        out = 0.5 * (out + out.T)
+        if self.estimator == "hac":
+            vals, vecs = np.linalg.eigh(out)
+            if vals[0] < 0:
+                if vals[0] < -vals.size * np.finfo(float).eps * vals[-1]:
+                    logger.warning("HAC estimate indefinite (min eig %.3e); clipping to PSD", vals[0])
+                out = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
+                out = 0.5 * (out + out.T)
+        return out
 
 
 @dataclass
@@ -97,19 +147,30 @@ class DistributionResult:
 def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
     """vech(r r') for every augmented row r, one result per row."""
     aug_rows = np.atleast_2d(np.asarray(aug_rows, dtype=float))
-    rows, cols = vech_indices(aug_rows.shape[1])
-    return aug_rows[:, rows] * aug_rows[:, cols]
+    t, d = aug_rows.shape
+    out = np.empty((t, vech_len(d)))
+    start = 0
+    # vech runs down the columns: column j holds r_j * r[j:]
+    for j in range(d):
+        np.multiply(aug_rows[:, j:], aug_rows[:, j : j + 1], out=out[:, start : start + d - j])
+        start += d - j
+    return out
+
+
+def _series_omega(aug_rows: np.ndarray, estimator: str, kernel: str | None = None,
+                  bandwidth: int | None = None) -> OmegaEstimate:
+    """Omega held as the demeaned vech outer-product series."""
+    y = vech_outer_rows(aug_rows)
+    y -= y.mean(axis=0)
+    return OmegaEstimate(None, estimator, n_obs=y.shape[0], kernel=kernel, bandwidth=bandwidth,
+                         series=y)
 
 
 def omega_vanilla(aug_rows: np.ndarray) -> OmegaEstimate:
     """Sample covariance (divisor T) of the per-row vech outer products."""
-    y = vech_outer_rows(aug_rows)
-    t = y.shape[0]
-    if t < 2:
+    if np.atleast_2d(aug_rows).shape[0] < 2:
         raise ShapeMismatch("need at least two rows")
-    yc = y - y.mean(axis=0)
-    omega = yc.T @ yc / t
-    return OmegaEstimate(0.5 * (omega + omega.T), "vanilla", n_obs=t)
+    return _series_omega(aug_rows, "vanilla")
 
 
 def default_bandwidth(t: int) -> int:
@@ -129,31 +190,23 @@ def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
 def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | None = None) -> OmegaEstimate:
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
-    Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') on the demeaned series,
-    symmetrized and eigenvalue-clipped to positive semidefinite.
+    Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') on the demeaned series. The
+    estimate keeps the series, the kernel and the bandwidth; each
+    sandwich applies w(1..bandwidth) to the series projected on its
+    gradient and clips the k-by-k result to positive semidefinite, so no
+    m-by-m matrix is formed or eigen-decomposed unless `omega` is read
+    or a gradient has at least m rows.
     """
     if kernel not in HAC_KERNELS:
         raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")
     if bandwidth is not None and bandwidth < 0:
         raise ShapeMismatch(f"bandwidth must be non-negative, got {bandwidth}")
-    y = vech_outer_rows(aug_rows)
-    t = y.shape[0]
+    t = np.atleast_2d(aug_rows).shape[0]
     if bandwidth is None:
         bandwidth = default_bandwidth(t)
     if bandwidth >= t:
         raise BandwidthTooLarge(f"bandwidth {bandwidth} must be below T={t}")
-    yc = y - y.mean(axis=0)
-    omega = yc.T @ yc / t
-    for k in range(1, bandwidth + 1):
-        gamma = yc[k:].T @ yc[:-k] / t
-        omega += _kernel_weight(kernel, k, bandwidth) * (gamma + gamma.T)
-    omega = 0.5 * (omega + omega.T)
-    vals, vecs = np.linalg.eigh(omega)
-    if vals[0] < 0:
-        logger.warning("HAC estimate indefinite (min eig %.3e); clipping to PSD", vals[0])
-        omega = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
-        omega = 0.5 * (omega + omega.T)
-    return OmegaEstimate(omega, "hac", n_obs=t, kernel=kernel, bandwidth=bandwidth)
+    return _series_omega(aug_rows, "hac", kernel, bandwidth)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -237,16 +290,17 @@ def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float)
     """Curvature matrix F and mixing matrix M of the second-order ratio law.
 
     n (SNR(w_hat) - snr) converges to 0.5 z' M' F M z with standard normal
-    z; its mean is 0.5 tr(M' F M). M uses a symmetric PSD square root of
-    omega (omega is singular in the unconditional layout, so a Cholesky
-    factor proper does not exist; the law only depends on M M').
+    z; its mean is 0.5 tr(M' F M). The law only depends on M M', the
+    k-by-k covariance of the weights, so M is its symmetric PSD square
+    root (that covariance can be singular, so a Cholesky factor proper
+    need not exist).
     """
     _check_dims(tm, om)
     weights, h, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
     snr = np.sqrt(snr_sq)
     mu, sigma = mean_and_covariance(tm)
     f = (np.outer(mu, mu) / snr - snr * sigma) / risk_budget**2
-    m = h @ psd_sqrt(om.omega)
+    m = psd_sqrt(om.sandwich(h))
     return f, m
 
 

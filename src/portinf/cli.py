@@ -10,7 +10,7 @@ import argparse
 import sys
 
 import numpy as np
-from scipy import stats as spstats
+from scipy.special import ndtr
 
 from . import asymptotics, constraints, gaussian, harness, moments, simulate
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     NumericalError,
     ParseError,
     PortinfError,
+    ShapeMismatch,
 )
 from .harness import RollingVolSpec, RunConfig
 from .kernels import MatrixShape, ivech, side_from_vech_len
@@ -156,6 +157,8 @@ def _prepare(cfg: RunConfig, need_features: bool):
     features = None
     if cfg.feature_columns:
         lag = cfg.feature_lag
+        if lag >= t:
+            raise ShapeMismatch(f"feature lag {lag} leaves none of the {t} loaded rows")
         features = np.full_like(loaded.features, np.nan)
         if lag:
             features[lag:] = loaded.features[:-lag]
@@ -183,7 +186,7 @@ def _omega_for(rows, cfg: RunConfig):
 
 
 def _two_sided_p(z: float) -> float:
-    return float(2.0 * spstats.norm.sf(abs(z)))
+    return float(2.0 * ndtr(-abs(z)))
 
 
 def cmd_infer(cfg: RunConfig) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .asymptotics import OmegaEstimate
 from .errors import (
@@ -246,4 +246,4 @@ def lrt_pvalue(stat: float, dof: int) -> float:
         raise ShapeMismatch(f"negative statistic {stat}")
     if dof < 1:
         raise ShapeMismatch("degrees of freedom must be at least 1")
-    return float(stats.chi2.sf(max(stat, 0.0), dof))
+    return float(chdtrc(dof, max(stat, 0.0)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,8 +66,21 @@ class RunConfig:
     def __post_init__(self):
         if self.command == "simulate" and self.seed is None:
             raise ShapeMismatch("simulate requires a seed")
-        if self.risk_budget is not None and self.risk_budget <= 0:
-            raise ShapeMismatch("risk budget must be positive")
+        if self.risk_budget is not None and not (math.isfinite(self.risk_budget)
+                                                 and self.risk_budget > 0):
+            raise ShapeMismatch(f"risk budget must be finite and positive, got {self.risk_budget}")
+        if not (math.isfinite(self.rfr) and self.rfr >= 0):
+            raise ShapeMismatch(f"rfr must be finite and non-negative, got {self.rfr}")
+        if self.feature_lag < 0:
+            raise ShapeMismatch(f"feature lag must be non-negative, got {self.feature_lag}")
+        for option, columns in (("--assets", self.asset_columns), ("--features", self.feature_columns)):
+            repeated = sorted({c for c in columns if columns.count(c) > 1})
+            if repeated:
+                raise ShapeMismatch(f"{option} names columns more than once: {', '.join(repeated)}")
+        # an unlagged feature that is also an asset makes the moment matrix singular
+        shared = sorted(set(self.asset_columns) & set(self.feature_columns))
+        if shared and self.feature_lag == 0:
+            raise ShapeMismatch(f"columns both asset and unlagged feature: {', '.join(shared)}")
         if self.fmt not in ("tsv", "json"):
             raise ShapeMismatch(f"unknown format {self.fmt!r}")
 

@@ -220,22 +220,28 @@ def mglh_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteR
 
 def simulate_suite(suite: str, seed: int, trials: int | None = None,
                    sample_size: int | None = None) -> SuiteReport:
-    """Dispatch one named suite; sizes left as None take the suite's defaults."""
+    """Dispatch one named suite; sizes left as None take the suite's defaults.
+
+    The sample size must exceed the suite's moment dimension, so that
+    every sampled moment matrix can be inverted.
+    """
+    # suite function, default trials, default sample size, moment dimension
     defaults = {
-        "theorem1": (theorem1_suite, 5000, 2000),
-        "gaussian": (gaussian_suite, 5000, 2000),
-        "lrt": (lrt_suite, 2000, 1000),
-        "mglh": (mglh_suite, 5000, 2000),
+        "theorem1": (theorem1_suite, 5000, 2000, 3),
+        "gaussian": (gaussian_suite, 5000, 2000, 3),
+        "lrt": (lrt_suite, 2000, 1000, 3),
+        "mglh": (mglh_suite, 5000, 2000, 4),
     }
     if suite not in defaults:
         raise ShapeMismatch(f"unknown suite {suite!r}, expected one of {SUITES}")
-    fn, dt, ds = defaults[suite]
+    fn, dt, ds, dim = defaults[suite]
     trials = dt if trials is None else trials
     sample_size = ds if sample_size is None else sample_size
     if trials < 2:
         raise ShapeMismatch(f"need at least 2 trials, got {trials}")
-    if sample_size < 1:
-        raise ShapeMismatch(f"sample size must be positive, got {sample_size}")
+    if sample_size <= dim:
+        raise ShapeMismatch(
+            f"sample size must exceed the {suite} moment dimension {dim}, got {sample_size}")
     if seed < 0:
         raise ShapeMismatch(f"seed must be non-negative, got {seed}")
     return fn(seed, trials, sample_size)

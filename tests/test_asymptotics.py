@@ -1,7 +1,11 @@
 """Omega estimators and the delta-method chains they feed."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portinf import asymptotics as asy
 from portinf import moments as mo
@@ -75,6 +79,82 @@ class TestOmegaHac:
         rows = mo.augment(rng.standard_normal((50, 1)))
         with pytest.raises(BandwidthTooLarge):
             asy.omega_hac(rows, bandwidth=50)
+
+
+def explicit_omega(aug_rows, kernel, bandwidth):
+    """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of the demeaned vech series, formed in full.
+
+    Also returns the same sum over absolute values: where the terms
+    cancel, rounding errors scale with that magnitude, not with the result.
+    """
+    y = np.array([vech(np.outer(r, r)) for r in aug_rows])
+    yc = y - y.mean(axis=0)
+    t = yc.shape[0]
+    omega = yc.T @ yc / t
+    size = np.abs(yc).T @ np.abs(yc) / t
+    for k in range(1, bandwidth + 1):
+        z = k / (bandwidth + 1.0)
+        if kernel == "bartlett":
+            w = 1.0 - z
+        else:
+            w = 1.0 - 6.0 * z**2 + 6.0 * z**3 if z <= 0.5 else 2.0 * (1.0 - z) ** 3
+        gamma = yc[k:].T @ yc[:-k] / t
+        omega += w * (gamma + gamma.T)
+        size += 2 * abs(w) * np.abs(yc[k:]).T @ np.abs(yc[:-k]) / t
+    return omega, size
+
+
+class TestSeriesSandwich:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["vanilla", "bartlett", "parzen"]), st.integers(2, 60),
+           st.integers(1, 5), st.integers(1, 4), st.integers(0, 8), st.booleans(),
+           st.integers(0, 10_000))
+    def test_matches_explicit_omega(self, estimator, t, d, k, bandwidth, augmented, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((t, d))
+        if augmented:
+            rows[:, 0] = 1.0
+        if estimator == "vanilla":
+            om = asy.omega_vanilla(rows)
+            want_omega, size = explicit_omega(rows, None, 0)
+        else:
+            bandwidth = min(bandwidth, t - 1)
+            om = asy.omega_hac(rows, kernel=estimator, bandwidth=bandwidth)
+            want_omega, size = explicit_omega(rows, estimator, bandwidth)
+        g = rng.standard_normal((k, want_omega.shape[0]))
+        want = g @ want_omega @ g.T
+        want_size = np.abs(g) @ size @ np.abs(g).T
+        assert np.abs(om.sandwich(g) - want).max() <= 1e-12 * want_size.max()
+        assert np.abs(om.omega - want_omega).max() <= 1e-12 * size.max()
+        var = om.sandwich(g[0])
+        assert isinstance(var, float)
+        assert abs(var - want[0, 0]) <= 1e-12 * want_size[0, 0]
+
+    def test_clip_beyond_rounding_is_logged(self, caplog, monkeypatch):
+        # an alternating series with a full-weight first lag has long-run
+        # variance 1 - 2 (T-1)/T < 0, which no PSD kernel can produce
+        t = 50
+        z = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)[:, None]
+        monkeypatch.setattr(asy, "_kernel_weight", lambda kernel, k, bandwidth: 1.0)
+        om = asy.OmegaEstimate(None, "hac", t, kernel="bartlett", bandwidth=1, series=z)
+        with caplog.at_level(logging.WARNING, logger="portinf.asymptotics"):
+            var = om.sandwich(np.ones(1))
+        assert var == 0.0
+        assert "clipping to PSD" in caplog.text
+
+    def test_omega_is_formed_once(self, rng):
+        om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
+        assert om.omega is om.omega
+
+    def test_full_gradient_forms_and_reuses_omega(self, rng):
+        om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
+        g = rng.standard_normal((2, om.dim))
+        projected = om.sandwich(g)
+        assert om.matrix is None
+        full = om.sandwich(np.eye(om.dim))
+        assert om.matrix is not None
+        np.testing.assert_allclose(full, om.omega, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(om.sandwich(g), projected, rtol=1e-12, atol=0)
 
 
 class TestThetaInverseCovariance:
@@ -216,6 +296,15 @@ class TestSnrSecondOrder:
         f, _ = asy.snr_second_order(tm, om, risk_budget)
         est = mo.sr_optimal_portfolio(tm, risk_budget)
         np.testing.assert_allclose(f @ est.weights, np.zeros(3), atol=1e-10)
+
+    def test_mixing_matrix_squares_to_the_weight_sandwich(self, rng):
+        rows = mo.augment(rng.standard_normal((400, 3)) * 0.05 + 0.02)
+        tm = mo.sample_theta(rows)
+        for om in (asy.omega_hac(rows, bandwidth=4), gaussian_omega(tm)):
+            _, m = asy.snr_second_order(tm, om, risk_budget=0.5)
+            _, h, _ = asy._portfolio_jacobian_chain(tm, 0.5)
+            want = om.sandwich(h)
+            assert np.abs(m @ m.T - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_monte_carlo_mean_of_quadratic_limit(self):
         # population law: n (SNR(w_hat) - snr) ~ 0.5 z' M'FM z

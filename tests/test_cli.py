@@ -1,7 +1,11 @@
 """End-to-end command line behavior on the shipped fixture."""
 
 import json
+import logging
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +124,25 @@ class TestAttributeCommand:
             assert 0.0 <= float(weighted[:-1]) <= 100.0
 
 
+    def test_hac_rounding_is_clipped_silently(self, capsys, caplog):
+        # the inverse-moment covariance is singular, so its smallest
+        # eigenvalue is rounding that the clip absorbs without a warning
+        with caplog.at_level(logging.WARNING, logger="portinf.asymptotics"):
+            code, _, _ = run(capsys, "attribute", "--input", FIXTURE, "--assets", ASSETS,
+                             "--hac", "bartlett:5")
+        assert code == 0
+        assert caplog.records == []
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        code = "import sys, portinf.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.stdout.strip() == "False"
+
+
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "simulate", "--suite", "gaussian", "--seed", "3",
@@ -164,15 +187,46 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed,trials,sample_size",
-                             [("1", "0", "50"), ("1", "1", "50"), ("1", "10", "0"),
-                              ("-1", "10", "50")],
-                             ids=["trials0", "trials1", "sample_size0", "seed-1"])
-    def test_bad_simulate_inputs_are_usage_errors(self, capsys, seed, trials, sample_size):
-        code = cli.main(["simulate", "--suite", "gaussian", "--seed", seed,
+    @pytest.mark.parametrize("suite,seed,trials,sample_size",
+                             [("gaussian", "1", "0", "50"), ("gaussian", "1", "1", "50"),
+                              ("gaussian", "1", "10", "0"), ("gaussian", "-1", "10", "50"),
+                              ("theorem1", "1", "10", "1"), ("gaussian", "1", "10", "3"),
+                              ("lrt", "1", "10", "3"), ("mglh", "1", "10", "4")],
+                             ids=["trials0", "trials1", "sample_size0", "seed-1",
+                                  "theorem1-sample_size1", "gaussian-sample_size3",
+                                  "lrt-sample_size3", "mglh-sample_size4"])
+    def test_bad_simulate_inputs_are_usage_errors(self, capsys, suite, seed, trials, sample_size):
+        code = cli.main(["simulate", "--suite", suite, "--seed", seed,
                          "--trials", trials, "--sample-size", sample_size])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message",
+                             [(["--features", "level", "--model", "biconditional",
+                                "--feature-lag", "-1"], "feature lag"),
+                              (["--features", "level", "--model", "biconditional",
+                                "--feature-lag", "5000"], "feature lag 5000"),
+                              (["--risk-budget", "0.1", "--rfr", "-1"], "rfr"),
+                              (["--risk-budget", "nan"], "risk budget"),
+                              (["--assets", "alpha,alpha"], "more than once"),
+                              (["--model", "biconditional", "--features", "level,level"],
+                               "more than once"),
+                              (["--model", "biconditional", "--features", "alpha",
+                                "--feature-lag", "0"], "unlagged feature")],
+                             ids=["feature_lag-1", "feature_lag5000", "rfr-1", "risk_budget_nan",
+                                  "duplicate_asset", "duplicate_feature", "unlagged_asset_feature"])
+    def test_bad_data_options_are_usage_errors(self, capsys, args, message):
+        code = cli.main(["infer", "--input", FIXTURE, "--assets", ASSETS, *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage error" in err and message in err
+
+    def test_lagged_asset_as_feature_is_a_model(self, capsys):
+        # a feature column that is also an asset enters lagged, which is a valid predictor
+        code = cli.main(["infer", "--input", FIXTURE, "--assets", "alpha,beta",
+                         "--features", "alpha", "--model", "biconditional"])
+        assert code == 0
+        assert "alpha" in capsys.readouterr().out
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
