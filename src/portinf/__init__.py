@@ -36,11 +36,13 @@ from .constraints import (
 )
 from .gaussian import (
     LrtSolution,
+    LrtStack,
     TraceConstraintSet,
     conjecture_itheta_cov,
     gaussian_omega,
     lrt_pvalue,
     lrt_solve,
+    lrt_solve_stack,
 )
 from .mglh import MglhResult, MglhSpec, mglh_asymptotic, mglh_statistics
 from .moments import (

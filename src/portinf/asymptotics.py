@@ -91,6 +91,32 @@ class OmegaEstimate:
         out = self._long_run(self.series @ np.atleast_2d(g).T)
         return float(out[0, 0]) if g.ndim == 1 else out
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of omega: each coordinate's (long-run) variance.
+
+        A data estimate whose matrix is not formed yet reads it off each
+        coordinate's own series, O(T m bandwidth), and leaves omega
+        unformed. The diagonal of a HAC omega is not clipped; Bartlett
+        and Parzen estimates are PSD, so the clip moves it only by
+        rounding.
+        """
+        if self.matrix is not None:
+            return np.diag(self.matrix).copy()
+        return self._weighted_lags(self.series, lambda a, b: np.einsum("ti,ti->i", a, b))
+
+    def _weighted_lags(self, z: np.ndarray, product) -> np.ndarray:
+        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k'), Gamma_k = product(z[k:], z[:-k]) / T.
+
+        Lags run to the bandwidth for a HAC estimate and are absent otherwise.
+        """
+        t = z.shape[0]
+        out = product(z, z) / t
+        lags = self.bandwidth if self.estimator == "hac" else 0
+        for k in range(1, lags + 1):
+            gamma = product(z[k:], z[:-k]) / t
+            out += _kernel_weight(self.kernel, k, self.bandwidth) * (gamma + gamma.T)
+        return out
+
     def _long_run(self, z: np.ndarray) -> np.ndarray:
         """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a projected series z.
 
@@ -101,12 +127,7 @@ class OmegaEstimate:
         (k eps times the largest eigenvalue), a loss of precision that
         exact arithmetic rules out.
         """
-        t = z.shape[0]
-        out = z.T @ z / t
-        lags = self.bandwidth if self.estimator == "hac" else 0
-        for k in range(1, lags + 1):
-            gamma = z[k:].T @ z[:-k] / t
-            out += _kernel_weight(self.kernel, k, self.bandwidth) * (gamma + gamma.T)
+        out = self._weighted_lags(z, lambda a, b: a.T @ b)
         out = 0.5 * (out + out.T)
         if self.estimator == "hac":
             vals, vecs = np.linalg.eigh(out)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -157,14 +158,17 @@ def _prepare(cfg: RunConfig, need_features: bool):
     features = None
     if cfg.feature_columns:
         lag = cfg.feature_lag
-        if lag >= t:
-            raise ShapeMismatch(f"feature lag {lag} leaves none of the {t} loaded rows")
         features = np.full_like(loaded.features, np.nan)
         if lag:
             features[lag:] = loaded.features[:-lag]
         else:
             features = loaded.features.copy()
         keep &= np.all(np.isfinite(features), axis=1)
+        # the feature model's moment has one column per feature and per asset
+        left, needed = int(keep.sum()), features.shape[1] + values.shape[1]
+        if left < needed:
+            raise ShapeMismatch(f"feature lag {lag} leaves {left} of the {t} loaded rows, "
+                                f"fewer than the {needed} the model needs")
 
     values = values[keep]
     if weights is not None:
@@ -343,7 +347,14 @@ def main(argv: list[str] | None = None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        return handlers[args.command](config_from_args(args))
+        code = handlers[args.command](config_from_args(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to the null
+        # device, so that the interpreter's flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ParseError, EmptyPanel) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .asymptotics import DistributionResult, OmegaEstimate, _check_dims
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .kernels import (
     MatrixShape,
+    block_diag,
     chol,
     d_chol_vech,
     d_gram,
@@ -286,9 +286,10 @@ def inverse_variance_weighting(om: OmegaEstimate) -> np.ndarray:
 
     One candidate for the constrained-projection weighting matrix; the
     right choice is an open problem, so this carries no endorsement.
-    Zero-variance coordinates get the largest finite weight.
+    Zero-variance coordinates get the largest finite weight. Only the
+    diagonal is read, so a data estimate's m-by-m omega is not formed.
     """
-    diag = np.diag(om.omega).copy()
+    diag = om.diagonal()
     floor = 1e-12 * max(diag.max(), 1e-300)
     return np.diag(1.0 / np.clip(diag, floor, None))
 

@@ -18,6 +18,7 @@ from .asymptotics import OmegaEstimate
 from .errors import (
     LostPositiveDefiniteness,
     NoConvergence,
+    NumericalError,
     ShapeMismatch,
     SingularJacobian,
     SingularTheta,
@@ -141,22 +142,198 @@ class LrtSolution:
     history: list[float] = field(default_factory=list)
 
 
-def _constrained_theta(theta_hat: np.ndarray, cs: TraceConstraintSet, lam: np.ndarray) -> np.ndarray:
-    out = theta_hat.copy()
-    for lam_i, a_i in zip(lam, cs.matrices):
-        out -= lam_i * a_i
-    return out
+# Member status of a stacked solve: 0 is a solution, the rest name the failure.
+LRT_OK, LRT_INITIAL_NOT_PD, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVERGENCE, \
+    LRT_LOGDET = range(6)
+LINE_SEARCH_HALVINGS = 20
 
 
-def _spd_inverse(a: np.ndarray) -> np.ndarray | None:
-    """Inverse via Cholesky; None when not positive definite."""
+@dataclass
+class LrtStack:
+    """Per-member solutions of one LRT over an (n, d, d) stack of moments.
+
+    stat is NaN where status is not LRT_OK; history is NaN-padded past
+    each member's last accepted step.
+    """
+
+    lam: np.ndarray           # (n, m)
+    theta0: np.ndarray        # (n, d, d)
+    stat: np.ndarray          # (n,)
+    dof: int
+    iterations: np.ndarray    # (n,)
+    status: np.ndarray        # (n,)
+    residual: np.ndarray      # (n, m)
+    history: np.ndarray       # (n, max_iter + 1)
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.status == LRT_OK
+
+    def error(self, i: int) -> NumericalError | None:
+        """The typed error of member i, or None when it was solved."""
+        code = int(self.status[i])
+        if code == LRT_OK:
+            return None
+        if code == LRT_INITIAL_NOT_PD:
+            return LostPositiveDefiniteness(
+                "initial multipliers leave no positive definite moment")
+        if code == LRT_SINGULAR_JACOBIAN:
+            return SingularJacobian("Newton Jacobian is singular")
+        if code == LRT_LINE_SEARCH:
+            return LostPositiveDefiniteness(
+                "line search failed to keep the constrained moment positive definite")
+        if code == LRT_NO_CONVERGENCE:
+            return NoConvergence(f"residual sup-norm {np.abs(self.residual[i]).max():.3e} "
+                                 f"after {self.iterations[i]} iterations")
+        return LostPositiveDefiniteness("log-determinant of a non-PD matrix")
+
+    def member(self, i: int) -> LrtSolution:
+        """Member i as a one-moment solution; raises its typed error if it failed."""
+        err = self.error(i)
+        if err is not None:
+            raise err
+        it = int(self.iterations[i])
+        return LrtSolution(self.lam[i], self.theta0[i], float(self.stat[i]), self.dof, it, True,
+                           self.residual[i], [float(h) for h in self.history[i, :it + 1]])
+
+
+def _spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of an (n, d, d) stack via Cholesky, and the mask of PD members.
+
+    The factor is built one column at a time across the stack, so a
+    member that is not positive definite (or not finite) is flagged
+    instead of raising for the whole stack; its inverse is the identity.
+    """
+    n, d, _ = a.shape
+    low = np.zeros_like(a)
+    ok = np.ones(n, dtype=bool)
+    for j in range(d):
+        row = low[:, j, :j]
+        pivot = a[:, j, j] - np.sum(row * row, axis=1)
+        ok &= (pivot > 0.0) & np.isfinite(pivot)
+        diag = np.sqrt(np.where(ok, pivot, 1.0))
+        low[:, j, j] = diag
+        below = a[:, j + 1:, j] - np.sum(low[:, j + 1:, :j] * row[:, None, :], axis=2)
+        low[:, j + 1:, j] = below / diag[:, None]
+    low[~ok] = np.eye(d)
+    low_inv = np.linalg.solve(low, np.broadcast_to(np.eye(d), low.shape))
+    return low_inv.swapaxes(1, 2) @ low_inv, ok
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of square systems; the mask marks the members that were solvable."""
     try:
-        c = np.linalg.cholesky(a)
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        return None
-    ident = np.eye(a.shape[0])
-    cinv = np.linalg.solve(c, ident)
-    return cinv.T @ cinv
+        out = np.zeros_like(b)
+        ok = np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return out, ok
+
+
+def lrt_solve_stack(
+    tm: AugmentedMoment,
+    cs: TraceConstraintSet,
+    lam0: np.ndarray | None = None,
+    max_iter: int = 50,
+    tol: float = 1e-10,
+) -> LrtStack:
+    """Constrained MLE and likelihood-ratio statistic for every member of a stack.
+
+    The constrained maximizer is the sample moment minus a multiplier
+    combination of the constraint matrices; Newton steps on the residual
+    tr(A_i inv(theta0)) - a_i use the Jacobian tr(A_i inv A_l inv) and a
+    step-halving line search that keeps theta0 positive definite and the
+    residual norm non-increasing. All members step together; each has its
+    own line search, and a member leaves the iteration when it converges
+    or fails, with its status recording why. A single moment is a stack
+    of one.
+    """
+    d = tm.dim
+    thetas = tm.theta.reshape(-1, d, d)
+    n, m = thetas.shape[0], cs.count
+    if m == 0:
+        empty = np.zeros((n, 0))
+        zeros = np.zeros(n, dtype=int)
+        return LrtStack(empty, thetas.copy(), np.zeros(n), 0, zeros, zeros, empty, empty)
+    if cs.matrices[0].shape[0] != d:
+        raise ShapeMismatch("constraint size does not match the moment matrix")
+    mats = np.array(cs.matrices)
+    lam = np.zeros((n, m)) if lam0 is None else \
+        np.broadcast_to(np.asarray(lam0, dtype=float), (n, m)).copy()
+
+    def constrained(theta_hat, lam):
+        out = theta_hat.copy()
+        for i in range(m):
+            out -= lam[:, i, None, None] * mats[i]
+        return out
+
+    # trace pairings as elementwise sums, never a product across members, so
+    # that each member's arithmetic does not depend on the stack around it
+    def residual_of(inv0):
+        return np.sum(inv0[:, None] * mats, axis=(2, 3)) - cs.targets
+
+    theta0 = constrained(thetas, lam)
+    inv0, pd = _spd_inverse(theta0)
+    status = np.where(pd, LRT_OK, LRT_INITIAL_NOT_PD)
+    res = residual_of(inv0)
+    sup = np.abs(res).max(axis=1)
+    history = np.full((n, max_iter + 1), np.nan)
+    history[:, 0] = sup
+    iterations = np.zeros(n, dtype=int)
+    active = pd & ~(sup < tol)
+
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        w = inv0[idx, None] @ mats @ inv0[idx, None]
+        jac = np.sum(w[:, :, None] * mats, axis=(3, 4))
+        step, solved = _solve_each(jac, res[idx])
+        status[idx[~solved]] = LRT_SINGULAR_JACOBIAN
+        idx, step = idx[solved], step[solved]
+
+        pending = np.ones(idx.size, dtype=bool)
+        scale = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            trying = np.flatnonzero(pending)
+            if trying.size == 0:
+                break
+            members = idx[trying]
+            # a step that overflows gives a non-finite candidate, rejected as not PD
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = lam[members] - scale * step[trying]
+                theta_c = constrained(thetas[members], cand)
+                inv_c, pd_c = _spd_inverse(theta_c)
+            res_c = residual_of(inv_c)
+            sup_c = np.abs(res_c).max(axis=1)
+            take = pd_c & (sup_c <= sup[members])
+            won = members[take]
+            lam[won], theta0[won], inv0[won] = cand[take], theta_c[take], inv_c[take]
+            res[won], sup[won] = res_c[take], sup_c[take]
+            pending[trying[take]] = False
+            scale *= 0.5
+        iterations[idx] += 1
+        status[idx[pending]] = LRT_LINE_SEARCH
+        stepped = idx[~pending]
+        history[stepped, iterations[stepped]] = sup[stepped]
+        active = (status == LRT_OK) & ~(sup < tol)
+    status[active] = LRT_NO_CONVERGENCE
+
+    stat = np.full(n, np.nan)
+    good = np.flatnonzero(status == LRT_OK)
+    if good.size:
+        sign0, logdet0 = np.linalg.slogdet(theta0[good])
+        sign1, logdet1 = np.linalg.slogdet(thetas[good])
+        status[good[(sign0 <= 0) | (sign1 <= 0)]] = LRT_LOGDET
+        trace = np.sum(inv0[good] * thetas[good], axis=(1, 2))
+        stat[good] = tm.n_obs * (logdet0 - logdet1 + trace - d)
+        stat[status != LRT_OK] = np.nan
+    return LrtStack(lam, theta0, stat, m, iterations, status, res, history)
 
 
 def lrt_solve(
@@ -168,76 +345,13 @@ def lrt_solve(
 ) -> LrtSolution:
     """Constrained MLE and likelihood-ratio statistic for trace constraints.
 
-    The constrained maximizer is the sample moment minus a multiplier
-    combination of the constraint matrices; Newton steps on the residual
-    tr(A_i inv(theta0)) - a_i use the Jacobian tr(A_i inv A_l inv) and a
-    step-halving line search that keeps theta0 positive definite and the
-    residual norm non-increasing.
+    The one-moment case of lrt_solve_stack; raises the member's typed
+    error (LostPositiveDefiniteness, SingularJacobian, NoConvergence)
+    when it fails.
     """
-    theta_hat = tm.theta
-    d = theta_hat.shape[0]
-    m = cs.count
-    if m == 0:
-        return LrtSolution(np.zeros(0), theta_hat.copy(), 0.0, 0, 0, True)
-    if cs.matrices[0].shape[0] != d:
-        raise ShapeMismatch("constraint size does not match the moment matrix")
-    lam = np.zeros(m) if lam0 is None else np.asarray(lam0, dtype=float).copy()
-
-    def residual_of(inv0: np.ndarray) -> np.ndarray:
-        return np.array([np.sum(a * inv0) for a in cs.matrices]) - cs.targets
-
-    theta0 = _constrained_theta(theta_hat, cs, lam)
-    inv0 = _spd_inverse(theta0)
-    if inv0 is None:
-        raise LostPositiveDefiniteness("initial multipliers leave no positive definite moment")
-    res = residual_of(inv0)
-    history = [float(np.abs(res).max())]
-    converged = bool(np.abs(res).max() < tol)
-    iterations = 0
-
-    while not converged and iterations < max_iter:
-        jac = np.empty((m, m))
-        for i, a_i in enumerate(cs.matrices):
-            w = inv0 @ a_i @ inv0
-            for l, a_l in enumerate(cs.matrices):
-                jac[i, l] = np.sum(w * a_l)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("Newton Jacobian is singular") from exc
-
-        accepted = False
-        scale = 1.0
-        for _ in range(20):
-            cand = lam - scale * step
-            theta_c = _constrained_theta(theta_hat, cs, cand)
-            inv_c = _spd_inverse(theta_c)
-            if inv_c is not None:
-                res_c = residual_of(inv_c)
-                if np.abs(res_c).max() <= np.abs(res).max():
-                    lam, theta0, inv0, res = cand, theta_c, inv_c, res_c
-                    accepted = True
-                    break
-            scale *= 0.5
-        iterations += 1
-        if not accepted:
-            raise LostPositiveDefiniteness(
-                "line search failed to keep the constrained moment positive definite"
-            )
-        history.append(float(np.abs(res).max()))
-        converged = bool(np.abs(res).max() < tol)
-
-    if not converged:
-        raise NoConvergence(
-            f"residual sup-norm {np.abs(res).max():.3e} after {iterations} iterations"
-        )
-
-    sign0, logdet0 = np.linalg.slogdet(theta0)
-    sign1, logdet1 = np.linalg.slogdet(theta_hat)
-    if sign0 <= 0 or sign1 <= 0:
-        raise LostPositiveDefiniteness("log-determinant of a non-PD matrix")
-    stat = tm.n_obs * (logdet0 - logdet1 + float(np.sum(inv0 * theta_hat)) - d)
-    return LrtSolution(lam, theta0, float(stat), m, iterations, True, res, history)
+    if tm.theta.ndim != 2:
+        raise ShapeMismatch("lrt_solve takes one moment; use lrt_solve_stack for a stack")
+    return lrt_solve_stack(tm, cs, lam0, max_iter, tol).member(0)
 
 
 def lrt_pvalue(stat: float, dof: int) -> float:

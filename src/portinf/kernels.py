@@ -89,16 +89,41 @@ def ivec(v: np.ndarray) -> np.ndarray:
     return v.reshape(n, n, order="F")
 
 
-def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Validate symmetry to relative tolerance, then return (M + M')/2."""
+def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL,
+                    stacked: bool = False) -> np.ndarray:
+    """Validate symmetry to relative tolerance, then return (M + M')/2.
+
+    With stacked=True, m is an (n, d, d) stack and each member is gated
+    against its own largest entry.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    gap = np.abs(m - m.T).max()
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+        kind = "stack of square matrices" if stacked else "square matrix"
+        raise ShapeMismatch(f"expected a {kind}, got {m.shape}")
+    mt = m.swapaxes(-1, -2)
+    if stacked:
+        # gate the member furthest from symmetric, relative to its own scale
+        scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
+        gap = np.abs(m - mt).max(axis=(1, 2))
+        worst = np.argmax(gap / scale)
+        scale, gap = scale[worst], gap[worst]
+    else:
+        scale = max(np.abs(m).max(), 1.0)
+        gap = np.abs(m - mt).max()
     if gap > rtol * scale:
         raise AsymmetricInput(f"asymmetry {gap:.3e} exceeds {rtol:.0e} relative")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks, zeros elsewhere."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def vech(m: np.ndarray) -> np.ndarray:

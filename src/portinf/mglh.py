@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, eigh
 
 from .asymptotics import OmegaEstimate, _check_dims
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     SingularCquad,
     SingularTheta,
 )
-from .kernels import vech_indices
+from .kernels import block_diag, vech_indices
 from .moments import AugmentedMoment, MomentLayout
 
 EIG_GAP_RTOL = 1e-10
@@ -72,10 +71,10 @@ class MglhSpec:
 
 @dataclass
 class MglhResult:
-    hlt: float
-    pbt: float
-    wilks: float
-    roy: float
+    hlt: float | np.ndarray
+    pbt: float | np.ndarray
+    wilks: float | np.ndarray
+    roy: float | np.ndarray
     h_matrix: np.ndarray
     e_matrix: np.ndarray
     n_obs: int
@@ -87,34 +86,51 @@ class MglhResult:
         return {"hlt": self.hlt, "pbt": self.pbt, "wilks": self.wilks, "roy": self.roy}
 
 
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a (..., r, c) array."""
+    return x.swapaxes(-1, -2)
+
+
+def _sym(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + _t(x))
+
+
 def regression_blocks(tm: AugmentedMoment, f: int | None = None):
-    """(feature gram, coefficient, residual covariance) from a conditional moment."""
+    """(feature gram, coefficient, residual covariance) from a conditional moment.
+
+    A stack of moments gives a stack of each block.
+    """
     if tm.layout is not MomentLayout.CONDITIONAL:
         raise ShapeMismatch("need a conditional-layout moment matrix")
     f = tm.f_dim if f is None else f
     theta = tm.theta
-    sig_f = theta[:f, :f]
+    sig_f = theta[..., :f, :f]
     try:
-        bhat = np.linalg.solve(sig_f, theta[:f, f:]).T
+        bhat = _t(np.linalg.solve(sig_f, theta[..., :f, f:]))
     except np.linalg.LinAlgError as exc:
         raise SingularTheta("feature gram is singular") from exc
-    sigma = theta[f:, f:] - bhat @ sig_f @ bhat.T
-    return sig_f, bhat, 0.5 * (sigma + sigma.T)
+    sigma = theta[..., f:, f:] - bhat @ sig_f @ _t(bhat)
+    return sig_f, bhat, _sym(sigma)
+
+
+def _cquad(sig_f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """C' inv(feature gram) C, with C shared by every gram of a stack."""
+    return c.T @ np.linalg.solve(sig_f, np.broadcast_to(c, sig_f.shape[:-2] + c.shape))
 
 
 def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
     """Model variance H and error variance E of the hypothesis."""
     sig_f, bhat, sigma = regression_blocks(tm)
-    spec.validate_against(sig_f.shape[0], sigma.shape[0])
+    spec.validate_against(sig_f.shape[-1], sigma.shape[-1])
     a, c, t = spec.a_matrix, spec.c_matrix, spec.t_matrix
     resid = a @ bhat @ c - t
-    cquad = c.T @ np.linalg.solve(sig_f, c)
+    cquad = _cquad(sig_f, c)
     try:
-        h = resid @ np.linalg.solve(cquad, resid.T)
+        h = resid @ np.linalg.solve(cquad, _t(resid))
     except np.linalg.LinAlgError as exc:
         raise SingularCquad("C' inv(feature gram) C is singular") from exc
     e = a @ sigma @ a.T
-    return 0.5 * (h + h.T), 0.5 * (e + e.T)
+    return _sym(h), _sym(e)
 
 
 def _border(spec: MglhSpec, f: int) -> np.ndarray:
@@ -131,12 +147,13 @@ def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarr
 
     G1 inverts the contrasted feature gram; G2 sandwiches the inverse of
     the bordered moment matrix between the stacked contrast and target.
+    A stack of moments gives a stack of each factor.
     """
     sig_f, _, sigma = regression_blocks(tm)
-    f, p = sig_f.shape[0], sigma.shape[0]
+    f, p = sig_f.shape[-1], sigma.shape[-1]
     spec.validate_against(f, p)
     c = spec.c_matrix
-    cquad = c.T @ np.linalg.solve(sig_f, c)
+    cquad = _cquad(sig_f, c)
     try:
         g1 = np.linalg.inv(cquad)
     except np.linalg.LinAlgError as exc:
@@ -149,32 +166,38 @@ def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarr
         raise SingularTheta("bordered moment is singular") from exc
     s = _stack(spec)
     g2 = s.T @ core_inv @ s
-    return 0.5 * (g1 + g1.T), 0.5 * (g2 + g2.T)
+    return _sym(g1), _sym(g2)
 
 
 def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and right eigenvectors of the product G1 G2.
 
-    Solved as the symmetric-definite pencil G2 v = lambda inv(G1) v, so
-    the eigenvalues come out real.
+    Solved as the symmetric-definite pencil G2 v = lambda inv(G1) v by
+    whitening with R = chol(G1): the eigenvectors w of R' G2 R give
+    v = R w, normalized to v' inv(G1) v = 1, and the eigenvalues come out
+    real. Works on stacks of factors.
     """
-    g1_inv = np.linalg.inv(g1)
-    vals, vecs = eigh(g2, 0.5 * (g1_inv + g1_inv.T))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    r = np.linalg.cholesky(g1)
+    vals, w = np.linalg.eigh(_t(r) @ g2 @ r)
+    return vals[..., ::-1], (r @ w)[..., ::-1]
 
 
 def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
-    """Point values of the four hypothesis statistics."""
+    """Point values of the four hypothesis statistics.
+
+    For a stack of moments each statistic (and H, E) holds one value per
+    member, in stack order.
+    """
     g1, g2 = mglh_g1g2(tm, spec)
     h, e = mglh_he(tm, spec)
     a, c = spec.n_rows, spec.n_cols
     vals, _ = _g1g2_eigen(g1, g2)
-    hlt = float(np.sum(vals)) - c
-    pbt = float(np.sum(1.0 / vals)) + a - c
-    wilks = float(np.prod(1.0 / vals))
-    roy = float(vals[0]) - 1.0
-    return MglhResult(hlt, pbt, wilks, roy, h, e, tm.n_obs)
+    inv = 1.0 / vals
+    stats = [np.sum(vals, axis=-1) - c, np.sum(inv, axis=-1) + a - c,
+             np.prod(inv, axis=-1), vals[..., 0] - 1.0]
+    if vals.ndim == 1:
+        stats = [float(x) for x in stats]
+    return MglhResult(*stats, h, e, tm.n_obs)
 
 
 def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
@@ -190,7 +213,7 @@ def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarra
     product G1 G2.
     """
     sig_f, _, sigma = regression_blocks(tm)
-    f, p = sig_f.shape[0], sigma.shape[0]
+    f, p = sig_f.shape[-1], sigma.shape[-1]
     spec.validate_against(f, p)
     g1, g2 = mglh_g1g2(tm, spec)
     l1 = np.zeros((tm.dim, spec.n_cols))

@@ -65,6 +65,10 @@ class AugmentedMoment:
 
     f_dim is the width of the leading block: 1 for the unconditional and
     single-weight layouts, the feature count for the conditional layout.
+    theta may also be an (n, d, d) stack of n moments that share the
+    sample size and layout, each member validated as one matrix is; the
+    mglh statistics and the LRT solver take such a stack, the other
+    estimators one matrix.
     """
 
     theta: np.ndarray
@@ -73,18 +77,20 @@ class AugmentedMoment:
     f_dim: int = 1
 
     def __post_init__(self):
-        self.theta = check_symmetric(self.theta)
+        self.theta = check_symmetric(self.theta, stacked=np.ndim(self.theta) == 3)
         if self.layout is MomentLayout.UNCONDITIONAL:
             if self.f_dim != 1:
                 raise ShapeMismatch("unconditional layout has a scalar leading block")
             # loose gate only: finite-difference probes may nudge the corner
-            if abs(self.theta[0, 0] - 1.0) > 1e-3:
-                raise ShapeMismatch(
-                    f"unconditional corner is {self.theta[0, 0]:.6f}, expected 1")
+            corner = self.theta[..., 0, 0]
+            if corner.ndim:  # a stack: gate the member furthest from 1
+                corner = corner[np.argmax(np.abs(corner - 1.0))]
+            if abs(corner - 1.0) > 1e-3:
+                raise ShapeMismatch(f"unconditional corner is {corner:.6f}, expected 1")
 
     @property
     def dim(self) -> int:
-        return self.theta.shape[0]
+        return self.theta.shape[-1]
 
     @property
     def n_assets(self) -> int:

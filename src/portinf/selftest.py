@@ -76,4 +76,23 @@ def run(verbose: bool = False) -> bool:
     record("mglh exact-null anchors",
            max(abs(res.hlt), abs(res.pbt - 2.0), abs(res.wilks - 1.0), abs(res.roy)) < 1e-10)
 
+    def close(x, y):
+        return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+    members = [theta + 0.05 * k * np.eye(4) for k in range(3)]
+    stack = mglh.mglh_statistics(AugmentedMoment(np.stack(members), n_obs=100,
+                                                 layout=MomentLayout.CONDITIONAL, f_dim=2), spec)
+    ones = [mglh.mglh_statistics(AugmentedMoment(t, n_obs=100, layout=MomentLayout.CONDITIONAL,
+                                                 f_dim=2), spec) for t in members]
+    mglh_ok = all(close(stack.as_dict()[k][i], one.as_dict()[k])
+                  for i, one in enumerate(ones) for k in mglh.STAT_NAMES)
+    members = [scalar_theta(mu, sg) for mu, sg in ((0.5, 1.0), (1.0, 0.8), (-0.3, 1.2))]
+    cs = gaussian.TraceConstraintSet([np.diag([0.0, 1.0])], [1.2])
+    lrt = gaussian.lrt_solve_stack(AugmentedMoment(np.stack(members), n_obs=100), cs)
+    ones = [gaussian.lrt_solve(AugmentedMoment(t, n_obs=100), cs) for t in members]
+    lrt_ok = bool(lrt.converged.all()) and all(
+        close(lrt.stat[i], one.stat) and lrt.iterations[i] == one.iterations
+        for i, one in enumerate(ones))
+    record("stacked LRT and mglh statistics vs one-moment calls", lrt_ok and mglh_ok)
+
     return all(ok for _, ok in checks)

@@ -6,6 +6,12 @@ theoretical values at pinned tolerances. Per-chunk generators are seeded
 from SeedSequence((seed, chunk_index)) over numpy's PCG64, so reports are
 reproducible byte for byte across platforms; aggregation runs in trial
 order.
+
+Every suite is stacked: one generator draws each chunk's standard
+normals (in the order a per-trial loop would) and forms each trial's
+moment by congruence from the Gram of its draws, and the estimator runs
+once over the (n, d, d) stack of all trials. The streams and the trial
+order are those of a per-trial loop, and so are the reports.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ShapeMismatch
+from .errors import ShapeMismatch
 from .gaussian import (
     TraceConstraintSet,
     gaussian_omega,
-    lrt_solve,
+    lrt_solve_stack,
     omega_gaussian_centered,
 )
 from .kernels import chol, vech_indices
@@ -90,13 +96,38 @@ def _unconditional_population() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, sigma, theta
 
 
-def _batch_thetas(rng: np.random.Generator, n: int, t: int, mu: np.ndarray,
-                  sigma_chol: np.ndarray) -> np.ndarray:
-    p = mu.size
-    z = rng.standard_normal((n, t, p))
-    x = mu + z @ sigma_chol.T
-    rows = np.concatenate([np.ones((n, t, 1)), x], axis=2)
-    return np.einsum("cti,ctj->cij", rows, rows) / t
+def _unit_loading(mu: np.ndarray, sigma_chol: np.ndarray) -> np.ndarray:
+    """M with [1, x'] = M [1, z'] for x = mu + L z."""
+    return np.block([[np.ones((1, 1)), np.zeros((1, mu.size))],
+                     [mu[:, None], sigma_chol]])
+
+
+def _sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int, ...],
+                     loading: np.ndarray, layout: MomentLayout = MomentLayout.UNCONDITIONAL,
+                     f_dim: int = 1) -> AugmentedMoment:
+    """The stack of every trial's sample moment of the suite's augmented rows.
+
+    Each trial draws standard-normal blocks of the given widths, in order,
+    and its rows are loading @ [1, z'] (unconditional layout) or
+    loading @ z (conditional layout). The moment is formed by congruence,
+    loading G loading', from the per-trial Gram G of [1, z'] or z, so the
+    rows themselves are never built. Draws are made one chunk at a time;
+    the stack is validated as a single moment is.
+    """
+    unit = layout is MomentLayout.UNCONDITIONAL
+    ones = np.ones(sample_size)
+    thetas = []
+    for idx, n in _chunks(trials):
+        rng = _rng_for(seed, idx)
+        draws = [rng.standard_normal((n, sample_size, w)) for w in widths]
+        gram = np.block([[a.swapaxes(1, 2) @ b for b in draws] for a in draws]) / sample_size
+        if unit:
+            means = np.concatenate([ones @ z for z in draws], axis=1) / sample_size
+            head = np.concatenate([np.ones((n, 1, 1)), means[:, None, :]], axis=2)
+            gram = np.block([[head], [means[:, :, None], gram]])
+        thetas.append(loading @ gram @ loading.T)
+    return AugmentedMoment(np.concatenate(thetas), n_obs=sample_size, layout=layout,
+                           f_dim=f_dim)
 
 
 def theorem1_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteReport:
@@ -105,13 +136,9 @@ def theorem1_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> Su
     tm_pop = AugmentedMoment(theta_pop, n_obs=sample_size)
     theo = theta_inverse_covariance(tm_pop, gaussian_omega(tm_pop)).covariance
     ri, ci = vech_indices(theta_pop.shape[0])
-    sig_chol = chol(sigma)
-    samples = []
-    for idx, n in _chunks(trials):
-        thetas = _batch_thetas(_rng_for(seed, idx), n, sample_size, mu, sig_chol)
-        invs = np.linalg.inv(thetas)
-        samples.append(invs[:, ri, ci])
-    v = np.vstack(samples)
+    loading = _unit_loading(mu, chol(sigma))
+    tm = _sampled_moments(seed, trials, sample_size, (mu.size,), loading)
+    v = np.linalg.inv(tm.theta)[:, ri, ci]
     emp = sample_size * np.cov(v, rowvar=False)
     rel = np.linalg.norm(emp - theo) / np.linalg.norm(theo)
     rep = SuiteReport("theorem1", seed, trials, sample_size)
@@ -125,12 +152,8 @@ def gaussian_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> Su
     tm_pop = AugmentedMoment(theta_pop, n_obs=sample_size)
     theo = gaussian_omega(tm_pop).omega
     ri, ci = vech_indices(theta_pop.shape[0])
-    sig_chol = chol(sigma)
-    samples = []
-    for idx, n in _chunks(trials):
-        thetas = _batch_thetas(_rng_for(seed, idx), n, sample_size, mu, sig_chol)
-        samples.append(thetas[:, ri, ci])
-    v = np.vstack(samples)
+    loading = _unit_loading(mu, chol(sigma))
+    v = _sampled_moments(seed, trials, sample_size, (mu.size,), loading).theta[:, ri, ci]
     emp = sample_size * np.cov(v, rowvar=False)
     rel = np.linalg.norm(emp - theo) / np.linalg.norm(theo)
     rep = SuiteReport("gaussian", seed, trials, sample_size)
@@ -149,26 +172,14 @@ def lrt_suite(seed: int, trials: int = 2000, sample_size: int = 1000) -> SuiteRe
     a2 = np.zeros((3, 3))
     a2[0, 1] = a2[1, 0] = 0.5
     cs = TraceConstraintSet([a1, a2], [np.sum(a1 * inv_pop), np.sum(a2 * inv_pop)])
-    sig_chol = chol(sigma)
-    stats, fast = [], []
-    failures = 0
-    for idx, n in _chunks(trials):
-        thetas = _batch_thetas(_rng_for(seed, idx), n, sample_size, mu, sig_chol)
-        for theta in thetas:
-            tm = AugmentedMoment(theta, n_obs=sample_size)
-            try:
-                sol = lrt_solve(tm, cs)
-            except NumericalError:
-                failures += 1
-                fast.append(False)
-                continue
-            stats.append(sol.stat)
-            fast.append(sol.converged and sol.iterations <= 10)
-    stats = np.array(stats)
+    loading = _unit_loading(mu, chol(sigma))
+    sol = lrt_solve_stack(_sampled_moments(seed, trials, sample_size, (mu.size,), loading), cs)
+    solved = sol.converged
+    stats = sol.stat[solved]
     mean, var = float(stats.mean()), float(stats.var(ddof=1))
-    frac_fast = float(np.mean(fast))
+    frac_fast = float(np.mean(solved & (sol.iterations <= 10)))
     rep = SuiteReport("lrt", seed, trials, sample_size)
-    rep.extras["failures"] = failures
+    rep.extras["failures"] = int(np.sum(~solved))
     rep.add("mean_stat", mean, "bound in 2.00+-0.15", abs(mean - 2.0) <= 0.15)
     rep.add("var_stat", var, "bound in 4.00+-0.60", abs(var - 4.0) <= 0.60)
     rep.add("newton_fast_frac", frac_fast, "bound>=0.990000", frac_fast >= 0.99)
@@ -195,21 +206,13 @@ def mglh_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteR
     q = mglh_derivatives(tm_pop, spec)["hlt"]
     omega_pop = omega_gaussian_centered(theta_pop)
     theo_var = float(q @ omega_pop @ q)
+    # rows [f', x'] with f = L_f z_f and x = B f + L_s z_e, the features drawn first
     chol_f, chol_s = chol(sig_f), chol(sigma)
-    hlts = []
-    for idx, n in _chunks(trials):
-        rng = _rng_for(seed, idx)
-        zf = rng.standard_normal((n, sample_size, f))
-        ze = rng.standard_normal((n, sample_size, p))
-        feats = zf @ chol_f.T
-        x = feats @ bmat.T + ze @ chol_s.T
-        rows = np.concatenate([feats, x], axis=2)
-        thetas = np.einsum("cti,ctj->cij", rows, rows) / sample_size
-        for theta in thetas:
-            tm = AugmentedMoment(theta, n_obs=sample_size,
-                                 layout=MomentLayout.CONDITIONAL, f_dim=f)
-            hlts.append(mglh_statistics(tm, spec).hlt)
-    emp_var = sample_size * float(np.var(np.array(hlts), ddof=1))
+    loading = np.block([[chol_f, np.zeros((f, p))], [bmat @ chol_f, chol_s]])
+    tm = _sampled_moments(seed, trials, sample_size, (f, p), loading,
+                          MomentLayout.CONDITIONAL, f)
+    hlts = mglh_statistics(tm, spec).hlt
+    emp_var = sample_size * float(np.var(hlts, ddof=1))
     rel = abs(emp_var - theo_var) / theo_var
     rep = SuiteReport("mglh", seed, trials, sample_size)
     rep.extras["theoretical_var"] = theo_var

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from portinf import asymptotics as asy
 from portinf import moments as mo
+from portinf.constraints import inverse_variance_weighting
 from portinf.errors import BandwidthTooLarge, NonPositiveRfr
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import ivech, vech
@@ -155,6 +156,21 @@ class TestSeriesSandwich:
         assert om.matrix is not None
         np.testing.assert_allclose(full, om.omega, rtol=1e-14, atol=0)
         np.testing.assert_allclose(om.sandwich(g), projected, rtol=1e-12, atol=0)
+
+
+class TestOmegaDiagonal:
+    @pytest.mark.parametrize("kernel", ["vanilla", "bartlett", "parzen"])
+    def test_diagonal_from_the_series(self, rng, kernel):
+        x = 0.01 * rng.standard_normal((300, 4)) + 0.002
+        x[1:] += 0.3 * x[:-1]
+        rows = mo.augment(x)
+        om = asy.omega_vanilla(rows) if kernel == "vanilla" else asy.omega_hac(rows, kernel)
+        w = inverse_variance_weighting(om)
+        diag = om.diagonal()
+        assert om.matrix is None
+        full = np.diag(om.omega)
+        assert np.abs(diag - full).max() <= 1e-12 * np.abs(full).max()
+        np.testing.assert_array_equal(np.diag(w), 1.0 / np.clip(diag, 1e-12 * diag.max(), None))
 
 
 class TestThetaInverseCovariance:

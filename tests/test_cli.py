@@ -143,6 +143,25 @@ class TestStartup:
         assert out.stdout.strip() == "False"
 
 
+class TestClosedPipe:
+    @pytest.mark.parametrize("args", [
+        ["infer", "--input", FIXTURE, "--assets", "alpha,beta", "--risk-budget", "0.1"],
+        ["simulate", "--suite", "lrt", "--seed", "1", "--trials", "10", "--sample-size", "50"],
+    ], ids=["infer", "simulate"])
+    def test_closed_stdout_ends_quietly(self, args):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            out = subprocess.run([sys.executable, "-m", "portinf.cli", *args], stdout=write_end,
+                                 stderr=subprocess.PIPE, text=True, timeout=120,
+                                 env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in out.stderr and "BrokenPipe" not in out.stderr
+        assert out.returncode == 0
+
+
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "simulate", "--suite", "gaussian", "--seed", "3",
@@ -212,9 +231,12 @@ class TestExitCodes:
                               (["--model", "biconditional", "--features", "level,level"],
                                "more than once"),
                               (["--model", "biconditional", "--features", "alpha",
-                                "--feature-lag", "0"], "unlagged feature")],
+                                "--feature-lag", "0"], "unlagged feature"),
+                              (["--features", "level", "--model", "biconditional",
+                                "--feature-lag", "359"], "feature lag 359")],
                              ids=["feature_lag-1", "feature_lag5000", "rfr-1", "risk_budget_nan",
-                                  "duplicate_asset", "duplicate_feature", "unlagged_asset_feature"])
+                                  "duplicate_asset", "duplicate_feature", "unlagged_asset_feature",
+                                  "feature_lag359"])
     def test_bad_data_options_are_usage_errors(self, capsys, args, message):
         code = cli.main(["infer", "--input", FIXTURE, "--assets", ASSETS, *args])
         err = capsys.readouterr().err

@@ -1,0 +1,199 @@
+"""The stacked Monte Carlo engine: pinned reports and stack-versus-one parity."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from portinf import gaussian as ga
+from portinf import mglh, simulate
+from portinf.errors import NumericalError
+from portinf.moments import AugmentedMoment, MomentLayout
+
+from conftest import rand_spd
+
+# Reports of the per-trial implementation that the stacked engine replaced,
+# pinned byte for byte: the streams, the trial order and the printed values
+# must not move.
+GOLDEN = {
+    ("theorem1", 5, 300, None): (
+        "suite=theorem1 seed=5 trials=300 sample_size=2000\n"
+        "check frobenius_rel_err value=0.080764 bound<=0.100000 status=PASS\n"
+        "result=PASS\n"),
+    ("gaussian", 5, 300, None): (
+        "suite=gaussian seed=5 trials=300 sample_size=2000\n"
+        "check frobenius_rel_err value=0.107028 bound<=0.100000 status=FAIL\n"
+        "result=FAIL\n"),
+    ("lrt", 5, 300, None): (
+        "suite=lrt seed=5 trials=300 sample_size=1000\n"
+        "info failures=0.000000\n"
+        "check mean_stat value=1.918873 bound in 2.00+-0.15 status=PASS\n"
+        "check var_stat value=3.778355 bound in 4.00+-0.60 status=PASS\n"
+        "check newton_fast_frac value=1.000000 bound>=0.990000 status=PASS\n"
+        "result=PASS\n"),
+    ("mglh", 5, 300, None): (
+        "suite=mglh seed=5 trials=300 sample_size=2000\n"
+        "info empirical_var=1.206473\n"
+        "info theoretical_var=1.229077\n"
+        "check hlt_var_rel_err value=0.018391 bound<=0.150000 status=PASS\n"
+        "result=PASS\n"),
+    # four rows per trial: the line search works hard and some trials take
+    # more than ten Newton steps
+    ("lrt", 1, 400, 4): (
+        "suite=lrt seed=1 trials=400 sample_size=4\n"
+        "info failures=0.000000\n"
+        "check mean_stat value=4.137349 bound in 2.00+-0.15 status=FAIL\n"
+        "check var_stat value=15.810414 bound in 4.00+-0.60 status=FAIL\n"
+        "check newton_fast_frac value=0.947500 bound>=0.990000 status=FAIL\n"
+        "result=FAIL\n"),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(map(str, k)))
+def test_reports_are_pinned(key):
+    suite, seed, trials, sample_size = key
+    assert simulate.simulate_suite(suite, seed, trials, sample_size).render() == GOLDEN[key]
+
+
+def _unit_corner(rng, d, pd=True):
+    """A symmetric moment with unit corner, positive definite or with a negative eigenvalue."""
+    s = rand_spd(rng, d - 1) / d
+    if not pd:
+        s -= (np.linalg.eigvalsh(s)[-1] + 0.5) * np.eye(d - 1)
+    mu = rng.uniform(-0.5, 0.5, d - 1)
+    return np.block([[np.ones((1, 1)), mu[None, :]], [mu[:, None], s + np.outer(mu, mu)]])
+
+
+class TestLrtStack:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), d=st.integers(2, 4),
+           m=st.integers(1, 3), max_iter=st.sampled_from([1, 3, 50, 50]),
+           infeasible=st.booleans(),
+           kinds=st.lists(st.sampled_from(["pd", "pd", "not_pd", "null"]), min_size=6,
+                          max_size=6))
+    def test_members_match_one_moment_calls(self, seed, n, d, m, max_iter, infeasible, kinds):
+        rng = np.random.default_rng(seed)
+        ref = _unit_corner(rng, d)
+        ref_inv = np.linalg.inv(ref)
+        mats = [np.diag(np.r_[0.0, rng.uniform(0.5, 1.5, d - 1)])]
+        for _ in range(m - 1):
+            a = np.zeros((d, d))
+            i, j = sorted(rng.choice(d, 2, replace=False))
+            a[i, j] = a[j, i] = 0.5
+            mats.append(a)
+        targets = [np.sum(a * ref_inv) * rng.uniform(0.85, 1.15) for a in mats]
+        if infeasible:
+            # no positive definite moment has a negative precision diagonal
+            targets[0] = -1.0
+        cs = ga.TraceConstraintSet(mats, targets)
+        # "null" members already satisfy the constraints at lambda = 0
+        thetas = np.stack([ref if k == "null" else _unit_corner(rng, d, pd=k == "pd")
+                           for k in kinds[:n]])
+        stack = ga.lrt_solve_stack(AugmentedMoment(thetas, n_obs=50), cs, max_iter=max_iter)
+        for i, theta in enumerate(thetas):
+            try:
+                one = ga.lrt_solve(AugmentedMoment(theta, n_obs=50), cs, max_iter=max_iter)
+            except NumericalError as exc:
+                err = stack.error(i)
+                assert not stack.converged[i]
+                assert type(err) is type(exc) and str(err) == str(exc)
+                with pytest.raises(type(exc)):
+                    stack.member(i)
+                continue
+            assert stack.converged[i]
+            assert stack.iterations[i] == one.iterations
+            assert abs(stack.stat[i] - one.stat) <= 1e-12 * max(1.0, abs(one.stat))
+            np.testing.assert_allclose(stack.lam[i], one.lam, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(stack.member(i).history, one.history)
+
+    def test_failures_do_not_leak_into_neighbours(self):
+        rng = np.random.default_rng(7)
+        good = _unit_corner(rng, 3)
+        inv = np.linalg.inv(good)
+        a = np.diag([0.0, 1.0, 0.0])
+        cs = ga.TraceConstraintSet([a], [0.8 * inv[1, 1]])
+        bad = _unit_corner(rng, 3, pd=False)
+        thetas = np.stack([good, bad, good])
+        stack = ga.lrt_solve_stack(AugmentedMoment(thetas, n_obs=100), cs)
+        assert stack.status.tolist() == [ga.LRT_OK, ga.LRT_INITIAL_NOT_PD, ga.LRT_OK]
+        one = ga.lrt_solve(AugmentedMoment(good, n_obs=100), cs)
+        for i in (0, 2):
+            assert stack.iterations[i] == one.iterations
+            assert stack.stat[i] == pytest.approx(one.stat, abs=1e-12)
+        assert np.isnan(stack.stat[1])
+
+    def test_iteration_cap_is_no_convergence(self):
+        theta = _unit_corner(np.random.default_rng(3), 3)
+        a = np.diag([0.0, 1.0, 0.0])
+        cs = ga.TraceConstraintSet([a], [0.7 * np.linalg.inv(theta)[1, 1]])
+        stack = ga.lrt_solve_stack(AugmentedMoment(theta[None], n_obs=100), cs, max_iter=1)
+        assert stack.status[0] == ga.LRT_NO_CONVERGENCE
+        with pytest.raises(NumericalError, match="after 1 iterations"):
+            ga.lrt_solve(AugmentedMoment(theta, n_obs=100), cs, max_iter=1)
+
+
+def _conditional(rng, f, p):
+    return rand_spd(rng, f + p) / (f + p) + 0.2 * np.eye(f + p)
+
+
+def _spec(rng, f, p):
+    a, c = rng.integers(1, p + 1), rng.integers(1, f + 1)
+    return mglh.MglhSpec(rng.standard_normal((a, p)), rng.standard_normal((f, c)),
+                         0.1 * rng.standard_normal((a, c)))
+
+
+class TestMglhStack:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), f=st.integers(1, 3),
+           p=st.integers(1, 3))
+    def test_stack_matches_one_moment_calls(self, seed, n, f, p):
+        rng = np.random.default_rng(seed)
+        spec = _spec(rng, f, p)
+        thetas = np.stack([_conditional(rng, f, p) for _ in range(n)])
+        tms = [AugmentedMoment(t, n_obs=80, layout=MomentLayout.CONDITIONAL, f_dim=f)
+               for t in thetas]
+        stack_tm = AugmentedMoment(thetas, n_obs=80, layout=MomentLayout.CONDITIONAL, f_dim=f)
+        g1s, g2s = mglh.mglh_g1g2(stack_tm, spec)
+        res = mglh.mglh_statistics(stack_tm, spec)
+        for i, tm in enumerate(tms):
+            g1, g2 = mglh.mglh_g1g2(tm, spec)
+            np.testing.assert_allclose(g1s[i], g1, rtol=1e-12, atol=1e-12 * np.abs(g1).max())
+            np.testing.assert_allclose(g2s[i], g2, rtol=1e-12, atol=1e-12 * np.abs(g2).max())
+            one = mglh.mglh_statistics(tm, spec)
+            for name in mglh.STAT_NAMES:
+                want = one.as_dict()[name]
+                assert abs(res.as_dict()[name][i] - want) <= 1e-12 * max(1.0, abs(want))
+            np.testing.assert_allclose(res.h_matrix[i], one.h_matrix, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(res.e_matrix[i], one.e_matrix, rtol=1e-12, atol=1e-14)
+
+
+class TestG1G2Eigen:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 4))
+    def test_matches_the_pencil_oracle(self, seed, c):
+        rng = np.random.default_rng(seed)
+        g1, g2 = rand_spd(rng, c), rand_spd(rng, c)
+        vals, vecs = mglh._g1g2_eigen(g1, g2)
+        g1_inv = np.linalg.inv(g1)
+        ref_vals, ref_vecs = scipy.linalg.eigh(g2, g1_inv)
+        ref_vals, ref_vecs = ref_vals[::-1], ref_vecs[:, ::-1]
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12)
+        # both normalize v' inv(G1) v = 1; columns agree up to sign
+        np.testing.assert_allclose(vecs.T @ g1_inv @ vecs, np.eye(c), atol=1e-10)
+        gaps = np.abs(np.diff(ref_vals))
+        if c == 1 or gaps.min() > 1e-3 * ref_vals[0]:
+            signs = np.sign(np.sum(vecs * ref_vecs, axis=0))
+            np.testing.assert_allclose(vecs * signs, ref_vecs, rtol=1e-8,
+                                       atol=1e-10 * np.abs(ref_vecs).max())
+
+    def test_stack_matches_members(self):
+        rng = np.random.default_rng(11)
+        g1 = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        g2 = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        vals, vecs = mglh._g1g2_eigen(g1, g2)
+        for i in range(4):
+            one_vals, one_vecs = mglh._g1g2_eigen(g1[i], g2[i])
+            np.testing.assert_allclose(vals[i], one_vals, rtol=1e-13)
+            np.testing.assert_allclose(np.abs(vecs[i]), np.abs(one_vecs), rtol=1e-12,
+                                       atol=1e-14)
