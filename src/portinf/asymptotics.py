@@ -19,15 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BandwidthTooLarge,
-    DegenerateCorrelation,
-    NonPositiveRfr,
-    ShapeMismatch,
-    ZeroSharpe,
-)
-from .kernels import d_inv_vech, d_qform_inv_vech, vech, vech_indices, vech_len
-from .moments import AugmentedMoment, MomentLayout, mean_and_covariance, theta_inverse, unpack_theta_inverse
+from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
+from .kernels import d_qform_inv_vech, vech, vech_indices, vech_len
+from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
 
 logger = logging.getLogger(__name__)
 
@@ -249,8 +243,8 @@ def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> Distribu
     the covariance is the sandwich of omega with it.
     """
     _check_dims(tm, om)
-    h = d_inv_vech(tm.theta)
-    point = vech(theta_inverse(tm))
+    h = d_qform_inv_vech(tm.inverse)
+    point = vech(tm.inverse)
     return DistributionResult(point, om.sandwich(h), om.n_obs, labels=_vech_labels(tm.dim))
 
 
@@ -261,19 +255,13 @@ def _vech_labels(d: int) -> list[str]:
 
 def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Weights, their Jacobian w.r.t. vech(theta), and snr_sq."""
-    if tm.layout is not MomentLayout.UNCONDITIONAL:
-        raise ShapeMismatch("portfolio chain is defined for the unconditional layout")
+    weights, snr_sq = portfolio_head(tm, risk_budget)
     p = tm.n_assets
-    parts = unpack_theta_inverse(tm)
-    snr_sq = parts.snr_sq
-    if snr_sq is None or snr_sq <= 1e-12:
-        raise ZeroSharpe("squared maximal Sharpe is numerically zero")
     snr = np.sqrt(snr_sq)
-    weights = (risk_budget / snr) * parts.markowitz
     # d weights / d vech(theta^-1) is [-w/(2 psi^2), -(R/psi) I, 0]: only
     # the first p+1 vech coordinates (the first column) enter
     front = np.hstack([-weights[:, None] / (2.0 * snr_sq), -(risk_budget / snr) * np.eye(p)])
-    h = front @ d_qform_inv_vech(theta_inverse(tm), rows=np.arange(p + 1))
+    h = front @ d_qform_inv_vech(tm.inverse, rows=np.arange(p + 1))
     return weights, h, snr_sq
 
 
@@ -291,19 +279,13 @@ def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr
     First-order law; only valid with a strictly positive disastrous rate,
     since the gradient of the ratio vanishes at the optimum when rfr = 0.
     """
-    if rfr <= 0:
+    if not rfr > 0:
         raise NonPositiveRfr("first-order law needs rfr > 0; use snr_second_order")
-    if risk_budget <= 0:
-        raise ShapeMismatch("risk budget must be positive")
+    _, snr_sq = portfolio_head(tm, risk_budget)
     _check_dims(tm, om)
-    parts = unpack_theta_inverse(tm)
-    snr_sq = parts.snr_sq
-    if snr_sq is None or snr_sq <= 1e-12:
-        raise ZeroSharpe("squared maximal Sharpe is numerically zero")
-    mu, _ = mean_and_covariance(tm)
     # only the first column of theta^-1, vech coordinates 0..p, enters
-    jac = d_qform_inv_vech(theta_inverse(tm), rows=np.arange(tm.dim))
-    h = -(rfr / (risk_budget * snr_sq)) * (np.concatenate([[0.5], mu]) @ jac)
+    jac = d_qform_inv_vech(tm.inverse, rows=np.arange(tm.dim))
+    h = -(rfr / (risk_budget * snr_sq)) * (np.concatenate([[0.5], tm.theta[1:, 0]]) @ jac)
     return om.sandwich(h)
 
 
@@ -317,7 +299,7 @@ def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float)
     need not exist).
     """
     _check_dims(tm, om)
-    weights, h, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
+    _, h, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
     snr = np.sqrt(snr_sq)
     mu, sigma = mean_and_covariance(tm)
     f = (np.outer(mu, mu) / snr - snr * sigma) / risk_budget**2

@@ -30,7 +30,6 @@ from .kernels import (
     chol,
     d_chol_vech,
     d_gram,
-    d_inv_vech,
     d_qform_inv_vech,
     eigen_sym,
     fd_step,
@@ -46,7 +45,6 @@ from .moments import (
     MomentLayout,
     augment,
     sample_theta,
-    theta_inverse,
     unpack_theta_inverse,
 )
 
@@ -77,10 +75,6 @@ class SubspaceSpec:
             raise RankDeficient("basket rows are not linearly independent")
         self.basket = q.T
 
-    @property
-    def n_baskets(self) -> int:
-        return self.basket.shape[0]
-
     def augmented(self, f_dim: int) -> np.ndarray:
         return block_diag(np.eye(f_dim), self.basket)
 
@@ -98,10 +92,6 @@ class HedgeSpec:
         if svals[-1] < RANK_RTOL * max(svals[0], 1e-300):
             raise RankDeficientHedge("hedge matrix is rank deficient")
         self.hedge = g
-
-    @property
-    def n_hedges(self) -> int:
-        return self.hedge.shape[0]
 
     def augmented(self, f_dim: int) -> np.ndarray:
         return block_diag(np.eye(f_dim), self.hedge)
@@ -160,9 +150,8 @@ def hedged_delta_theta(
     _check_dims(tm, om)
     gt = spec.augmented(tm.f_dim)
     proj = _project_core(gt, tm.theta)
-    delta = theta_inverse(tm) - proj
-    point = vech(delta)
-    h = d_inv_vech(tm.theta) - d_qform_inv_vech(proj)
+    point = vech(tm.inverse - proj)
+    h = d_qform_inv_vech(tm.inverse) - d_qform_inv_vech(proj)
     return point, DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
@@ -231,7 +220,7 @@ def _coefficient_coords(d: int, f: int) -> list[int]:
 
 
 def markowitz_coefficient(
-    tm: AugmentedMoment, om: OmegaEstimate, f_dim: int | None = None
+    tm: AugmentedMoment, om: OmegaEstimate
 ) -> tuple[np.ndarray, DistributionResult]:
     """Feature-to-weights multiplier and its asymptotic law.
 
@@ -240,12 +229,9 @@ def markowitz_coefficient(
     law to those coordinates.
     """
     _check_dims(tm, om)
-    f = tm.f_dim if f_dim is None else f_dim
-    d = tm.dim
-    p = d - f
-    parts = unpack_theta_inverse(tm, f)
-    coef = parts.markowitz.reshape(p, f, order="F") if f > 1 else parts.markowitz.reshape(p, 1)
-    h = d_qform_inv_vech(theta_inverse(tm), rows=_coefficient_coords(d, f))
+    f, d, p = tm.f_dim, tm.dim, tm.n_assets
+    coef = unpack_theta_inverse(tm).markowitz.reshape(p, f, order="F")
+    h = d_qform_inv_vech(tm.inverse, rows=_coefficient_coords(d, f))
     point = coef.reshape(-1, order="F")
     labels = [f"coef[{i},{j}]" for j in range(f) for i in range(p)]
     return coef, DistributionResult(point, om.sandwich(h), om.n_obs, labels=labels)
@@ -336,7 +322,7 @@ def constrained_cholesky_estimate(
 
 
 def reduced_rank_coefficient(
-    tm: AugmentedMoment, r: int, om: OmegaEstimate, f_dim: int | None = None
+    tm: AugmentedMoment, r: int, om: OmegaEstimate
 ) -> tuple[np.ndarray, DistributionResult]:
     """Coefficient from the rank-r pseudoinverse of the conditional moment.
 
@@ -345,9 +331,7 @@ def reduced_rank_coefficient(
     is too unwieldy to carry in closed form.
     """
     _check_dims(tm, om)
-    f = tm.f_dim if f_dim is None else f_dim
-    d = tm.dim
-    p = d - f
+    f, d, p = tm.f_dim, tm.dim, tm.n_assets
     vals, _ = eigen_sym(tm.theta)
     if r < 1 or r > d:
         raise ShapeMismatch(f"rank {r} out of range 1..{d}")

@@ -75,8 +75,6 @@ class MglhResult:
     pbt: float | np.ndarray
     wilks: float | np.ndarray
     roy: float | np.ndarray
-    h_matrix: np.ndarray
-    e_matrix: np.ndarray
     n_obs: int
     variances: dict[str, float] | None = None
     z_scores: dict[str, float] | None = None
@@ -95,15 +93,14 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + _t(x))
 
 
-def regression_blocks(tm: AugmentedMoment, f: int | None = None):
+def regression_blocks(tm: AugmentedMoment):
     """(feature gram, coefficient, residual covariance) from a conditional moment.
 
     A stack of moments gives a stack of each block.
     """
     if tm.layout is not MomentLayout.CONDITIONAL:
         raise ShapeMismatch("need a conditional-layout moment matrix")
-    f = tm.f_dim if f is None else f
-    theta = tm.theta
+    f, theta = tm.f_dim, tm.theta
     sig_f = theta[..., :f, :f]
     try:
         bhat = _t(np.linalg.solve(sig_f, theta[..., :f, f:]))
@@ -185,11 +182,10 @@ def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
     """Point values of the four hypothesis statistics.
 
-    For a stack of moments each statistic (and H, E) holds one value per
-    member, in stack order.
+    For a stack of moments each statistic holds one value per member, in
+    stack order.
     """
     g1, g2 = mglh_g1g2(tm, spec)
-    h, e = mglh_he(tm, spec)
     a, c = spec.n_rows, spec.n_cols
     vals, _ = _g1g2_eigen(g1, g2)
     inv = 1.0 / vals
@@ -197,7 +193,7 @@ def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
              np.prod(inv, axis=-1), vals[..., 0] - 1.0]
     if vals.ndim == 1:
         stats = [float(x) for x in stats]
-    return MglhResult(*stats, h, e, tm.n_obs)
+    return MglhResult(*stats, tm.n_obs)
 
 
 def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
@@ -212,12 +208,10 @@ def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarra
     weights pair the left and right eigenvectors of the (non-symmetric)
     product G1 G2.
     """
-    sig_f, _, sigma = regression_blocks(tm)
-    f, p = sig_f.shape[-1], sigma.shape[-1]
-    spec.validate_against(f, p)
-    g1, g2 = mglh_g1g2(tm, spec)
+    g1, g2 = mglh_g1g2(tm, spec)  # validates the layout and the spec
+    f = tm.f_dim
     l1 = np.zeros((tm.dim, spec.n_cols))
-    l1[:f] = np.linalg.solve(sig_f, spec.c_matrix @ g1)
+    l1[:f] = np.linalg.solve(tm.theta[:f, :f], spec.c_matrix @ g1)
     mt = _border(spec, f)
     r2 = mt @ np.linalg.solve(mt.T @ tm.theta @ mt, _stack(spec))
 

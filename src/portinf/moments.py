@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -19,10 +20,12 @@ from .errors import (
     ShapeMismatch,
     SingularTheta,
     ZeroMeanVector,
+    ZeroSharpe,
 )
 from .kernels import check_symmetric
 
 PD_RTOL = 1e-12
+SNR_SQ_FLOOR = 1e-12
 
 
 class MomentLayout(Enum):
@@ -59,7 +62,7 @@ class ReturnsPanel:
         return self.values.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentedMoment:
     """Symmetric PD second moment of the augmented rows, plus bookkeeping.
 
@@ -68,7 +71,8 @@ class AugmentedMoment:
     theta may also be an (n, d, d) stack of n moments that share the
     sample size and layout, each member validated as one matrix is; the
     mglh statistics and the LRT solver take such a stack, the other
-    estimators one matrix.
+    estimators one matrix. The moment is frozen and theta read-only, so
+    the cached inverse cannot go stale.
     """
 
     theta: np.ndarray
@@ -77,12 +81,14 @@ class AugmentedMoment:
     f_dim: int = 1
 
     def __post_init__(self):
-        self.theta = check_symmetric(self.theta, stacked=np.ndim(self.theta) == 3)
+        theta = check_symmetric(self.theta, stacked=np.ndim(self.theta) == 3)
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
         if self.layout is MomentLayout.UNCONDITIONAL:
             if self.f_dim != 1:
                 raise ShapeMismatch("unconditional layout has a scalar leading block")
             # loose gate only: finite-difference probes may nudge the corner
-            corner = self.theta[..., 0, 0]
+            corner = theta[..., 0, 0]
             if corner.ndim:  # a stack: gate the member furthest from 1
                 corner = corner[np.argmax(np.abs(corner - 1.0))]
             if abs(corner - 1.0) > 1e-3:
@@ -95,6 +101,35 @@ class AugmentedMoment:
     @property
     def n_assets(self) -> int:
         return self.dim - self.f_dim
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """theta^-1, symmetrized, read-only and cached: the one inverse and PD gate.
+
+        theta is equilibrated, A = D theta D with D = diag(theta)^-1/2, so
+        the gate and the inverse are unit-free. One eigh A = V L V' gives
+        the eigenvalue ratio gated against PD_RTOL and Y = V L^-1 V', which
+        one Newton step Y + Y (I - A Y) refines to the accuracy of an LU
+        inverse; theta^-1 = D Y D. A stack of moments has no single inverse.
+        """
+        if self.theta.ndim != 2:
+            raise ShapeMismatch("a stack of moments has no single inverse")
+        diag = np.diag(self.theta)
+        bad = ~(np.isfinite(self.theta).all(axis=0) & (diag > 0))
+        if bad.any():
+            raise SingularTheta(f"moment column {np.argmax(bad)} is all zero or not finite")
+        scale = 1.0 / np.sqrt(diag)
+        a = scale[:, None] * self.theta * scale
+        vals, vecs = np.linalg.eigh(a)
+        if not vals[0] >= PD_RTOL * vals[-1]:
+            raise SingularTheta(f"smallest eigenvalue {vals[0]:.3e} of the equilibrated moment "
+                                f"below {PD_RTOL:.0e} of largest")
+        y = (vecs / vals) @ vecs.T
+        y += y @ (np.eye(self.dim) - a @ y)
+        inv = scale[:, None] * y * scale
+        inv = 0.5 * (inv + inv.T)
+        inv.setflags(write=False)
+        return inv
 
 
 @dataclass
@@ -166,31 +201,17 @@ def sample_theta(
     layout: MomentLayout = MomentLayout.UNCONDITIONAL,
     f_dim: int = 1,
 ) -> AugmentedMoment:
-    """Average of row outer products, divisor T, checked for positive definiteness."""
+    """Average of row outer products, divisor T, gated by its (cached) inverse."""
     aug_rows = np.atleast_2d(np.asarray(aug_rows, dtype=float))
     t, d = aug_rows.shape
     if t < d:
         raise ShapeMismatch(f"need at least as many rows as columns, got {aug_rows.shape}")
-    theta = aug_rows.T @ aug_rows / t
-    theta = 0.5 * (theta + theta.T)
-    eigvals = np.linalg.eigvalsh(theta)
-    if eigvals[0] < PD_RTOL * max(eigvals[-1], 1e-300):
-        raise SingularTheta(
-            f"smallest eigenvalue {eigvals[0]:.3e} below {PD_RTOL:.0e} of largest"
-        )
-    return AugmentedMoment(theta, n_obs=t, layout=layout, f_dim=f_dim)
+    tm = AugmentedMoment(aug_rows.T @ aug_rows / t, n_obs=t, layout=layout, f_dim=f_dim)
+    tm.inverse  # the PD gate; the inverse stays cached for every later reader
+    return tm
 
 
-def theta_inverse(tm: AugmentedMoment) -> np.ndarray:
-    """Inverse of the augmented moment, symmetrized."""
-    try:
-        inv = np.linalg.inv(tm.theta)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTheta("augmented moment is singular") from exc
-    return 0.5 * (inv + inv.T)
-
-
-def unpack_theta_inverse(tm: AugmentedMoment, f_dim: int | None = None) -> ThetaInverseParts:
+def unpack_theta_inverse(tm: AugmentedMoment) -> ThetaInverseParts:
     """Read the block structure of the inverse augmented moment.
 
     For the unconditional layout the corner is 1 + snr_sq, so snr_sq is
@@ -198,14 +219,11 @@ def unpack_theta_inverse(tm: AugmentedMoment, f_dim: int | None = None) -> Theta
     the feature-gram inverse with the coefficient quadratic form and is
     returned whole.
     """
-    f = tm.f_dim if f_dim is None else f_dim
-    inv = theta_inverse(tm)
+    f, inv = tm.f_dim, tm.inverse
     corner = inv[:f, :f].copy()
     neg_port = inv[f:, :f].copy()
     precision = inv[f:, f:].copy()
-    snr_sq = None
-    if tm.layout is MomentLayout.UNCONDITIONAL:
-        snr_sq = float(corner[0, 0]) - 1.0
+    snr_sq = float(corner[0, 0]) - 1.0 if tm.layout is MomentLayout.UNCONDITIONAL else None
     if f == 1:
         neg_port = neg_port.ravel()
     return ThetaInverseParts(corner, neg_port, precision, snr_sq)
@@ -220,6 +238,23 @@ def mean_and_covariance(tm: AugmentedMoment) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
+def portfolio_head(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, float]:
+    """Weights (R / sqrt(snr_sq)) Sigma^-1 mu and snr_sq, read off tm.inverse.
+
+    The one gate of every portfolio quantity: an unconditional layout and
+    a positive finite risk budget (else ShapeMismatch), and an snr_sq,
+    which is unit-free, above SNR_SQ_FLOOR (else ZeroSharpe).
+    """
+    if tm.layout is not MomentLayout.UNCONDITIONAL:
+        raise ShapeMismatch("the optimal portfolio is defined for the unconditional layout")
+    if not (risk_budget > 0 and np.isfinite(risk_budget)):
+        raise ShapeMismatch(f"risk budget must be positive and finite, got {risk_budget}")
+    parts = unpack_theta_inverse(tm)
+    if not parts.snr_sq > SNR_SQ_FLOOR:
+        raise ZeroSharpe("squared maximal Sharpe is numerically zero")
+    return (risk_budget / np.sqrt(parts.snr_sq)) * parts.markowitz, parts.snr_sq
+
+
 def sr_optimal_portfolio(
     tm: AugmentedMoment,
     risk_budget: float,
@@ -231,25 +266,16 @@ def sr_optimal_portfolio(
     Solves for w = (R / sqrt(mu' Sigma^-1 mu)) Sigma^-1 mu; the attained
     objective is sqrt(mu' Sigma^-1 mu) - rfr / R.
     """
-    if risk_budget <= 0:
-        raise ShapeMismatch("risk budget must be positive")
-    parts = unpack_theta_inverse(tm)
     mu, _ = mean_and_covariance(tm)
-    if np.linalg.norm(mu) <= 1e-12:
-        raise ZeroMeanVector("mean vector is numerically zero")
-    snr_sq = parts.snr_sq
-    if snr_sq is None or snr_sq <= 0:
-        raise SingularTheta("squared maximal Sharpe is not positive")
-    snr = np.sqrt(snr_sq)
-    weights = (risk_budget / snr) * parts.markowitz
-    names = asset_names if asset_names is not None else [
-        f"asset{i + 1}" for i in range(weights.size)
-    ]
+    if not np.any(mu):
+        raise ZeroMeanVector("mean vector is zero")
+    weights, snr_sq = portfolio_head(tm, risk_budget)
+    names = [f"asset{i + 1}" for i in range(weights.size)] if asset_names is None else asset_names
     return PortfolioEstimate(
         weights=weights,
         risk_budget=float(risk_budget),
         rfr=float(rfr),
         snr_sq=snr_sq,
-        objective=snr - rfr / risk_budget,
+        objective=np.sqrt(snr_sq) - rfr / risk_budget,
         asset_names=names,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import asymptotics, gaussian, kernels, mglh
+from . import asymptotics, gaussian, kernels, mglh, moments
 from .moments import AugmentedMoment, MomentLayout
 
 
@@ -94,5 +94,16 @@ def run(verbose: bool = False) -> bool:
         close(lrt.stat[i], one.stat) and lrt.iterations[i] == one.iterations
         for i, one in enumerate(ones))
     record("stacked LRT and mglh statistics vs one-moment calls", lrt_ok and mglh_ok)
+
+    def snr_and_z(scale):
+        rows = moments.augment(scale * x)
+        tm = moments.sample_theta(rows)
+        dist = asymptotics.portfolio_covariance(tm, asymptotics.omega_vanilla(rows), 0.1)
+        return moments.unpack_theta_inverse(tm).snr_sq, asymptotics.wald_statistics(dist)
+
+    x = rng.standard_normal((120, 3)) * 0.05 + 0.02
+    (snr1, z1), (snr2, z2) = snr_and_z(1.0), snr_and_z(1e-8)
+    record("snr_sq and weight z-scores unchanged by returns scaled 1e-8",
+           abs(snr2 - snr1) <= 1e-10 * snr1 and np.abs(z2 - z1).max() <= 1e-10 * np.abs(z1).max())
 
     return all(ok for _, ok in checks)

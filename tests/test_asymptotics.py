@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from portinf import asymptotics as asy
 from portinf import moments as mo
 from portinf.constraints import inverse_variance_weighting
-from portinf.errors import BandwidthTooLarge, NonPositiveRfr
+from portinf.errors import BandwidthTooLarge, NonPositiveRfr, ShapeMismatch, ZeroSharpe
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import ivech, vech
 from portinf.moments import AugmentedMoment
@@ -350,6 +350,30 @@ class TestSnrSecondOrder:
             vals.append(t * (num / den - snr))
         mean = float(np.concatenate([np.atleast_1d(v) for v in vals]).mean())
         assert abs(mean - expect) < 0.15 * abs(expect)
+
+
+PORTFOLIO_FUNCTIONS = {
+    "sr_optimal_portfolio": lambda tm, om, r: mo.sr_optimal_portfolio(tm, r),
+    "portfolio_covariance": lambda tm, om, r: asy.portfolio_covariance(tm, om, r),
+    "snr_variance": lambda tm, om, r: asy.snr_variance(tm, om, r, 0.05),
+    "snr_second_order": lambda tm, om, r: asy.snr_second_order(tm, om, r),
+}
+
+
+class TestPortfolioHeadContract:
+    @pytest.mark.parametrize("risk_budget", [0.0, -0.1, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("name", sorted(PORTFOLIO_FUNCTIONS))
+    def test_bad_risk_budget_is_rejected(self, name, risk_budget, rng):
+        tm = AugmentedMoment(rand_unit_corner_theta(rng, 2), n_obs=100)
+        with pytest.raises(ShapeMismatch, match="risk budget"):
+            PORTFOLIO_FUNCTIONS[name](tm, gaussian_omega(tm), risk_budget)
+
+    @pytest.mark.parametrize("name", sorted(PORTFOLIO_FUNCTIONS))
+    def test_one_zero_sharpe_gate(self, name):
+        # a nonzero mean whose squared Sharpe is below the floor
+        tm = AugmentedMoment(theta_from([1e-7, 0.0], np.eye(2)), n_obs=100)
+        with pytest.raises(ZeroSharpe):
+            PORTFOLIO_FUNCTIONS[name](tm, gaussian_omega(tm), 0.5)
 
 
 class TestWaldStatistics:

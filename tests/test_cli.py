@@ -73,6 +73,45 @@ class TestInfer:
         assert "model=floating" in out
 
 
+def scaled_fixture(tmp_path, scale, zero_column=None):
+    """The fixture with its asset columns scaled, and optionally one of them zeroed."""
+    lines = pathlib.Path(FIXTURE).read_text().splitlines()
+    header = lines[0].split(",")
+    assets = [header.index(a) for a in ASSETS.split(",")]
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        for i in assets:
+            if cells[i]:
+                cells[i] = "0" if header[i] == zero_column else repr(scale * float(cells[i]))
+        out.append(",".join(cells))
+    path = tmp_path / "returns.csv"
+    path.write_text("\n".join(out) + "\n")
+    return str(path)
+
+
+def body_rows(out):
+    return [l.split("\t") for l in out.splitlines() if l and not l.startswith("#")][1:]
+
+
+class TestUnits:
+    def test_scaled_returns_give_the_same_z_scores(self, capsys, tmp_path):
+        args = ["--assets", ASSETS, "--risk-budget", "0.1", "--rfr", "0.001", "--hac", "bartlett"]
+        code, plain, _ = run(capsys, "infer", "--input", FIXTURE, *args)
+        assert code == 0
+        code, scaled, _ = run(capsys, "infer", "--input", scaled_fixture(tmp_path, 1e-8), *args)
+        assert code == 0
+        for a, b in zip(body_rows(plain), body_rows(scaled)):
+            assert float(b[3]) == pytest.approx(float(a[3]), rel=1e-5)
+            assert 1e-8 * float(b[5]) == pytest.approx(float(a[5]), rel=1e-5)
+
+    def test_all_zero_asset_column_is_a_numerical_failure(self, capsys, tmp_path):
+        path = scaled_fixture(tmp_path, 1.0, zero_column="beta")
+        code, _, err = run(capsys, "infer", "--input", path, "--assets", ASSETS)
+        assert code == 3
+        assert "numerical failure" in err and "all zero" in err
+
+
 class TestMglhCommand:
     def test_full_hypothesis(self, capsys, tmp_path):
         a = tmp_path / "A.csv"

@@ -1,0 +1,71 @@
+"""The paper's equivariances as property tests: scaling returns and permuting assets."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from portinf import asymptotics as asy
+from portinf import constraints as cn
+from portinf import moments as mo
+
+RISK_BUDGET, RFR = 0.1, 0.001
+OMEGAS = {"vanilla": asy.omega_vanilla, "bartlett": lambda rows: asy.omega_hac(rows, "bartlett")}
+
+
+def one_factor_panel(seed, t, p):
+    """T x p returns with a common factor and positive mean returns."""
+    rng = np.random.default_rng(seed)
+    factor = 0.01 + 0.04 * rng.standard_normal((t, 1))
+    noise = rng.standard_normal((t, p)) * rng.uniform(0.02, 0.05, p)
+    return 0.005 + factor * rng.uniform(0.3, 1.2, p) + noise
+
+
+def quantities(values, omega):
+    """Every reported quantity of one panel; 'weights' and 'weight_se' carry units."""
+    rows = mo.augment(values)
+    tm = mo.sample_theta(rows)
+    om = OMEGAS[omega](rows)
+    est = mo.sr_optimal_portfolio(tm, RISK_BUDGET, RFR)
+    wdist = asy.portfolio_covariance(tm, om, RISK_BUDGET)
+    _, cdist = cn.markowitz_coefficient(tm, om)
+    return {
+        "snr_sq": np.array([est.snr_sq]),
+        "weights": est.weights,
+        "weight_se": wdist.standard_errors(),
+        "weight_z": asy.wald_statistics(wdist),
+        "coef_z": asy.wald_statistics(cdist),
+        "snr_variance": np.array([asy.snr_variance(tm, om, RISK_BUDGET, RFR)]),
+        "attribution": asy.attribute_error(asy.theta_inverse_covariance(tm, om),
+                                           values.shape[1]),
+    }
+
+
+def assert_close(got, want, rtol=1e-9):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+panels = dict(seed=st.integers(0, 2**32 - 1), t=st.integers(60, 240), p=st.integers(1, 4),
+              omega=st.sampled_from(sorted(OMEGAS)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_c=st.floats(-12.0, 3.0), **panels)
+def test_scaling_returns(log_c, seed, t, p, omega):
+    # returns in other units: weights and their SEs scale by 1/c, all else is unit-free
+    c = 10.0**log_c
+    x = one_factor_panel(seed, t, p)
+    base, scaled = quantities(x, omega), quantities(c * x, omega)
+    for name, want in base.items():
+        got = c * scaled[name] if name in ("weights", "weight_se") else scaled[name]
+        assert_close(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**panels)
+def test_permuting_assets(seed, t, p, omega):
+    x = one_factor_panel(seed, t, p)
+    perm = np.random.default_rng(seed).permutation(p)
+    base, permuted = quantities(x, omega), quantities(x[:, perm], omega)
+    assert_close(permuted["snr_sq"], base["snr_sq"])
+    for name in ("weights", "weight_se", "weight_z", "coef_z"):
+        assert_close(permuted[name], base[name][perm])

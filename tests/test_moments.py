@@ -1,15 +1,23 @@
 """Augmented rows, the sample moment matrix, and its block inverse."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portinf import moments as mo
-from portinf.errors import LengthMismatch, NonPositiveWeight, SingularTheta, ZeroMeanVector
+from portinf.errors import (
+    LengthMismatch,
+    NonPositiveWeight,
+    ShapeMismatch,
+    SingularTheta,
+    ZeroMeanVector,
+)
 from portinf.moments import AugmentedMoment, MomentLayout
 
-from conftest import rand_unit_corner_theta, theta_from
+from conftest import rand_spd, rand_unit_corner_theta, theta_from
 
 
 class TestAugment:
@@ -54,6 +62,45 @@ class TestSampleTheta:
         rng = np.random.default_rng(7)
         tm = mo.sample_theta(mo.augment(rng.standard_normal((50, 3))))
         assert tm.theta[0, 0] == 1.0
+
+
+class TestInverse:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 10_000))
+    def test_cached_and_equal_to_the_direct_inverse(self, p, seed):
+        tm = AugmentedMoment(rand_unit_corner_theta(np.random.default_rng(seed), p), n_obs=10)
+        assert tm.inverse is tm.inverse
+        want = np.linalg.inv(tm.theta)
+        assert np.abs(tm.inverse - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(tm.inverse, tm.inverse.T)
+
+    def test_moment_is_frozen_and_read_only(self, rng):
+        tm = AugmentedMoment(rand_unit_corner_theta(rng, 2), n_obs=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tm.theta = np.eye(3)
+        with pytest.raises(ValueError):
+            tm.theta[1, 1] = 2.0
+        with pytest.raises(ValueError):
+            tm.inverse[1, 1] = 2.0
+
+    def test_stack_has_no_single_inverse(self, rng):
+        stack = np.stack([rand_unit_corner_theta(rng, 2) for _ in range(3)])
+        with pytest.raises(ShapeMismatch):
+            AugmentedMoment(stack, n_obs=10).inverse
+
+    def test_all_zero_asset_column_is_singular(self, rng):
+        x = rng.standard_normal((50, 3)) * 0.05 + 0.01
+        x[:, 1] = 0.0
+        with pytest.raises(SingularTheta, match="all zero"):
+            mo.sample_theta(mo.augment(x))
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0, np.nan])
+    def test_bad_diagonal_is_singular(self, entry, rng):
+        theta = rand_spd(rng, 3)
+        theta[2, 2] = entry
+        tm = AugmentedMoment(theta, n_obs=10, layout=MomentLayout.CONDITIONAL)
+        with pytest.raises(SingularTheta):
+            tm.inverse
 
 
 class TestUnpack:
@@ -135,7 +182,7 @@ def test_block_identity_property(p, seed):
 
 
 class TestScaleEquivariance:
-    @pytest.mark.parametrize("c", [0.5, 2.0])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 1e-6])
     def test_weights_scale_inversely_and_snr_is_invariant(self, c, rng):
         x = rng.standard_normal((200, 3)) * 0.05 + 0.01
         tm1 = mo.sample_theta(mo.augment(x))
