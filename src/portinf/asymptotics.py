@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
 from .kernels import d_qform_inv_vech, vech, vech_indices, vech_len
-from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
+from .moments import PD_RTOL, AugmentedMoment, mean_and_covariance, portfolio_head
 
 logger = logging.getLogger(__name__)
 
@@ -330,25 +330,29 @@ def attribute_error(dr: DistributionResult, p: int) -> np.ndarray:
     Works on the covariance of vech of the inverse unconditional moment:
     coordinates 1..p are the (negative) portfolio, the rest of the tail
     is the precision matrix. Returns the squared multiple correlation of
-    each portfolio element against all precision coordinates.
+    each portfolio element against all precision coordinates,
+    r' C^-1 r with C the precision block of the correlation matrix and r
+    the element's correlations with it. One eigh of C serves all p
+    elements and is the rank gate: an eigenvalue ratio below PD_RTOL,
+    as when m exceeds the sample's rows, raises DegenerateCorrelation,
+    since every R^2 would read 1.
     """
     m = dr.point.size
     if m < vech_len(p + 1):
         raise ShapeMismatch("result too short for the stated asset count")
-    diag = np.diag(dr.covariance).copy()
-    port_idx = np.arange(1, p + 1)
-    prec_idx = np.arange(p + 1, m)
-    needed = np.concatenate([port_idx, prec_idx])
-    if np.any(diag[needed] < 1e-300):
+    diag = np.diag(dr.covariance)
+    if not np.all(diag[1:] >= 1e-300):
         raise DegenerateCorrelation("zero variance on a required coordinate")
-    scale = np.sqrt(diag)
-    corr = dr.covariance / np.outer(scale, scale)
-    r_prec = corr[np.ix_(prec_idx, prec_idx)]
-    out = np.empty(p)
-    for k, j in enumerate(port_idx):
-        r = corr[prec_idx, j]
-        val = float(r @ np.linalg.solve(r_prec, r))
-        if not -1e-10 <= val <= 1.0 + 1e-10:
-            raise DegenerateCorrelation(f"multiple correlation {val:.6f} outside [0, 1]")
-        out[k] = min(max(val, 0.0), 1.0)
-    return out
+    scale = np.sqrt(diag[1:])
+    corr = dr.covariance[1:, 1:] / np.outer(scale, scale)
+    vals, vecs = np.linalg.eigh(corr[p:, p:])
+    if not vals[0] >= PD_RTOL * vals[-1]:
+        raise DegenerateCorrelation(
+            f"the {m - p - 1}x{m - p - 1} precision correlation block is rank deficient "
+            f"(eigenvalue ratio {vals[0] / vals[-1]:.3e} below {PD_RTOL:.0e}): the sample has "
+            f"too few rows (T={dr.n_obs}) for m={m} moment coordinates, or collinear ones")
+    r2 = np.sum((vecs.T @ corr[p:, :p]) ** 2 / vals[:, None], axis=0)
+    ok = (r2 >= -1e-10) & (r2 <= 1.0 + 1e-10)
+    if not ok.all():
+        raise DegenerateCorrelation(f"multiple correlation {r2[~ok][0]:.6f} outside [0, 1]")
+    return np.clip(r2, 0.0, 1.0)

@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import asymptotics, constraints, gaussian, harness, moments, simulate
 from .errors import (
@@ -27,6 +28,8 @@ from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
 from .moments import MomentLayout
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+SQRT_HALF = math.sqrt(0.5)
+P_FLOOR = 1e-300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,8 +76,9 @@ def build_parser() -> _Parser:
             p.add_argument("--feature-lag", type=int, default=1)
             p.add_argument("--center-features", action="store_true")
         p.add_argument("--vol-window", type=int, default=None,
-                       help="trailing window for quietude weights")
-        p.add_argument("--vol-lag", type=int, default=1)
+                       help="trailing window for quietude weights (default 11)")
+        p.add_argument("--vol-lag", type=int, default=None,
+                       help="delay of the quietude weights (default 1)")
         p.add_argument("--hac", default=None, metavar="KERNEL[:BW]",
                        help="bartlett or parzen, optional bandwidth")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
@@ -111,9 +115,10 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    vol = None
-    if getattr(args, "vol_window", None) is not None:
-        vol = RollingVolSpec(args.vol_window, args.vol_lag)
+    # either option turns the weights on; the other keeps its default
+    vol_opts = {key: getattr(args, f"vol_{key}", None) for key in ("window", "lag")}
+    vol_opts = {key: value for key, value in vol_opts.items() if value is not None}
+    vol = RollingVolSpec(**vol_opts) if vol_opts else None
     hac = _parse_hac(args.hac) if getattr(args, "hac", None) else None
     return RunConfig(
         command=args.command,
@@ -190,7 +195,9 @@ def _omega_for(rows, cfg: RunConfig):
 
 
 def _two_sided_p(z: float) -> float:
-    return float(2.0 * ndtr(-abs(z)))
+    """2 Phi(-|z|) = erfc(|z| / sqrt 2); a tail below P_FLOOR, subnormal or not, is 0."""
+    p = math.erfc(abs(z) * SQRT_HALF)
+    return 0.0 if p < P_FLOOR else p
 
 
 def cmd_infer(cfg: RunConfig) -> int:
@@ -292,7 +299,9 @@ def cmd_lrt(cfg: RunConfig) -> int:
 
 
 def cmd_attribute(cfg: RunConfig) -> int:
-    values, _, _ = _prepare(cfg, need_features=False)
+    # the vanilla column uses every row; only the weighted pass applies the weights
+    spec = cfg.vol or RollingVolSpec()
+    values, _, _ = _prepare(dataclasses.replace(cfg, vol=None), need_features=False)
     p = values.shape[1]
 
     def r2_for(vals, wts):
@@ -304,7 +313,6 @@ def cmd_attribute(cfg: RunConfig) -> int:
         return asymptotics.attribute_error(dist, p)
 
     vanilla = r2_for(values, None)
-    spec = cfg.vol or RollingVolSpec()
     wts = harness.rolling_volatility(values, spec)
     mask = harness.valid_weight_rows(wts)
     weighted = r2_for(values[mask], wts[mask])

@@ -44,6 +44,7 @@ from .moments import (
     AugmentedMoment,
     MomentLayout,
     augment,
+    check_risk_budget,
     sample_theta,
     unpack_theta_inverse,
 )
@@ -155,20 +156,28 @@ def hedged_delta_theta(
     return point, DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
+def _scalar_head_weights(point: np.ndarray, n_assets: int, risk_budget: float,
+                         corner_offset: float, what: str) -> np.ndarray:
+    """Scaled weights -(R / sqrt(snr_sq)) point[1..p] of a vech'd projection.
+
+    snr_sq is the corner point[0] less corner_offset. The risk budget
+    passes the portfolio head's gate, and snr_sq must be positive.
+    """
+    check_risk_budget(risk_budget)
+    snr_sq = point[0] - corner_offset
+    if not snr_sq > 0:
+        raise SingularProjection(f"{what} squared Sharpe is not positive")
+    return -(risk_budget / np.sqrt(snr_sq)) * point[1 : n_assets + 1]
+
+
 def subspace_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
     """Scaled weights from a vech'd subspace projection (scalar leading block)."""
-    corner = point[0] - 1.0
-    if corner <= 0:
-        raise SingularProjection("projected squared Sharpe is not positive")
-    return -(risk_budget / np.sqrt(corner)) * point[1 : n_assets + 1]
+    return _scalar_head_weights(point, n_assets, risk_budget, 1.0, "projected")
 
 
 def hedged_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
     """Scaled weights from a vech'd hedged delta (scalar leading block)."""
-    corner = point[0]
-    if corner <= 0:
-        raise SingularProjection("hedged squared Sharpe is not positive")
-    return -(risk_budget / np.sqrt(corner)) * point[1 : n_assets + 1]
+    return _scalar_head_weights(point, n_assets, risk_budget, 0.0, "hedged")
 
 
 def conditional_rows(

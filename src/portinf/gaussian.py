@@ -9,10 +9,11 @@ with a damped Newton iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .asymptotics import OmegaEstimate
 from .errors import (
@@ -355,9 +356,28 @@ def lrt_solve(
 
 
 def lrt_pvalue(stat: float, dof: int) -> float:
-    """Upper-tail chi-square probability for the LRT statistic."""
+    """Upper-tail chi-square probability for the LRT statistic.
+
+    The dof is a constraint count, so the tail has a closed form: with
+    h = stat/2, Q = e^-h sum_{i<k/2} h^i/i! for even k, and
+    Q = erfc(sqrt h) + e^-h sum_{1<=i<=(k-1)/2} h^(i-1/2)/Gamma(i+1/2) for
+    odd k. Each term is summed from its logarithm, so e^-h cannot
+    underflow on its own while the tail is still large (h > 745 at a
+    large dof).
+    """
+    if not isinstance(dof, Integral) or dof < 1:
+        raise ShapeMismatch(f"degrees of freedom must be an integer of at least 1, got {dof!r}")
+    if not math.isfinite(stat):
+        raise ShapeMismatch(f"non-finite statistic {stat}")
     if stat < -1e-10:
         raise ShapeMismatch(f"negative statistic {stat}")
-    if dof < 1:
-        raise ShapeMismatch("degrees of freedom must be at least 1")
-    return float(chdtrc(dof, max(stat, 0.0)))
+    h = 0.5 * stat
+    if h <= 0.0:
+        return 1.0
+    log_h = math.log(h)
+    if dof % 2 == 0:
+        head, powers = 0.0, range(dof // 2)
+    else:
+        head, powers = math.erfc(math.sqrt(h)), (i - 0.5 for i in range(1, (dof + 1) // 2))
+    terms = (math.exp(a * log_h - h - math.lgamma(a + 1.0)) for a in powers)
+    return min(1.0, math.fsum((head, *terms)))

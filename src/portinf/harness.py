@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVolatilityWindow,
 )
-from .moments import ReturnsPanel
+from .moments import ReturnsPanel, check_risk_budget
 
 
 @dataclass
@@ -34,7 +34,8 @@ class RollingVolSpec:
 
     def __post_init__(self):
         if self.window < 1 or self.lag < 1:
-            raise ShapeMismatch("window and lag must be positive")
+            raise ShapeMismatch(f"volatility window and lag must be positive, "
+                                f"got window {self.window}, lag {self.lag}")
 
 
 @dataclass
@@ -66,13 +67,14 @@ class RunConfig:
     def __post_init__(self):
         if self.command == "simulate" and self.seed is None:
             raise ShapeMismatch("simulate requires a seed")
-        if self.risk_budget is not None and not (math.isfinite(self.risk_budget)
-                                                 and self.risk_budget > 0):
-            raise ShapeMismatch(f"risk budget must be finite and positive, got {self.risk_budget}")
+        if self.risk_budget is not None:
+            check_risk_budget(self.risk_budget)
         if not (math.isfinite(self.rfr) and self.rfr >= 0):
             raise ShapeMismatch(f"rfr must be finite and non-negative, got {self.rfr}")
         if self.feature_lag < 0:
             raise ShapeMismatch(f"feature lag must be non-negative, got {self.feature_lag}")
+        if self.input_path is not None and not self.asset_columns:
+            raise ShapeMismatch("--assets names no columns")
         for option, columns in (("--assets", self.asset_columns), ("--features", self.feature_columns)):
             repeated = sorted({c for c in columns if columns.count(c) > 1})
             if repeated:

@@ -18,6 +18,7 @@ tests compare the gathers against.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -32,6 +33,7 @@ from .errors import (
     RepeatedEigenvalue,
     ShapeMismatch,
     SingularMatrix,
+    SingularTheta,
 )
 
 SYMMETRY_RTOL = 1e-12
@@ -91,24 +93,29 @@ def ivec(v: np.ndarray) -> np.ndarray:
 
 def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL,
                     stacked: bool = False) -> np.ndarray:
-    """Validate symmetry to relative tolerance, then return (M + M')/2.
+    """Validate finiteness and symmetry to relative tolerance, then return (M + M')/2.
 
     With stacked=True, m is an (n, d, d) stack and each member is gated
-    against its own largest entry.
+    against its own largest entry. A NaN or infinite entry raises
+    SingularTheta; it would otherwise slip through, as its asymmetry gap
+    compares False.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
         kind = "stack of square matrices" if stacked else "square matrix"
         raise ShapeMismatch(f"expected a {kind}, got {m.shape}")
+    largest = np.abs(m).max(axis=(-2, -1))  # one entry per member of a stack
+    if not math.isfinite(largest.max()):
+        raise SingularTheta("matrix has a non-finite entry")
     mt = m.swapaxes(-1, -2)
     if stacked:
         # gate the member furthest from symmetric, relative to its own scale
-        scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
+        scale = np.maximum(largest, 1.0)
         gap = np.abs(m - mt).max(axis=(1, 2))
         worst = np.argmax(gap / scale)
         scale, gap = scale[worst], gap[worst]
     else:
-        scale = max(np.abs(m).max(), 1.0)
+        scale = max(largest, 1.0)
         gap = np.abs(m - mt).max()
     if gap > rtol * scale:
         raise AsymmetricInput(f"asymmetry {gap:.3e} exceeds {rtol:.0e} relative")

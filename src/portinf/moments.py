@@ -238,6 +238,12 @@ def mean_and_covariance(tm: AugmentedMoment) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
+def check_risk_budget(risk_budget: float) -> None:
+    """Raise ShapeMismatch unless the risk budget is positive and finite."""
+    if not (risk_budget > 0 and np.isfinite(risk_budget)):
+        raise ShapeMismatch(f"risk budget must be positive and finite, got {risk_budget}")
+
+
 def portfolio_head(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, float]:
     """Weights (R / sqrt(snr_sq)) Sigma^-1 mu and snr_sq, read off tm.inverse.
 
@@ -247,8 +253,7 @@ def portfolio_head(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray,
     """
     if tm.layout is not MomentLayout.UNCONDITIONAL:
         raise ShapeMismatch("the optimal portfolio is defined for the unconditional layout")
-    if not (risk_budget > 0 and np.isfinite(risk_budget)):
-        raise ShapeMismatch(f"risk budget must be positive and finite, got {risk_budget}")
+    check_risk_budget(risk_budget)
     parts = unpack_theta_inverse(tm)
     if not parts.snr_sq > SNR_SQ_FLOOR:
         raise ZeroSharpe("squared maximal Sharpe is numerically zero")

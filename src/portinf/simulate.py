@@ -111,23 +111,30 @@ def _sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int
     and its rows are loading @ [1, z'] (unconditional layout) or
     loading @ z (conditional layout). The moment is formed by congruence,
     loading G loading', from the per-trial Gram G of [1, z'] or z, so the
-    rows themselves are never built. Draws are made one chunk at a time;
-    the stack is validated as a single moment is.
+    rows themselves are never built. Draws are made one chunk at a time
+    into buffers allocated once per call, so the draws of one chunk are
+    the only large arrays alive and memory use does not depend on how
+    the allocator recycles a freed chunk. The stack is validated as a
+    single moment is.
     """
     unit = layout is MomentLayout.UNCONDITIONAL
     ones = np.ones(sample_size)
-    thetas = []
+    buffers = [np.empty((min(CHUNK, trials), sample_size, w)) for w in widths]
+    theta = np.empty((trials,) + (loading.shape[0],) * 2)
+    start = 0
     for idx, n in _chunks(trials):
         rng = _rng_for(seed, idx)
-        draws = [rng.standard_normal((n, sample_size, w)) for w in widths]
+        draws = [buf[:n] for buf in buffers]
+        for z in draws:
+            rng.standard_normal(out=z)
         gram = np.block([[a.swapaxes(1, 2) @ b for b in draws] for a in draws]) / sample_size
         if unit:
             means = np.concatenate([ones @ z for z in draws], axis=1) / sample_size
             head = np.concatenate([np.ones((n, 1, 1)), means[:, None, :]], axis=2)
             gram = np.block([[head], [means[:, :, None], gram]])
-        thetas.append(loading @ gram @ loading.T)
-    return AugmentedMoment(np.concatenate(thetas), n_obs=sample_size, layout=layout,
-                           f_dim=f_dim)
+        theta[start : start + n] = loading @ gram @ loading.T
+        start += n
+    return AugmentedMoment(theta, n_obs=sample_size, layout=layout, f_dim=f_dim)
 
 
 def theorem1_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteReport:

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from portinf import asymptotics as asy
 from portinf import moments as mo
 from portinf.constraints import inverse_variance_weighting
-from portinf.errors import BandwidthTooLarge, NonPositiveRfr, ShapeMismatch, ZeroSharpe
+from portinf.errors import (
+    BandwidthTooLarge,
+    DegenerateCorrelation,
+    NonPositiveRfr,
+    ShapeMismatch,
+    ZeroSharpe,
+)
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import ivech, vech
 from portinf.moments import AugmentedMoment
@@ -446,3 +452,34 @@ class TestAttributeError:
         dist = asy.theta_inverse_covariance(tm, gaussian_omega(tm))
         r2 = asy.attribute_error(dist, 3)
         assert np.all(r2 >= 0.0) and np.all(r2 <= 1.0)
+
+    @staticmethod
+    def per_coordinate_oracle(dr, p):
+        """r' C^-1 r by one solve of the whole precision block per portfolio element."""
+        m = dr.point.size
+        scale = np.sqrt(np.diag(dr.covariance))
+        corr = dr.covariance / np.outer(scale, scale)
+        prec = np.arange(p + 1, m)
+        block = corr[np.ix_(prec, prec)]
+        return np.array([corr[prec, j] @ np.linalg.solve(block, corr[prec, j])
+                         for j in range(1, p + 1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(80, 300), st.integers(0, 5),
+           st.integers(0, 10_000))
+    def test_matches_the_per_coordinate_loop(self, p, t, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        mix = np.eye(p) + 0.3 * rng.standard_normal((p, p))
+        rows = mo.augment(0.01 + 0.05 * rng.standard_normal((t, p)) @ mix)
+        tm = mo.sample_theta(rows)
+        om = asy.omega_hac(rows, bandwidth=bandwidth) if bandwidth else asy.omega_vanilla(rows)
+        dr = asy.theta_inverse_covariance(tm, om)
+        want = np.clip(self.per_coordinate_oracle(dr, p), 0.0, 1.0)
+        np.testing.assert_allclose(asy.attribute_error(dr, p), want, rtol=0, atol=1e-9)
+
+    def test_rank_deficient_precision_block_is_degenerate(self, rng):
+        # m = 21 vech coordinates from T = 12 rows: the precision block has rank below T
+        rows = mo.augment(0.01 + 0.05 * rng.standard_normal((12, 5)))
+        dr = asy.theta_inverse_covariance(mo.sample_theta(rows), asy.omega_vanilla(rows))
+        with pytest.raises(DegenerateCorrelation, match=r"15x15 .* too few rows \(T=12\)"):
+            asy.attribute_error(dr, 5)

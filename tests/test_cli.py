@@ -1,14 +1,21 @@
 """End-to-end command line behavior on the shipped fixture."""
 
+import ast
+import contextlib
+import io
 import json
 import logging
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portinf import cli
 
@@ -173,13 +180,41 @@ class TestAttributeCommand:
         assert caplog.records == []
 
 
+def _printed_after_cli_import(expr):
+    """What a fresh interpreter prints for expr after `import sys, portinf.cli`."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", f"import sys, portinf.cli; print({expr})"],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return out.stdout.strip()
+
+
 class TestStartup:
     def test_cli_import_leaves_out_scipy_stats(self):
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        code = "import sys, portinf.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert _printed_after_cli_import("'scipy.stats' in sys.modules") == "False"
+
+    def test_cli_import_leaves_out_scipy(self):
+        assert _printed_after_cli_import(
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+    def test_no_module_imports_scipy_at_import_time(self):
+        """scipy is a test dependency only: no statement that runs on import may load it."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "portinf"
+
+        def imports(node):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                return
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module
+            for child in ast.iter_child_nodes(node):
+                yield from imports(child)
+
+        found = {path.name: name for path in sorted(src.glob("*.py"))
+                 for name in imports(ast.parse(path.read_text()))
+                 if name.split(".")[0] == "scipy"}
+        assert found == {}
 
 
 class TestClosedPipe:
@@ -292,3 +327,156 @@ class TestExitCodes:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         capsys.readouterr()
+
+
+class TestVolOptions:
+    def test_vol_lag_alone_turns_the_weights_on(self, capsys):
+        code, out, _ = run(capsys, "attribute", "--input", FIXTURE, "--assets", ASSETS,
+                           "--vol-lag", "5")
+        assert code == 0
+        assert "# vol_lag=5" in out and "# vol_window=11" in out
+
+    def test_attribute_vanilla_column_ignores_the_vol_options(self, capsys):
+        def columns(*args):
+            code, out, _ = run(capsys, "attribute", "--input", FIXTURE, "--assets", ASSETS, *args)
+            assert code == 0
+            return [row[1:] for row in body_rows(out)]
+
+        default = columns()
+        # the default spec given explicitly is the same run
+        assert columns("--vol-window", "11", "--vol-lag", "1") == default
+        lagged = columns("--vol-lag", "5")
+        assert [row[0] for row in lagged] == [row[0] for row in default]
+        assert [row[1] for row in lagged] != [row[1] for row in default]
+
+    @pytest.mark.parametrize("args", [["--vol-lag", "-1"], ["--vol-lag", "0"],
+                                      ["--vol-window", "0"],
+                                      ["--vol-window", "11", "--vol-lag", "-1"]],
+                             ids=["lag-1", "lag0", "window0", "window11-lag-1"])
+    def test_bad_vol_options_are_usage_errors(self, capsys, args):
+        code = cli.main(["attribute", "--input", FIXTURE, "--assets", ASSETS, *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage error" in err and "volatility window and lag" in err
+
+
+class TestAttributeRankGate:
+    @pytest.mark.parametrize("hac", [[], ["--hac", "bartlett"]], ids=["vanilla", "hac"])
+    def test_more_moment_coordinates_than_rows_exits_three(self, capsys, tmp_path, hac):
+        # p = 30 gives m = 496 vech coordinates from T = 300 rows, so the
+        # precision block of the covariance is rank deficient
+        rng = np.random.default_rng(3)
+        names = [f"a{i}" for i in range(30)]
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, 0.01 + 0.05 * rng.standard_normal((300, 30)), delimiter=",",
+                   header=",".join(names), comments="")
+        code, out, err = run(capsys, "attribute", "--input", str(path),
+                             "--assets", ",".join(names), *hac)
+        assert code == 3
+        assert out == ""
+        assert "465x465" in err and "too few rows (T=300)" in err
+
+
+class TestTwoSidedP:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(-40.0, 40.0), st.floats(-3.0, 3.0)))
+    def test_matches_the_normal_tail(self, z):
+        want = float(2.0 * scipy.special.ndtr(-abs(z)))
+        got = cli._two_sided_p(z)
+        # a tail below 1e-300 is 0, where ndtr keeps subnormals out to |z| near 37.6
+        assert got == 0.0 or got >= 1e-300
+        if got == 0.0:
+            assert want < 1e-300 * (1.0 + 1e-13)
+        else:
+            assert abs(got - want) <= 1e-13 * want
+
+    def test_floor_and_special_values(self):
+        assert cli._two_sided_p(0.0) == 1.0
+        assert cli._two_sided_p(37.5) == 0.0
+        assert cli._two_sided_p(-np.inf) == 0.0
+        assert np.isnan(cli._two_sided_p(np.nan))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Inputs for the fuzz test: valid ones and several kinds of bad ones."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {"missing": str(d / "missing.csv"), "directory": str(d)}
+    for name, text in {"empty": "", "binary": "\x00\x01\x02\n\x03",
+                       "header_only": "alpha,beta,gamma\n",
+                       "text_cells": "alpha,beta,gamma\n" + "x,y,z\n" * 20,
+                       "short": "alpha,beta,gamma\n0.01,0.02,0.03\n0.02,0.01,0.0\n"}.items():
+        (d / name).write_text(text)
+        files[name] = str(d / name)
+    arrays = {"A": np.eye(3)[:2], "C": np.eye(2), "T": np.zeros((2, 2)),
+              "A_wide": np.eye(4), "T_bad": np.zeros((5, 1)),
+              "constraints": np.eye(11)[[4]] + np.eye(11)[[10]] * 2.0,
+              "constraints_wide": np.zeros((1, 7))}
+    for name, arr in arrays.items():
+        np.savetxt(d / f"{name}.csv", arr, delimiter=",")
+        files[name] = str(d / f"{name}.csv")
+    return files
+
+
+def _maybe(option, values):
+    """An option with one of the values, or no option at all."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [option, v]))
+
+
+# valid values are listed more than once, so that most runs get past parsing
+INPUTS = ["fixture"] * 12 + ["missing", "directory", "empty", "binary", "header_only",
+                             "text_cells", "short"]
+COMMON = st.tuples(
+    st.sampled_from(["alpha,beta,gamma"] * 6 + ["alpha", "gamma,alpha", "alpha,nosuch",
+                                                 "alpha,alpha", ""]),
+    _maybe("--hac", ["bartlett", "parzen", "bartlett:5", "parzen:0", "bartlett:2",
+                     "bartlett:-3", "foo", "bartlett:x", "bartlett:100000", ":"]),
+    _maybe("--vol-window", ["1", "5", "11", "30", "-1", "0", "400"]),
+    _maybe("--vol-lag", ["1", "2", "5", "-1", "0", "400"]),
+    _maybe("--format", ["tsv", "json", "tsv", "json", "xml"]),
+    _maybe("--date-column", ["date", "date", "nosuch"]),
+)
+EXTRA = {
+    "infer": st.tuples(_maybe("--model", ["constant", "floating", "biconditional", "other"]),
+                       _maybe("--features", ["level,delta", "level", "delta", "nosuch", "alpha"]),
+                       _maybe("--feature-lag", ["0", "1", "3", "-1", "1000"]),
+                       _maybe("--risk-budget", ["0.1", "1", "-0.1", "0", "nan", "inf", "abc"]),
+                       _maybe("--rfr", ["0", "0.001", "0.01", "-1", "nan"])),
+    "mglh": st.tuples(_maybe("--features", ["level,delta"] * 3 + ["level", "nosuch"]),
+                      st.sampled_from(["A"] * 3 + ["A_wide", "missing", "binary"])
+                      .map(lambda k: ["--A", k]),
+                      st.sampled_from(["C"] * 3 + ["missing"]).map(lambda k: ["--C", k]),
+                      st.sampled_from(["T"] * 3 + ["T_bad", "empty"]).map(lambda k: ["--T", k])),
+    "lrt": st.tuples(st.sampled_from(["constraints"] * 3 + ["constraints_wide", "missing",
+                                                            "binary"])
+                     .map(lambda k: ["--constraints", k])),
+    "attribute": st.just(()),
+}
+FILE_FLAGS = {"--A", "--C", "--T", "--constraints"}
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(EXTRA)).flatmap(
+        lambda cmd: st.tuples(st.just(cmd), st.sampled_from(INPUTS), COMMON, EXTRA[cmd])))
+    def test_every_run_ends_in_a_documented_exit_code(self, fuzz_files, case):
+        command, source, common, extra = case
+        assets, *opts = common
+        files = {**fuzz_files, "fixture": FIXTURE}
+        argv = [command, "--input", files[source], "--assets", assets]
+        for option in [*opts, *extra]:
+            if option:
+                flag, value = option
+                argv += [flag, files.get(value, value) if flag in FILE_FLAGS else value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code:
+            assert err.getvalue(), argv
+        else:
+            assert out.getvalue(), argv
+

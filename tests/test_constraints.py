@@ -6,6 +6,7 @@ import pytest
 from portinf import asymptotics as asy
 from portinf import constraints as cn
 from portinf import moments as mo
+from portinf.errors import ShapeMismatch
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import MatrixShape, ivech, vech, vech_lower, chol
 from portinf.moments import AugmentedMoment, MomentLayout
@@ -89,6 +90,20 @@ class TestHedged:
         mu = tm.theta[1:, 0]
         sigma = tm.theta[1:, 1:] - np.outer(mu, mu)
         assert abs((spec.hedge @ sigma @ w)[0]) < 1e-12
+
+    @pytest.mark.parametrize("risk_budget", [0.0, -0.1, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("reader", ["hedged", "subspace"])
+    def test_weight_readers_gate_the_risk_budget(self, rng, reader, risk_budget):
+        tm, om = _tm_and_om(rng, 3)
+        if reader == "hedged":
+            point, _ = cn.hedged_delta_theta(tm, cn.HedgeSpec(np.array([[1.0, 0.5, 0.0]])), om)
+            weights = cn.hedged_weights
+        else:
+            point, _ = cn.subspace_theta(tm, cn.SubspaceSpec(np.eye(3)[:2]), om)
+            weights = cn.subspace_weights
+        assert np.all(np.isfinite(weights(point, 3, 0.1)))
+        with pytest.raises(ShapeMismatch, match="risk budget"):
+            weights(point, 3, risk_budget)
 
     def test_corner_equals_hedged_snr_formula(self, rng):
         tm, om = _tm_and_om(rng, 3)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portinf import gaussian as ga
 from portinf.asymptotics import theta_inverse_covariance
-from portinf.errors import NumericalError
+from portinf.errors import NumericalError, ShapeMismatch
 from portinf.moments import AugmentedMoment
 
 from conftest import rand_unit_corner_theta
@@ -188,3 +191,31 @@ class TestLrtPvalue:
 
     def test_chi_square_table_two_dof(self):
         assert ga.lrt_pvalue(5.991, 2) == pytest.approx(0.05, abs=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2000), st.floats(0.0, 1e5), st.floats(-12.0, 40.0))
+    def test_matches_chdtrc(self, dof, x_wide, t):
+        # x_wide mostly lands far in the tail; x_bulk sits within a few sd of the mean
+        x_bulk = max(0.0, dof + t * np.sqrt(2.0 * dof))
+        for x in (x_wide, x_bulk):
+            want = float(scipy.special.chdtrc(dof, x))
+            if want >= 1e-300:
+                assert abs(ga.lrt_pvalue(x, dof) - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("dof", [1600, 1601, 2000])
+    def test_large_dof_past_the_exp_underflow(self, dof):
+        # at x = dof, h = x/2 > 745 underflows e^-h, yet the tail is near 0.5
+        x = float(dof)
+        assert ga.lrt_pvalue(x, dof) == pytest.approx(scipy.special.chdtrc(dof, x), rel=1e-11)
+        assert 0.4 < ga.lrt_pvalue(x, dof) < 0.6
+
+    @pytest.mark.parametrize("stat,dof", [(1.0, 0), (1.0, -2), (1.0, 2.5), (1.0, 2.0),
+                                          (np.nan, 2), (np.inf, 2), (-1.0, 2)],
+                             ids=["dof0", "dof-2", "dof2.5", "dof_float", "nan", "inf",
+                                  "negative"])
+    def test_bad_inputs_are_rejected(self, stat, dof):
+        with pytest.raises(ShapeMismatch):
+            ga.lrt_pvalue(stat, dof)
+
+    def test_tiny_negative_stat_is_zero(self):
+        assert ga.lrt_pvalue(-1e-12, 3) == 1.0

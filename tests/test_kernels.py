@@ -13,6 +13,7 @@ from portinf.errors import (
     RankDeficient,
     RepeatedEigenvalue,
     SingularMatrix,
+    SingularTheta,
 )
 from portinf.kernels import MatrixShape
 
@@ -40,6 +41,25 @@ class TestVecVech:
     def test_vech_rejects_asymmetry(self):
         with pytest.raises(AsymmetricInput):
             kn.vech([[1.0, 2.0], [2.1, 5.0]])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal", "off_diagonal"])
+    def test_check_symmetric_rejects_non_finite_entries(self, entry, where, rng):
+        m = rand_spd(rng, 3)
+        m[where] = m[where[::-1]] = entry
+        with pytest.raises(SingularTheta, match="non-finite"):
+            kn.check_symmetric(m)
+        stack = np.stack([rand_spd(rng, 3), m, rand_spd(rng, 3)])
+        with pytest.raises(SingularTheta, match="non-finite"):
+            kn.check_symmetric(stack, stacked=True)
+
+    def test_check_symmetric_gates_each_stack_member_on_its_own_scale(self, rng):
+        big, small = 1e6 * rand_spd(rng, 3), rand_spd(rng, 3)
+        small[0, 1] += 1e-6          # asymmetric relative to its own scale only
+        with pytest.raises(AsymmetricInput, match="1.000e-06"):
+            kn.check_symmetric(np.stack([big, small]), stacked=True)
+        out = kn.check_symmetric(np.stack([big, rand_spd(rng, 3)]), stacked=True)
+        np.testing.assert_array_equal(out, out.swapaxes(1, 2))
 
     def test_ivech_symmetric_and_lower(self):
         np.testing.assert_array_equal(kn.ivech([1, 2, 5]), [[1, 2], [2, 5]])

@@ -88,6 +88,13 @@ class TestInverse:
         with pytest.raises(ShapeMismatch):
             AugmentedMoment(stack, n_obs=10).inverse
 
+    def test_non_finite_stack_member_is_rejected(self, rng):
+        # the stacked LRT and mglh paths never reach the inverse, so construction gates them
+        stack = np.stack([rand_unit_corner_theta(rng, 2) for _ in range(3)])
+        stack[1, 2, 2] = np.inf
+        with pytest.raises(SingularTheta, match="non-finite"):
+            AugmentedMoment(stack, n_obs=10)
+
     def test_all_zero_asset_column_is_singular(self, rng):
         x = rng.standard_normal((50, 3)) * 0.05 + 0.01
         x[:, 1] = 0.0
@@ -98,9 +105,9 @@ class TestInverse:
     def test_bad_diagonal_is_singular(self, entry, rng):
         theta = rand_spd(rng, 3)
         theta[2, 2] = entry
-        tm = AugmentedMoment(theta, n_obs=10, layout=MomentLayout.CONDITIONAL)
+        # a NaN entry is rejected on construction, the others by the inverse
         with pytest.raises(SingularTheta):
-            tm.inverse
+            AugmentedMoment(theta, n_obs=10, layout=MomentLayout.CONDITIONAL).inverse
 
 
 class TestUnpack:

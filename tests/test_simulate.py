@@ -1,5 +1,7 @@
 """The stacked Monte Carlo engine: pinned reports and stack-versus-one parity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -55,6 +57,25 @@ def test_reports_are_pinned(key):
     suite, seed, trials, sample_size = key
     assert simulate.simulate_suite(suite, seed, trials, sample_size).render() == GOLDEN[key]
 
+
+
+def test_sampled_moments_hold_one_chunk_of_draws():
+    """The draws of one chunk are the only large arrays alive while the stack is built."""
+    widths, sample_size = (2, 2), 500
+    draw_bytes = simulate.CHUNK * sample_size * sum(widths) * 8
+
+    def build():
+        simulate._sampled_moments(3, 3 * simulate.CHUNK + 7, sample_size, widths, np.eye(4),
+                                  MomentLayout.CONDITIONAL, 2)
+
+    build()  # first use allocates lasting caches that are not part of the build
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * draw_bytes
 
 def _unit_corner(rng, d, pd=True):
     """A symmetric moment with unit corner, positive definite or with a negative eigenvalue."""
