@@ -38,7 +38,6 @@ from .gaussian import (
     LrtSolution,
     LrtStack,
     TraceConstraintSet,
-    conjecture_itheta_cov,
     gaussian_omega,
     lrt_pvalue,
     lrt_solve,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
-from .kernels import d_qform_inv_vech, vech, vech_indices, vech_len
+from .kernels import d_qform_inv_vech, vech, vech_len
 from .moments import PD_RTOL, AugmentedMoment, mean_and_covariance, portfolio_head
 
 logger = logging.getLogger(__name__)
@@ -140,7 +140,6 @@ class DistributionResult:
     point: np.ndarray
     covariance: np.ndarray
     n_obs: int
-    labels: list[str] | None = None
 
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float).ravel()
@@ -245,12 +244,7 @@ def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> Distribu
     _check_dims(tm, om)
     h = d_qform_inv_vech(tm.inverse)
     point = vech(tm.inverse)
-    return DistributionResult(point, om.sandwich(h), om.n_obs, labels=_vech_labels(tm.dim))
-
-
-def _vech_labels(d: int) -> list[str]:
-    rows, cols = vech_indices(d)
-    return [f"itheta[{i},{j}]" for i, j in zip(rows, cols)]
+    return DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
 def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -269,8 +263,7 @@ def portfolio_covariance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: fl
     """Asymptotic law of the risk-budgeted optimal weights."""
     _check_dims(tm, om)
     weights, h, _ = _portfolio_jacobian_chain(tm, risk_budget)
-    return DistributionResult(weights, om.sandwich(h), om.n_obs,
-                              labels=[f"w[{k}]" for k in range(weights.size)])
+    return DistributionResult(weights, om.sandwich(h), om.n_obs)
 
 
 def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr: float) -> float:

@@ -51,7 +51,7 @@ def _parse_hac(text: str) -> tuple[str, int | None]:
         try:
             return kernel.strip().lower(), int(bw)
         except ValueError as exc:
-            raise ParseError(f"bad HAC bandwidth in {text!r}") from exc
+            raise ShapeMismatch(f"bad HAC bandwidth in {text!r}") from exc
     return text.strip().lower(), None
 
 

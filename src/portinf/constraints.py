@@ -4,7 +4,8 @@ Subspace-restricted and hedged portfolios work by projecting the moment
 matrix through an augmented basket/hedge matrix; conditional models feed
 weighted feature rows into the same machinery; equality constraints on
 the Cholesky factor are imposed by weighted projection; rank constraints
-go through the truncated eigendecomposition with a numeric Jacobian.
+go through the truncated eigendecomposition, differentiated in closed
+form by the divided differences of its eigenvalue map.
 """
 
 from __future__ import annotations
@@ -25,31 +26,21 @@ from .errors import (
     SingularWeighting,
 )
 from .kernels import (
+    RANK_RTOL,
     MatrixShape,
     block_diag,
     chol,
     d_chol_vech,
     d_gram,
     d_qform_inv_vech,
-    eigen_sym,
-    fd_step,
-    finite_difference_jacobian,
+    full_row_rank,
     ivech,
-    pinv_rank,
     vech,
+    vech_gradient,
     vech_len,
     vech_lower,
 )
-from .moments import (
-    AugmentedMoment,
-    MomentLayout,
-    augment,
-    check_risk_budget,
-    sample_theta,
-    unpack_theta_inverse,
-)
-
-RANK_RTOL = 1e-10
+from .moments import AugmentedMoment, MomentLayout, augment, sample_theta, unpack_theta_inverse
 
 
 class ConditionalModel(Enum):
@@ -69,11 +60,7 @@ class SubspaceSpec:
     basket: np.ndarray
 
     def __post_init__(self):
-        j = np.atleast_2d(np.asarray(self.basket, dtype=float))
-        q, _ = np.linalg.qr(j.T)
-        svals = np.linalg.svd(j, compute_uv=False)
-        if svals[-1] < RANK_RTOL * max(svals[0], 1e-300):
-            raise RankDeficient("basket rows are not linearly independent")
+        q, _ = np.linalg.qr(full_row_rank(self.basket, "basket").T)
         self.basket = q.T
 
     def augmented(self, f_dim: int) -> np.ndarray:
@@ -88,11 +75,7 @@ class HedgeSpec:
     hedge: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.hedge, dtype=float))
-        svals = np.linalg.svd(g, compute_uv=False)
-        if svals[-1] < RANK_RTOL * max(svals[0], 1e-300):
-            raise RankDeficientHedge("hedge matrix is rank deficient")
-        self.hedge = g
+        self.hedge = full_row_rank(self.hedge, "hedge matrix", RankDeficientHedge)
 
     def augmented(self, f_dim: int) -> np.ndarray:
         return block_diag(np.eye(f_dim), self.hedge)
@@ -154,30 +137,6 @@ def hedged_delta_theta(
     point = vech(tm.inverse - proj)
     h = d_qform_inv_vech(tm.inverse) - d_qform_inv_vech(proj)
     return point, DistributionResult(point, om.sandwich(h), om.n_obs)
-
-
-def _scalar_head_weights(point: np.ndarray, n_assets: int, risk_budget: float,
-                         corner_offset: float, what: str) -> np.ndarray:
-    """Scaled weights -(R / sqrt(snr_sq)) point[1..p] of a vech'd projection.
-
-    snr_sq is the corner point[0] less corner_offset. The risk budget
-    passes the portfolio head's gate, and snr_sq must be positive.
-    """
-    check_risk_budget(risk_budget)
-    snr_sq = point[0] - corner_offset
-    if not snr_sq > 0:
-        raise SingularProjection(f"{what} squared Sharpe is not positive")
-    return -(risk_budget / np.sqrt(snr_sq)) * point[1 : n_assets + 1]
-
-
-def subspace_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
-    """Scaled weights from a vech'd subspace projection (scalar leading block)."""
-    return _scalar_head_weights(point, n_assets, risk_budget, 1.0, "projected")
-
-
-def hedged_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
-    """Scaled weights from a vech'd hedged delta (scalar leading block)."""
-    return _scalar_head_weights(point, n_assets, risk_budget, 0.0, "hedged")
 
 
 def conditional_rows(
@@ -242,8 +201,7 @@ def markowitz_coefficient(
     coef = unpack_theta_inverse(tm).markowitz.reshape(p, f, order="F")
     h = d_qform_inv_vech(tm.inverse, rows=_coefficient_coords(d, f))
     point = coef.reshape(-1, order="F")
-    labels = [f"coef[{i},{j}]" for j in range(f) for i in range(p)]
-    return coef, DistributionResult(point, om.sandwich(h), om.n_obs, labels=labels)
+    return coef, DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
 def flatten_volatility(
@@ -270,8 +228,8 @@ def flatten_volatility(
     expanded = (values[:, :, None] * vol[:, None, :]).transpose(0, 2, 1).reshape(t, p * v)
     baskets = []
     for i in range(t):
-        linv = 1.0 / vol[i]
-        j = np.kron(np.eye(p), linv[None, :])  # p rows over p*v expanded assets
+        # row k holds 1/vol on expanded assets k*v .. k*v + v - 1
+        j = (np.eye(p)[:, :, None] / vol[i]).reshape(p, p * v)
         baskets.append(SubspaceSpec(j))
     return expanded, baskets
 
@@ -335,28 +293,35 @@ def reduced_rank_coefficient(
 ) -> tuple[np.ndarray, DistributionResult]:
     """Coefficient from the rank-r pseudoinverse of the conditional moment.
 
-    The covariance Jacobian is taken by central finite differences of the
-    whole map vech(theta) -> vec(coefficient); the eigen-derivative chain
-    is too unwieldy to carry in closed form.
+    With theta = V diag(lam) V', lam descending, the pseudoinverse is
+    P = V diag(g) V' with g = 1/lam on the r kept eigenvalues and 0 on the
+    rest. Its derivative is the Daleckii-Krein form dP = V (K o V' dtheta V) V',
+    K the divided differences of g: -1/(lam_i lam_j) between kept values,
+    1/(lam_i (lam_i - lam_j)) between kept i and dropped j, 0 between
+    dropped ones. The only denominator is the kept/dropped gap, gated
+    against RANK_RTOL of the leading eigenvalue.
     """
     _check_dims(tm, om)
     f, d, p = tm.f_dim, tm.dim, tm.n_assets
-    vals, _ = eigen_sym(tm.theta)
     if r < 1 or r > d:
         raise ShapeMismatch(f"rank {r} out of range 1..{d}")
+    vals, vecs = np.linalg.eigh(tm.theta)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     if r < d and vals[r - 1] - vals[r] <= RANK_RTOL * max(vals[0], 1e-300):
         raise EigGapTooSmall(
             f"gap {vals[r - 1] - vals[r]:.3e} at rank {r} below {RANK_RTOL:.0e} of leading eigenvalue"
         )
-
-    def coef_map(v: np.ndarray) -> np.ndarray:
-        theta = ivech(v, MatrixShape.SYMMETRIC)
-        pinv = pinv_rank(theta, r)
-        return -pinv[f:, :f].reshape(-1, order="F")
-
-    v0 = vech(tm.theta)
-    point = coef_map(v0)
-    jac = finite_difference_jacobian(coef_map, v0, h=fd_step(tm.theta))
-    coef = -pinv_rank(tm.theta, r)[f:, :f]
-    labels = [f"coef[{i},{j}]" for j in range(f) for i in range(p)]
-    return coef, DistributionResult(point, om.sandwich(jac), om.n_obs, labels=labels)
+    if vals[r - 1] < 1e-12 * max(vals[0], 1e-300):
+        raise RankDeficient(f"eigenvalue {r} of {vals[r - 1]:.3e} is numerically zero")
+    g = 1.0 / vals[:r]
+    div = np.zeros((d, d))
+    div[:r, :r] = -np.outer(g, g)
+    div[:r, r:] = g[:, None] / (vals[:r, None] - vals[None, r:])
+    div[r:, :r] = div[:r, r:].T
+    coef = -((vecs[f:, :r] * g) @ vecs[:f, :r].T)
+    # entry (i, j) of the column-major vec(coef) is -P_ab, a = f + i, b = j, and
+    # dP_ab = tr(G' dtheta) with G = V (K o v_a v_b') V', v_a row a of V
+    va, vb = np.tile(vecs[f:], (f, 1)), np.repeat(vecs[:f], p, axis=0)
+    jac = -vech_gradient(vecs @ (div * va[:, :, None] * vb[:, None, :]) @ vecs.T)
+    point = coef.reshape(-1, order="F")
+    return coef, DistributionResult(point, om.sandwich(jac), om.n_obs)

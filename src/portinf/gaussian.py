@@ -1,10 +1,10 @@
 """Gaussian-returns machinery: closed-form covariances and the trace-constraint LRT.
 
 Under Gaussian returns the covariance of the vectorized moment matrix has
-a closed form built from the Fisher information of the non-redundant
-coordinates. The likelihood-ratio test constrains traces of products
-against the inverse moment matrix and solves for the Lagrange multipliers
-with a damped Newton iteration.
+a closed form from Isserlis' theorem, the inverse of the Fisher
+information of the non-redundant coordinates. The likelihood-ratio test
+constrains traces of products against the inverse moment matrix and
+solves for the Lagrange multipliers with a damped Newton iteration.
 """
 
 from __future__ import annotations
@@ -22,37 +22,9 @@ from .errors import (
     NumericalError,
     ShapeMismatch,
     SingularJacobian,
-    SingularTheta,
 )
-from .kernels import (
-    check_symmetric,
-    duplication_matrix,
-    elimination_matrix,
-    kron,
-    remove_first,
-    vech,
-    vech_len,
-    vech_pair,
-)
+from .kernels import check_symmetric, vech, vech_pair
 from .moments import AugmentedMoment, MomentLayout
-
-
-def fisher_information_block(theta: np.ndarray) -> np.ndarray:
-    """Per-observation Fisher information of the non-redundant vech coordinates.
-
-    The half-sandwich U [A' (D'(T kron T)D) A] U' with A = L(T^-1 kron T^-1)D,
-    without the sample-size factor. Built literally from the structural
-    matrices; kept as the oracle for gaussian_omega.
-    """
-    theta = check_symmetric(theta)
-    d = theta.shape[0]
-    el = elimination_matrix(d)
-    du = duplication_matrix(d)
-    un = remove_first(vech_len(d))
-    tinv = np.linalg.inv(theta)
-    a = el @ kron(tinv, tinv) @ du
-    inner = a.T @ (du.T @ kron(theta, theta) @ du) @ a
-    return 0.5 * (un @ inner @ un.T)
 
 
 def gaussian_omega(tm: AugmentedMoment) -> OmegaEstimate:
@@ -62,7 +34,7 @@ def gaussian_omega(tm: AugmentedMoment) -> OmegaEstimate:
     minus 2 v v' with v = vech(Theta_0 Theta_0'), Theta_0 the first
     column of Theta (the mean of r). The first row and column are exactly
     zero (the corner coordinate is deterministic); the rest is the
-    inverse of fisher_information_block.
+    inverse of oracles.fisher_information_block.
     """
     if tm.layout is not MomentLayout.UNCONDITIONAL:
         raise ShapeMismatch("closed form is for the unconditional layout")
@@ -70,25 +42,6 @@ def gaussian_omega(tm: AugmentedMoment) -> OmegaEstimate:
     v = vech(np.outer(mean, mean))
     omega = vech_pair(tm.theta) - 2.0 * np.outer(v, v)
     return OmegaEstimate(omega, "gaussian", n_obs=tm.n_obs)
-
-
-def conjecture_itheta_cov(tm: AugmentedMoment) -> np.ndarray:
-    """Alternative plug-in covariance for vech of the inverse moment matrix.
-
-    2 (D'(T kron T)D)^-1 - 2 e1 e1'. Proven equal to the Theorem-style
-    chain in the scalar case; kept as a cross-check, not a production
-    covariance, for larger dimensions.
-    """
-    theta = tm.theta
-    d = theta.shape[0]
-    du = duplication_matrix(d)
-    inner = du.T @ kron(theta, theta) @ du
-    try:
-        out = 2.0 * np.linalg.inv(inner)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTheta("duplication-sandwiched moment is singular") from exc
-    out[0, 0] -= 2.0
-    return 0.5 * (out + out.T)
 
 
 def omega_gaussian_centered(second_moment: np.ndarray) -> np.ndarray:

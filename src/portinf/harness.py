@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     EmptyPanel,
     ParseError,
-    RankDeficientRegression,
     ShapeMismatch,
     ZeroVolatilityWindow,
 )
@@ -92,7 +91,6 @@ class LoadedData:
     panel: ReturnsPanel
     features: np.ndarray | None
     n_dropped: int
-    feature_names: list[str] = field(default_factory=list)
 
 
 def load_csv(
@@ -143,7 +141,7 @@ def load_csv(
     panel = ReturnsPanel(np.array(rows), asset_names=list(asset_columns),
                          timestamps=stamps if date_column else None)
     features = np.array(feats) if feature_columns else None
-    return LoadedData(panel, features, n_dropped, list(feature_columns))
+    return LoadedData(panel, features, n_dropped)
 
 
 def write_csv(path: str, values: np.ndarray, columns: list[str],
@@ -186,29 +184,6 @@ def rolling_volatility(values: np.ndarray, spec: RollingVolSpec | None = None) -
 def valid_weight_rows(weights: np.ndarray) -> np.ndarray:
     """Boolean mask of rows whose lagged weight is defined."""
     return np.isfinite(np.asarray(weights, dtype=float))
-
-
-def britten_jones(values: np.ndarray) -> np.ndarray:
-    """t-statistics from regressing the constant one vector on returns.
-
-    No intercept; the coefficient t-statistics test the corresponding
-    optimal-portfolio weights under Gaussian returns. Serves as the
-    comparison oracle for the Wald z-scores.
-    """
-    x = np.atleast_2d(np.asarray(values, dtype=float))
-    t, p = x.shape
-    if t <= p:
-        raise ShapeMismatch("need more observations than assets")
-    gram = x.T @ x
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] < 1e-12 * max(svals[0], 1e-300):
-        raise RankDeficientRegression("returns matrix is rank deficient")
-    y = np.ones(t)
-    coef = np.linalg.solve(gram, x.T @ y)
-    resid = y - x @ coef
-    s2 = float(resid @ resid) / (t - p)
-    se = np.sqrt(s2 * np.diag(np.linalg.inv(gram)))
-    return coef / se
 
 
 # --- report rendering ----------------------------------------------------

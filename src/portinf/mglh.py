@@ -3,9 +3,9 @@
 Tests A B C = T on the coefficient of a multivariate regression encoded
 in a conditional moment matrix. The statistics are computed from a pair
 of small matrices read off a bordered inversion of the moment matrix;
-the classical model/error-variance route is kept alongside as an oracle
-(the two share eigenvalues). Gradients with respect to the moment matrix
-feed normal-approximation variances for all four statistics.
+the classical model/error-variance route is kept in oracles (the two
+share eigenvalues). Gradients with respect to the moment matrix feed
+normal-approximation variances for all four statistics.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     SingularCquad,
     SingularTheta,
 )
-from .kernels import block_diag, vech_indices
+from .kernels import block_diag, full_row_rank, vech_gradient
 from .moments import AugmentedMoment, MomentLayout
 
 EIG_GAP_RTOL = 1e-10
@@ -44,12 +44,8 @@ class MglhSpec:
         a, c = self.n_rows, self.n_cols
         if self.t_matrix.shape != (a, c):
             raise ShapeMismatch(f"target must be {a}x{c}, got {self.t_matrix.shape}")
-        for name, mat, rank in (("A", self.a_matrix, a), ("C", self.c_matrix, c)):
-            svals = np.linalg.svd(mat, compute_uv=False)
-            if svals[-1] < EIG_GAP_RTOL * max(svals[0], 1e-300):
-                raise RankDeficient(f"contrast {name} is rank deficient")
-            if min(mat.shape) != rank:
-                raise ShapeMismatch(f"contrast {name} has too many rows/columns")
+        full_row_rank(self.a_matrix, "contrast A", RankDeficient)
+        full_row_rank(self.c_matrix.T, "contrast C'", RankDeficient)
 
     @property
     def n_rows(self) -> int:
@@ -93,41 +89,12 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + _t(x))
 
 
-def regression_blocks(tm: AugmentedMoment):
-    """(feature gram, coefficient, residual covariance) from a conditional moment.
-
-    A stack of moments gives a stack of each block.
-    """
-    if tm.layout is not MomentLayout.CONDITIONAL:
-        raise ShapeMismatch("need a conditional-layout moment matrix")
-    f, theta = tm.f_dim, tm.theta
-    sig_f = theta[..., :f, :f]
-    try:
-        bhat = _t(np.linalg.solve(sig_f, theta[..., :f, f:]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularTheta("feature gram is singular") from exc
-    sigma = theta[..., f:, f:] - bhat @ sig_f @ _t(bhat)
-    return sig_f, bhat, _sym(sigma)
-
-
 def _cquad(sig_f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """C' inv(feature gram) C, with C shared by every gram of a stack."""
-    return c.T @ np.linalg.solve(sig_f, np.broadcast_to(c, sig_f.shape[:-2] + c.shape))
-
-
-def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Model variance H and error variance E of the hypothesis."""
-    sig_f, bhat, sigma = regression_blocks(tm)
-    spec.validate_against(sig_f.shape[-1], sigma.shape[-1])
-    a, c, t = spec.a_matrix, spec.c_matrix, spec.t_matrix
-    resid = a @ bhat @ c - t
-    cquad = _cquad(sig_f, c)
     try:
-        h = resid @ np.linalg.solve(cquad, _t(resid))
+        return c.T @ np.linalg.solve(sig_f, np.broadcast_to(c, sig_f.shape[:-2] + c.shape))
     except np.linalg.LinAlgError as exc:
-        raise SingularCquad("C' inv(feature gram) C is singular") from exc
-    e = a @ sigma @ a.T
-    return _sym(h), _sym(e)
+        raise SingularTheta("feature gram is singular") from exc
 
 
 def _border(spec: MglhSpec, f: int) -> np.ndarray:
@@ -146,11 +113,11 @@ def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarr
     the bordered moment matrix between the stacked contrast and target.
     A stack of moments gives a stack of each factor.
     """
-    sig_f, _, sigma = regression_blocks(tm)
-    f, p = sig_f.shape[-1], sigma.shape[-1]
-    spec.validate_against(f, p)
-    c = spec.c_matrix
-    cquad = _cquad(sig_f, c)
+    if tm.layout is not MomentLayout.CONDITIONAL:
+        raise ShapeMismatch("need a conditional-layout moment matrix")
+    f = tm.f_dim
+    spec.validate_against(f, tm.n_assets)
+    cquad = _cquad(tm.theta[..., :f, :f], spec.c_matrix)
     try:
         g1 = np.linalg.inv(cquad)
     except np.linalg.LinAlgError as exc:
@@ -230,12 +197,8 @@ def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarra
         "wilks": (-wilks * g1_inv, -wilks * g2_inv),
         "roy": (np.outer(g2 @ v, u) / uv, np.outer(v, u @ g1) / uv),
     }
-    rows, cols = vech_indices(tm.dim)
-    grads = {}
-    for name, (w1, w2) in weights.items():
-        gam = l1 @ w1 @ l1.T - r2 @ w2 @ r2.T
-        grads[name] = (gam + gam.T - np.diag(np.diag(gam)))[rows, cols]
-    return grads
+    return {name: vech_gradient(l1 @ w1 @ l1.T - r2 @ w2 @ r2.T)
+            for name, (w1, w2) in weights.items()}
 
 
 def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> MglhResult:

@@ -1,0 +1,311 @@
+"""Reference implementations that the tests and the selftest compare against.
+
+Dense structural matrices, kron-form derivative rules, finite differences,
+the truncated-eigen pseudoinverse, and literal forms of estimators that
+production computes another way. No production module imports this one.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable
+
+import numpy as np
+
+from .errors import (BadLength, RankDeficient, RankDeficientRegression, RepeatedEigenvalue,
+                     ShapeMismatch, SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
+from .kernels import check_symmetric, vech_indices, vech_len
+from .mglh import MglhSpec, _cquad, _sym, _t
+from .moments import AugmentedMoment, MomentLayout, check_risk_budget
+
+EIG_GAP_RTOL = 1e-10
+
+
+@lru_cache(maxsize=64)
+def elimination_matrix(n: int) -> np.ndarray:
+    """L with vech(A) = L vec(A)."""
+    rows, cols = vech_indices(n)
+    m = vech_len(n)
+    data = np.zeros((m, n * n))
+    data[np.arange(m), rows + n * cols] = 1.0
+    data.setflags(write=False)
+    return data
+
+
+@lru_cache(maxsize=64)
+def duplication_matrix(n: int) -> np.ndarray:
+    """D with D vech(A) = vec(A) for symmetric A."""
+    m = vech_len(n)
+    offsets = np.array([j * n - j * (j - 1) // 2 for j in range(n)])
+    data = np.zeros((n * n, m))
+    for j in range(n):
+        for i in range(n):
+            lo, hi = min(i, j), max(i, j)
+            data[i + n * j, offsets[lo] + (hi - lo)] = 1.0
+    data.setflags(write=False)
+    return data
+
+
+@lru_cache(maxsize=64)
+def commutation_matrix(n: int) -> np.ndarray:
+    """K with K vec(A) = vec(A') for n-by-n A."""
+    data = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            data[j + n * i, i + n * j] = 1.0
+    data.setflags(write=False)
+    return data
+
+
+@lru_cache(maxsize=64)
+def remove_first(n: int) -> np.ndarray:
+    """All rows but the first of the n-by-n identity."""
+    data = np.eye(n)[1:]
+    data.setflags(write=False)
+    return data
+
+
+def vec(m: np.ndarray) -> np.ndarray:
+    """Stack the columns of a square matrix into one vector."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeMismatch(f"vec expects a square matrix, got {m.shape}")
+    return m.reshape(-1, order="F")
+
+
+def ivec(v: np.ndarray) -> np.ndarray:
+    """Inverse of vec for square matrices."""
+    v = np.asarray(v, dtype=float).ravel()
+    n = int(round(np.sqrt(v.size)))
+    if n * n != v.size:
+        raise BadLength(f"ivec needs a square length, got {v.size}")
+    return v.reshape(n, n, order="F")
+
+
+def d_product(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Jacobian of vec(XY): (I kron X) dY + (Y' kron I) dX."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    if x.shape[1] != y.shape[0]:
+        raise ShapeMismatch(f"product shapes {x.shape} x {y.shape}")
+    if dx.shape[0] != x.size or dy.shape[0] != y.size or dx.shape[1] != dy.shape[1]:
+        raise ShapeMismatch("Jacobian rows must match vec sizes and share columns")
+    return np.kron(np.eye(y.shape[1]), x) @ dy + np.kron(y.T, np.eye(x.shape[0])) @ dx
+
+
+def d_outer_gram(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Jacobian of vec(XX') for square X: (I + K)(X kron I) dX."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    if x.shape != (n, n):
+        raise ShapeMismatch("d_outer_gram expects square X")
+    dx = np.asarray(dx, dtype=float)
+    if dx.shape[0] != n * n:
+        raise ShapeMismatch("dX rows must equal vec(X) length")
+    ka = commutation_matrix(n)
+    return (np.eye(n * n) + ka) @ np.kron(x, np.eye(n)) @ dx
+
+
+def d_trace_prod(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient row of tr(XY): vec(X')' dY + vec(Y')' dX."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    if x.shape != y.T.shape:
+        raise ShapeMismatch(f"trace product needs X {x.shape} conformable with Y {y.shape}")
+    return x.T.reshape(-1, order="F") @ dy + y.T.reshape(-1, order="F") @ dx
+
+
+def d_det(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Gradient row of det(X): det(X) vec(X^-T)' dX."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dx = np.asarray(dx, dtype=float)
+    det = np.linalg.det(x)
+    svals = np.linalg.svd(x, compute_uv=False)
+    if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
+        raise SingularMatrix("d_det: matrix is singular")
+    xinvt = np.linalg.inv(x).T
+    return det * (xinvt.reshape(-1, order="F") @ dx)
+
+
+def eigen_sym(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of a symmetric matrix, values descending.
+
+    Each eigenvector has its largest-magnitude entry made positive so the
+    output is deterministic up to eigenvalue ties.
+    """
+    x = check_symmetric(x)
+    vals, vecs = np.linalg.eigh(x)
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for k in range(vecs.shape[1]):
+        pivot = np.argmax(np.abs(vecs[:, k]))
+        if vecs[pivot, k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    return vals, vecs
+
+
+def d_eig(x: np.ndarray, j: int, dx: np.ndarray) -> np.ndarray:
+    """Gradient row of the j-th (0-based, descending) eigenvalue of symmetric X.
+
+    Equals (v_j' kron v_j') dX. Requires the eigenvalue to be simple.
+    """
+    x = check_symmetric(x)
+    dx = np.asarray(dx, dtype=float)
+    vals, vecs = eigen_sym(x)
+    spectral = max(np.abs(vals).max(), 1e-300)
+    gaps = [abs(vals[j] - vals[k]) for k in range(len(vals)) if k != j]
+    if gaps and min(gaps) < EIG_GAP_RTOL * spectral:
+        raise RepeatedEigenvalue(
+            f"eigenvalue {j} gap {min(gaps):.3e} below {EIG_GAP_RTOL:.0e} of spectral norm"
+        )
+    v = vecs[:, j]
+    return np.kron(v, v) @ dx
+
+
+def pinv_rank(x: np.ndarray, r: int) -> np.ndarray:
+    """Pseudoinverse of the rank-r projection built from the r largest eigenvalues."""
+    vals, vecs = eigen_sym(x)
+    if r < 1 or r > len(vals):
+        raise ShapeMismatch(f"rank {r} out of range for size {len(vals)}")
+    if vals[r - 1] < 1e-12 * max(vals[0], 1e-300):
+        raise RankDeficient(f"eigenvalue {r} of {vals[r - 1]:.3e} is numerically zero")
+    vr = vecs[:, :r]
+    return vr @ np.diag(1.0 / vals[:r]) @ vr.T
+
+
+def fd_step(x: np.ndarray) -> float:
+    """Central-difference step: 1e-5 scaled by the sup norm of the input."""
+    return 1e-5 * max(1.0, float(np.abs(x).max()))
+
+
+def finite_difference_jacobian(
+    f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, h: float | None = None
+) -> np.ndarray:
+    """Central-difference Jacobian of a vector map at x0."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if h is None:
+        h = fd_step(x0)
+    cols = []
+    for k in range(x0.size):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[k] += h
+        xm[k] -= h
+        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def fisher_information_block(theta: np.ndarray) -> np.ndarray:
+    """Per-observation Fisher information of the non-redundant vech coordinates.
+
+    The half-sandwich U [A' (D'(T kron T)D) A] U' with A = L(T^-1 kron T^-1)D,
+    without the sample-size factor. Built literally from the structural
+    matrices; the block of gaussian_omega past the corner is its inverse.
+    """
+    theta = check_symmetric(theta)
+    d = theta.shape[0]
+    el = elimination_matrix(d)
+    du = duplication_matrix(d)
+    un = remove_first(vech_len(d))
+    tinv = np.linalg.inv(theta)
+    a = el @ np.kron(tinv, tinv) @ du
+    inner = a.T @ (du.T @ np.kron(theta, theta) @ du) @ a
+    return 0.5 * (un @ inner @ un.T)
+
+
+def conjecture_itheta_cov(tm: AugmentedMoment) -> np.ndarray:
+    """Alternative plug-in covariance for vech of the inverse moment matrix.
+
+    2 (D'(T kron T)D)^-1 - 2 e1 e1'. Proven equal to the Theorem-style
+    chain in the scalar case; kept as a cross-check, not a production
+    covariance, for larger dimensions.
+    """
+    theta = tm.theta
+    d = theta.shape[0]
+    du = duplication_matrix(d)
+    inner = du.T @ np.kron(theta, theta) @ du
+    try:
+        out = 2.0 * np.linalg.inv(inner)
+    except np.linalg.LinAlgError as exc:
+        raise SingularTheta("duplication-sandwiched moment is singular") from exc
+    out[0, 0] -= 2.0
+    return 0.5 * (out + out.T)
+
+
+def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Model variance H and error variance E of the hypothesis.
+
+    The classical route through the regression coefficient and residual
+    covariance; H inv(E) shares its eigenvalues with G1 G2. A stack of
+    moments gives a stack of each.
+    """
+    if tm.layout is not MomentLayout.CONDITIONAL:
+        raise ShapeMismatch("need a conditional-layout moment matrix")
+    f, theta = tm.f_dim, tm.theta
+    spec.validate_against(f, tm.n_assets)
+    sig_f = theta[..., :f, :f]
+    try:
+        bhat = _t(np.linalg.solve(sig_f, theta[..., :f, f:]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularTheta("feature gram is singular") from exc
+    sigma = _sym(theta[..., f:, f:] - bhat @ sig_f @ _t(bhat))
+    a, c, t = spec.a_matrix, spec.c_matrix, spec.t_matrix
+    resid = a @ bhat @ c - t
+    cquad = _cquad(sig_f, c)
+    try:
+        h = resid @ np.linalg.solve(cquad, _t(resid))
+    except np.linalg.LinAlgError as exc:
+        raise SingularCquad("C' inv(feature gram) C is singular") from exc
+    return _sym(h), _sym(a @ sigma @ a.T)
+
+
+def britten_jones(values: np.ndarray) -> np.ndarray:
+    """t-statistics from regressing the constant one vector on returns.
+
+    No intercept; the coefficient t-statistics test the corresponding
+    optimal-portfolio weights under Gaussian returns. Serves as the
+    comparison oracle for the Wald z-scores.
+    """
+    x = np.atleast_2d(np.asarray(values, dtype=float))
+    t, p = x.shape
+    if t <= p:
+        raise ShapeMismatch("need more observations than assets")
+    gram = x.T @ x
+    svals = np.linalg.svd(gram, compute_uv=False)
+    if svals[-1] < 1e-12 * max(svals[0], 1e-300):
+        raise RankDeficientRegression("returns matrix is rank deficient")
+    y = np.ones(t)
+    coef = np.linalg.solve(gram, x.T @ y)
+    resid = y - x @ coef
+    s2 = float(resid @ resid) / (t - p)
+    se = np.sqrt(s2 * np.diag(np.linalg.inv(gram)))
+    return coef / se
+
+
+def _scalar_head_weights(point: np.ndarray, n_assets: int, risk_budget: float,
+                         corner_offset: float, what: str) -> np.ndarray:
+    """Scaled weights -(R / sqrt(snr_sq)) point[1..p] of a vech'd projection.
+
+    snr_sq is the corner point[0] less corner_offset. The risk budget
+    passes the portfolio head's gate, and snr_sq must be positive.
+    """
+    check_risk_budget(risk_budget)
+    snr_sq = point[0] - corner_offset
+    if not snr_sq > 0:
+        raise SingularProjection(f"{what} squared Sharpe is not positive")
+    return -(risk_budget / np.sqrt(snr_sq)) * point[1 : n_assets + 1]
+
+
+def subspace_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
+    """Scaled weights from a vech'd subspace projection (scalar leading block)."""
+    return _scalar_head_weights(point, n_assets, risk_budget, 1.0, "projected")
+
+
+def hedged_weights(point: np.ndarray, n_assets: int, risk_budget: float) -> np.ndarray:
+    """Scaled weights from a vech'd hedged delta (scalar leading block)."""
+    return _scalar_head_weights(point, n_assets, risk_budget, 0.0, "hedged")

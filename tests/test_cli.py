@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from portinf import cli
 
-FIXTURE = str(pathlib.Path(__file__).resolve().parent.parent / "data" / "synthetic_returns.csv")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURE = str(ROOT / "data" / "synthetic_returns.csv")
+SRC = ROOT / "src" / "portinf"
 ASSETS = "alpha,beta,gamma"
 
 
@@ -135,6 +137,24 @@ class TestMglhCommand:
         stats = {row.split("\t")[0] for row in body[1:]}
         assert stats == {"hlt", "pbt", "wilks", "roy"}
 
+    @pytest.mark.parametrize("a,c,t", [(np.ones((4, 3)), np.eye(2), np.zeros((4, 2))),
+                                       (None, None, None)], ids=["A_4x3", "all_empty"])
+    def test_bad_contrast_is_usage_error(self, capsys, tmp_path, a, c, t):
+        paths = []
+        for name, arr in (("A", a), ("C", c), ("T", t)):
+            path = tmp_path / f"{name}.csv"
+            if arr is None:
+                path.write_text("")
+            else:
+                np.savetxt(path, arr, delimiter=",")
+            paths += [f"--{name}", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # loadtxt warns on an empty file
+            code, _, err = run(capsys, "mglh", "--input", FIXTURE, "--assets", ASSETS,
+                               "--features", "level,delta", *paths)
+        assert code == 1
+        assert "usage error" in err and "more rows than columns" in err
+
 
 class TestLrtCommand:
     def test_satisfied_constraint_gives_unit_pvalue(self, capsys, tmp_path):
@@ -180,6 +200,23 @@ class TestAttributeCommand:
         assert caplog.records == []
 
 
+def _imports(node, in_functions=False):
+    """Modules a syntax tree imports, relative ones as portinf.<name>.
+
+    Statements inside function bodies count only with in_functions.
+    """
+    if not in_functions and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        base = "portinf" + (f".{node.module}" if node.module else "") if node.level else node.module
+        yield base
+        yield from (f"{base}.{alias.name}" for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from _imports(child, in_functions)
+
+
 def _printed_after_cli_import(expr):
     """What a fresh interpreter prints for expr after `import sys, portinf.cli`."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -197,24 +234,23 @@ class TestStartup:
         assert _printed_after_cli_import(
             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
 
+    def test_cli_import_leaves_out_oracles(self):
+        assert _printed_after_cli_import("'portinf.oracles' in sys.modules") == "False"
+
     def test_no_module_imports_scipy_at_import_time(self):
         """scipy is a test dependency only: no statement that runs on import may load it."""
-        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "portinf"
-
-        def imports(node):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return
-            if isinstance(node, ast.Import):
-                yield from (alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                yield node.module
-            for child in ast.iter_child_nodes(node):
-                yield from imports(child)
-
-        found = {path.name: name for path in sorted(src.glob("*.py"))
-                 for name in imports(ast.parse(path.read_text()))
+        found = {path.name: name for path in sorted(SRC.glob("*.py"))
+                 for name in _imports(ast.parse(path.read_text()))
                  if name.split(".")[0] == "scipy"}
         assert found == {}
+
+    def test_only_selftest_imports_oracles(self):
+        """The reference code stays off every production path, function bodies included."""
+        found = {path.name: name for path in sorted(SRC.glob("*.py"))
+                 for name in _imports(ast.parse(path.read_text()), in_functions=True)
+                 if name == "portinf.oracles" and path.name != "selftest.py"}
+        assert found == {}
+        assert "portinf.oracles" in set(_imports(ast.parse((SRC / "selftest.py").read_text())))
 
 
 class TestClosedPipe:
@@ -234,6 +270,14 @@ class TestClosedPipe:
             os.close(write_end)
         assert "Traceback" not in out.stderr and "BrokenPipe" not in out.stderr
         assert out.returncode == 0
+
+
+class TestDemoScript:
+    def test_demo_pipeline_runs(self):
+        out = subprocess.run([sys.executable, str(ROOT / "scripts" / "demo_pipeline.py")],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "share of weight error from precision-matrix estimation" in out.stdout
 
 
 class TestSimulateCommand:
@@ -274,7 +318,7 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
-    @pytest.mark.parametrize("hac", ["bartlett:-3", "foo:0"])
+    @pytest.mark.parametrize("hac", ["bartlett:-3", "foo:0", "bartlett:x", "bartlett:"])
     def test_bad_hac_is_usage_error(self, capsys, hac):
         code = cli.main(["infer", "--input", FIXTURE, "--assets", ASSETS, "--hac", hac])
         assert code == 1

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from portinf import asymptotics as asy
 from portinf import constraints as cn
 from portinf import moments as mo
+from portinf import oracles as orc
 from portinf.errors import ShapeMismatch
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import MatrixShape, ivech, vech, vech_lower, chol
@@ -37,7 +40,7 @@ class TestSubspace:
         spec = cn.SubspaceSpec(np.array([[1.0, 0.0]]))
         point, _ = cn.subspace_theta(tm, spec, om)
         risk_budget = 0.4
-        w = cn.subspace_weights(point, 2, risk_budget)
+        w = orc.subspace_weights(point, 2, risk_budget)
         snr1 = abs(mu[0]) / np.sqrt(sigma[0, 0])
         expect = (risk_budget / snr1) * np.array([mu[0] / sigma[0, 0], 0.0])
         np.testing.assert_allclose(w, expect, atol=1e-12)
@@ -47,13 +50,19 @@ class TestSubspace:
         raw = rng.standard_normal((2, 4))
         spec = cn.SubspaceSpec(raw)
         point, _ = cn.subspace_theta(tm, spec, om)
-        w = cn.subspace_weights(point, 4, 1.0)
+        w = orc.subspace_weights(point, 4, 1.0)
         resid = w - spec.basket.T @ (spec.basket @ w)
         assert np.abs(resid).max() < 1e-10
 
     def test_rows_orthonormalized(self, rng):
         spec = cn.SubspaceSpec(rng.standard_normal((2, 5)))
         np.testing.assert_allclose(spec.basket @ spec.basket.T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [cn.SubspaceSpec, cn.HedgeSpec])
+    def test_more_rows_than_assets_is_rejected(self, rng, spec):
+        # a full-rank 4x3 basket would otherwise become the whole 3-asset space
+        with pytest.raises(ShapeMismatch, match="more rows than columns"):
+            spec(rng.standard_normal((4, 3)))
 
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = _tm_and_om(rng, 3)
@@ -67,7 +76,9 @@ class TestSubspace:
 
         _, dist = cn.subspace_theta(tm, spec, om)
         # reconstruct H from the covariance is overdetermined; check the chain directly
-        from portinf.kernels import d_qform_inv, elimination_matrix, duplication_matrix, kron
+        from numpy import kron
+        from portinf.kernels import d_qform_inv
+        from portinf.oracles import duplication_matrix, elimination_matrix
         el = elimination_matrix(4)
         du = duplication_matrix(4)
         h = el @ kron(jt.T, jt.T) @ d_qform_inv(jt, tm.theta) @ du
@@ -86,7 +97,7 @@ class TestHedged:
         tm, om = _tm_and_om(rng, 2)
         spec = cn.HedgeSpec(np.array([[1.0, 0.0]]))
         point, _ = cn.hedged_delta_theta(tm, spec, om)
-        w = cn.hedged_weights(point, 2, 1.0)
+        w = orc.hedged_weights(point, 2, 1.0)
         mu = tm.theta[1:, 0]
         sigma = tm.theta[1:, 1:] - np.outer(mu, mu)
         assert abs((spec.hedge @ sigma @ w)[0]) < 1e-12
@@ -97,10 +108,10 @@ class TestHedged:
         tm, om = _tm_and_om(rng, 3)
         if reader == "hedged":
             point, _ = cn.hedged_delta_theta(tm, cn.HedgeSpec(np.array([[1.0, 0.5, 0.0]])), om)
-            weights = cn.hedged_weights
+            weights = orc.hedged_weights
         else:
             point, _ = cn.subspace_theta(tm, cn.SubspaceSpec(np.eye(3)[:2]), om)
-            weights = cn.subspace_weights
+            weights = orc.subspace_weights
         assert np.all(np.isfinite(weights(point, 3, 0.1)))
         with pytest.raises(ShapeMismatch, match="risk budget"):
             weights(point, 3, risk_budget)
@@ -135,7 +146,9 @@ class TestHedged:
             core = np.linalg.inv(gt @ theta @ gt.T)
             return vech(np.linalg.inv(theta) - gt.T @ core @ gt)
 
-        from portinf.kernels import d_inv_vech, d_qform_inv, elimination_matrix, duplication_matrix, kron
+        from numpy import kron
+        from portinf.kernels import d_inv_vech, d_qform_inv
+        from portinf.oracles import duplication_matrix, elimination_matrix
         el = elimination_matrix(3)
         du = duplication_matrix(3)
         h = d_inv_vech(tm.theta) - el @ kron(gt.T, gt.T) @ d_qform_inv(gt, tm.theta) @ du
@@ -253,7 +266,9 @@ class TestHedgedConditional:
             core = np.linalg.inv(gt @ th @ gt.T)
             return vech(np.linalg.inv(th) - gt.T @ core @ gt)
 
-        from portinf.kernels import d_inv_vech, d_qform_inv, elimination_matrix, duplication_matrix, kron
+        from numpy import kron
+        from portinf.kernels import d_inv_vech, d_qform_inv
+        from portinf.oracles import duplication_matrix, elimination_matrix
         el = elimination_matrix(4)
         du = duplication_matrix(4)
         h = d_inv_vech(theta) - el @ kron(gt.T, gt.T) @ d_qform_inv(gt, theta) @ du
@@ -295,7 +310,7 @@ class TestFlattenVolatility:
         om = gaussian_omega(tm)
         point, _ = cn.subspace_theta(tm, spec, om)
         risk_budget = 0.5
-        w = cn.subspace_weights(point, p * v, risk_budget)
+        w = orc.subspace_weights(point, p * v, risk_budget)
         j = spec.basket
         proj = j.T @ np.linalg.inv(j @ sigma @ j.T) @ j
         c = risk_budget / np.sqrt(mean @ proj @ mean)
@@ -396,7 +411,8 @@ class TestConstrainedCholesky:
             lc = ivech(z, MatrixShape.LOWER_TRIANGULAR)
             return vech(lc @ lc.T)
 
-        from portinf.kernels import commutation_matrix, elimination_matrix, kron
+        from numpy import kron
+        from portinf.oracles import commutation_matrix, elimination_matrix
         el = elimination_matrix(3)
         ka = commutation_matrix(3)
         factor_c = ivech(shift + proj @ y, MatrixShape.LOWER_TRIANGULAR)
@@ -413,8 +429,9 @@ class TestJacobianSweep:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("f", [1, 2])
     def test_subspace_and_hedge_chains(self, p, f, rng):
-        from portinf.kernels import (
-            d_inv_vech, d_qform_inv, duplication_matrix, elimination_matrix, kron)
+        from numpy import kron
+        from portinf.kernels import d_inv_vech, d_qform_inv
+        from portinf.oracles import duplication_matrix, elimination_matrix
         d = p + f
         theta = rand_spd(rng, d) / d + 0.5 * np.eye(d)
         el = elimination_matrix(d)
@@ -505,7 +522,7 @@ class TestReducedRank:
         np.testing.assert_allclose(coef, expect, atol=1e-6)
 
     def test_fd_jacobian_step_consistency(self, rng):
-        from portinf.kernels import finite_difference_jacobian, pinv_rank
+        from portinf.oracles import finite_difference_jacobian, pinv_rank
         tm, om = self._conditional_tm(rng)
         r, f = 3, tm.f_dim
 
@@ -525,3 +542,39 @@ class TestReducedRank:
         om = asy.OmegaEstimate(np.eye(10), "vanilla", n_obs=100)
         with pytest.raises(cn.EigGapTooSmall):
             cn.reduced_rank_coefficient(tm, 2, om)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), data=st.data())
+    def test_analytic_jacobian_matches_finite_differences(self, seed, d, data):
+        f = data.draw(st.integers(1, d - 1))
+        r = data.draw(st.integers(1, d))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d))
+        theta = a @ a.T + 0.1 * np.eye(d)
+        vals = np.linalg.eigvalsh(theta)[::-1]
+        assume(r == d or vals[r - 1] - vals[r] >= 1e-3 * vals[0])
+        tm = AugmentedMoment(theta, n_obs=100, layout=MomentLayout.CONDITIONAL, f_dim=f)
+        om = asy.OmegaEstimate(np.eye(d * (d + 1) // 2), "vanilla", n_obs=100)
+        grads = []
+        om.sandwich = lambda g: grads.append(g) or g @ g.T
+
+        coef, _ = cn.reduced_rank_coefficient(tm, r, om)
+
+        def coef_map(v):
+            return -orc.pinv_rank(ivech(v), r)[f:, :f].reshape(-1, order="F")
+
+        # the central difference's truncation error grows as the eigen-gap
+        # shrinks: at a gap of 1e-3 the default step leaves about 4e-5, a
+        # tenth of it about 4e-7
+        fd = orc.finite_difference_jacobian(coef_map, vech(theta), h=orc.fd_step(theta) / 10)
+        np.testing.assert_allclose(coef.reshape(-1, order="F"), coef_map(vech(theta)),
+                                   rtol=0, atol=1e-10 * np.abs(coef).max())
+        assert np.abs(grads[0] - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("f,p", [(1, 1), (1, 3), (2, 2), (3, 2)])
+    def test_full_rank_covariance_matches_plain_coefficient(self, rng, f, p):
+        tm, om = self._conditional_tm(rng, f=f, p=p)
+        _, dist_rr = cn.reduced_rank_coefficient(tm, tm.dim, om)
+        _, dist = cn.markowitz_coefficient(tm, om)
+        gap = np.abs(dist_rr.covariance - dist.covariance).max()
+        assert gap <= 1e-12 * np.abs(dist.covariance).max()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portinf import gaussian as ga
+from portinf import oracles as orc
 from portinf.asymptotics import theta_inverse_covariance
 from portinf.errors import NumericalError, ShapeMismatch
 from portinf.moments import AugmentedMoment
@@ -32,7 +33,7 @@ class TestGaussianOmega:
         for p in (2, 3):
             theta = rand_unit_corner_theta(rng, p)
             om = ga.gaussian_omega(AugmentedMoment(theta, n_obs=10))
-            fisher = ga.fisher_information_block(theta)
+            fisher = orc.fisher_information_block(theta)
             block_inv = np.linalg.inv(om.omega[1:, 1:])
             np.testing.assert_allclose(block_inv, fisher, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(om.omega[1:, 1:], np.linalg.inv(fisher),
@@ -51,14 +52,14 @@ class TestConjectureRoutes:
     def test_scalar_grid_identity(self, mu, sg):
         tm = AugmentedMoment(scalar_theta(mu, sg), n_obs=10)
         via_chain = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
-        np.testing.assert_allclose(ga.conjecture_itheta_cov(tm), via_chain, atol=1e-10)
+        np.testing.assert_allclose(orc.conjecture_itheta_cov(tm), via_chain, atol=1e-10)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_multivariate_route_evidence(self, p, rng):
         # unproven beyond the scalar case; recorded here as numerical evidence
         tm = AugmentedMoment(rand_unit_corner_theta(rng, p), n_obs=10)
         via_chain = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
-        gap = np.abs(ga.conjecture_itheta_cov(tm) - via_chain).max()
+        gap = np.abs(orc.conjecture_itheta_cov(tm) - via_chain).max()
         print(f"conjecture route gap p={p}: {gap:.3e}")
         assert gap < 1e-8
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from portinf import harness as hs
+from portinf import oracles as orc
 from portinf import simulate
 from portinf.errors import EmptyPanel, ParseError, RankDeficientRegression, ZeroVolatilityWindow
 
@@ -104,7 +105,7 @@ class TestRollingVolatility:
 class TestBrittenJones:
     def test_scalar_matches_explicit_ols(self, rng):
         x = rng.standard_normal((50, 1)) * 0.1 + 0.02
-        t_stat = hs.britten_jones(x)
+        t_stat = orc.britten_jones(x)
         xc = x[:, 0]
         b = (xc @ np.ones(50)) / (xc @ xc)
         resid = 1.0 - xc * b
@@ -114,7 +115,7 @@ class TestBrittenJones:
     def test_duplicated_column_raises(self, rng):
         x = rng.standard_normal((30, 1))
         with pytest.raises(RankDeficientRegression):
-            hs.britten_jones(np.hstack([x, x]))
+            orc.britten_jones(np.hstack([x, x]))
 
 
 class TestReports:

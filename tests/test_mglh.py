@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from portinf import mglh
+from portinf import oracles as orc
 from portinf.asymptotics import OmegaEstimate
 from portinf.errors import ShapeMismatch
 from portinf.kernels import ivech, vech, vech_len
@@ -38,12 +39,22 @@ class TestSpecValidation:
         with pytest.raises(mglh.RankDeficient):
             mglh.MglhSpec(np.array([[1.0, 0.0], [2.0, 0.0]]), np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_singular_feature_gram_is_singular_theta(self, stacked):
+        theta = np.eye(4)
+        theta[:2, :2] = 1.0                      # two identical features
+        theta = np.stack([np.eye(4), theta]) if stacked else theta
+        tm = AugmentedMoment(theta, n_obs=100, layout=MomentLayout.CONDITIONAL, f_dim=2)
+        spec = mglh.MglhSpec(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(mglh.SingularTheta, match="feature gram is singular"):
+            mglh.mglh_statistics(tm, spec)
+
 
 class TestModelErrorMatrices:
     def test_exact_null_kills_model_variance(self, rng):
         tm, _, bmat, _ = make_conditional(rng, 2, 3)
         spec = rand_spec(rng, 2, 3, 2, 2, null=True, bmat=bmat)
-        h, e = mglh.mglh_he(tm, spec)
+        h, e = orc.mglh_he(tm, spec)
         np.testing.assert_allclose(h, np.zeros((2, 2)), atol=1e-12)
         assert np.linalg.eigvalsh(e)[0] > 0
 
@@ -51,14 +62,14 @@ class TestModelErrorMatrices:
         theta = np.block([[np.eye(2), np.eye(2)], [np.eye(2), 2 * np.eye(2)]])
         tm = AugmentedMoment(theta, n_obs=100, layout=MomentLayout.CONDITIONAL, f_dim=2)
         spec = mglh.MglhSpec(np.eye(2), np.eye(2), np.zeros((2, 2)))
-        h, e = mglh.mglh_he(tm, spec)
+        h, e = orc.mglh_he(tm, spec)
         np.testing.assert_allclose(h, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(e, np.eye(2), atol=1e-12)
 
     def test_random_instance_is_psd(self, rng):
         tm, _, bmat, _ = make_conditional(rng, 3, 3)
         spec = rand_spec(rng, 3, 3, 2, 2)
-        h, e = mglh.mglh_he(tm, spec)
+        h, e = orc.mglh_he(tm, spec)
         assert np.linalg.eigvalsh(h)[0] > -1e-12
         assert np.linalg.eigvalsh(e)[0] > 0
         assert np.linalg.eigvals(np.linalg.solve(e, h)).real.min() > -1e-12
@@ -89,7 +100,7 @@ class TestG1G2:
         tm, _, bmat, _ = make_conditional(rng, f, p)
         spec = rand_spec(rng, f, p, a, c)
         g1, g2 = mglh.mglh_g1g2(tm, spec)
-        h, e = mglh.mglh_he(tm, spec)
+        h, e = orc.mglh_he(tm, spec)
         size = max(a, c)
         eig1 = np.sort(np.linalg.eigvals(g1 @ g2).real)
         eig2 = np.sort(np.linalg.eigvals(np.eye(a) + np.linalg.solve(e, h)).real)
@@ -112,7 +123,7 @@ class TestStatistics:
         tm, _, _, _ = make_conditional(rng, 3, 3)
         spec = rand_spec(rng, 3, 3, 3, 2)
         res = mglh.mglh_statistics(tm, spec)
-        h, e = mglh.mglh_he(tm, spec)
+        h, e = orc.mglh_he(tm, spec)
         lam = np.linalg.eigvals(np.linalg.solve(e, h)).real
         assert res.hlt == pytest.approx(lam.sum(), abs=1e-10)
         assert res.pbt == pytest.approx(np.sum(1.0 / (1.0 + lam)), abs=1e-10)
