@@ -11,6 +11,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,7 +58,10 @@ def _parse_hac(text: str) -> tuple[str, int | None]:
 
 def _load_matrix(path: str) -> np.ndarray:
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
+        with warnings.catch_warnings():
+            # an empty file reaches the shape checks as a (0, 1) matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

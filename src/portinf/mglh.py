@@ -89,10 +89,10 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + _t(x))
 
 
-def _cquad(sig_f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """C' inv(feature gram) C, with C shared by every gram of a stack."""
+def _feature_solve(sig_f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """inv(feature gram) C, with C shared by every gram of a stack."""
     try:
-        return c.T @ np.linalg.solve(sig_f, np.broadcast_to(c, sig_f.shape[:-2] + c.shape))
+        return np.linalg.solve(sig_f, np.broadcast_to(c, sig_f.shape[:-2] + c.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularTheta("feature gram is singular") from exc
 
@@ -106,20 +106,28 @@ def _stack(spec: MglhSpec) -> np.ndarray:
     return np.vstack([spec.c_matrix, spec.t_matrix])
 
 
-def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The two c-by-c factors whose product carries the hypothesis eigenvalues.
+@dataclass
+class _Factors:
+    """G1 and G2 with the solves their gradient reuses.
 
-    G1 inverts the contrasted feature gram; G2 sandwiches the inverse of
-    the bordered moment matrix between the stacked contrast and target.
-    A stack of moments gives a stack of each factor.
+    feature_c is inv(feature gram) C and core_inv the inverse of the
+    bordered moment M' theta M; each is a stack for a stack of moments.
     """
+
+    g1: np.ndarray
+    g2: np.ndarray
+    feature_c: np.ndarray
+    core_inv: np.ndarray
+
+
+def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
     if tm.layout is not MomentLayout.CONDITIONAL:
         raise ShapeMismatch("need a conditional-layout moment matrix")
     f = tm.f_dim
     spec.validate_against(f, tm.n_assets)
-    cquad = _cquad(tm.theta[..., :f, :f], spec.c_matrix)
+    feature_c = _feature_solve(tm.theta[..., :f, :f], spec.c_matrix)
     try:
-        g1 = np.linalg.inv(cquad)
+        g1 = np.linalg.inv(spec.c_matrix.T @ feature_c)
     except np.linalg.LinAlgError as exc:
         raise SingularCquad("C' inv(feature gram) C is singular") from exc
     mt = _border(spec, f)
@@ -129,8 +137,18 @@ def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarr
     except np.linalg.LinAlgError as exc:
         raise SingularTheta("bordered moment is singular") from exc
     s = _stack(spec)
-    g2 = s.T @ core_inv @ s
-    return _sym(g1), _sym(g2)
+    return _Factors(_sym(g1), _sym(s.T @ core_inv @ s), feature_c, core_inv)
+
+
+def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two c-by-c factors whose product carries the hypothesis eigenvalues.
+
+    G1 inverts the contrasted feature gram; G2 sandwiches the inverse of
+    the bordered moment matrix between the stacked contrast and target.
+    A stack of moments gives a stack of each factor.
+    """
+    fac = _factorize(tm, spec)
+    return fac.g1, fac.g2
 
 
 def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,46 +164,37 @@ def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vals[..., ::-1], (r @ w)[..., ::-1]
 
 
+def _statistics(vals: np.ndarray, spec: MglhSpec, n_obs: int) -> MglhResult:
+    a, c = spec.n_rows, spec.n_cols
+    inv = 1.0 / vals
+    stats = [np.sum(vals, axis=-1) - c, np.sum(inv, axis=-1) + a - c,
+             np.prod(inv, axis=-1), vals[..., 0] - 1.0]
+    if vals.ndim == 1:
+        stats = [float(x) for x in stats]
+    return MglhResult(*stats, n_obs)
+
+
 def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
     """Point values of the four hypothesis statistics.
 
     For a stack of moments each statistic holds one value per member, in
     stack order.
     """
-    g1, g2 = mglh_g1g2(tm, spec)
-    a, c = spec.n_rows, spec.n_cols
-    vals, _ = _g1g2_eigen(g1, g2)
-    inv = 1.0 / vals
-    stats = [np.sum(vals, axis=-1) - c, np.sum(inv, axis=-1) + a - c,
-             np.prod(inv, axis=-1), vals[..., 0] - 1.0]
-    if vals.ndim == 1:
-        stats = [float(x) for x in stats]
-    return MglhResult(*stats, tm.n_obs)
+    fac = _factorize(tm, spec)
+    vals, _ = _g1g2_eigen(fac.g1, fac.g2)
+    return _statistics(vals, spec, tm.n_obs)
 
 
-def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
-    """Gradient rows of the four statistics with respect to vech(theta).
-
-    Each statistic moves as tr(W1 dG1) + tr(W2 dG2). With
-    dG1 = L1' dtheta L1, L1 = E inv(feature gram) C G1 (E the leading
-    columns), and dG2 = -R2' dtheta R2, R2 = M Q S (M the border, Q the
-    inverse bordered moment, S the stacked contrast and target), the
-    full-matrix gradient is Gamma = L1 W1 L1' - R2 W2 R2', and the vech
-    gradient is vech(Gamma + Gamma' - diag Gamma). The largest-root
-    weights pair the left and right eigenvectors of the (non-symmetric)
-    product G1 G2.
-    """
-    g1, g2 = mglh_g1g2(tm, spec)  # validates the layout and the spec
-    f = tm.f_dim
+def _gradients(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarray,
+               vecs: np.ndarray) -> dict[str, np.ndarray]:
+    g1, g2 = fac.g1, fac.g2
     l1 = np.zeros((tm.dim, spec.n_cols))
-    l1[:f] = np.linalg.solve(tm.theta[:f, :f], spec.c_matrix @ g1)
-    mt = _border(spec, f)
-    r2 = mt @ np.linalg.solve(mt.T @ tm.theta @ mt, _stack(spec))
+    l1[: tm.f_dim] = fac.feature_c @ g1
+    r2 = _border(spec, tm.f_dim) @ (fac.core_inv @ _stack(spec))
 
     g1_inv = np.linalg.inv(g1)
     g2_inv = np.linalg.inv(g2)
     wilks = 1.0 / (np.linalg.det(g1) * np.linalg.det(g2))
-    vals, vecs = _g1g2_eigen(g1, g2)
     if len(vals) > 1 and vals[0] - vals[1] < EIG_GAP_RTOL * max(abs(vals[0]), 1e-300):
         raise RepeatedEigenvalue("leading root of the product is not simple")
     v = vecs[:, 0]
@@ -201,6 +210,23 @@ def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarra
             for name, (w1, w2) in weights.items()}
 
 
+def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
+    """Gradient rows of the four statistics with respect to vech(theta).
+
+    Each statistic moves as tr(W1 dG1) + tr(W2 dG2). With
+    dG1 = L1' dtheta L1, L1 = E inv(feature gram) C G1 (E the leading
+    columns), and dG2 = -R2' dtheta R2, R2 = M Q S (M the border, Q the
+    inverse bordered moment, S the stacked contrast and target), the
+    full-matrix gradient is Gamma = L1 W1 L1' - R2 W2 R2', and the vech
+    gradient is vech(Gamma + Gamma' - diag Gamma). The largest-root
+    weights pair the left and right eigenvectors of the (non-symmetric)
+    product G1 G2. inv(feature gram) C and Q are those that G1 and G2
+    were formed from.
+    """
+    fac = _factorize(tm, spec)
+    return _gradients(tm, spec, fac, *_g1g2_eigen(fac.g1, fac.g2))
+
+
 def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> MglhResult:
     """Statistics with normal-approximation variances and z-scores.
 
@@ -210,8 +236,10 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     flagged as approximations.
     """
     _check_dims(tm, om)
-    result = mglh_statistics(tm, spec)
-    grads = mglh_derivatives(tm, spec)
+    fac = _factorize(tm, spec)
+    vals, vecs = _g1g2_eigen(fac.g1, fac.g2)
+    result = _statistics(vals, spec, tm.n_obs)
+    grads = _gradients(tm, spec, fac, vals, vecs)
     variances = {k: om.sandwich(q) for k, q in grads.items()}
     nulls = {"hlt": 0.0, "pbt": float(spec.n_rows), "wilks": 1.0, "roy": 0.0}
     z = {}

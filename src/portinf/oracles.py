@@ -15,8 +15,9 @@ import numpy as np
 from .errors import (BadLength, RankDeficient, RankDeficientRegression, RepeatedEigenvalue,
                      ShapeMismatch, SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
 from .kernels import check_symmetric, vech_indices, vech_len
-from .mglh import MglhSpec, _cquad, _sym, _t
+from .mglh import MglhSpec, _feature_solve, _sym, _t
 from .moments import AugmentedMoment, MomentLayout, check_risk_budget
+from .simulate import CHUNK
 
 EIG_GAP_RTOL = 1e-10
 
@@ -256,12 +257,39 @@ def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray
     sigma = _sym(theta[..., f:, f:] - bhat @ sig_f @ _t(bhat))
     a, c, t = spec.a_matrix, spec.c_matrix, spec.t_matrix
     resid = a @ bhat @ c - t
-    cquad = _cquad(sig_f, c)
+    cquad = c.T @ _feature_solve(sig_f, c)
     try:
         h = resid @ np.linalg.solve(cquad, _t(resid))
     except np.linalg.LinAlgError as exc:
         raise SingularCquad("C' inv(feature gram) C is singular") from exc
     return _sym(h), _sym(a @ sigma @ a.T)
+
+
+def sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int, ...],
+                    loading: np.ndarray, layout: MomentLayout = MomentLayout.UNCONDITIONAL,
+                    f_dim: int = 1) -> AugmentedMoment:
+    """The simulate suites' stack of sampled moments, drawn one chunk at a time.
+
+    Chunk k of CHUNK trials draws from SeedSequence((seed, k)) every trial's
+    standard normals of each width in turn, the widths in order; a trial's
+    rows are loading @ [1, z'] (unconditional layout) or loading @ z
+    (conditional layout), and its moment is loading G loading' for the Gram
+    G of [1, z'] or z.
+    """
+    unit = layout is MomentLayout.UNCONDITIONAL
+    ones = np.ones(sample_size)
+    theta = np.empty((trials,) + (loading.shape[0],) * 2)
+    for idx, start in enumerate(range(0, trials, CHUNK)):
+        n = min(CHUNK, trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+        draws = [rng.standard_normal((n, sample_size, w)) for w in widths]
+        gram = np.block([[a.swapaxes(1, 2) @ b for b in draws] for a in draws]) / sample_size
+        if unit:
+            means = np.concatenate([ones @ z for z in draws], axis=1) / sample_size
+            head = np.concatenate([np.ones((n, 1, 1)), means[:, None, :]], axis=2)
+            gram = np.block([[head], [means[:, :, None], gram]])
+        theta[start : start + n] = loading @ gram @ loading.T
+    return AugmentedMoment(theta, n_obs=sample_size, layout=layout, f_dim=f_dim)
 
 
 def britten_jones(values: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ order are those of a per-trial loop, and so are the reports.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,7 @@ from .asymptotics import theta_inverse_covariance
 
 SUITES = ("theorem1", "gaussian", "lrt", "mglh")
 CHUNK = 250
+BLOCK = 10  # trials whose last-width draws a worker holds at once
 
 
 @dataclass
@@ -78,14 +81,60 @@ def _rng_for(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, chunk)))
 
 
-def _chunks(trials: int):
-    done = 0
-    idx = 0
-    while done < trials:
-        n = min(CHUNK, trials - done)
-        yield idx, n
-        done += n
-        idx += 1
+def _worker_count(n_chunks: int, widths: tuple[int, ...]) -> int:
+    """Workers for drawing the chunks: one per usable CPU, at most one per chunk.
+
+    A worker holds a whole chunk's draws of every width but the last, so
+    the count is capped further: those draws of all workers together fit
+    in one chunk's draws.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    held = sum(widths[:-1])
+    fit = sum(widths) // held if held else n_chunks
+    return max(1, min(cpus, n_chunks, fit))
+
+
+def _run_workers(n_workers: int, n_tasks: int, make_task) -> None:
+    """Run task(i) for every i in range(n_tasks) on n_workers threads, the caller among them.
+
+    Each worker calls make_task() once for its own task function, then
+    takes task indices from a shared counter. The first exception, in any
+    worker, stops every worker from taking another index and is raised in
+    the caller once all threads are joined.
+    """
+    lock = threading.Lock()
+    stop = threading.Event()
+    todo = iter(range(n_tasks))
+    errors = []
+
+    def work():
+        try:
+            task = make_task()
+            while not stop.is_set():
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                task(i)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(n_workers - 1):
+            threads.append(threading.Thread(target=work, daemon=True))
+            threads[-1].start()
+        work()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _unconditional_population() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,29 +160,49 @@ def _sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int
     and its rows are loading @ [1, z'] (unconditional layout) or
     loading @ z (conditional layout). The moment is formed by congruence,
     loading G loading', from the per-trial Gram G of [1, z'] or z, so the
-    rows themselves are never built. Draws are made one chunk at a time
-    into buffers allocated once per call, so the draws of one chunk are
-    the only large arrays alive and memory use does not depend on how
-    the allocator recycles a freed chunk. The stack is validated as a
-    single moment is.
+    rows themselves are never built.
+
+    The chunks are drawn concurrently, each into its own slice of the
+    stack, so the stack does not depend on the number of workers. A
+    chunk's stream holds all its draws of one width before the next, so a
+    worker keeps the chunk's draws of the leading widths and draws the
+    last width BLOCK trials at a time, forming those trials' moments
+    right away; its buffers are allocated once. The stack is validated
+    as a single moment is.
     """
     unit = layout is MomentLayout.UNCONDITIONAL
+    *leading, last = widths
     ones = np.ones(sample_size)
-    buffers = [np.empty((min(CHUNK, trials), sample_size, w)) for w in widths]
+    size = min(CHUNK, trials)
+    n_chunks = -(-trials // CHUNK)
     theta = np.empty((trials,) + (loading.shape[0],) * 2)
-    start = 0
-    for idx, n in _chunks(trials):
-        rng = _rng_for(seed, idx)
-        draws = [buf[:n] for buf in buffers]
-        for z in draws:
-            rng.standard_normal(out=z)
-        gram = np.block([[a.swapaxes(1, 2) @ b for b in draws] for a in draws]) / sample_size
-        if unit:
-            means = np.concatenate([ones @ z for z in draws], axis=1) / sample_size
-            head = np.concatenate([np.ones((n, 1, 1)), means[:, None, :]], axis=2)
-            gram = np.block([[head], [means[:, :, None], gram]])
-        theta[start : start + n] = loading @ gram @ loading.T
-        start += n
+
+    def make_task():
+        lead_bufs = [np.empty((size, sample_size, w)) for w in leading]
+        last_buf = np.empty((min(BLOCK, size), sample_size, last))
+
+        def draw_chunk(idx: int):
+            rng = _rng_for(seed, idx)
+            start = idx * CHUNK
+            n = min(CHUNK, trials - start)
+            leads = [buf[:n] for buf in lead_bufs]
+            for z in leads:
+                rng.standard_normal(out=z)
+            for b in range(0, n, BLOCK):
+                m = min(BLOCK, n - b)
+                rng.standard_normal(out=last_buf[:m])
+                draws = [z[b : b + m] for z in leads] + [last_buf[:m]]
+                gram = np.block([[a.swapaxes(1, 2) @ c for c in draws] for a in draws])
+                gram /= sample_size
+                if unit:
+                    means = np.concatenate([ones @ z for z in draws], axis=1) / sample_size
+                    head = np.concatenate([np.ones((m, 1, 1)), means[:, None, :]], axis=2)
+                    gram = np.block([[head], [means[:, :, None], gram]])
+                theta[start + b : start + b + m] = loading @ gram @ loading.T
+
+        return draw_chunk
+
+    _run_workers(_worker_count(n_chunks, widths), n_chunks, make_task)
     return AugmentedMoment(theta, n_obs=sample_size, layout=layout, f_dim=f_dim)
 
 

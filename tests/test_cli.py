@@ -156,6 +156,21 @@ class TestMglhCommand:
         assert "usage error" in err and "more rows than columns" in err
 
 
+@pytest.mark.parametrize("command", ["mglh", "lrt"])
+def test_empty_matrix_file_prints_only_the_usage_error(capsys, tmp_path, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    files = (["--features", "level,delta", "--A", str(empty), "--C", str(empty),
+              "--T", str(empty)] if command == "mglh" else ["--constraints", str(empty)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, command, "--input", FIXTURE, "--assets", ASSETS, *files)
+    assert code == 1
+    assert not caught
+    assert "UserWarning" not in err
+    assert err.startswith("usage error") and err.count("\n") == 1
+
+
 class TestLrtCommand:
     def test_satisfied_constraint_gives_unit_pvalue(self, capsys, tmp_path):
         from portinf import harness, moments
@@ -278,6 +293,12 @@ class TestDemoScript:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert "share of weight error from precision-matrix estimation" in out.stdout
+
+    def test_quick_simulations_run(self):
+        out = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_simulations.py"),
+                              "--quick"], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert sum(line.startswith("result=") for line in out.stdout.splitlines()) == 4
 
 
 class TestSimulateCommand:

@@ -1,11 +1,14 @@
 """The stacked Monte Carlo engine: pinned reports and stack-versus-one parity."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portinf import gaussian as ga
@@ -50,6 +53,17 @@ GOLDEN = {
         "check var_stat value=15.810414 bound in 4.00+-0.60 status=FAIL\n"
         "check newton_fast_frac value=0.947500 bound>=0.990000 status=FAIL\n"
         "result=FAIL\n"),
+    # six chunks with a ragged last one, so each worker draws several chunks
+    ("theorem1", 9, 1300, 200): (
+        "suite=theorem1 seed=9 trials=1300 sample_size=200\n"
+        "check frobenius_rel_err value=0.082500 bound<=0.100000 status=PASS\n"
+        "result=PASS\n"),
+    ("mglh", 9, 1300, 200): (
+        "suite=mglh seed=9 trials=1300 sample_size=200\n"
+        "info empirical_var=1.362729\n"
+        "info theoretical_var=1.229077\n"
+        "check hlt_var_rel_err value=0.108742 bound<=0.150000 status=PASS\n"
+        "result=PASS\n"),
 }
 
 
@@ -77,6 +91,121 @@ def test_sampled_moments_hold_one_chunk_of_draws():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * draw_bytes
+
+
+def _draw_args(seed, trials, unit, f, p, extra):
+    """Arguments of one stack build: widths (p,) or (f, p), a random loading, dim + extra rows."""
+    rng = np.random.default_rng(seed)
+    widths = (p,) if unit else (f, p)
+    d = sum(widths)
+    low = np.tril(rng.uniform(-0.5, 0.5, (d, d)), -1) + np.diag(rng.uniform(0.5, 1.5, d))
+    if unit:
+        loading, layout, f_dim = (simulate._unit_loading(rng.uniform(-0.5, 0.5, d), low),
+                                  MomentLayout.UNCONDITIONAL, 1)
+    else:
+        loading, layout, f_dim = low, MomentLayout.CONDITIONAL, f
+    return seed, trials, loading.shape[0] + extra, widths, loading, layout, f_dim
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestConcurrentDraws:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4 * simulate.CHUNK + 13),
+           unit=st.booleans(), f=st.integers(1, 3), p=st.integers(1, 3),
+           extra=st.integers(1, 30))
+    @example(seed=1, trials=simulate.CHUNK, unit=True, f=2, p=2, extra=1)
+    @example(seed=7, trials=2 * simulate.CHUNK, unit=False, f=2, p=2, extra=1)
+    @example(seed=7, trials=simulate.CHUNK + 1, unit=False, f=1, p=3, extra=2)
+    @example(seed=3, trials=4 * simulate.CHUNK + 13, unit=True, f=1, p=1, extra=1)
+    def test_stack_matches_serial_oracle(self, seed, trials, unit, f, p, extra):
+        args = _draw_args(seed, trials, unit, f, p, extra)
+        assert np.array_equal(simulate._sampled_moments(*args).theta,
+                              orc.sampled_moments(*args).theta)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_stack_does_not_depend_on_cpus(self, monkeypatch, cpus):
+        _set_cpus(monkeypatch, cpus)
+        for trials in (7, 2 * simulate.CHUNK, 4 * simulate.CHUNK + 13):
+            for unit in (True, False):
+                args = _draw_args(5, trials, unit, 2, 2, 3)
+                assert np.array_equal(simulate._sampled_moments(*args).theta,
+                                      orc.sampled_moments(*args).theta)
+
+    def test_each_chunk_is_drawn_once_under_contention(self, monkeypatch):
+        """More workers than cores and a short switch interval: no chunk is lost or repeated."""
+        _set_cpus(monkeypatch, 8)
+        rng_for = simulate._rng_for
+        started = []
+
+        def counting(seed, chunk):
+            started.append(chunk)
+            return rng_for(seed, chunk)
+
+        monkeypatch.setattr(simulate, "_rng_for", counting)
+        args = _draw_args(11, 40 * simulate.CHUNK + 3, True, 1, 1, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            theta = simulate._sampled_moments(*args).theta
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(41))
+        assert np.array_equal(theta, orc.sampled_moments(*args).theta)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_worker_count(self, monkeypatch, cpus):
+        _set_cpus(monkeypatch, cpus)
+        assert simulate._worker_count(1, (2,)) == 1
+        assert simulate._worker_count(5, (2,)) == min(cpus, 5)
+        # each worker holds its chunk's leading-width draws: 2 of 4 columns, then 1 of 4
+        assert simulate._worker_count(5, (2, 2)) == min(cpus, 2)
+        assert simulate._worker_count(5, (1, 3)) == min(cpus, 4)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("unit,bound", [(True, 0.25), (False, 1.25)],
+                             ids=["unit", "conditional"])
+    def test_memory_does_not_grow_with_cpus(self, monkeypatch, cpus, unit, bound):
+        """All workers together hold at most about one chunk's draws."""
+        _set_cpus(monkeypatch, cpus)
+        args = _draw_args(3, 3 * simulate.CHUNK + 7, unit, 2, 2, 495)
+        draw_bytes = simulate.CHUNK * args[2] * sum(args[3]) * 8
+
+        simulate._sampled_moments(*args)  # lasting caches of first use are not the build's
+        tracemalloc.start()
+        try:
+            simulate._sampled_moments(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * draw_bytes
+
+    @pytest.mark.parametrize("bad_chunk", [0, 3, 7])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_worker_error_is_raised_in_caller(self, monkeypatch, capsys, bad_chunk, error):
+        _set_cpus(monkeypatch, 2)
+        raised = error(f"chunk {bad_chunk}")
+        rng_for = simulate._rng_for
+        started = []
+
+        def failing(seed, chunk):
+            started.append(chunk)
+            if chunk == bad_chunk:
+                raise raised
+            return rng_for(seed, chunk)
+
+        monkeypatch.setattr(simulate, "_rng_for", failing)
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            simulate._sampled_moments(*_draw_args(1, 8 * simulate.CHUNK, False, 2, 2, 400))
+        assert info.value is raised
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == ""
+        # the other worker finishes the chunk it holds and takes no more
+        assert max(started) <= bad_chunk + 2
+
 
 def _unit_corner(rng, d, pd=True):
     """A symmetric moment with unit corner, positive definite or with a negative eigenvalue."""
