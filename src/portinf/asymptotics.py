@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
-from .kernels import d_qform_inv_vech, vech, vech_len
-from .moments import PD_RTOL, AugmentedMoment, mean_and_covariance, portfolio_head
+from .kernels import PD_RTOL, d_qform_inv_vech, vech, vech_len
+from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
 
 logger = logging.getLogger(__name__)
 

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .harness import RollingVolSpec, RunConfig
-from .kernels import MatrixShape, ivech, side_from_vech_len
+from .kernels import MatrixShape, ivech, vech_len
 from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
 from .moments import MomentLayout
 
@@ -62,7 +62,9 @@ def _load_matrix(path: str) -> np.ndarray:
             # an empty file reaches the shape checks as a (0, 1) matrix
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # numpy's own not-found message repeats the path
+        raise ParseError(f"{path}: {exc.strerror or 'not found'}") from exc
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -285,11 +287,12 @@ def cmd_lrt(cfg: RunConfig) -> int:
         values, None, weights, constraints.ConditionalModel.CONSTANT_SR)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
     raw = _load_matrix(cfg.constraints_file)
-    m_len = raw.shape[1] - 1
-    side = side_from_vech_len(m_len)
-    if side != tm.dim:
-        raise ParseError(
-            f"constraint rows encode a {side}x{side} matrix, moments are {tm.dim}x{tm.dim}")
+    width = vech_len(tm.dim) + 1
+    if raw.size == 0 or raw.shape[1] != width:
+        rows, fields = raw.shape if raw.size else (0, 0)
+        raise ShapeMismatch(
+            f"{cfg.constraints_file} has {rows} rows of {fields} fields; each constraint row "
+            f"needs {width}: vech of a {tm.dim}x{tm.dim} matrix, then the target")
     mats = [ivech(row[:-1], MatrixShape.SYMMETRIC) for row in raw]
     cs = gaussian.TraceConstraintSet(mats, raw[:, -1])
     sol = gaussian.lrt_solve(tm, cs)

@@ -26,6 +26,7 @@ from .errors import (
     SingularWeighting,
 )
 from .kernels import (
+    PD_RTOL,
     RANK_RTOL,
     MatrixShape,
     block_diag,
@@ -35,6 +36,7 @@ from .kernels import (
     d_qform_inv_vech,
     full_row_rank,
     ivech,
+    spd_inverse,
     vech,
     vech_gradient,
     vech_len,
@@ -102,12 +104,9 @@ class CholeskyConstraint:
 
 def _project_core(jt: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The projection J~' (J~ theta J~')^-1 J~."""
-    core = jt @ theta @ jt.T
-    try:
-        core_inv = np.linalg.inv(core)
-    except np.linalg.LinAlgError as exc:
-        raise SingularProjection("projected moment is singular") from exc
-    core_inv = 0.5 * (core_inv + core_inv.T)
+    core_inv, ratio = spd_inverse(jt @ theta @ jt.T)
+    if not ratio >= PD_RTOL:
+        raise SingularProjection(f"projected moment is singular (eigenvalue ratio {ratio:.3e})")
     return jt.T @ core_inv @ jt
 
 
@@ -270,13 +269,11 @@ def constrained_cholesky_estimate(
         bmat = cc.b_matrix
         if bmat.shape[1] != m:
             raise ShapeMismatch(f"constraint columns {bmat.shape[1]} != vech length {m}")
-        w = np.eye(m) if cc.weighting is None else np.asarray(cc.weighting, dtype=float)
-        try:
-            winv_bt = np.linalg.solve(w, bmat.T)
-            gram = bmat @ winv_bt
-            gram_inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise SingularWeighting("weighted constraint gram is singular") from exc
+        w_inv, ratio = spd_inverse(np.eye(m) if cc.weighting is None else cc.weighting)
+        winv_bt = w_inv @ bmat.T
+        gram_inv, gram_ratio = spd_inverse(bmat @ winv_bt)
+        if not min(ratio, gram_ratio) >= PD_RTOL:
+            raise SingularWeighting("weighting or weighted constraint gram is singular")
         proj = np.eye(m) - winv_bt @ gram_inv @ bmat
         z = winv_bt @ gram_inv @ cc.b_vector + proj @ y
 
@@ -311,7 +308,7 @@ def reduced_rank_coefficient(
         raise EigGapTooSmall(
             f"gap {vals[r - 1] - vals[r]:.3e} at rank {r} below {RANK_RTOL:.0e} of leading eigenvalue"
         )
-    if vals[r - 1] < 1e-12 * max(vals[0], 1e-300):
+    if vals[r - 1] < PD_RTOL * max(vals[0], 1e-300):
         raise RankDeficient(f"eigenvalue {r} of {vals[r - 1]:.3e} is numerically zero")
     g = 1.0 / vals[:r]
     div = np.zeros((d, d))

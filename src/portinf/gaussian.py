@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     SingularJacobian,
 )
-from .kernels import check_symmetric, vech, vech_pair
+from .kernels import PD_RTOL, check_symmetric, spd_inverse, vech, vech_pair
 from .moments import AugmentedMoment, MomentLayout
 
 
@@ -151,44 +151,6 @@ class LrtStack:
                            self.residual[i], [float(h) for h in self.history[i, :it + 1]])
 
 
-def _spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of an (n, d, d) stack via Cholesky, and the mask of PD members.
-
-    The factor is built one column at a time across the stack, so a
-    member that is not positive definite (or not finite) is flagged
-    instead of raising for the whole stack; its inverse is the identity.
-    """
-    n, d, _ = a.shape
-    low = np.zeros_like(a)
-    ok = np.ones(n, dtype=bool)
-    for j in range(d):
-        row = low[:, j, :j]
-        pivot = a[:, j, j] - np.sum(row * row, axis=1)
-        ok &= (pivot > 0.0) & np.isfinite(pivot)
-        diag = np.sqrt(np.where(ok, pivot, 1.0))
-        low[:, j, j] = diag
-        below = a[:, j + 1:, j] - np.sum(low[:, j + 1:, :j] * row[:, None, :], axis=2)
-        low[:, j + 1:, j] = below / diag[:, None]
-    low[~ok] = np.eye(d)
-    low_inv = np.linalg.solve(low, np.broadcast_to(np.eye(d), low.shape))
-    return low_inv.swapaxes(1, 2) @ low_inv, ok
-
-
-def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of square systems; the mask marks the members that were solvable."""
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        out = np.zeros_like(b)
-        ok = np.ones(len(a), dtype=bool)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return out, ok
-
-
 def lrt_solve_stack(
     tm: AugmentedMoment,
     cs: TraceConstraintSet,
@@ -200,12 +162,15 @@ def lrt_solve_stack(
 
     The constrained maximizer is the sample moment minus a multiplier
     combination of the constraint matrices; Newton steps on the residual
-    tr(A_i inv(theta0)) - a_i use the Jacobian tr(A_i inv A_l inv) and a
-    step-halving line search that keeps theta0 positive definite and the
-    residual norm non-increasing. All members step together; each has its
-    own line search, and a member leaves the iteration when it converges
-    or fails, with its status recording why. A single moment is a stack
-    of one.
+    tr(A_i inv(theta0)) - a_i use the Jacobian tr(A_i inv A_l inv), the
+    Gram matrix of the constraints in the inv-weighted inner product and
+    so SPD when they are independent, and a step-halving line search that
+    keeps theta0 positive definite and the residual norm non-increasing.
+    theta0, each candidate and each Jacobian are inverted and gated by
+    kernels.spd_inverse. All members step together; each has its own
+    line search, and a member leaves the iteration when it converges or
+    fails, with its status recording why. A single moment is a stack of
+    one.
     """
     d = tm.dim
     thetas = tm.theta.reshape(-1, d, d)
@@ -232,7 +197,8 @@ def lrt_solve_stack(
         return np.sum(inv0[:, None] * mats, axis=(2, 3)) - cs.targets
 
     theta0 = constrained(thetas, lam)
-    inv0, pd = _spd_inverse(theta0)
+    inv0, ratio = spd_inverse(theta0)
+    pd = ratio >= PD_RTOL
     status = np.where(pd, LRT_OK, LRT_INITIAL_NOT_PD)
     res = residual_of(inv0)
     sup = np.abs(res).max(axis=1)
@@ -246,8 +212,11 @@ def lrt_solve_stack(
         if idx.size == 0:
             break
         w = inv0[idx, None] @ mats @ inv0[idx, None]
-        jac = np.sum(w[:, :, None] * mats, axis=(3, 4))
-        step, solved = _solve_each(jac, res[idx])
+        # a Jacobian near underflow gives a step that overflows, and the line search rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac_inv, jac_ratio = spd_inverse(np.sum(w[:, :, None] * mats, axis=(3, 4)))
+            step = (jac_inv @ res[idx][:, :, None])[:, :, 0]
+        solved = jac_ratio >= PD_RTOL
         status[idx[~solved]] = LRT_SINGULAR_JACOBIAN
         idx, step = idx[solved], step[solved]
 
@@ -262,10 +231,10 @@ def lrt_solve_stack(
             with np.errstate(over="ignore", invalid="ignore"):
                 cand = lam[members] - scale * step[trying]
                 theta_c = constrained(thetas[members], cand)
-                inv_c, pd_c = _spd_inverse(theta_c)
+                inv_c, ratio_c = spd_inverse(theta_c)
             res_c = residual_of(inv_c)
             sup_c = np.abs(res_c).max(axis=1)
-            take = pd_c & (sup_c <= sup[members])
+            take = (ratio_c >= PD_RTOL) & (sup_c <= sup[members])
             won = members[take]
             lam[won], theta0[won], inv0[won] = cand[take], theta_c[take], inv_c[take]
             res[won], sup[won] = res_c[take], sup_c[take]

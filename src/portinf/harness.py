@@ -1,8 +1,8 @@
 """Data ingestion, feature preparation, and report rendering.
 
-All lagging of features and volatility weights happens here, once,
-before any moment matrix is formed; the estimation modules never shift
-time themselves.
+rolling_volatility delays the volatility weights here; features are
+lagged in cli._prepare. Both happen once, before any moment matrix is
+formed; the estimation modules never shift time themselves.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-10
+PD_RTOL = 1e-12  # the least spd_inverse ratio a positive definite matrix may have
 
 
 class MatrixShape(Enum):
@@ -43,15 +44,6 @@ class MatrixShape(Enum):
 
 def vech_len(n: int) -> int:
     return n * (n + 1) // 2
-
-
-def side_from_vech_len(m: int) -> int:
-    """Side length n such that n(n+1)/2 == m, or raise BadLength."""
-    n = int((np.sqrt(8 * m + 1) - 1) / 2)
-    for cand in (n - 1, n, n + 1):
-        if cand > 0 and vech_len(cand) == m:
-            return cand
-    raise BadLength(f"no integer n with n(n+1)/2 == {m}")
 
 
 def vech_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,13 +141,43 @@ def ivech(v: np.ndarray, shape: MatrixShape = MatrixShape.SYMMETRIC) -> np.ndarr
     upper triangle zero.
     """
     v = np.asarray(v, dtype=float).ravel()
-    n = side_from_vech_len(v.size)
+    n = round((math.sqrt(8 * v.size + 1) - 1) / 2)
+    if n < 1 or vech_len(n) != v.size:
+        raise BadLength(f"no integer n with n(n+1)/2 == {v.size}")
     rows, cols = vech_indices(n)
     out = np.zeros((n, n))
     out[rows, cols] = v
     if shape is MatrixShape.SYMMETRIC:
         out[cols, rows] = v
     return out
+
+
+def spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Inverse of a symmetric matrix, or of each member of an (n, d, d) stack, and its ratio.
+
+    Each member is equilibrated, A = D a D with D = diag(a)^-1/2, so the
+    ratio is unit-free. One eigh A = V L V' gives the ratio, the smallest
+    eigenvalue over the largest, and Y = V L^-1 V', which one Newton step
+    Y + Y (I - A Y) refines to the accuracy of an LU inverse; the inverse
+    is D Y D. Callers gate with ratio >= PD_RTOL. The ratio is NaN for a
+    member with a non-finite entry or a non-positive diagonal, and at most
+    0 for one with a non-positive eigenvalue; both get the identity as
+    inverse, so a bad member never fails the rest of a stack.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[-1])
+    valid = np.isfinite(a).all(axis=(-2, -1)) & (np.diagonal(a, 0, -2, -1) > 0).all(axis=-1)
+    a = np.where(valid[..., None, None], a, eye)
+    scale = 1.0 / np.sqrt(np.diagonal(a, 0, -2, -1))
+    a = scale[..., :, None] * a * scale[..., None, :]
+    vals, vecs = np.linalg.eigh(a)
+    ratio = np.where(valid, vals[..., 0] / vals[..., -1], np.nan)
+    pd = (ratio > 0)[..., None]
+    y = (vecs / np.where(pd, vals, 1.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    y += y @ (eye - a @ y)
+    inv = scale[..., :, None] * y * scale[..., None, :]
+    inv = np.where(pd[..., None], 0.5 * (inv + inv.swapaxes(-1, -2)), eye)
+    return inv, ratio[()]  # a float for one matrix
 
 
 def _inv(a: np.ndarray, err: str) -> np.ndarray:

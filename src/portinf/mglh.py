@@ -110,12 +110,14 @@ def _stack(spec: MglhSpec) -> np.ndarray:
 class _Factors:
     """G1 and G2 with the solves their gradient reuses.
 
-    feature_c is inv(feature gram) C and core_inv the inverse of the
-    bordered moment M' theta M; each is a stack for a stack of moments.
+    g1_inv is C' inv(feature gram) C, the matrix G1 inverts, feature_c is
+    inv(feature gram) C and core_inv the inverse of the bordered moment
+    M' theta M; each is a stack for a stack of moments.
     """
 
     g1: np.ndarray
     g2: np.ndarray
+    g1_inv: np.ndarray
     feature_c: np.ndarray
     core_inv: np.ndarray
 
@@ -126,8 +128,9 @@ def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
     f = tm.f_dim
     spec.validate_against(f, tm.n_assets)
     feature_c = _feature_solve(tm.theta[..., :f, :f], spec.c_matrix)
+    cquad = spec.c_matrix.T @ feature_c
     try:
-        g1 = np.linalg.inv(spec.c_matrix.T @ feature_c)
+        g1 = np.linalg.inv(cquad)
     except np.linalg.LinAlgError as exc:
         raise SingularCquad("C' inv(feature gram) C is singular") from exc
     mt = _border(spec, f)
@@ -137,7 +140,7 @@ def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
     except np.linalg.LinAlgError as exc:
         raise SingularTheta("bordered moment is singular") from exc
     s = _stack(spec)
-    return _Factors(_sym(g1), _sym(s.T @ core_inv @ s), feature_c, core_inv)
+    return _Factors(_sym(g1), _sym(s.T @ core_inv @ s), _sym(cquad), feature_c, core_inv)
 
 
 def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +195,8 @@ def _gradients(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndar
     l1[: tm.f_dim] = fac.feature_c @ g1
     r2 = _border(spec, tm.f_dim) @ (fac.core_inv @ _stack(spec))
 
-    g1_inv = np.linalg.inv(g1)
-    g2_inv = np.linalg.inv(g2)
-    wilks = 1.0 / (np.linalg.det(g1) * np.linalg.det(g2))
+    g1_inv, g2_inv = fac.g1_inv, np.linalg.inv(g2)
+    wilks = np.prod(1.0 / vals)
     if len(vals) > 1 and vals[0] - vals[1] < EIG_GAP_RTOL * max(abs(vals[0]), 1e-300):
         raise RepeatedEigenvalue("leading root of the product is not simple")
     v = vecs[:, 0]

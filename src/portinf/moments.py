@@ -22,9 +22,8 @@ from .errors import (
     ZeroMeanVector,
     ZeroSharpe,
 )
-from .kernels import check_symmetric
+from .kernels import PD_RTOL, check_symmetric, spd_inverse
 
-PD_RTOL = 1e-12
 SNR_SQ_FLOOR = 1e-12
 
 
@@ -69,10 +68,10 @@ class AugmentedMoment:
     f_dim is the width of the leading block: 1 for the unconditional and
     single-weight layouts, the feature count for the conditional layout.
     theta may also be an (n, d, d) stack of n moments that share the
-    sample size and layout, each member validated as one matrix is; the
-    mglh statistics and the LRT solver take such a stack, the other
-    estimators one matrix. The moment is frozen and theta read-only, so
-    the cached inverse cannot go stale.
+    sample size and layout, each member validated and inverted as one
+    matrix is; the mglh statistics and the LRT solver take such a stack,
+    the other estimators one matrix. The moment is frozen and theta
+    read-only, so the cached inverse cannot go stale.
     """
 
     theta: np.ndarray
@@ -104,30 +103,22 @@ class AugmentedMoment:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """theta^-1, symmetrized, read-only and cached: the one inverse and PD gate.
+        """theta^-1, read-only and cached: the one inverse and PD gate, see kernels.spd_inverse.
 
-        theta is equilibrated, A = D theta D with D = diag(theta)^-1/2, so
-        the gate and the inverse are unit-free. One eigh A = V L V' gives
-        the eigenvalue ratio gated against PD_RTOL and Y = V L^-1 V', which
-        one Newton step Y + Y (I - A Y) refines to the accuracy of an LU
-        inverse; theta^-1 = D Y D. A stack of moments has no single inverse.
+        A stack of moments has the stack of its members' inverses, and
+        any member below the gate raises SingularTheta.
         """
-        if self.theta.ndim != 2:
-            raise ShapeMismatch("a stack of moments has no single inverse")
-        diag = np.diag(self.theta)
-        bad = ~(np.isfinite(self.theta).all(axis=0) & (diag > 0))
-        if bad.any():
-            raise SingularTheta(f"moment column {np.argmax(bad)} is all zero or not finite")
-        scale = 1.0 / np.sqrt(diag)
-        a = scale[:, None] * self.theta * scale
-        vals, vecs = np.linalg.eigh(a)
-        if not vals[0] >= PD_RTOL * vals[-1]:
-            raise SingularTheta(f"smallest eigenvalue {vals[0]:.3e} of the equilibrated moment "
-                                f"below {PD_RTOL:.0e} of largest")
-        y = (vecs / vals) @ vecs.T
-        y += y @ (np.eye(self.dim) - a @ y)
-        inv = scale[:, None] * y * scale
-        inv = 0.5 * (inv + inv.T)
+        inv, ratio = spd_inverse(self.theta)
+        if not (ratio >= PD_RTOL).all():
+            ratio = np.atleast_1d(ratio)
+            i = np.argmin(ratio >= PD_RTOL)  # the first member below the gate
+            where = f"stack member {i}: " if self.theta.ndim == 3 else ""
+            if np.isnan(ratio[i]):  # theta is finite, so a diagonal entry is not positive
+                diag = np.diag(self.theta.reshape(-1, self.dim, self.dim)[i])
+                raise SingularTheta(f"{where}moment column {np.argmax(~(diag > 0))} is all zero "
+                                    "or not finite")
+            raise SingularTheta(f"{where}eigenvalue ratio {ratio[i]:.3e} of the equilibrated "
+                                f"moment below {PD_RTOL:.0e}")
         inv.setflags(write=False)
         return inv
 

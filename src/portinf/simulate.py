@@ -32,7 +32,7 @@ from .gaussian import (
 from .kernels import chol, vech_indices
 from .mglh import MglhSpec, mglh_derivatives, mglh_statistics
 from .moments import AugmentedMoment, MomentLayout
-from .asymptotics import theta_inverse_covariance
+from .asymptotics import OmegaEstimate, theta_inverse_covariance
 
 SUITES = ("theorem1", "gaussian", "lrt", "mglh")
 CHUNK = 250
@@ -214,7 +214,7 @@ def theorem1_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> Su
     ri, ci = vech_indices(theta_pop.shape[0])
     loading = _unit_loading(mu, chol(sigma))
     tm = _sampled_moments(seed, trials, sample_size, (mu.size,), loading)
-    v = np.linalg.inv(tm.theta)[:, ri, ci]
+    v = tm.inverse[:, ri, ci]
     emp = sample_size * np.cov(v, rowvar=False)
     rel = np.linalg.norm(emp - theo) / np.linalg.norm(theo)
     rep = SuiteReport("theorem1", seed, trials, sample_size)
@@ -243,7 +243,7 @@ def lrt_suite(seed: int, trials: int = 2000, sample_size: int = 1000) -> SuiteRe
     sigma = np.array([[1.0, 0.2], [0.2, 0.8]])
     theta_pop = np.block([[np.ones((1, 1)), mu[None, :]],
                           [mu[:, None], sigma + np.outer(mu, mu)]])
-    inv_pop = np.linalg.inv(theta_pop)
+    inv_pop = AugmentedMoment(theta_pop, n_obs=sample_size).inverse
     a1 = np.diag([0.0, 1.0, 0.0])
     a2 = np.zeros((3, 3))
     a2[0, 1] = a2[1, 0] = 0.5
@@ -280,8 +280,8 @@ def mglh_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteR
                              layout=MomentLayout.CONDITIONAL, f_dim=f)
     spec = MglhSpec(np.eye(p), np.eye(f), np.zeros((p, f)))
     q = mglh_derivatives(tm_pop, spec)["hlt"]
-    omega_pop = omega_gaussian_centered(theta_pop)
-    theo_var = float(q @ omega_pop @ q)
+    om_pop = OmegaEstimate(omega_gaussian_centered(theta_pop), "gaussian", n_obs=sample_size)
+    theo_var = om_pop.sandwich(q)
     # rows [f', x'] with f = L_f z_f and x = B f + L_s z_e, the features drawn first
     chol_f, chol_s = chol(sig_f), chol(sigma)
     loading = np.block([[chol_f, np.zeros((f, p))], [bmat @ chol_f, chol_s]])

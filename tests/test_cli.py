@@ -156,10 +156,13 @@ class TestMglhCommand:
         assert "usage error" in err and "more rows than columns" in err
 
 
-@pytest.mark.parametrize("command", ["mglh", "lrt"])
-def test_empty_matrix_file_prints_only_the_usage_error(capsys, tmp_path, command):
+@pytest.mark.parametrize("command,text", [pytest.param("mglh", "", id="mglh"),
+                                          pytest.param("lrt", "", id="lrt"),
+                                          pytest.param("lrt", "# a comment only\n",
+                                                       id="lrt-comment-only")])
+def test_empty_matrix_file_prints_only_the_usage_error(capsys, tmp_path, command, text):
     empty = tmp_path / "empty.csv"
-    empty.write_text("")
+    empty.write_text(text)
     files = (["--features", "level,delta", "--A", str(empty), "--C", str(empty),
               "--T", str(empty)] if command == "mglh" else ["--constraints", str(empty)])
     with warnings.catch_warnings(record=True) as caught:
@@ -169,6 +172,8 @@ def test_empty_matrix_file_prints_only_the_usage_error(capsys, tmp_path, command
     assert not caught
     assert "UserWarning" not in err
     assert err.startswith("usage error") and err.count("\n") == 1
+    if command == "lrt":
+        assert f"{empty} has 0 rows of 0 fields" in err and "needs 11" in err
 
 
 class TestLrtCommand:
@@ -338,6 +343,27 @@ class TestExitCodes:
                          "--constraints", str(path)])
         assert code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("rows,fields", [(1, 1), (1, 7), (1, 8), (2, 10), (1, 12)])
+    def test_constraints_of_the_wrong_width_are_usage_errors(self, capsys, tmp_path,
+                                                             rows, fields):
+        # three assets give a 4x4 moment: vech of 10 coordinates, then the target
+        path = tmp_path / "cons.csv"
+        np.savetxt(path, np.full((rows, fields), 0.5), delimiter=",")
+        code = cli.main(["lrt", "--input", FIXTURE, "--assets", ASSETS,
+                         "--constraints", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"usage error: {path} has {rows} rows of {fields} fields; each "
+                       "constraint row needs 11: vech of a 4x4 matrix, then the target\n")
+
+    def test_missing_matrix_file_is_named_once(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code = cli.main(["lrt", "--input", FIXTURE, "--assets", ASSETS,
+                         "--constraints", str(missing)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"data error: {missing}: not found\n"
 
     @pytest.mark.parametrize("hac", ["bartlett:-3", "foo:0", "bartlett:x", "bartlett:"])
     def test_bad_hac_is_usage_error(self, capsys, hac):

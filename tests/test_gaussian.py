@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from portinf import gaussian as ga
 from portinf import oracles as orc
 from portinf.asymptotics import theta_inverse_covariance
-from portinf.errors import NumericalError, ShapeMismatch
+from portinf.errors import NumericalError, ShapeMismatch, SingularJacobian
 from portinf.moments import AugmentedMoment
 
 from conftest import rand_unit_corner_theta
@@ -162,6 +162,15 @@ class TestLrtSolve:
         inv0 = np.linalg.inv(sol.theta0)
         for a, t in zip((a1, a2, a3), targets):
             assert abs(np.sum(a * inv0) - t) < 1e-8
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15], ids=["repeated", "nearly_repeated"])
+    def test_dependent_constraints_have_a_singular_jacobian(self, eps):
+        # the Jacobian is the Gram matrix of the constraints, singular when they are dependent
+        a1 = np.diag([0.0, 1.0, 0.0])
+        a2 = a1 + eps * np.diag([0.0, 0.0, 1.0])
+        target = 0.9 * self.inv[1, 1]
+        with pytest.raises(SingularJacobian):
+            ga.lrt_solve(self.tm, ga.TraceConstraintSet([a1, a2], [target, target]))
 
     def test_residual_norm_descends(self):
         a = np.diag([0.0, 1.0, 0.0])

@@ -1,5 +1,7 @@
 """Structural operators, vech gathers and derivative rules against their oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,16 +122,57 @@ class TestStructuralMatrices:
 
 
 class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_definition(self):
-        np.testing.assert_array_equal(np.kron([[1, 2]], [[3], [4]]), [[3, 6], [4, 8]])
-
     def test_vec_of_product_identity(self, rng):
         a, x, b = (rng.standard_normal((2, 2)) for _ in range(3))
         np.testing.assert_allclose(
             orc.vec(a @ x @ b), np.kron(b.T, a) @ orc.vec(x), atol=1e-12)
+
+
+class TestSpdInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 10_000))
+    def test_stack_is_its_members_and_matches_lu(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        # each member in its own units, so the equilibration has work to do
+        stack = np.stack([rand_spd(rng, d) * np.outer(u, u)
+                          for u in 10.0 ** rng.uniform(-2, 2, (n, d))])
+        inv, ratio = kn.spd_inverse(stack)
+        assert inv.shape == stack.shape and ratio.shape == (n,)
+        for k in range(n):
+            one, one_ratio = kn.spd_inverse(stack[k])
+            np.testing.assert_array_equal(inv[k], one)
+            assert ratio[k] == one_ratio and kn.PD_RTOL <= one_ratio <= 1.0
+            want = np.linalg.inv(stack[k])
+            assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
+            np.testing.assert_array_equal(one, one.T)
+
+    @pytest.mark.parametrize("bad", ["nan", "zero_diagonal", "indefinite"])
+    def test_bad_member_fails_the_gate_alone(self, bad, rng):
+        stack = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        want_inv, want_ratio = kn.spd_inverse(stack)
+        if bad == "nan":
+            stack[2, 0, 1] = stack[2, 1, 0] = np.nan
+        elif bad == "zero_diagonal":
+            stack[2, 1, 1] = 0.0
+        else:  # a positive diagonal, eigenvalues 3, 1 and -1
+            stack[2] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv, ratio = kn.spd_inverse(stack)
+        assert not ratio[2] >= kn.PD_RTOL
+        assert np.isnan(ratio[2]) == (bad != "indefinite")
+        np.testing.assert_array_equal(inv[2], np.eye(3))
+        keep = [0, 1, 3]
+        np.testing.assert_array_equal(inv[keep], want_inv[keep])
+        np.testing.assert_array_equal(ratio[keep], want_ratio[keep])
+
+    def test_single_matrix_ratio_is_a_float(self):
+        inv, ratio = kn.spd_inverse(np.diag([4.0, 1e-6]))
+        assert ratio == 1.0
+        np.testing.assert_array_equal(inv, np.diag([0.25, 1e6]))
+        inv, ratio = kn.spd_inverse(np.zeros((2, 2)))
+        assert isinstance(ratio, float) and np.isnan(ratio)
+        np.testing.assert_array_equal(inv, np.eye(2))
 
 
 class TestInverseVechDerivative:

@@ -11,7 +11,6 @@ from portinf import moments as mo
 from portinf.errors import (
     LengthMismatch,
     NonPositiveWeight,
-    ShapeMismatch,
     SingularTheta,
     ZeroMeanVector,
 )
@@ -83,9 +82,20 @@ class TestInverse:
         with pytest.raises(ValueError):
             tm.inverse[1, 1] = 2.0
 
-    def test_stack_has_no_single_inverse(self, rng):
+    def test_stack_inverse_is_each_members(self, rng):
         stack = np.stack([rand_unit_corner_theta(rng, 2) for _ in range(3)])
-        with pytest.raises(ShapeMismatch):
+        tm = AugmentedMoment(stack, n_obs=10)
+        assert tm.inverse is tm.inverse
+        for k in range(3):
+            np.testing.assert_array_equal(tm.inverse[k],
+                                          AugmentedMoment(stack[k], n_obs=10).inverse)
+        with pytest.raises(ValueError):
+            tm.inverse[1, 1, 1] = 2.0
+
+    def test_stack_member_below_the_gate_is_named(self, rng):
+        stack = np.stack([rand_unit_corner_theta(rng, 2) for _ in range(3)])
+        stack[1, 1:, 1:] = np.outer(stack[1, 1:, 0], stack[1, 1:, 0])  # Sigma = 0
+        with pytest.raises(SingularTheta, match="stack member 1: eigenvalue ratio"):
             AugmentedMoment(stack, n_obs=10).inverse
 
     def test_non_finite_stack_member_is_rejected(self, rng):
