@@ -42,7 +42,7 @@ def main():
 
     # 2. volatility-weighted variant
     weights = harness.rolling_volatility(values)
-    mask = harness.valid_weight_rows(weights)
+    mask = np.isfinite(weights)
     rows_w, layout, f_dim = constraints.conditional_rows(
         values[mask], None, weights[mask], constraints.ConditionalModel.CONSTANT_SR)
     tm_w = moments.sample_theta(rows_w, layout, f_dim=f_dim)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +33,13 @@ HAC_KERNELS = ("bartlett", "parzen")
 class OmegaEstimate:
     """Covariance of vech of the per-row outer products, with provenance.
 
-    A closed form keeps the m-by-m matrix itself. A data estimate keeps
-    the demeaned T-by-m vech series instead, with the HAC lags weighted
-    by `kernel` up to `bandwidth`: a sandwich projects the series on the
-    gradient first and applies the kernel to the T-by-k projection, so
-    the m-by-m matrix is only formed when `omega` is read or a gradient
-    has at least m rows. Once formed it is cached, and every later
-    sandwich uses it.
+    A closed form keeps the m-by-m matrix itself, and every sandwich
+    uses it. A data estimate keeps the demeaned T-by-m vech series
+    instead, with the HAC lags weighted by `kernel` up to `bandwidth`,
+    and the shape of the gradient alone picks the sandwich's path: a
+    gradient with k < m rows projects the series on it and applies the
+    kernel to the T-by-k projection, and one with k >= m rows uses the
+    m-by-m matrix, formed from the series on the first read of `omega`.
     """
 
     matrix: np.ndarray | None
@@ -62,12 +63,10 @@ class OmegaEstimate:
     def dim(self) -> int:
         return (self.matrix if self.series is None else self.series).shape[1]
 
-    @property
+    @cached_property
     def omega(self) -> np.ndarray:
-        """The m-by-m matrix; for a data estimate, formed on first read and cached."""
-        if self.matrix is None:
-            self.matrix = self._long_run(self.series)
-        return self.matrix
+        """The m-by-m matrix; a data estimate forms it on first read."""
+        return self.matrix if self.series is None else self._long_run(self.series)
 
     def sandwich(self, g: np.ndarray) -> np.ndarray | float:
         """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
@@ -77,59 +76,36 @@ class OmegaEstimate:
         g = np.asarray(g, dtype=float)
         if g.shape[-1] != self.dim:
             raise ShapeMismatch(f"gradient of width {g.shape[-1]} does not match omega {self.dim}")
-        if self.matrix is not None or np.atleast_2d(g).shape[0] >= self.dim:
+        if self.series is None or np.atleast_2d(g).shape[0] >= self.dim:
             out = g @ self.omega @ g.T
-            if g.ndim == 1:
-                return float(out)
-            return 0.5 * (out + out.T)
+            return float(out) if g.ndim == 1 else 0.5 * (out + out.T)
         out = self._long_run(self.series @ np.atleast_2d(g).T)
         return float(out[0, 0]) if g.ndim == 1 else out
 
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of omega: each coordinate's (long-run) variance.
+    def _long_run(self, z: np.ndarray) -> np.ndarray:
+        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a series z, Gamma_k = z[k:]' z[:-k] / T.
 
-        A data estimate whose matrix is not formed yet reads it off each
-        coordinate's own series, O(T m bandwidth), and leaves omega
-        unformed. The diagonal of a HAC omega is not clipped; Bartlett
-        and Parzen estimates are PSD, so the clip moves it only by
-        rounding.
-        """
-        if self.matrix is not None:
-            return np.diag(self.matrix).copy()
-        return self._weighted_lags(self.series, lambda a, b: np.einsum("ti,ti->i", a, b))
-
-    def _weighted_lags(self, z: np.ndarray, product) -> np.ndarray:
-        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k'), Gamma_k = product(z[k:], z[:-k]) / T.
-
-        Lags run to the bandwidth for a HAC estimate and are absent otherwise.
+        Lags run to the bandwidth for a HAC estimate and are absent
+        otherwise. Symmetrized; a HAC result is eigenvalue-clipped to
+        positive semidefinite. Bartlett and Parzen estimates are PSD in
+        exact arithmetic, so the clip only absorbs rounding; it is logged
+        when the clipped eigenvalue is beyond the eigensolver's rounding,
+        the size times eps times the largest eigenvalue.
         """
         t = z.shape[0]
-        out = product(z, z) / t
-        lags = self.bandwidth if self.estimator == "hac" else 0
-        for k in range(1, lags + 1):
-            gamma = product(z[k:], z[:-k]) / t
+        out = z.T @ z / t
+        if self.estimator != "hac":
+            return 0.5 * (out + out.T)
+        for k in range(1, self.bandwidth + 1):
+            gamma = z[k:].T @ z[:-k] / t
             out += _kernel_weight(self.kernel, k, self.bandwidth) * (gamma + gamma.T)
-        return out
-
-    def _long_run(self, z: np.ndarray) -> np.ndarray:
-        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a projected series z.
-
-        Symmetrized; a HAC result is eigenvalue-clipped to positive
-        semidefinite. Bartlett and Parzen estimates are PSD in exact
-        arithmetic, so the clip only absorbs rounding; it is logged when
-        the clipped eigenvalue is larger than the eigensolver's rounding
-        (k eps times the largest eigenvalue), a loss of precision that
-        exact arithmetic rules out.
-        """
-        out = self._weighted_lags(z, lambda a, b: a.T @ b)
         out = 0.5 * (out + out.T)
-        if self.estimator == "hac":
-            vals, vecs = np.linalg.eigh(out)
-            if vals[0] < 0:
-                if vals[0] < -vals.size * np.finfo(float).eps * vals[-1]:
-                    logger.warning("HAC estimate indefinite (min eig %.3e); clipping to PSD", vals[0])
-                out = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
-                out = 0.5 * (out + out.T)
+        vals, vecs = np.linalg.eigh(out)
+        if vals[0] < 0:
+            if vals[0] < -vals.size * np.finfo(float).eps * vals[-1]:
+                logger.warning("HAC estimate indefinite (min eig %.3e); clipping to PSD", vals[0])
+            out = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
+            out = 0.5 * (out + out.T)
         return out
 
 
@@ -205,11 +181,11 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
     Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') on the demeaned series. The
-    estimate keeps the series, the kernel and the bandwidth; each
-    sandwich applies w(1..bandwidth) to the series projected on its
-    gradient and clips the k-by-k result to positive semidefinite, so no
-    m-by-m matrix is formed or eigen-decomposed unless `omega` is read
-    or a gradient has at least m rows.
+    estimate keeps the series, the kernel and the bandwidth. A sandwich
+    of a gradient with k < m rows applies w(1..bandwidth) to the series
+    projected on it and clips the k-by-k result to positive semidefinite;
+    the m-by-m matrix, clipped the same way, is formed only when `omega`
+    is read or a gradient has k >= m rows.
     """
     if kernel not in HAC_KERNELS:
         raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")
@@ -229,19 +205,12 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _check_dims(tm: AugmentedMoment, om: OmegaEstimate):
-    m = vech_len(tm.dim)
-    if om.dim != m:
-        raise ShapeMismatch(f"omega of size {om.dim} does not match vech length {m}")
-
-
 def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> DistributionResult:
     """Asymptotic law of vech of the inverse moment matrix.
 
     The Jacobian is the vech inverse rule evaluated at the sample moment;
     the covariance is the sandwich of omega with it.
     """
-    _check_dims(tm, om)
     h = d_qform_inv_vech(tm.inverse)
     point = vech(tm.inverse)
     return DistributionResult(point, om.sandwich(h), om.n_obs)
@@ -261,7 +230,6 @@ def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float) -> tuple[
 
 def portfolio_covariance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> DistributionResult:
     """Asymptotic law of the risk-budgeted optimal weights."""
-    _check_dims(tm, om)
     weights, h, _ = _portfolio_jacobian_chain(tm, risk_budget)
     return DistributionResult(weights, om.sandwich(h), om.n_obs)
 
@@ -275,7 +243,6 @@ def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr
     if not rfr > 0:
         raise NonPositiveRfr("first-order law needs rfr > 0; use snr_second_order")
     _, snr_sq = portfolio_head(tm, risk_budget)
-    _check_dims(tm, om)
     # only the first column of theta^-1, vech coordinates 0..p, enters
     jac = d_qform_inv_vech(tm.inverse, rows=np.arange(tm.dim))
     h = -(rfr / (risk_budget * snr_sq)) * (np.concatenate([[0.5], tm.theta[1:, 0]]) @ jac)
@@ -291,7 +258,6 @@ def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float)
     root (that covariance can be singular, so a Cholesky factor proper
     need not exist).
     """
-    _check_dims(tm, om)
     _, h, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
     snr = np.sqrt(snr_sq)
     mu, sigma = mean_and_covariance(tm)

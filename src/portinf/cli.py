@@ -164,7 +164,7 @@ def _prepare(cfg: RunConfig, need_features: bool):
     weights = None
     if cfg.vol is not None:
         weights = harness.rolling_volatility(values, cfg.vol)
-        keep &= harness.valid_weight_rows(weights)
+        keep &= np.isfinite(weights)
 
     features = None
     if cfg.feature_columns:
@@ -321,7 +321,7 @@ def cmd_attribute(cfg: RunConfig) -> int:
 
     vanilla = r2_for(values, None)
     wts = harness.rolling_volatility(values, spec)
-    mask = harness.valid_weight_rows(wts)
+    mask = np.isfinite(wts)
     weighted = r2_for(values[mask], wts[mask])
     rows_out = [
         [cfg.asset_columns[i], f"{100 * vanilla[i]:.1f}%", f"{100 * weighted[i]:.1f}%"]

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .asymptotics import DistributionResult, OmegaEstimate, _check_dims
+from .asymptotics import DistributionResult, OmegaEstimate
 from .errors import (
     EigGapTooSmall,
     NonPositiveVolFeature,
@@ -114,7 +114,6 @@ def subspace_theta(
     tm: AugmentedMoment, spec: SubspaceSpec, om: OmegaEstimate
 ) -> tuple[np.ndarray, DistributionResult]:
     """Projection of the inverse moment onto the feasible baskets, with its law."""
-    _check_dims(tm, om)
     jt = spec.augmented(tm.f_dim)
     proj = _project_core(jt, tm.theta)
     point = vech(proj)
@@ -130,7 +129,6 @@ def hedged_delta_theta(
     The corner of the delta is the hedged squared Sharpe; the off-corner
     column holds the negated hedged portfolio direction.
     """
-    _check_dims(tm, om)
     gt = spec.augmented(tm.f_dim)
     proj = _project_core(gt, tm.theta)
     point = vech(tm.inverse - proj)
@@ -195,7 +193,6 @@ def markowitz_coefficient(
     conditional moment; its covariance marginalizes the inverse-moment
     law to those coordinates.
     """
-    _check_dims(tm, om)
     f, d, p = tm.f_dim, tm.dim, tm.n_assets
     coef = unpack_theta_inverse(tm).markowitz.reshape(p, f, order="F")
     h = d_qform_inv_vech(tm.inverse, rows=_coefficient_coords(d, f))
@@ -238,10 +235,10 @@ def inverse_variance_weighting(om: OmegaEstimate) -> np.ndarray:
 
     One candidate for the constrained-projection weighting matrix; the
     right choice is an open problem, so this carries no endorsement.
-    Zero-variance coordinates get the largest finite weight. Only the
-    diagonal is read, so a data estimate's m-by-m omega is not formed.
+    Zero-variance coordinates get the largest finite weight. The diagonal
+    is read off `om.omega`, so a data estimate forms its m-by-m matrix.
     """
-    diag = om.diagonal()
+    diag = np.diag(om.omega)
     floor = 1e-12 * max(diag.max(), 1e-300)
     return np.diag(1.0 / np.clip(diag, floor, None))
 
@@ -255,7 +252,6 @@ def constrained_cholesky_estimate(
     constraint plane, rebuilds the moment from the projected factor, and
     chains the gram, projection, and Cholesky Jacobians for the law.
     """
-    _check_dims(tm, om)
     d = tm.dim
     m = vech_len(d)
     factor = chol(tm.theta)
@@ -298,7 +294,6 @@ def reduced_rank_coefficient(
     dropped ones. The only denominator is the kept/dropped gap, gated
     against RANK_RTOL of the leading eigenvalue.
     """
-    _check_dims(tm, om)
     f, d, p = tm.f_dim, tm.dim, tm.n_assets
     if r < 1 or r > d:
         raise ShapeMismatch(f"rank {r} out of range 1..{d}")

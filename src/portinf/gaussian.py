@@ -98,7 +98,7 @@ class LrtSolution:
 
 # Member status of a stacked solve: 0 is a solution, the rest name the failure.
 LRT_OK, LRT_INITIAL_NOT_PD, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVERGENCE, \
-    LRT_LOGDET = range(6)
+    LRT_SAMPLE_NOT_PD = range(6)
 LINE_SEARCH_HALVINGS = 20
 
 
@@ -139,7 +139,7 @@ class LrtStack:
         if code == LRT_NO_CONVERGENCE:
             return NoConvergence(f"residual sup-norm {np.abs(self.residual[i]).max():.3e} "
                                  f"after {self.iterations[i]} iterations")
-        return LostPositiveDefiniteness("log-determinant of a non-PD matrix")
+        return LostPositiveDefiniteness("the sample moment is not positive definite")
 
     def member(self, i: int) -> LrtSolution:
         """Member i as a one-moment solution; raises its typed error if it failed."""
@@ -250,13 +250,26 @@ def lrt_solve_stack(
     stat = np.full(n, np.nan)
     good = np.flatnonzero(status == LRT_OK)
     if good.size:
-        sign0, logdet0 = np.linalg.slogdet(theta0[good])
-        sign1, logdet1 = np.linalg.slogdet(thetas[good])
-        status[good[(sign0 <= 0) | (sign1 <= 0)]] = LRT_LOGDET
-        trace = np.sum(inv0[good] * thetas[good], axis=(1, 2))
-        stat[good] = tm.n_obs * (logdet0 - logdet1 + trace - d)
+        # n (logdet theta0 - logdet theta + tr(theta0^-1 theta) - d) is n sum(nu - log1p nu)
+        # over the eigenvalues nu of theta0^-1/2 (theta - theta0) theta0^-1/2, with
+        # theta - theta0 straight from the multipliers, so no log-determinants cancel
+        scale = 1.0 / np.sqrt(np.diagonal(theta0[good], 0, -2, -1))
+        vals, vecs = np.linalg.eigh(scale[:, :, None] * theta0[good] * scale[:, None, :])
+        half = scale[:, :, None] * vecs / np.sqrt(vals)[:, None, :]  # half half' = theta0^-1
+        delta = np.sum(lam[good, :, None, None] * mats, axis=1)
+        nu = np.linalg.eigvalsh(half.swapaxes(1, 2) @ delta @ half)
+        status[good[(1.0 + nu <= 0).any(axis=1)]] = LRT_SAMPLE_NOT_PD
+        stat[good] = tm.n_obs * _nu_minus_log1p(np.where(1.0 + nu > 0, nu, 0.0)).sum(axis=1)
         stat[status != LRT_OK] = np.nan
     return LrtStack(lam, theta0, stat, m, iterations, status, res, history)
+
+
+def _nu_minus_log1p(nu: np.ndarray) -> np.ndarray:
+    """nu - log1p(nu), from its Taylor series sum_k>=2 (-nu)^k / k where the two cancel."""
+    acc = np.full_like(nu, 1.0 / 16)
+    for k in range(15, 1, -1):  # Horner: 16 terms reach rounding at |nu| < 0.05
+        acc = 1.0 / k - nu * acc
+    return np.where(np.abs(nu) < 0.05, nu * nu * acc, nu - np.log1p(nu))
 
 
 def lrt_solve(

@@ -132,8 +132,8 @@ def load_csv(
                 feats.append(fv)
                 if date_column:
                     stamps.append(rec[date_column])
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except OSError as exc:  # the OS message repeats the path
+        raise ParseError(f"{path}: {exc.strerror or 'not found'}") from exc
     if not rows:
         raise EmptyPanel(f"{path}: no usable rows")
     if date_column and any(b <= a for a, b in zip(stamps, stamps[1:])):
@@ -179,11 +179,6 @@ def rolling_volatility(values: np.ndarray, spec: RollingVolSpec | None = None) -
         if i + spec.lag < t:
             weights[i + spec.lag] = 1.0 / vol
     return weights
-
-
-def valid_weight_rows(weights: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows whose lagged weight is defined."""
-    return np.isfinite(np.asarray(weights, dtype=float))
 
 
 # --- report rendering ----------------------------------------------------

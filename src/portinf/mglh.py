@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import OmegaEstimate, _check_dims
+from .asymptotics import OmegaEstimate
 from .errors import (
     RankDeficient,
     RepeatedEigenvalue,
@@ -237,7 +237,6 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     more like chi-square variates in small samples, so the scores are
     flagged as approximations.
     """
-    _check_dims(tm, om)
     fac = _factorize(tm, spec)
     vals, vecs = _g1g2_eigen(fac.g1, fac.g2)
     result = _statistics(vals, spec, tm.n_obs)

@@ -206,7 +206,7 @@ def _sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int
     return AugmentedMoment(theta, n_obs=sample_size, layout=layout, f_dim=f_dim)
 
 
-def theorem1_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteReport:
+def theorem1_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
     """Empirical vs theoretical covariance of the scaled inverse moment vech."""
     mu, sigma, theta_pop = _unconditional_population()
     tm_pop = AugmentedMoment(theta_pop, n_obs=sample_size)
@@ -222,7 +222,7 @@ def theorem1_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> Su
     return rep
 
 
-def gaussian_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteReport:
+def gaussian_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
     """Empirical vs closed-form covariance of the scaled moment vech."""
     mu, sigma, theta_pop = _unconditional_population()
     tm_pop = AugmentedMoment(theta_pop, n_obs=sample_size)
@@ -237,7 +237,7 @@ def gaussian_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> Su
     return rep
 
 
-def lrt_suite(seed: int, trials: int = 2000, sample_size: int = 1000) -> SuiteReport:
+def lrt_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
     """Chi-square calibration of the trace-constraint LRT under a true null."""
     mu = np.array([0.3, 0.1])
     sigma = np.array([[1.0, 0.2], [0.2, 0.8]])
@@ -271,7 +271,7 @@ def _mglh_population():
     return sig_f, bmat, sigma, theta
 
 
-def mglh_suite(seed: int, trials: int = 5000, sample_size: int = 2000) -> SuiteReport:
+def mglh_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
     """Variance of the trace statistic under a fixed alternative vs the delta law."""
     sig_f, bmat, sigma, theta_pop = _mglh_population()
     f = sig_f.shape[0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from portinf import asymptotics as asy
 from portinf import moments as mo
+from portinf import constraints as cn
 from portinf.constraints import inverse_variance_weighting
 from portinf.errors import (
     BandwidthTooLarge,
@@ -19,6 +20,7 @@ from portinf.errors import (
 )
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import ivech, vech
+from portinf.mglh import MglhSpec, mglh_asymptotic
 from portinf.moments import AugmentedMoment
 
 from conftest import fd_jac, rand_unit_corner_theta, theta_from
@@ -153,30 +155,81 @@ class TestSeriesSandwich:
         om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
         assert om.omega is om.omega
 
-    def test_full_gradient_forms_and_reuses_omega(self, rng):
+    def test_identity_gradient_gives_omega(self, rng):
         om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
-        g = rng.standard_normal((2, om.dim))
-        projected = om.sandwich(g)
+        np.testing.assert_array_equal(om.sandwich(np.eye(om.dim)), om.omega)
+        assert om.omega is om.omega
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["vanilla", "bartlett", "parzen"]), st.integers(20, 120),
+           st.integers(1, 3), st.integers(1, 4), st.integers(0, 10_000))
+    def test_sandwich_does_not_depend_on_call_history(self, estimator, t, p, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        x = 0.01 * rng.standard_normal((t, p)) + 0.002
+        x[1:] += 0.3 * x[:-1]
+        rows = mo.augment(x)
+        om = (asy.omega_vanilla(rows) if estimator == "vanilla"
+              else asy.omega_hac(rows, kernel=estimator, bandwidth=bandwidth))
+        g = rng.standard_normal((int(rng.integers(1, om.dim)), om.dim))
+        first = om.sandwich(g)
+        om.omega
+        np.testing.assert_array_equal(om.sandwich(g), first)
+        om.sandwich(rng.standard_normal((om.dim + 1, om.dim)))
+        np.testing.assert_array_equal(om.sandwich(g), first)
         assert om.matrix is None
-        full = om.sandwich(np.eye(om.dim))
-        assert om.matrix is not None
-        np.testing.assert_allclose(full, om.omega, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(om.sandwich(g), projected, rtol=1e-12, atol=0)
 
 
 class TestOmegaDiagonal:
     @pytest.mark.parametrize("kernel", ["vanilla", "bartlett", "parzen"])
     def test_diagonal_from_the_series(self, rng, kernel):
+        # each coordinate's long-run variance, from its own projected series,
+        # is the diagonal of the formed matrix, which the weighting reads
         x = 0.01 * rng.standard_normal((300, 4)) + 0.002
         x[1:] += 0.3 * x[:-1]
         rows = mo.augment(x)
         om = asy.omega_vanilla(rows) if kernel == "vanilla" else asy.omega_hac(rows, kernel)
+        own = np.array([om.sandwich(e) for e in np.eye(om.dim)])
+        diag = np.diag(om.omega)
+        assert np.abs(own - diag).max() <= 1e-12 * np.abs(diag).max()
         w = inverse_variance_weighting(om)
-        diag = om.diagonal()
-        assert om.matrix is None
-        full = np.diag(om.omega)
-        assert np.abs(diag - full).max() <= 1e-12 * np.abs(full).max()
         np.testing.assert_array_equal(np.diag(w), 1.0 / np.clip(diag, 1e-12 * diag.max(), None))
+
+
+def _unconditional(rng, p):
+    return mo.sample_theta(mo.augment(0.01 * rng.standard_normal((200, p)) + 0.003))
+
+
+def _biconditional(rng, f, p):
+    feats = rng.standard_normal((200, f))
+    rets = 0.01 * rng.standard_normal((200, p)) + 0.003 + 0.001 * feats[:, :1]
+    return cn.conditional_theta(rets, feats, model=cn.ConditionalModel.BICONDITIONAL)
+
+
+OMEGA_ESTIMATORS = {
+    "theta_inverse_covariance": lambda rng, om: asy.theta_inverse_covariance(_unconditional(rng, 3), om),
+    "portfolio_covariance": lambda rng, om: asy.portfolio_covariance(_unconditional(rng, 3), om, 0.1),
+    "snr_variance": lambda rng, om: asy.snr_variance(_unconditional(rng, 3), om, 0.1, 0.001),
+    "snr_second_order": lambda rng, om: asy.snr_second_order(_unconditional(rng, 3), om, 0.1),
+    "subspace_theta": lambda rng, om: cn.subspace_theta(
+        _unconditional(rng, 3), cn.SubspaceSpec(np.eye(3)[:2]), om),
+    "hedged_delta_theta": lambda rng, om: cn.hedged_delta_theta(
+        _unconditional(rng, 3), cn.HedgeSpec(np.eye(3)[:1]), om),
+    "markowitz_coefficient": lambda rng, om: cn.markowitz_coefficient(_biconditional(rng, 2, 2), om),
+    "constrained_cholesky_estimate": lambda rng, om: cn.constrained_cholesky_estimate(
+        _unconditional(rng, 3), cn.CholeskyConstraint(np.zeros((0, 10)), np.zeros(0)), om),
+    "reduced_rank_coefficient": lambda rng, om: cn.reduced_rank_coefficient(
+        _biconditional(rng, 2, 2), 2, om),
+    "mglh_asymptotic": lambda rng, om: mglh_asymptotic(
+        _biconditional(rng, 2, 2), MglhSpec(np.eye(2), np.eye(2), np.zeros((2, 2))), om),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_ESTIMATORS))
+def test_omega_of_the_wrong_width_is_rejected(rng, name):
+    # every moment above is 4x4 (m = 10); this omega is for a 5x5 moment (m = 15)
+    om = asy.omega_vanilla(mo.augment(rng.standard_normal((50, 4))))
+    with pytest.raises(ShapeMismatch, match="does not match omega 15"):
+        OMEGA_ESTIMATORS[name](rng, om)
 
 
 class TestThetaInverseCovariance:

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import decimal
 import io
 import json
 import logging
@@ -9,15 +10,19 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from portinf import cli
+from portinf.kernels import MatrixShape, ivech
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = str(ROOT / "data" / "synthetic_returns.csv")
@@ -196,6 +201,74 @@ class TestLrtCommand:
         assert float(values["p_value"]) == pytest.approx(1.0, abs=1e-3)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_json_stat_matches_the_exact_value(self, count, unit_rows, seed):
+        # constraint sets near the sample values, as the benchmark writes them: unit
+        # vech coordinates or dense symmetric matrices, targets within 5%
+        from portinf import harness, moments
+        rng = np.random.default_rng(seed)
+        loaded = harness.load_csv(FIXTURE, ASSETS.split(","))
+        tm = moments.sample_theta(moments.augment(loaded.panel.values))
+        rows = np.zeros((count, 11))
+        if unit_rows:
+            rows[np.arange(count), rng.choice(10, count, replace=False)] = 1.0
+        else:
+            rows[:, :-1] = rng.standard_normal((count, 10))
+        mats = [ivech(row[:-1], MatrixShape.SYMMETRIC) for row in rows]
+        inv = np.linalg.inv(tm.theta)
+        rows[:, -1] = [np.sum(a * inv) * (1.0 + 0.05 * rng.uniform(-1, 1)) for a in mats]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "cons.csv")
+            np.savetxt(path, rows, delimiter=",")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["lrt", "--input", FIXTURE, "--assets", ASSETS,
+                                 "--constraints", path, "--format", "json"])
+        assume(code == 0)
+        values = dict(json.loads(out.getvalue())[0]["rows"])
+        lam = [values[f"lambda[{i}]"] for i in range(count)]
+        want = exact_lrt_stat(tm.theta, mats, lam, tm.n_obs)
+        assert abs(values["stat"] - want) <= 1e-13 * want
+
+
+def fraction_det(a):
+    """Exact determinant of a matrix of Fractions, by Gaussian elimination."""
+    a, det = [list(row) for row in a], Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot], det = a[pivot], a[c], -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def exact_lrt_stat(theta, mats, lam, n_obs):
+    """n (log det theta0 - log det theta + tr(theta0^-1 theta) - d), theta0 = theta - sum lam_i A_i.
+
+    Exact rationals from the float inputs; the trace by Cramer's rule; one
+    50-digit decimal log of the determinant ratio.
+    """
+    d = len(theta)
+    th = [[Fraction(x) for x in row] for row in theta]
+    t0 = [[th[i][j] - sum(Fraction(l) * Fraction(a[i, j]) for l, a in zip(lam, mats))
+           for j in range(d)] for i in range(d)]
+    det0, det1 = fraction_det(t0), fraction_det(th)
+    # tr(theta0^-1 theta): column i of theta put in column i of theta0
+    trace = sum(fraction_det([row[:i] + [th[r][i]] + row[i + 1:] for r, row in enumerate(t0)])
+                for i in range(d)) / det0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ratio = Decimal((det0 / det1).numerator) / Decimal((det0 / det1).denominator)
+        rest = Decimal((trace - d).numerator) / Decimal((trace - d).denominator)
+        return float(n_obs * (ratio.ln() + rest))
+
+
 class TestAttributeCommand:
     def test_paper_shaped_table(self, capsys):
         code, out, _ = run(capsys, "attribute", "--input", FIXTURE, "--assets", ASSETS)
@@ -364,6 +437,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"data error: {missing}: not found\n"
+
+    def test_missing_input_file_is_named_once(self, capsys, tmp_path):
+        missing = tmp_path / "missing_input.csv"
+        code = cli.main(["infer", "--input", str(missing), "--assets", ASSETS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"data error: {missing}: No such file or directory\n"
 
     @pytest.mark.parametrize("hac", ["bartlett:-3", "foo:0", "bartlett:x", "bartlett:"])
     def test_bad_hac_is_usage_error(self, capsys, hac):
