@@ -40,6 +40,8 @@ class OmegaEstimate:
     gradient with k < m rows projects the series on it and applies the
     kernel to the T-by-k projection, and one with k >= m rows uses the
     m-by-m matrix, formed from the series on the first read of `omega`.
+    Either way the kernel runs in `_long_run`: Bartlett as one Gram of
+    moving sums, Parzen as a lag sum, each followed by the PSD clip.
     """
 
     matrix: np.ndarray | None
@@ -50,9 +52,9 @@ class OmegaEstimate:
     series: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if (self.matrix is None) == (self.series is None):
+            raise ShapeMismatch("give omega as a matrix or as a series")
         if self.series is not None:
-            if self.matrix is not None:
-                raise ShapeMismatch("give omega as a matrix or as a series, not both")
             return
         self.matrix = np.asarray(self.matrix, dtype=float)
         m = self.matrix.shape[0]
@@ -86,19 +88,31 @@ class OmegaEstimate:
         """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a series z, Gamma_k = z[k:]' z[:-k] / T.
 
         Lags run to the bandwidth for a HAC estimate and are absent
-        otherwise. Symmetrized; a HAC result is eigenvalue-clipped to
-        positive semidefinite. Bartlett and Parzen estimates are PSD in
-        exact arithmetic, so the clip only absorbs rounding; it is logged
-        when the clipped eigenvalue is beyond the eigensolver's rounding,
-        the size times eps times the largest eigenvalue.
+        otherwise. Bartlett's sum is one Gram, Z'Z / ((b+1) T), of the
+        moving sums Z_t = z_t + ... + z_{t-b} of the zero-padded series
+        (Newey & West 1987), built by b+1 shifted adds into one
+        (T+b)-row buffer; Parzen's is the lag sum. Symmetrized; a HAC
+        result is eigenvalue-clipped to positive semidefinite. Both
+        kernels are PSD in exact arithmetic, so the clip only absorbs
+        rounding; it is logged when the clipped eigenvalue is beyond the
+        eigensolver's rounding, the size times eps times the largest
+        eigenvalue.
         """
         t = z.shape[0]
-        out = z.T @ z / t
         if self.estimator != "hac":
+            out = z.T @ z / t
             return 0.5 * (out + out.T)
-        for k in range(1, self.bandwidth + 1):
-            gamma = z[k:].T @ z[:-k] / t
-            out += _kernel_weight(self.kernel, k, self.bandwidth) * (gamma + gamma.T)
+        b = self.bandwidth
+        if self.kernel == "bartlett":
+            sums = np.zeros((t + b, z.shape[1]))
+            for j in range(b + 1):
+                sums[j : j + t] += z
+            out = sums.T @ sums / ((b + 1) * t)
+        else:
+            out = z.T @ z / t
+            for k in range(1, b + 1):
+                gamma = z[k:].T @ z[:-k] / t
+                out += _kernel_weight(self.kernel, k, b) * (gamma + gamma.T)
         out = 0.5 * (out + out.T)
         vals, vecs = np.linalg.eigh(out)
         if vals[0] < 0:
@@ -169,9 +183,8 @@ def default_bandwidth(t: int) -> int:
 
 
 def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
+    """Weight of lag k in a lag-sum kernel; Parzen is the only one, as Bartlett is a Gram."""
     z = k / (bandwidth + 1.0)
-    if kernel == "bartlett":
-        return 1.0 - z
     if z <= 0.5:
         return 1.0 - 6.0 * z**2 + 6.0 * z**3
     return 2.0 * (1.0 - z) ** 3
@@ -182,10 +195,13 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
 
     Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') on the demeaned series. The
     estimate keeps the series, the kernel and the bandwidth. A sandwich
-    of a gradient with k < m rows applies w(1..bandwidth) to the series
+    of a gradient with k < m rows applies the kernel to the series
     projected on it and clips the k-by-k result to positive semidefinite;
     the m-by-m matrix, clipped the same way, is formed only when `omega`
-    is read or a gradient has k >= m rows.
+    is read or a gradient has k >= m rows. Bartlett's weights
+    1 - k/(b+1) make the sum one Gram, Z'Z / ((b+1) T), of the moving
+    sums of b+1 consecutive rows, at O((T+b) k^2) for k columns; Parzen
+    sums the b weighted lag products.
     """
     if kernel not in HAC_KERNELS:
         raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")

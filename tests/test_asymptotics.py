@@ -1,6 +1,7 @@
 """Omega estimators and the delta-method chains they feed."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ class TestOmegaHac:
         with pytest.raises(BandwidthTooLarge):
             asy.omega_hac(rows, bandwidth=50)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 40), st.integers(0, 10_000))
+    def test_zero_bandwidth_is_vanilla_exactly(self, d, extra, seed):
+        # with T > m the Gram is positive definite, so no clip intervenes
+        # and the one-term moving sum is the series itself
+        rows = np.random.default_rng(seed).standard_normal((d * (d + 1) // 2 + extra, d))
+        np.testing.assert_array_equal(asy.omega_hac(rows, "bartlett", 0).omega,
+                                      asy.omega_vanilla(rows).omega)
+
 
 def explicit_omega(aug_rows, kernel, bandwidth):
     """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of the demeaned vech series, formed in full.
@@ -99,8 +109,9 @@ def explicit_omega(aug_rows, kernel, bandwidth):
     y = np.array([vech(np.outer(r, r)) for r in aug_rows])
     yc = y - y.mean(axis=0)
     t = yc.shape[0]
+    ya = np.abs(yc)
     omega = yc.T @ yc / t
-    size = np.abs(yc).T @ np.abs(yc) / t
+    size = ya.T @ ya / t
     for k in range(1, bandwidth + 1):
         z = k / (bandwidth + 1.0)
         if kernel == "bartlett":
@@ -109,8 +120,18 @@ def explicit_omega(aug_rows, kernel, bandwidth):
             w = 1.0 - 6.0 * z**2 + 6.0 * z**3 if z <= 0.5 else 2.0 * (1.0 - z) ** 3
         gamma = yc[k:].T @ yc[:-k] / t
         omega += w * (gamma + gamma.T)
-        size += 2 * abs(w) * np.abs(yc[k:]).T @ np.abs(yc[:-k]) / t
+        size += 2 * abs(w) * ya[k:].T @ ya[:-k] / t
     return omega, size
+
+
+def ar1_rows(rng, t, d, phi):
+    """T rows of a stationary AR(1) with coefficient phi in every column."""
+    e = rng.standard_normal((t, d))
+    x = np.empty((t, d))
+    x[0] = e[0] / np.sqrt(1.0 - phi**2)
+    for i in range(1, t):
+        x[i] = phi * x[i - 1] + e[i]
+    return x
 
 
 class TestSeriesSandwich:
@@ -139,17 +160,55 @@ class TestSeriesSandwich:
         assert isinstance(var, float)
         assert abs(var - want[0, 0]) <= 1e-12 * want_size[0, 0]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 5000), st.floats(0.0, 1.0), st.floats(0.0, 0.999), st.integers(1, 3),
+           st.booleans(), st.integers(0, 10_000))
+    def test_bartlett_gram_matches_the_lag_sum(self, t, frac, phi, d, augmented, seed):
+        # the moving-sum Gram against the b weighted lag products, for
+        # bandwidths up to T-1 and series close to a unit root
+        rng = np.random.default_rng(seed)
+        rows = ar1_rows(rng, t, d, phi)
+        if augmented:
+            rows = mo.augment(rows)
+        bandwidth = int(frac * (t - 1))
+        om = asy.omega_hac(rows, kernel="bartlett", bandwidth=bandwidth)
+        want_omega, size = explicit_omega(rows, "bartlett", bandwidth)
+        assert np.abs(om.omega - want_omega).max() <= 1e-12 * size.max()
+        g = rng.standard_normal((max(om.dim - 1, 1), om.dim))
+        want_size = np.abs(g) @ size @ np.abs(g).T
+        assert np.abs(om.sandwich(g) - g @ want_omega @ g.T).max() <= 1e-12 * want_size.max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 5), st.integers(0, 40), st.booleans(),
+           st.integers(0, 10_000))
+    def test_bartlett_never_logs_a_clip(self, t, d, bandwidth, augmented, seed):
+        # a Gram is PSD, so any negative eigenvalue is the eigensolver's rounding
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((t, d))
+        if augmented:
+            rows = mo.augment(rows)
+        om = asy.omega_hac(rows, kernel="bartlett", bandwidth=min(bandwidth, t - 1))
+        with mock.patch.object(asy.logger, "warning") as warning:
+            om.omega
+            om.sandwich(rng.standard_normal((max(om.dim - 1, 1), om.dim)))
+        warning.assert_not_called()
+
     def test_clip_beyond_rounding_is_logged(self, caplog, monkeypatch):
         # an alternating series with a full-weight first lag has long-run
         # variance 1 - 2 (T-1)/T < 0, which no PSD kernel can produce
         t = 50
         z = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)[:, None]
         monkeypatch.setattr(asy, "_kernel_weight", lambda kernel, k, bandwidth: 1.0)
-        om = asy.OmegaEstimate(None, "hac", t, kernel="bartlett", bandwidth=1, series=z)
+        om = asy.OmegaEstimate(None, "hac", t, kernel="parzen", bandwidth=1, series=z)
         with caplog.at_level(logging.WARNING, logger="portinf.asymptotics"):
             var = om.sandwich(np.ones(1))
         assert var == 0.0
         assert "clipping to PSD" in caplog.text
+
+    @pytest.mark.parametrize("matrix, series", [(None, None), (np.eye(3), np.zeros((4, 3)))])
+    def test_omega_needs_a_matrix_or_a_series(self, matrix, series):
+        with pytest.raises(ShapeMismatch, match="give omega as a matrix or as a series"):
+            asy.OmegaEstimate(matrix, "vanilla", 5, series=series)
 
     def test_omega_is_formed_once(self, rng):
         om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
