@@ -27,6 +27,7 @@ from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
 logger = logging.getLogger(__name__)
 
 HAC_KERNELS = ("bartlett", "parzen")
+_BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum centers one at a time
 
 
 @dataclass
@@ -34,14 +35,17 @@ class OmegaEstimate:
     """Covariance of vech of the per-row outer products, with provenance.
 
     A closed form keeps the m-by-m matrix itself, and every sandwich
-    uses it. A data estimate keeps the demeaned T-by-m vech series
+    uses it. A data estimate keeps the uncentered T-by-m vech series
     instead, with the HAC lags weighted by `kernel` up to `bandwidth`,
     and the shape of the gradient alone picks the sandwich's path: a
     gradient with k < m rows projects the series on it and applies the
     kernel to the T-by-k projection, and one with k >= m rows uses the
     m-by-m matrix, formed from the series on the first read of `omega`.
-    Either way the kernel runs in `_long_run`: Bartlett as one Gram of
-    moving sums, Parzen as a lag sum, each followed by the PSD clip.
+    Either way the kernel runs in `_long_run`, which centers its input
+    in its own working buffer, so the series is never demeaned: Bartlett
+    (and vanilla, its zero bandwidth) as one Gram of moving sums, Parzen
+    as each row times a weighted sum of the rows after it, over row
+    blocks, each HAC result followed by the PSD clip.
     """
 
     matrix: np.ndarray | None
@@ -73,7 +77,9 @@ class OmegaEstimate:
     def sandwich(self, g: np.ndarray) -> np.ndarray | float:
         """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
 
-        An m-vector gradient gives the scalar variance.
+        An m-vector gradient gives the scalar variance. With k < m the
+        uncentered series Y is projected first and `_long_run` centers
+        the T-by-k projection: Y g' minus its mean is (Y - mean) g'.
         """
         g = np.asarray(g, dtype=float)
         if g.shape[-1] != self.dim:
@@ -85,35 +91,30 @@ class OmegaEstimate:
         return float(out[0, 0]) if g.ndim == 1 else out
 
     def _long_run(self, z: np.ndarray) -> np.ndarray:
-        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a series z, Gamma_k = z[k:]' z[:-k] / T.
+        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a series z, which it centers itself.
 
-        Lags run to the bandwidth for a HAC estimate and are absent
-        otherwise. Bartlett's sum is one Gram, Z'Z / ((b+1) T), of the
-        moving sums Z_t = z_t + ... + z_{t-b} of the zero-padded series
-        (Newey & West 1987), built by b+1 shifted adds into one
-        (T+b)-row buffer; Parzen's is the lag sum. Symmetrized; a HAC
-        result is eigenvalue-clipped to positive semidefinite. Both
-        kernels are PSD in exact arithmetic, so the clip only absorbs
-        rounding; it is logged when the clipped eigenvalue is beyond the
-        eigensolver's rounding, the size times eps times the largest
-        eigenvalue.
+        Gamma_k = zc[k:]' zc[:-k] / T for zc = z - mean(z); lags run to
+        the bandwidth for a HAC estimate and are absent otherwise. No
+        centered copy of z is held whole: Bartlett, and vanilla as its
+        zero bandwidth, is one Gram of moving sums (Newey & West 1987,
+        `_moving_sum_gram`), and Parzen is (U'zc + zc'U) / 2T over row
+        blocks (`_lead_cross`). Symmetrized; a HAC result is
+        eigenvalue-clipped to positive semidefinite. Both kernels are PSD
+        in exact arithmetic, so the clip only absorbs rounding; it is
+        logged when the clipped eigenvalue is beyond the eigensolver's
+        rounding, the size times eps times the largest eigenvalue.
         """
-        t = z.shape[0]
-        if self.estimator != "hac":
-            out = z.T @ z / t
-            return 0.5 * (out + out.T)
-        b = self.bandwidth
-        if self.kernel == "bartlett":
-            sums = np.zeros((t + b, z.shape[1]))
-            for j in range(b + 1):
-                sums[j : j + t] += z
-            out = sums.T @ sums / ((b + 1) * t)
+        mean = z.mean(axis=0)
+        b = self.bandwidth if self.estimator == "hac" else 0
+        if self.kernel == "parzen":
+            out = _lead_cross(z, mean, [_kernel_weight(self.kernel, k, b) for k in range(1, b + 1)])
+            out /= z.shape[0]
         else:
-            out = z.T @ z / t
-            for k in range(1, b + 1):
-                gamma = z[k:].T @ z[:-k] / t
-                out += _kernel_weight(self.kernel, k, b) * (gamma + gamma.T)
+            out = _moving_sum_gram(z, mean, b)
+            out /= (b + 1) * z.shape[0]
         out = 0.5 * (out + out.T)
+        if self.estimator != "hac":
+            return out
         vals, vecs = np.linalg.eigh(out)
         if vals[0] < 0:
             if vals[0] < -vals.size * np.finfo(float).eps * vals[-1]:
@@ -149,23 +150,28 @@ class DistributionResult:
 
 
 def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
-    """vech(r r') for every augmented row r, one result per row."""
+    """vech(r r') for every augmented row r, one result per row, uncentered.
+
+    Column-major: the T-by-m result is a view of an m-by-T buffer, so
+    each vech coordinate's T values are written, and later projected,
+    as one contiguous run.
+    """
     aug_rows = np.atleast_2d(np.asarray(aug_rows, dtype=float))
     t, d = aug_rows.shape
-    out = np.empty((t, vech_len(d)))
+    cols = np.ascontiguousarray(aug_rows.T)
+    out = np.empty((vech_len(d), t))
     start = 0
     # vech runs down the columns: column j holds r_j * r[j:]
     for j in range(d):
-        np.multiply(aug_rows[:, j:], aug_rows[:, j : j + 1], out=out[:, start : start + d - j])
+        np.multiply(cols[j:], cols[j], out=out[start : start + d - j])
         start += d - j
-    return out
+    return out.T
 
 
 def _series_omega(aug_rows: np.ndarray, estimator: str, kernel: str | None = None,
                   bandwidth: int | None = None) -> OmegaEstimate:
-    """Omega held as the demeaned vech outer-product series."""
+    """Omega held as the uncentered vech outer-product series; `_long_run` centers."""
     y = vech_outer_rows(aug_rows)
-    y -= y.mean(axis=0)
     return OmegaEstimate(None, estimator, n_obs=y.shape[0], kernel=kernel, bandwidth=bandwidth,
                          series=y)
 
@@ -182,6 +188,45 @@ def default_bandwidth(t: int) -> int:
     return max(1, int(np.floor(1.2 * t ** (1.0 / 3.0))))
 
 
+def _moving_sum_gram(z: np.ndarray, mean: np.ndarray, b: int) -> np.ndarray:
+    """Z'Z for the moving sums Z_t = zc_t + ... + zc_{t-b} of the zero-padded zc = z - mean.
+
+    Built by b+1 shifted adds of z into one (T+b)-row buffer in z's
+    layout and centered there: a sum of c in-range terms loses c times
+    the mean, where, for b < T, c is b+1 in the middle and ramps over the
+    b rows at either end.
+    """
+    t, m = z.shape
+    sums = np.zeros_like(z, shape=(t + b, m))
+    for j in range(b + 1):
+        sums[j : j + t] += z
+    sums[b:t] -= (b + 1) * mean
+    ramp = np.arange(1, b + 1)[:, None] * mean
+    sums[:b] -= ramp
+    sums[t:] -= ramp[::-1]
+    return sums.T @ sums
+
+
+def _lead_cross(z: np.ndarray, mean: np.ndarray, weights: list[float]) -> np.ndarray:
+    """U'zc for zc = z - mean and U_t = zc_t + 2 sum_k w_k zc_{t+k}, past the end zero.
+
+    Summed over blocks of about _BLOCK_BYTES of rows, each centered as it
+    is copied together with the b rows after it, so zc is never held whole.
+    """
+    t, m = z.shape
+    b = len(weights)
+    out = np.zeros((m, m))
+    step = max(1, _BLOCK_BYTES // (8 * m))
+    for start in range(0, t, step):
+        ahead = z[start : start + step + b] - mean
+        rows = ahead[:step]
+        u = rows.copy()
+        for k in range(1, min(b + 1, len(ahead))):
+            u[: len(ahead) - k] += 2.0 * weights[k - 1] * ahead[k : k + len(u)]
+        out += u.T @ rows
+    return out
+
+
 def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
     """Weight of lag k in a lag-sum kernel; Parzen is the only one, as Bartlett is a Gram."""
     z = k / (bandwidth + 1.0)
@@ -193,15 +238,17 @@ def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
 def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | None = None) -> OmegaEstimate:
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
-    Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') on the demeaned series. The
-    estimate keeps the series, the kernel and the bandwidth. A sandwich
+    Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') of the centered series. The
+    estimate keeps the uncentered series, the kernel and the bandwidth,
+    and the kernel centers what it sums (see `OmegaEstimate`). A sandwich
     of a gradient with k < m rows applies the kernel to the series
     projected on it and clips the k-by-k result to positive semidefinite;
     the m-by-m matrix, clipped the same way, is formed only when `omega`
     is read or a gradient has k >= m rows. Bartlett's weights
     1 - k/(b+1) make the sum one Gram, Z'Z / ((b+1) T), of the moving
     sums of b+1 consecutive rows, at O((T+b) k^2) for k columns; Parzen
-    sums the b weighted lag products.
+    pairs each row with the weighted sum of the b rows after it, at
+    O(T k^2 + T b k).
     """
     if kernel not in HAC_KERNELS:
         raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyPanel,
@@ -171,13 +172,14 @@ def rolling_volatility(values: np.ndarray, spec: RollingVolSpec | None = None) -
     if spec.window + spec.lag >= t:
         raise ShapeMismatch(f"window+lag must be below T={t}")
     med = np.median(np.abs(values), axis=1)
+    # vol[j] is the mean of the window ending at row j + window - 1
+    vol = sliding_window_view(med, spec.window).mean(axis=1)
+    zero = np.flatnonzero(vol < 1e-300)
+    if zero.size:
+        raise ZeroVolatilityWindow(
+            f"volatility window ending at row {zero[0] + spec.window - 1} is zero")
     weights = np.full(t, np.nan)
-    for i in range(spec.window - 1, t):
-        vol = med[i - spec.window + 1 : i + 1].mean()
-        if vol < 1e-300:
-            raise ZeroVolatilityWindow(f"volatility window ending at row {i} is zero")
-        if i + spec.lag < t:
-            weights[i + spec.lag] = 1.0 / vol
+    weights[spec.window - 1 + spec.lag :] = 1.0 / vol[: t - spec.window + 1 - spec.lag]
     return weights
 
 

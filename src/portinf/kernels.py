@@ -201,9 +201,10 @@ def vech_pair(a: np.ndarray, rows=None) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     r, c, _ = _vech_gather(a.shape[0])
-    ri, rj = (r, c) if rows is None else (r[rows], c[rows])
-    ri, rj = ri[:, None], rj[:, None]
-    return a[ri, r] * a[rj, c] + a[ri, c] * a[rj, r]
+    # gather the selected rows of A, then their columns; take gives each
+    # product a fresh C-ordered operand that numpy can overwrite in place
+    ai, aj = (a[r], a[c]) if rows is None else (a[r[rows]], a[c[rows]])
+    return ai.take(r, axis=1) * aj.take(c, axis=1) + ai.take(c, axis=1) * aj.take(r, axis=1)
 
 
 def vech_gradient(gam: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Omega estimators and the delta-method chains they feed."""
 
 import logging
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from portinf.errors import (
     ZeroSharpe,
 )
 from portinf.gaussian import gaussian_omega
-from portinf.kernels import ivech, vech
+from portinf.kernels import ivech, vech, vech_indices
 from portinf.mglh import MglhSpec, mglh_asymptotic
 from portinf.moments import AugmentedMoment
 
@@ -138,10 +139,13 @@ class TestSeriesSandwich:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["vanilla", "bartlett", "parzen"]), st.integers(2, 60),
            st.integers(1, 5), st.integers(1, 4), st.integers(0, 8), st.booleans(),
-           st.integers(0, 10_000))
-    def test_matches_explicit_omega(self, estimator, t, d, k, bandwidth, augmented, seed):
+           st.floats(0.0, 1e3), st.integers(0, 10_000))
+    def test_matches_explicit_omega(self, estimator, t, d, k, bandwidth, augmented, offset, seed):
+        # the series is kept uncentered and each kernel centers what it sums,
+        # so rows whose constant mean dwarfs their spread test that centering
         rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((t, d))
+        spread = rng.uniform(0.5, 2.0, d)
+        rows = spread * (offset * rng.choice([-1.0, 1.0], d) + rng.standard_normal((t, d)))
         if augmented:
             rows[:, 0] = 1.0
         if estimator == "vanilla":
@@ -236,6 +240,31 @@ class TestSeriesSandwich:
         om.sandwich(rng.standard_normal((om.dim + 1, om.dim)))
         np.testing.assert_array_equal(om.sandwich(g), first)
         assert om.matrix is None
+
+
+@pytest.mark.parametrize("estimator", ["vanilla", "bartlett", "parzen"])
+def test_omega_holds_one_series_sized_buffer(estimator):
+    """Forming omega centers in its own working buffer, never in a copy of the whole series."""
+    t, d, bandwidth = 6000, 20, 6
+    rows = np.random.default_rng(5).standard_normal((t, d)) + 3.0
+
+    def estimate(rows):
+        if estimator == "vanilla":
+            return asy.omega_vanilla(rows)
+        return asy.omega_hac(rows, kernel=estimator, bandwidth=bandwidth)
+
+    estimate(rows[:50]).omega  # first use allocates lasting caches that are not part of the sum
+    om = estimate(rows)
+    m = om.dim
+    tracemalloc.start()
+    try:
+        om.omega
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Bartlett's (T+b)-row moving sums at most, and a few m-by-m results;
+    # a centered copy of the T-by-m series would add another 10 MB
+    assert peak <= ((t + bandwidth) * m + 4 * m * m) * 8
 
 
 class TestOmegaDiagonal:
@@ -595,3 +624,18 @@ class TestAttributeError:
         dr = asy.theta_inverse_covariance(mo.sample_theta(rows), asy.omega_vanilla(rows))
         with pytest.raises(DegenerateCorrelation, match=r"15x15 .* too few rows \(T=12\)"):
             asy.attribute_error(dr, 5)
+
+
+class TestVechOuterRows:
+    @pytest.mark.parametrize("t, d", [(1, 1), (1, 4), (7, 1), (9, 5)])
+    def test_is_its_definition_bit_for_bit(self, t, d, rng):
+        rows = rng.standard_normal((t, d))
+        coords = list(zip(*vech_indices(d)))
+        want = np.array([[r[i] * r[j] for i, j in coords] for r in rows])
+        y = asy.vech_outer_rows(rows)
+        np.testing.assert_array_equal(y, want)
+        # column-major: each coordinate's T values are contiguous
+        assert y.T.flags.c_contiguous
+
+    def test_one_row_given_as_a_vector(self):
+        np.testing.assert_array_equal(asy.vech_outer_rows([1.0, 2.0]), [[1.0, 2.0, 4.0]])

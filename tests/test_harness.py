@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portinf import harness as hs
 from portinf import oracles as orc
@@ -100,6 +102,30 @@ class TestRollingVolatility:
         values = np.zeros((20, 2))
         with pytest.raises(ZeroVolatilityWindow):
             hs.rolling_volatility(values, hs.RollingVolSpec(window=3, lag=1))
+
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_first_zero_window_is_named_even_past_the_last_weight(self, lag):
+        # the last window's weight would fall beyond the panel; it is still checked
+        values = np.ones((20, 2))
+        values[-1] = 0.0
+        with pytest.raises(ZeroVolatilityWindow, match="window ending at row 19 is zero"):
+            hs.rolling_volatility(values, hs.RollingVolSpec(window=1, lag=lag))
+        values[[5, 6, 12]] = 0.0
+        with pytest.raises(ZeroVolatilityWindow, match="window ending at row 6 is zero"):
+            hs.rolling_volatility(values, hs.RollingVolSpec(window=2, lag=lag))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 250), st.integers(1, 5), st.integers(0, 10_000))
+    def test_is_the_slice_means_bit_for_bit(self, window, lag, seed):
+        rng = np.random.default_rng(seed)
+        t = window + lag + int(rng.integers(1, 300))
+        values = 0.02 * rng.standard_normal((t, 4))
+        med = np.median(np.abs(values), axis=1)
+        want = np.full(t, np.nan)
+        for i in range(window - 1, t - lag):
+            want[i + lag] = 1.0 / med[i - window + 1 : i + 1].mean()
+        got = hs.rolling_volatility(values, hs.RollingVolSpec(window=window, lag=lag))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBrittenJones:

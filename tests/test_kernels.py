@@ -371,3 +371,22 @@ def test_gathers_match_dense_oracles(n, seed):
         (kn.d_gram(y), el @ (np.eye(n * n) + ka) @ np.kron(y, np.eye(n)) @ el.T),
     ):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _vech_pair_by_coordinate(a, rows):
+    """pair(A)[(i,j),(k,l)] = A_ik A_jl + A_il A_jk, one coordinate at a time."""
+    coords = list(zip(*kn.vech_indices(a.shape[0])))
+    picked = np.arange(len(coords)) if rows is None else np.arange(len(coords))[rows]
+    return np.array([[a[i, k] * a[j, l] + a[i, l] * a[j, k] for k, l in coords]
+                     for i, j in (coords[q] for q in picked)]).reshape(len(picked), len(coords))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("rows", [None, slice(1, 4), [2, 0, 0], [0]],
+                         ids=["all", "slice", "fancy", "first"])
+def test_vech_pair_is_its_definition_bit_for_bit(n, rows, rng):
+    # a general (asymmetric) A, so a swapped index cannot pass unnoticed
+    a = rng.standard_normal((n, n))
+    if isinstance(rows, list):
+        rows = np.array([q for q in rows if q < kn.vech_len(n)], dtype=int)
+    np.testing.assert_array_equal(kn.vech_pair(a, rows), _vech_pair_by_coordinate(a, rows))
