@@ -25,7 +25,6 @@ from .constraints import (
     ConditionalModel,
     HedgeSpec,
     SubspaceSpec,
-    conditional_theta,
     constrained_cholesky_estimate,
     flatten_volatility,
     hedged_delta_theta,

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -23,10 +22,10 @@ from .errors import (
     PortinfError,
     ShapeMismatch,
 )
-from .harness import RollingVolSpec, RunConfig
+from .harness import RollingVolSpec
 from .kernels import MatrixShape, ivech, vech_len
 from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
-from .moments import MomentLayout
+from .moments import MomentLayout, check_risk_budget
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 SQRT_HALF = math.sqrt(0.5)
@@ -40,9 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _split_csv_arg(text: str | None) -> list[str]:
-    if not text:
-        return []
+def _split_csv_arg(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
@@ -75,17 +72,21 @@ def build_parser() -> _Parser:
 
     def add_data_opts(p, features=True):
         p.add_argument("--input", required=True, help="CSV of per-period returns")
-        p.add_argument("--assets", required=True, help="comma-separated asset columns")
-        p.add_argument("--date-column", default=None)
+        p.add_argument("--assets", required=True, type=_split_csv_arg,
+                       help="comma-separated asset columns")
+        p.add_argument("--date-column")
+        # the default of --features, and the empty list of the commands without it
+        p.set_defaults(features=[])
         if features:
-            p.add_argument("--features", default=None, help="comma-separated feature columns")
+            p.add_argument("--features", type=_split_csv_arg,
+                           help="comma-separated feature columns")
             p.add_argument("--feature-lag", type=int, default=1)
             p.add_argument("--center-features", action="store_true")
-        p.add_argument("--vol-window", type=int, default=None,
-                       help="trailing window for quietude weights (default 11)")
-        p.add_argument("--vol-lag", type=int, default=None,
-                       help="delay of the quietude weights (default 1)")
-        p.add_argument("--hac", default=None, metavar="KERNEL[:BW]",
+        p.add_argument("--vol-window", type=int, help="trailing window for quietude weights "
+                       f"(default {RollingVolSpec.window})")
+        p.add_argument("--vol-lag", type=int,
+                       help=f"delay of the quietude weights (default {RollingVolSpec.lag})")
+        p.add_argument("--hac", metavar="KERNEL[:BW]",
                        help="bartlett or parzen, optional bandwidth")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
@@ -93,7 +94,7 @@ def build_parser() -> _Parser:
     add_data_opts(p_infer)
     p_infer.add_argument("--model", choices=[m.value for m in constraints.ConditionalModel],
                          default="constant")
-    p_infer.add_argument("--risk-budget", type=float, default=None)
+    p_infer.add_argument("--risk-budget", type=float)
     p_infer.add_argument("--rfr", type=float, default=0.0)
 
     p_mglh = sub.add_parser("mglh", help="multivariate linear hypothesis test")
@@ -113,48 +114,46 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo validation of the asymptotic laws")
     p_sim.add_argument("--suite", required=True, choices=simulate.SUITES)
     p_sim.add_argument("--seed", required=True, type=int)
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--sample-size", type=int, default=None)
+    p_sim.add_argument("--trials", type=int)
+    p_sim.add_argument("--sample-size", type=int)
 
     sub.add_parser("selftest", help="quick internal consistency checks")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_data_options(args: argparse.Namespace) -> None:
+    """Parse the weighting and HAC options in place and reject bad option values.
+
+    main runs this before any file is read, so that a usage error is
+    reported ahead of a missing or malformed input.
+    """
     # either option turns the weights on; the other keeps its default
-    vol_opts = {key: getattr(args, f"vol_{key}", None) for key in ("window", "lag")}
-    vol_opts = {key: value for key, value in vol_opts.items() if value is not None}
-    vol = RollingVolSpec(**vol_opts) if vol_opts else None
-    hac = _parse_hac(args.hac) if getattr(args, "hac", None) else None
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        asset_columns=_split_csv_arg(getattr(args, "assets", None)),
-        feature_columns=_split_csv_arg(getattr(args, "features", None)),
-        date_column=getattr(args, "date_column", None),
-        model=getattr(args, "model", "constant"),
-        feature_lag=getattr(args, "feature_lag", 1),
-        center_features=getattr(args, "center_features", False),
-        vol=vol,
-        hac=hac,
-        risk_budget=getattr(args, "risk_budget", None),
-        rfr=getattr(args, "rfr", 0.0),
-        seed=getattr(args, "seed", None),
-        suite=getattr(args, "suite", None),
-        trials=getattr(args, "trials", None),
-        sample_size=getattr(args, "sample_size", None),
-        a_file=getattr(args, "a_file", None),
-        c_file=getattr(args, "c_file", None),
-        t_file=getattr(args, "t_file", None),
-        constraints_file=getattr(args, "constraints", None),
-        fmt=getattr(args, "format", "tsv"),
-    )
+    vol_opts = {key: value for key, value in (("window", args.vol_window), ("lag", args.vol_lag))
+                if value is not None}
+    args.vol = RollingVolSpec(**vol_opts) if vol_opts else None
+    args.hac = _parse_hac(args.hac) if args.hac else None
+    if "rfr" in args:  # the portfolio options of infer
+        if args.risk_budget is not None:
+            check_risk_budget(args.risk_budget)
+        if not (math.isfinite(args.rfr) and args.rfr >= 0):
+            raise ShapeMismatch(f"rfr must be finite and non-negative, got {args.rfr}")
+    if "feature_lag" in args and args.feature_lag < 0:
+        raise ShapeMismatch(f"feature lag must be non-negative, got {args.feature_lag}")
+    if not args.assets:
+        raise ShapeMismatch("--assets names no columns")
+    for option, columns in (("--assets", args.assets), ("--features", args.features)):
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise ShapeMismatch(f"{option} names columns more than once: {', '.join(repeated)}")
+    # an unlagged feature that is also an asset makes the moment matrix singular
+    shared = sorted(set(args.assets) & set(args.features))
+    if shared and args.feature_lag == 0:
+        raise ShapeMismatch(f"columns both asset and unlagged feature: {', '.join(shared)}")
 
 
-def _prepare(cfg: RunConfig, need_features: bool):
+def _prepare(args: argparse.Namespace, vol: RollingVolSpec | None, need_features: bool):
     """Load, weight, lag, and align the data per the run options."""
-    loaded = harness.load_csv(cfg.input_path, cfg.asset_columns,
-                              cfg.feature_columns or None, cfg.date_column)
+    loaded = harness.load_csv(args.input, args.assets, args.features or None, args.date_column)
     if loaded.n_dropped:
         print(f"dropped {loaded.n_dropped} rows with missing values", file=sys.stderr)
     values = loaded.panel.values
@@ -162,13 +161,13 @@ def _prepare(cfg: RunConfig, need_features: bool):
     keep = np.ones(t, dtype=bool)
 
     weights = None
-    if cfg.vol is not None:
-        weights = harness.rolling_volatility(values, cfg.vol)
+    if vol is not None:
+        weights = harness.rolling_volatility(values, vol)
         keep &= np.isfinite(weights)
 
     features = None
-    if cfg.feature_columns:
-        lag = cfg.feature_lag
+    if args.features:
+        lag = args.feature_lag
         features = np.full_like(loaded.features, np.nan)
         if lag:
             features[lag:] = loaded.features[:-lag]
@@ -186,16 +185,16 @@ def _prepare(cfg: RunConfig, need_features: bool):
         weights = weights[keep]
     if features is not None:
         features = features[keep]
-        if cfg.center_features:
+        if args.center_features:
             features = features - features.mean(axis=0)
     if need_features and features is None:
         raise ParseError("this command needs --features")
     return values, features, weights
 
 
-def _omega_for(rows, cfg: RunConfig):
-    if cfg.hac:
-        kernel, bw = cfg.hac
+def _omega_for(rows, hac: tuple[str, int | None] | None):
+    if hac:
+        kernel, bw = hac
         return asymptotics.omega_hac(rows, kernel=kernel, bandwidth=bw)
     return asymptotics.omega_vanilla(rows)
 
@@ -206,17 +205,17 @@ def _two_sided_p(z: float) -> float:
     return 0.0 if p < P_FLOOR else p
 
 
-def cmd_infer(cfg: RunConfig) -> int:
-    model = constraints.ConditionalModel(cfg.model)
+def cmd_infer(args: argparse.Namespace) -> int:
+    model = constraints.ConditionalModel(args.model)
     need_features = model is constraints.ConditionalModel.BICONDITIONAL
-    values, features, weights = _prepare(cfg, need_features)
+    values, features, weights = _prepare(args, args.vol, need_features)
     rows, layout, f_dim = constraints.conditional_rows(values, features, weights, model)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
-    om = _omega_for(rows, cfg)
+    om = _omega_for(rows, args.hac)
     coef, dist = constraints.markowitz_coefficient(tm, om)
     z = asymptotics.wald_statistics(dist)
     se = dist.standard_errors()
-    asset_names = cfg.asset_columns
+    asset_names = args.assets
 
     meta = {
         "model": model.value,
@@ -229,17 +228,17 @@ def cmd_infer(cfg: RunConfig) -> int:
             [asset_names[i], float(coef[i, 0]), float(se[i]), float(z[i]), _two_sided_p(z[i])]
             for i in range(len(asset_names))
         ]
-        if layout is MomentLayout.UNCONDITIONAL and cfg.risk_budget:
-            est = moments.sr_optimal_portfolio(tm, cfg.risk_budget, cfg.rfr, asset_names)
+        if layout is MomentLayout.UNCONDITIONAL and args.risk_budget:
+            est = moments.sr_optimal_portfolio(tm, args.risk_budget, args.rfr, asset_names)
             meta["snr_sq"] = est.snr_sq
             meta["objective"] = est.objective
-            port_dist = asymptotics.portfolio_covariance(tm, om, cfg.risk_budget)
+            port_dist = asymptotics.portfolio_covariance(tm, om, args.risk_budget)
             pse = port_dist.standard_errors()
             for i, row in enumerate(rows_out):
                 row.extend([float(est.weights[i]), float(pse[i])])
-            if cfg.rfr > 0:
+            if args.rfr > 0:
                 meta["snr_se"] = float(
-                    np.sqrt(asymptotics.snr_variance(tm, om, cfg.risk_budget, cfg.rfr)
+                    np.sqrt(asymptotics.snr_variance(tm, om, args.risk_budget, args.rfr)
                             / tm.n_obs))
             cols = ["asset", "markowitz", "se", "z", "p", "scaled_weight", "scaled_se"]
         else:
@@ -250,24 +249,24 @@ def cmd_infer(cfg: RunConfig) -> int:
         k = 0
         for j in range(f_dim):
             for i in range(len(asset_names)):
-                rows_out.append([asset_names[i], cfg.feature_columns[j], float(coef[i, j]),
+                rows_out.append([asset_names[i], args.features[j], float(coef[i, j]),
                                  float(se[k]), float(z[k]), _two_sided_p(z[k])])
                 k += 1
         tables.append(harness.ReportTable(
             "markowitz_coefficient",
             ["asset", "feature", "coefficient", "se", "z", "p"], rows_out, meta))
-    print(harness.report(tables, cfg.fmt))
+    print(harness.report(tables, args.format))
     return EXIT_OK
 
 
-def cmd_mglh(cfg: RunConfig) -> int:
-    values, features, weights = _prepare(cfg, need_features=True)
+def cmd_mglh(args: argparse.Namespace) -> int:
+    values, features, weights = _prepare(args, args.vol, need_features=True)
     rows, layout, f_dim = constraints.conditional_rows(
         values, features, weights, constraints.ConditionalModel.BICONDITIONAL)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
-    om = _omega_for(rows, cfg)
-    spec = MglhSpec(_load_matrix(cfg.a_file), _load_matrix(cfg.c_file),
-                    _load_matrix(cfg.t_file))
+    om = _omega_for(rows, args.hac)
+    spec = MglhSpec(_load_matrix(args.a_file), _load_matrix(args.c_file),
+                    _load_matrix(args.t_file))
     res = mglh_asymptotic(tm, spec, om)
     rows_out = [
         [name, res.as_dict()[name], float(np.sqrt(res.variances[name] / tm.n_obs)),
@@ -277,21 +276,21 @@ def cmd_mglh(cfg: RunConfig) -> int:
     meta = {"n_obs": tm.n_obs, "note": res.note, "omega": om.estimator}
     tables = [harness.ReportTable("mglh", ["statistic", "value", "se", "z", "p"],
                                   rows_out, meta)]
-    print(harness.report(tables, cfg.fmt))
+    print(harness.report(tables, args.format))
     return EXIT_OK
 
 
-def cmd_lrt(cfg: RunConfig) -> int:
-    values, _, weights = _prepare(cfg, need_features=False)
+def cmd_lrt(args: argparse.Namespace) -> int:
+    values, _, weights = _prepare(args, args.vol, need_features=False)
     rows, layout, f_dim = constraints.conditional_rows(
         values, None, weights, constraints.ConditionalModel.CONSTANT_SR)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
-    raw = _load_matrix(cfg.constraints_file)
+    raw = _load_matrix(args.constraints)
     width = vech_len(tm.dim) + 1
     if raw.size == 0 or raw.shape[1] != width:
         rows, fields = raw.shape if raw.size else (0, 0)
         raise ShapeMismatch(
-            f"{cfg.constraints_file} has {rows} rows of {fields} fields; each constraint row "
+            f"{args.constraints} has {rows} rows of {fields} fields; each constraint row "
             f"needs {width}: vech of a {tm.dim}x{tm.dim} matrix, then the target")
     mats = [ivech(row[:-1], MatrixShape.SYMMETRIC) for row in raw]
     cs = gaussian.TraceConstraintSet(mats, raw[:, -1])
@@ -301,21 +300,21 @@ def cmd_lrt(cfg: RunConfig) -> int:
                 ["p_value", gaussian.lrt_pvalue(sol.stat, sol.dof)]]
     rows_out += [[f"lambda[{i}]", float(v)] for i, v in enumerate(sol.lam)]
     tables = [harness.ReportTable("lrt", ["quantity", "value"], rows_out, meta)]
-    print(harness.report(tables, cfg.fmt))
+    print(harness.report(tables, args.format))
     return EXIT_OK
 
 
-def cmd_attribute(cfg: RunConfig) -> int:
+def cmd_attribute(args: argparse.Namespace) -> int:
     # the vanilla column uses every row; only the weighted pass applies the weights
-    spec = cfg.vol or RollingVolSpec()
-    values, _, _ = _prepare(dataclasses.replace(cfg, vol=None), need_features=False)
+    spec = args.vol or RollingVolSpec()
+    values, _, _ = _prepare(args, None, need_features=False)
     p = values.shape[1]
 
     def r2_for(vals, wts):
         rows, layout, f_dim = constraints.conditional_rows(
             vals, None, wts, constraints.ConditionalModel.CONSTANT_SR)
         tm = moments.sample_theta(rows, layout, f_dim=f_dim)
-        om = _omega_for(rows, cfg)
+        om = _omega_for(rows, args.hac)
         dist = asymptotics.theta_inverse_covariance(tm, om)
         return asymptotics.attribute_error(dist, p)
 
@@ -324,23 +323,23 @@ def cmd_attribute(cfg: RunConfig) -> int:
     mask = np.isfinite(wts)
     weighted = r2_for(values[mask], wts[mask])
     rows_out = [
-        [cfg.asset_columns[i], f"{100 * vanilla[i]:.1f}%", f"{100 * weighted[i]:.1f}%"]
+        [args.assets[i], f"{100 * vanilla[i]:.1f}%", f"{100 * weighted[i]:.1f}%"]
         for i in range(p)
     ]
     meta = {"vol_window": spec.window, "vol_lag": spec.lag}
     tables = [harness.ReportTable("error_attribution",
                                   ["asset", "vanilla", "weighted"], rows_out, meta)]
-    print(harness.report(tables, cfg.fmt))
+    print(harness.report(tables, args.format))
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    rep = simulate.simulate_suite(cfg.suite, cfg.seed, cfg.trials, cfg.sample_size)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    rep = simulate.simulate_suite(args.suite, args.seed, args.trials, args.sample_size)
     sys.stdout.write(rep.render())
     return EXIT_OK if rep.passed else EXIT_NUMERIC
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest
 
     ok = selftest.run(verbose=True)
@@ -362,7 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        code = handlers[args.command](config_from_args(args))
+        if "input" in args:  # a data command
+            _check_data_options(args)
+        code = handlers[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -42,7 +42,7 @@ from .kernels import (
     vech_len,
     vech_lower,
 )
-from .moments import AugmentedMoment, MomentLayout, augment, sample_theta, unpack_theta_inverse
+from .moments import AugmentedMoment, MomentLayout, augment, unpack_theta_inverse
 
 
 class ConditionalModel(Enum):
@@ -153,29 +153,16 @@ def conditional_rows(
     if features is not None and model is not ConditionalModel.BICONDITIONAL:
         raise ShapeMismatch(f"features require the biconditional model, not {model.value}")
     if model is ConditionalModel.CONSTANT_SR:
+        rows = augment(values, weights=weights)
         if weights is not None:
-            w = np.asarray(weights, dtype=float).ravel()
-            if np.any(~np.isfinite(w)) or np.any(w <= 0):
-                raise NonPositiveVolFeature("weights must be finite and positive")
-            values = values * w[:, None]
-        return augment(values), MomentLayout.UNCONDITIONAL, 1
+            rows[:, 0] = 1.0  # the weights rescale the returns only
+        return rows, MomentLayout.UNCONDITIONAL, 1
     if model is ConditionalModel.FLOATING_SR:
         return augment(values, weights=weights), MomentLayout.CONDITIONAL, 1
     if features is None:
         raise ShapeMismatch("biconditional model needs features")
     rows = augment(values, features=features, weights=weights)
     return rows, MomentLayout.CONDITIONAL, np.atleast_2d(features).shape[1]
-
-
-def conditional_theta(
-    values: np.ndarray,
-    features: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-    model: ConditionalModel = ConditionalModel.CONSTANT_SR,
-) -> AugmentedMoment:
-    """Augmented moment under a conditional model; see conditional_rows."""
-    rows, layout, f_dim = conditional_rows(values, features, weights, model)
-    return sample_theta(rows, layout, f_dim=f_dim)
 
 
 def _coefficient_coords(d: int, f: int) -> list[int]:

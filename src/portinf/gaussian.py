@@ -100,6 +100,8 @@ class LrtSolution:
 LRT_OK, LRT_INITIAL_NOT_PD, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVERGENCE, \
     LRT_SAMPLE_NOT_PD = range(6)
 LINE_SEARCH_HALVINGS = 20
+LRT_MAX_ITER = 50    # Newton steps before a member is NoConvergence
+LRT_TOL = 1e-10      # sup-norm of the constraint residual that counts as solved
 
 
 @dataclass
@@ -117,7 +119,7 @@ class LrtStack:
     iterations: np.ndarray    # (n,)
     status: np.ndarray        # (n,)
     residual: np.ndarray      # (n, m)
-    history: np.ndarray       # (n, max_iter + 1)
+    history: np.ndarray       # (n, LRT_MAX_ITER + 1)
 
     @property
     def converged(self) -> np.ndarray:
@@ -151,13 +153,7 @@ class LrtStack:
                            self.residual[i], [float(h) for h in self.history[i, :it + 1]])
 
 
-def lrt_solve_stack(
-    tm: AugmentedMoment,
-    cs: TraceConstraintSet,
-    lam0: np.ndarray | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-) -> LrtStack:
+def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     """Constrained MLE and likelihood-ratio statistic for every member of a stack.
 
     The constrained maximizer is the sample moment minus a multiplier
@@ -182,8 +178,7 @@ def lrt_solve_stack(
     if cs.matrices[0].shape[0] != d:
         raise ShapeMismatch("constraint size does not match the moment matrix")
     mats = np.array(cs.matrices)
-    lam = np.zeros((n, m)) if lam0 is None else \
-        np.broadcast_to(np.asarray(lam0, dtype=float), (n, m)).copy()
+    lam = np.zeros((n, m))
 
     def constrained(theta_hat, lam):
         out = theta_hat.copy()
@@ -202,12 +197,12 @@ def lrt_solve_stack(
     status = np.where(pd, LRT_OK, LRT_INITIAL_NOT_PD)
     res = residual_of(inv0)
     sup = np.abs(res).max(axis=1)
-    history = np.full((n, max_iter + 1), np.nan)
+    history = np.full((n, LRT_MAX_ITER + 1), np.nan)
     history[:, 0] = sup
     iterations = np.zeros(n, dtype=int)
-    active = pd & ~(sup < tol)
+    active = pd & ~(sup < LRT_TOL)
 
-    for _ in range(max_iter):
+    for _ in range(LRT_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -244,7 +239,7 @@ def lrt_solve_stack(
         status[idx[pending]] = LRT_LINE_SEARCH
         stepped = idx[~pending]
         history[stepped, iterations[stepped]] = sup[stepped]
-        active = (status == LRT_OK) & ~(sup < tol)
+        active = (status == LRT_OK) & ~(sup < LRT_TOL)
     status[active] = LRT_NO_CONVERGENCE
 
     stat = np.full(n, np.nan)
@@ -272,13 +267,7 @@ def _nu_minus_log1p(nu: np.ndarray) -> np.ndarray:
     return np.where(np.abs(nu) < 0.05, nu * nu * acc, nu - np.log1p(nu))
 
 
-def lrt_solve(
-    tm: AugmentedMoment,
-    cs: TraceConstraintSet,
-    lam0: np.ndarray | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-) -> LrtSolution:
+def lrt_solve(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtSolution:
     """Constrained MLE and likelihood-ratio statistic for trace constraints.
 
     The one-moment case of lrt_solve_stack; raises the member's typed
@@ -287,7 +276,7 @@ def lrt_solve(
     """
     if tm.theta.ndim != 2:
         raise ShapeMismatch("lrt_solve takes one moment; use lrt_solve_stack for a stack")
-    return lrt_solve_stack(tm, cs, lam0, max_iter, tol).member(0)
+    return lrt_solve_stack(tm, cs).member(0)
 
 
 def lrt_pvalue(stat: float, dof: int) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVolatilityWindow,
 )
-from .moments import ReturnsPanel, check_risk_budget
+from .moments import ReturnsPanel
 
 
 @dataclass
@@ -36,55 +35,6 @@ class RollingVolSpec:
         if self.window < 1 or self.lag < 1:
             raise ShapeMismatch(f"volatility window and lag must be positive, "
                                 f"got window {self.window}, lag {self.lag}")
-
-
-@dataclass
-class RunConfig:
-    """Validated options for one command-line run."""
-
-    command: str
-    input_path: str | None = None
-    asset_columns: list[str] = field(default_factory=list)
-    feature_columns: list[str] = field(default_factory=list)
-    date_column: str | None = None
-    model: str = "constant"
-    feature_lag: int = 1
-    center_features: bool = False
-    vol: RollingVolSpec | None = None
-    hac: tuple[str, int | None] | None = None
-    risk_budget: float | None = None
-    rfr: float = 0.0
-    seed: int | None = None
-    suite: str | None = None
-    trials: int | None = None
-    sample_size: int | None = None
-    a_file: str | None = None
-    c_file: str | None = None
-    t_file: str | None = None
-    constraints_file: str | None = None
-    fmt: str = "tsv"
-
-    def __post_init__(self):
-        if self.command == "simulate" and self.seed is None:
-            raise ShapeMismatch("simulate requires a seed")
-        if self.risk_budget is not None:
-            check_risk_budget(self.risk_budget)
-        if not (math.isfinite(self.rfr) and self.rfr >= 0):
-            raise ShapeMismatch(f"rfr must be finite and non-negative, got {self.rfr}")
-        if self.feature_lag < 0:
-            raise ShapeMismatch(f"feature lag must be non-negative, got {self.feature_lag}")
-        if self.input_path is not None and not self.asset_columns:
-            raise ShapeMismatch("--assets names no columns")
-        for option, columns in (("--assets", self.asset_columns), ("--features", self.feature_columns)):
-            repeated = sorted({c for c in columns if columns.count(c) > 1})
-            if repeated:
-                raise ShapeMismatch(f"{option} names columns more than once: {', '.join(repeated)}")
-        # an unlagged feature that is also an asset makes the moment matrix singular
-        shared = sorted(set(self.asset_columns) & set(self.feature_columns))
-        if shared and self.feature_lag == 0:
-            raise ShapeMismatch(f"columns both asset and unlagged feature: {', '.join(shared)}")
-        if self.fmt not in ("tsv", "json"):
-            raise ShapeMismatch(f"unknown format {self.fmt!r}")
 
 
 @dataclass
@@ -145,13 +95,15 @@ def load_csv(
     return LoadedData(panel, features, n_dropped)
 
 
-def write_csv(path: str, values: np.ndarray, columns: list[str],
-              timestamps: list | None = None, date_column: str = "date"):
-    """Write a panel back out; the inverse of load_csv up to float text."""
+def write_csv(path: str, values: np.ndarray, columns: list[str], timestamps: list | None = None):
+    """Write a panel back out; the inverse of load_csv up to float text.
+
+    Timestamps, when given, go in a leading `date` column.
+    """
     values = np.atleast_2d(values)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ([date_column] if timestamps is not None else []) + list(columns)
+        header = (["date"] if timestamps is not None else []) + list(columns)
         writer.writerow(header)
         for i, row in enumerate(values):
             lead = [timestamps[i]] if timestamps is not None else []
@@ -226,7 +178,7 @@ def render_json(tables: list[ReportTable]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def report(tables: list[ReportTable], fmt: str = "tsv") -> str:
+def report(tables: list[ReportTable], fmt: str) -> str:
     if fmt == "tsv":
         return render_tsv(tables)
     if fmt == "json":

@@ -62,9 +62,8 @@ def _vech_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, diag
 
 
-def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL,
-                    stacked: bool = False) -> np.ndarray:
-    """Validate finiteness and symmetry to relative tolerance, then return (M + M')/2.
+def check_symmetric(m: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Validate finiteness and symmetry to SYMMETRY_RTOL relative, then return (M + M')/2.
 
     With stacked=True, m is an (n, d, d) stack and each member is gated
     against its own largest entry. A NaN or infinite entry raises
@@ -88,8 +87,8 @@ def check_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL,
     else:
         scale = max(largest, 1.0)
         gap = np.abs(m - mt).max()
-    if gap > rtol * scale:
-        raise AsymmetricInput(f"asymmetry {gap:.3e} exceeds {rtol:.0e} relative")
+    if gap > SYMMETRY_RTOL * scale:
+        raise AsymmetricInput(f"asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.0e} relative")
     return 0.5 * (m + mt)
 
 

@@ -290,7 +290,9 @@ def _unconditional(rng, p):
 def _biconditional(rng, f, p):
     feats = rng.standard_normal((200, f))
     rets = 0.01 * rng.standard_normal((200, p)) + 0.003 + 0.001 * feats[:, :1]
-    return cn.conditional_theta(rets, feats, model=cn.ConditionalModel.BICONDITIONAL)
+    rows, layout, f_dim = cn.conditional_rows(rets, feats,
+                                              model=cn.ConditionalModel.BICONDITIONAL)
+    return mo.sample_theta(rows, layout, f_dim=f_dim)
 
 
 OMEGA_ESTIMATORS = {

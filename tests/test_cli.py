@@ -372,12 +372,6 @@ class TestDemoScript:
         assert out.returncode == 0, out.stderr
         assert "share of weight error from precision-matrix estimation" in out.stdout
 
-    def test_quick_simulations_run(self):
-        out = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_simulations.py"),
-                              "--quick"], capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert sum(line.startswith("result=") for line in out.stdout.splitlines()) == 4
-
 
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):
@@ -487,6 +481,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "usage error" in err and message in err
+
+    @pytest.mark.parametrize("args", [["--risk-budget", "nan"], ["--rfr", "-1"],
+                                      ["--feature-lag", "-1"], ["--assets", ""],
+                                      ["--assets", "alpha,alpha"],
+                                      ["--features", "alpha", "--model", "biconditional",
+                                       "--feature-lag", "0"],
+                                      ["--vol-lag", "0"], ["--hac", "bartlett:x"]],
+                             ids=["risk_budget", "rfr", "feature_lag", "no_assets",
+                                  "duplicate_asset", "unlagged_asset_feature", "vol_lag",
+                                  "hac_bandwidth"])
+    def test_option_errors_come_before_the_input_is_read(self, capsys, tmp_path, args):
+        code = cli.main(["infer", "--input", str(tmp_path / "missing.csv"), "--assets", ASSETS,
+                         *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error")
+
+    def test_hac_kernel_is_checked_after_the_input_is_read(self, capsys, tmp_path):
+        code = cli.main(["infer", "--input", str(tmp_path / "missing.csv"), "--assets", ASSETS,
+                         "--hac", "foo"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error")
 
     def test_lagged_asset_as_feature_is_a_model(self, capsys):
         # a feature column that is also an asset enters lagged, which is a valid predictor

@@ -9,7 +9,7 @@ from portinf import asymptotics as asy
 from portinf import constraints as cn
 from portinf import moments as mo
 from portinf import oracles as orc
-from portinf.errors import ShapeMismatch
+from portinf.errors import LengthMismatch, NonPositiveWeight, ShapeMismatch
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import MatrixShape, ivech, vech, vech_lower, chol
 from portinf.moments import AugmentedMoment, MomentLayout
@@ -160,15 +160,18 @@ class TestConditionalTheta:
     def test_unit_weights_match_unconditional(self, rng):
         x = rng.standard_normal((60, 2))
         tm_plain = mo.sample_theta(mo.augment(x))
-        tm_cond = cn.conditional_theta(x, weights=np.ones(60),
-                                       model=cn.ConditionalModel.CONSTANT_SR)
+        rows, layout, f_dim = cn.conditional_rows(x, weights=np.ones(60),
+                                                  model=cn.ConditionalModel.CONSTANT_SR)
+        tm_cond = mo.sample_theta(rows, layout, f_dim=f_dim)
         np.testing.assert_allclose(tm_cond.theta, tm_plain.theta, atol=1e-15)
         assert tm_cond.layout is MomentLayout.UNCONDITIONAL
 
     def test_floating_corner_is_mean_square_weight(self, rng):
         x = rng.standard_normal((40, 1))
         w = np.tile([1.0, 2.0], 20)
-        tm = cn.conditional_theta(x, weights=w, model=cn.ConditionalModel.FLOATING_SR)
+        rows, layout, f_dim = cn.conditional_rows(x, weights=w,
+                                                  model=cn.ConditionalModel.FLOATING_SR)
+        tm = mo.sample_theta(rows, layout, f_dim=f_dim)
         assert tm.theta[0, 0] == pytest.approx(2.5)
         assert tm.layout is MomentLayout.CONDITIONAL
 
@@ -182,6 +185,17 @@ class TestConditionalTheta:
         np.testing.assert_allclose(rows[:, 1], w)
         np.testing.assert_allclose(rows[:, 2], w * x[:, 0])
         assert f_dim == 2
+
+    @pytest.mark.parametrize("model", list(cn.ConditionalModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("weights,error", [(np.ones(1), LengthMismatch),
+                                               (np.ones(40), LengthMismatch),
+                                               (np.r_[np.ones(49), 0.0], NonPositiveWeight)],
+                             ids=["length1", "length_t-10", "zero"])
+    def test_every_model_checks_the_weights_alike(self, rng, model, weights, error):
+        x = rng.standard_normal((50, 2))
+        features = np.ones((50, 1)) if model is cn.ConditionalModel.BICONDITIONAL else None
+        with pytest.raises(error):
+            cn.conditional_rows(x, features, weights, model)
 
 
 class TestMarkowitzCoefficient:

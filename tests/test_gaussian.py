@@ -140,15 +140,6 @@ class TestLrtSolve:
         assert scaled.stat == pytest.approx(base.stat, abs=1e-10)
         np.testing.assert_allclose(scaled.lam, base.lam / 3.0, atol=1e-10)
 
-    def test_warm_start_at_solution_converges_immediately(self):
-        a = np.diag([0.0, 1.0, 0.0])
-        cs = ga.TraceConstraintSet([a], [0.9 * self.inv[1, 1]])
-        cold = ga.lrt_solve(self.tm, cs)
-        warm = ga.lrt_solve(self.tm, cs, lam0=cold.lam)
-        assert warm.iterations == 0
-        np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-12)
-        assert warm.stat == pytest.approx(cold.stat, abs=1e-10)
-
     def test_three_constraints_converge(self):
         a1 = np.diag([0.0, 1.0, 0.0])
         a2 = np.zeros((3, 3))

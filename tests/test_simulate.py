@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,22 +242,24 @@ class TestLrtStack:
         # "null" members already satisfy the constraints at lambda = 0
         thetas = np.stack([ref if k == "null" else _unit_corner(rng, d, pd=k == "pd")
                            for k in kinds[:n]])
-        stack = ga.lrt_solve_stack(AugmentedMoment(thetas, n_obs=50), cs, max_iter=max_iter)
-        for i, theta in enumerate(thetas):
-            try:
-                one = ga.lrt_solve(AugmentedMoment(theta, n_obs=50), cs, max_iter=max_iter)
-            except NumericalError as exc:
-                err = stack.error(i)
-                assert not stack.converged[i]
-                assert type(err) is type(exc) and str(err) == str(exc)
-                with pytest.raises(type(exc)):
-                    stack.member(i)
-                continue
-            assert stack.converged[i]
-            assert stack.iterations[i] == one.iterations
-            assert abs(stack.stat[i] - one.stat) <= 1e-12 * max(1.0, abs(one.stat))
-            np.testing.assert_allclose(stack.lam[i], one.lam, rtol=1e-12, atol=1e-14)
-            np.testing.assert_array_equal(stack.member(i).history, one.history)
+        # a hypothesis test cannot take a function-scoped fixture such as monkeypatch
+        with mock.patch.object(ga, "LRT_MAX_ITER", max_iter):
+            stack = ga.lrt_solve_stack(AugmentedMoment(thetas, n_obs=50), cs)
+            for i, theta in enumerate(thetas):
+                try:
+                    one = ga.lrt_solve(AugmentedMoment(theta, n_obs=50), cs)
+                except NumericalError as exc:
+                    err = stack.error(i)
+                    assert not stack.converged[i]
+                    assert type(err) is type(exc) and str(err) == str(exc)
+                    with pytest.raises(type(exc)):
+                        stack.member(i)
+                    continue
+                assert stack.converged[i]
+                assert stack.iterations[i] == one.iterations
+                assert abs(stack.stat[i] - one.stat) <= 1e-12 * max(1.0, abs(one.stat))
+                np.testing.assert_allclose(stack.lam[i], one.lam, rtol=1e-12, atol=1e-14)
+                np.testing.assert_array_equal(stack.member(i).history, one.history)
 
     def test_failures_do_not_leak_into_neighbours(self):
         rng = np.random.default_rng(7)
@@ -274,14 +277,15 @@ class TestLrtStack:
             assert stack.stat[i] == pytest.approx(one.stat, abs=1e-12)
         assert np.isnan(stack.stat[1])
 
-    def test_iteration_cap_is_no_convergence(self):
+    def test_iteration_cap_is_no_convergence(self, monkeypatch):
         theta = _unit_corner(np.random.default_rng(3), 3)
         a = np.diag([0.0, 1.0, 0.0])
         cs = ga.TraceConstraintSet([a], [0.7 * np.linalg.inv(theta)[1, 1]])
-        stack = ga.lrt_solve_stack(AugmentedMoment(theta[None], n_obs=100), cs, max_iter=1)
+        monkeypatch.setattr(ga, "LRT_MAX_ITER", 1)
+        stack = ga.lrt_solve_stack(AugmentedMoment(theta[None], n_obs=100), cs)
         assert stack.status[0] == ga.LRT_NO_CONVERGENCE
         with pytest.raises(NumericalError, match="after 1 iterations"):
-            ga.lrt_solve(AugmentedMoment(theta, n_obs=100), cs, max_iter=1)
+            ga.lrt_solve(AugmentedMoment(theta, n_obs=100), cs)
 
 
 def _conditional(rng, f, p):
