@@ -235,6 +235,14 @@ def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
     return 2.0 * (1.0 - z) ** 3
 
 
+def check_hac(kernel: str, bandwidth: int | None) -> None:
+    """Reject an unknown kernel or a negative bandwidth; `omega_hac` checks it is below T."""
+    if kernel not in HAC_KERNELS:
+        raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")
+    if bandwidth is not None and bandwidth < 0:
+        raise ShapeMismatch(f"bandwidth must be non-negative, got {bandwidth}")
+
+
 def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | None = None) -> OmegaEstimate:
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
@@ -250,10 +258,7 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     pairs each row with the weighted sum of the b rows after it, at
     O(T k^2 + T b k).
     """
-    if kernel not in HAC_KERNELS:
-        raise ShapeMismatch(f"unknown kernel {kernel!r}, expected one of {HAC_KERNELS}")
-    if bandwidth is not None and bandwidth < 0:
-        raise ShapeMismatch(f"bandwidth must be non-negative, got {bandwidth}")
+    check_hac(kernel, bandwidth)
     t = np.atleast_2d(aug_rows).shape[0]
     if bandwidth is None:
         bandwidth = default_bandwidth(t)

@@ -15,13 +15,7 @@ import warnings
 import numpy as np
 
 from . import asymptotics, constraints, gaussian, harness, moments, simulate
-from .errors import (
-    EmptyPanel,
-    NumericalError,
-    ParseError,
-    PortinfError,
-    ShapeMismatch,
-)
+from .errors import DataError, NumericalError, ParseError, PortinfError, ShapeMismatch
 from .harness import RollingVolSpec
 from .kernels import MatrixShape, ivech, vech_len
 from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
@@ -44,13 +38,17 @@ def _split_csv_arg(text: str) -> list[str]:
 
 
 def _parse_hac(text: str) -> tuple[str, int | None]:
+    """KERNEL[:BW] as (kernel, bandwidth); only a bandwidth not below T waits for the data."""
+    kernel, bw = text, None
     if ":" in text:
         kernel, bw = text.split(":", 1)
         try:
-            return kernel.strip().lower(), int(bw)
+            bw = int(bw)
         except ValueError as exc:
             raise ShapeMismatch(f"bad HAC bandwidth in {text!r}") from exc
-    return text.strip().lower(), None
+    kernel = kernel.strip().lower()
+    asymptotics.check_hac(kernel, bw)
+    return kernel, bw
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -371,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         # device, so that the interpreter's flush at exit stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ParseError, EmptyPanel) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

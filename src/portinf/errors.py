@@ -45,15 +45,19 @@ class BandwidthTooLarge(PortinfError):
 
 # --- data --------------------------------------------------------------
 
-class ParseError(PortinfError):
+class DataError(PortinfError):
+    """Base for problems of the input data rather than of the options."""
+
+
+class ParseError(DataError):
     pass
 
 
-class EmptyPanel(PortinfError):
+class EmptyPanel(DataError):
     pass
 
 
-class ZeroVolatilityWindow(PortinfError):
+class ZeroVolatilityWindow(DataError):
     pass
 
 

@@ -220,11 +220,14 @@ def fisher_information_block(theta: np.ndarray) -> np.ndarray:
 
 
 def conjecture_itheta_cov(tm: AugmentedMoment) -> np.ndarray:
-    """Alternative plug-in covariance for vech of the inverse moment matrix.
+    """Normal-returns covariance of vech of the inverse moment matrix, for every p.
 
-    2 (D'(T kron T)D)^-1 - 2 e1 e1'. Proven equal to the Theorem-style
-    chain in the scalar case; kept as a cross-check, not a production
-    covariance, for larger dimensions.
+    2 (D'(T kron T)D)^-1 - 2 e1 e1'. One row's influence on the inverse
+    is -vech(s s') with s = T^-1 r Gaussian, of mean e1 and second moment
+    T^-1, so Isserlis gives pair(T^-1) - 2 e1 e1', and pair(T^-1) is
+    2 (D'(T kron T)D)^-1. Built from the dense duplication matrix as a
+    reference for Theorem 1's chain over `gaussian_omega`; the name is
+    from when the law was proven at p = 1 only.
     """
     theta = tm.theta
     d = theta.shape[0]

@@ -87,8 +87,8 @@ class TestInfer:
         assert "model=floating" in out
 
 
-def scaled_fixture(tmp_path, scale, zero_column=None):
-    """The fixture with its asset columns scaled, and optionally one of them zeroed."""
+def scaled_fixture(tmp_path, scale, fixed_column=None, fixed="0"):
+    """The fixture with its asset columns scaled, and optionally one of them fixed (at 0)."""
     lines = pathlib.Path(FIXTURE).read_text().splitlines()
     header = lines[0].split(",")
     assets = [header.index(a) for a in ASSETS.split(",")]
@@ -97,10 +97,25 @@ def scaled_fixture(tmp_path, scale, zero_column=None):
         cells = line.split(",")
         for i in assets:
             if cells[i]:
-                cells[i] = "0" if header[i] == zero_column else repr(scale * float(cells[i]))
+                cells[i] = fixed if header[i] == fixed_column else repr(scale * float(cells[i]))
         out.append(",".join(cells))
     path = tmp_path / "returns.csv"
     path.write_text("\n".join(out) + "\n")
+    return str(path)
+
+
+def zero_run_fixture(tmp_path):
+    """The fixture with every asset return zero over the 15 rows 20..34."""
+    lines = pathlib.Path(FIXTURE).read_text().splitlines()
+    header = lines[0].split(",")
+    assets = [header.index(a) for a in ASSETS.split(",")]
+    for row in range(20, 35):
+        cells = lines[1 + row].split(",")
+        for i in assets:
+            cells[i] = "0"
+        lines[1 + row] = ",".join(cells)
+    path = tmp_path / "zero_run.csv"
+    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -120,7 +135,7 @@ class TestUnits:
             assert 1e-8 * float(b[5]) == pytest.approx(float(a[5]), rel=1e-5)
 
     def test_all_zero_asset_column_is_a_numerical_failure(self, capsys, tmp_path):
-        path = scaled_fixture(tmp_path, 1.0, zero_column="beta")
+        path = scaled_fixture(tmp_path, 1.0, fixed_column="beta")
         code, _, err = run(capsys, "infer", "--input", path, "--assets", ASSETS)
         assert code == 3
         assert "numerical failure" in err and "all zero" in err
@@ -487,10 +502,11 @@ class TestExitCodes:
                                       ["--assets", "alpha,alpha"],
                                       ["--features", "alpha", "--model", "biconditional",
                                        "--feature-lag", "0"],
-                                      ["--vol-lag", "0"], ["--hac", "bartlett:x"]],
+                                      ["--vol-lag", "0"], ["--hac", "bartlett:x"],
+                                      ["--hac", "foo"], ["--hac", "bartlett:-1"]],
                              ids=["risk_budget", "rfr", "feature_lag", "no_assets",
                                   "duplicate_asset", "unlagged_asset_feature", "vol_lag",
-                                  "hac_bandwidth"])
+                                  "hac_bandwidth", "hac_kernel", "hac_negative_bandwidth"])
     def test_option_errors_come_before_the_input_is_read(self, capsys, tmp_path, args):
         code = cli.main(["infer", "--input", str(tmp_path / "missing.csv"), "--assets", ASSETS,
                          *args])
@@ -498,11 +514,24 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error")
 
-    def test_hac_kernel_is_checked_after_the_input_is_read(self, capsys, tmp_path):
-        code = cli.main(["infer", "--input", str(tmp_path / "missing.csv"), "--assets", ASSETS,
-                         "--hac", "foo"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("data error")
+    @pytest.mark.parametrize("argv,code,prefix", [
+        (["infer", "--input", FIXTURE, "--assets", ASSETS, "--rfr", "-1"], 1, "usage error: "),
+        (["infer", "--input", "missing.csv", "--assets", ASSETS], 2, "data error: "),
+        (["infer", "--input", "zero_run", "--assets", ASSETS, "--vol-window", "5"], 2,
+         "data error: volatility window ending at row 24 is zero"),
+        (["attribute", "--input", "zero_run", "--assets", ASSETS], 2,
+         "data error: volatility window ending at row 30 is zero"),
+        (["infer", "--input", "constant_column", "--assets", ASSETS], 3, "numerical failure: "),
+    ], ids=["usage-rfr", "data-missing_input", "data-zero_volatility_infer",
+            "data-zero_volatility_attribute", "numerical-constant_column"])
+    def test_each_error_family_has_its_exit_code(self, capsys, tmp_path, argv, code, prefix):
+        """One case per documented family: exit code and stderr prefix."""
+        inputs = {"missing.csv": str(tmp_path / "missing.csv"),
+                  "zero_run": zero_run_fixture(tmp_path),
+                  "constant_column": scaled_fixture(tmp_path, 1.0, "beta", "0.01")}
+        assert cli.main([inputs.get(a, a) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
 
     def test_lagged_asset_as_feature_is_a_model(self, capsys):
         # a feature column that is also an asset enters lagged, which is a valid predictor

@@ -10,6 +10,7 @@ from portinf import gaussian as ga
 from portinf import oracles as orc
 from portinf.asymptotics import theta_inverse_covariance
 from portinf.errors import NumericalError, ShapeMismatch, SingularJacobian
+from portinf.kernels import vech_pair
 from portinf.moments import AugmentedMoment
 
 from conftest import rand_unit_corner_theta
@@ -47,6 +48,8 @@ class TestGaussianOmega:
 
 
 class TestConjectureRoutes:
+    """The normal-returns law of vech(Theta^-1), first conjectured from p = 1, by three routes."""
+
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("sg", [0.5, 1.0, 2.0])
     def test_scalar_grid_identity(self, mu, sg):
@@ -54,14 +57,18 @@ class TestConjectureRoutes:
         via_chain = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
         np.testing.assert_allclose(orc.conjecture_itheta_cov(tm), via_chain, atol=1e-10)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_multivariate_route_evidence(self, p, rng):
-        # unproven beyond the scalar case; recorded here as numerical evidence
-        tm = AugmentedMoment(rand_unit_corner_theta(rng, p), n_obs=10)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6))
+    def test_law_holds_for_every_p(self, seed, p):
+        # one row moves the inverse by -vech(s s'), s = Theta^-1 r Gaussian with
+        # mean e1 and second moment Theta^-1: Isserlis gives pair(Theta^-1) - 2 e0 e0'
+        tm = AugmentedMoment(rand_unit_corner_theta(np.random.default_rng(seed), p), n_obs=10)
         via_chain = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
-        gap = np.abs(orc.conjecture_itheta_cov(tm) - via_chain).max()
-        print(f"conjecture route gap p={p}: {gap:.3e}")
-        assert gap < 1e-8
+        isserlis = vech_pair(tm.inverse)
+        isserlis[0, 0] -= 2.0
+        scale = np.abs(via_chain).max()
+        for route in (isserlis, orc.conjecture_itheta_cov(tm)):
+            assert np.abs(route - via_chain).max() <= 1e-12 * scale
 
 
 class TestGaussianOmegaMonteCarlo:

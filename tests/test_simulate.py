@@ -18,7 +18,12 @@ from portinf import oracles as orc
 from portinf.errors import NumericalError
 from portinf.moments import AugmentedMoment, MomentLayout
 
-from conftest import rand_spd
+from conftest import rand_spd, theta_from
+
+# the mglh population's feature covariance, loadings and residual covariance
+_SIG_F = np.array([[1.0, 0.2], [0.2, 1.0]])
+_B = np.array([[0.3, 0.1], [-0.2, 0.25]])
+_SIGMA = np.array([[1.0, 0.3], [0.3, 0.8]])
 
 # Reports of the per-trial implementation that the stacked engine replaced,
 # pinned byte for byte: the streams, the trial order and the printed values
@@ -75,6 +80,20 @@ def test_reports_are_pinned(key):
 
 
 
+@pytest.mark.parametrize("loading,f_dim,theta", [
+    (simulate.NORMAL_RETURNS, None, theta_from([0.4, 0.2], [[1.0, 0.25], [0.25, 0.5]])),
+    (simulate.LRT_RETURNS, None, theta_from([0.3, 0.1], [[1.0, 0.2], [0.2, 0.8]])),
+    (simulate.MGLH_ALTERNATIVE, 2, np.block([[_SIG_F, _SIG_F @ _B.T],
+                                             [_B @ _SIG_F, _SIGMA + _B @ _SIG_F @ _B.T]]))],
+    ids=["normal", "lrt", "mglh"])
+def test_population_is_the_moment_of_its_loading(loading, f_dim, theta):
+    """M M' is the population's block moment, and the sample moments scatter around it."""
+    pop, tm = simulate._moments(loading, 1, 4 * simulate.CHUNK, 2000, f_dim)
+    np.testing.assert_allclose(pop.theta, theta, rtol=0, atol=1e-15)
+    assert pop.layout is tm.layout and pop.f_dim == tm.f_dim
+    assert np.abs(tm.theta.mean(axis=0) - theta).max() < 0.01
+
+
 def test_sampled_moments_hold_one_chunk_of_draws():
     """The draws of one chunk are the only large arrays alive while the stack is built."""
     widths, sample_size = (2, 2), 500
@@ -101,7 +120,7 @@ def _draw_args(seed, trials, unit, f, p, extra):
     d = sum(widths)
     low = np.tril(rng.uniform(-0.5, 0.5, (d, d)), -1) + np.diag(rng.uniform(0.5, 1.5, d))
     if unit:
-        loading, layout, f_dim = (simulate._unit_loading(rng.uniform(-0.5, 0.5, d), low),
+        loading, layout, f_dim = (simulate._unit_loading(rng.uniform(-0.5, 0.5, d), low @ low.T),
                                   MomentLayout.UNCONDITIONAL, 1)
     else:
         loading, layout, f_dim = low, MomentLayout.CONDITIONAL, f
