@@ -57,18 +57,26 @@ class TestConjectureRoutes:
         via_chain = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
         np.testing.assert_allclose(orc.conjecture_itheta_cov(tm), via_chain, atol=1e-10)
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6))
-    def test_law_holds_for_every_p(self, seed, p):
+    @staticmethod
+    def assert_law(theta):
         # one row moves the inverse by -vech(s s'), s = Theta^-1 r Gaussian with
         # mean e1 and second moment Theta^-1: Isserlis gives pair(Theta^-1) - 2 e0 e0'
-        tm = AugmentedMoment(rand_unit_corner_theta(np.random.default_rng(seed), p), n_obs=10)
+        tm = AugmentedMoment(theta, n_obs=10)
         via_chain = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
         isserlis = vech_pair(tm.inverse)
         isserlis[0, 0] -= 2.0
         scale = np.abs(via_chain).max()
         for route in (isserlis, orc.conjecture_itheta_cov(tm)):
             assert np.abs(route - via_chain).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_multivariate_route_evidence(self, p, rng):
+        self.assert_law(rand_unit_corner_theta(rng, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6))
+    def test_law_holds_for_every_p(self, seed, p):
+        self.assert_law(rand_unit_corner_theta(np.random.default_rng(seed), p))
 
 
 class TestGaussianOmegaMonteCarlo:
