@@ -35,18 +35,17 @@ class OmegaEstimate:
     """Covariance of vech of the per-row outer products, with provenance.
 
     A closed form keeps the m-by-m matrix itself, and every sandwich
-    uses it. A data estimate keeps the T-by-m vech series instead, less
-    its mean vech(Theta-hat), with the HAC lags weighted by `kernel` up
-    to `bandwidth`, and the shape of the gradient alone picks the
-    sandwich's path: a gradient with k < m rows projects the series on
-    it and applies the kernel to the T-by-k projection, and one with
-    k >= m rows uses the m-by-m matrix, formed from the series on the
-    first read of `omega`. Either way the kernel runs in `_long_run`,
-    which centers its input exactly in its own working buffer, so no
-    other centered copy of the series is held: Bartlett (and vanilla,
-    its zero bandwidth) as one Gram of moving sums, Parzen as each row
-    times a weighted sum of the rows after it, over row blocks, each HAC
-    result followed by the PSD clip.
+    uses it. A data estimate keeps the uncentered T-by-m vech series
+    instead, with the HAC lags weighted by `kernel` up to `bandwidth`,
+    and the shape of the gradient alone picks the sandwich's path: a
+    gradient with k < m rows projects the series on it and applies the
+    kernel to the T-by-k projection, and one with k >= m rows uses the
+    m-by-m matrix, formed from the series on the first read of `omega`.
+    Either way the kernel runs in `_long_run`, which centers its input
+    in its own working buffer, so the series is never demeaned: Bartlett
+    (and vanilla, its zero bandwidth) as one Gram of moving sums, Parzen
+    as each row times a weighted sum of the rows after it, over row
+    blocks, each HAC result followed by the PSD clip.
     """
 
     matrix: np.ndarray | None
@@ -79,10 +78,8 @@ class OmegaEstimate:
         """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
 
         An m-vector gradient gives the scalar variance. With k < m the
-        series Y is projected first and `_long_run` centers the T-by-k
-        projection: Y g' minus its mean is (Y - mean) g'. Y was demeaned
-        when built, so the projection rounds on the scale of the
-        deviations and not of a mean that dwarfs them.
+        uncentered series Y is projected first and `_long_run` centers
+        the T-by-k projection: Y g' minus its mean is (Y - mean) g'.
         """
         g = np.asarray(g, dtype=float)
         if g.shape[-1] != self.dim:
@@ -152,12 +149,9 @@ class DistributionResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None) / self.n_obs)
 
 
-def vech_outer_rows(aug_rows: np.ndarray, demean: bool = False) -> np.ndarray:
-    """vech(r r') for every augmented row r, one result per row.
+def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
+    """vech(r r') for every augmented row r, one result per row, uncentered.
 
-    With `demean`, each is vech(r r' - R'R / T), less the sample moment
-    of the T rows R, which is subtracted from each column block while
-    the block is in cache.
     Column-major: the T-by-m result is a view of an m-by-T buffer, so
     each vech coordinate's T values are written, and later projected,
     as one contiguous run.
@@ -165,23 +159,19 @@ def vech_outer_rows(aug_rows: np.ndarray, demean: bool = False) -> np.ndarray:
     aug_rows = np.atleast_2d(np.asarray(aug_rows, dtype=float))
     t, d = aug_rows.shape
     cols = np.ascontiguousarray(aug_rows.T)
-    mean = cols @ cols.T / t if demean else None
     out = np.empty((vech_len(d), t))
     start = 0
     # vech runs down the columns: column j holds r_j * r[j:]
     for j in range(d):
-        block = out[start : start + d - j]
-        np.multiply(cols[j:], cols[j], out=block)
-        if demean:
-            block -= mean[j:, j, None]
+        np.multiply(cols[j:], cols[j], out=out[start : start + d - j])
         start += d - j
     return out.T
 
 
 def _series_omega(aug_rows: np.ndarray, estimator: str, kernel: str | None = None,
                   bandwidth: int | None = None) -> OmegaEstimate:
-    """Omega held as the demeaned vech outer-product series; `_long_run` centers exactly."""
-    y = vech_outer_rows(aug_rows, demean=True)
+    """Omega held as the uncentered vech outer-product series; `_long_run` centers."""
+    y = vech_outer_rows(aug_rows)
     return OmegaEstimate(None, estimator, n_obs=y.shape[0], kernel=kernel, bandwidth=bandwidth,
                          series=y)
 
@@ -257,7 +247,7 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
     Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') of the centered series. The
-    estimate keeps the demeaned series, the kernel and the bandwidth,
+    estimate keeps the uncentered series, the kernel and the bandwidth,
     and the kernel centers what it sums (see `OmegaEstimate`). A sandwich
     of a gradient with k < m rows applies the kernel to the series
     projected on it and clips the k-by-k result to positive semidefinite;

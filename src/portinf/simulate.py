@@ -201,62 +201,81 @@ def _unit_loading(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.block([[np.ones((1, 1)), np.zeros((1, mu.size))], [mu[:, None], chol(sigma)]])
 
 
-# Each suite's population, declared as the loading M that draws its rows (see
-# _moments). Returns are x = mu + chol(sigma) z; the mglh rows are [f', x'],
-# with features f = L_f z_f drawn first and returns x = B f + L_s z_e.
+# Each suite's population, declared once as the loading M that draws its rows
+# and, for conditional rows, their feature count (see _draw), followed by the
+# suite's default trials and sample size. Returns are x = mu + chol(sigma) z; the
+# mglh rows are [f', x'], with features f = L_f z_f drawn first and x = B f + L_s z_e.
 NORMAL_RETURNS = _unit_loading(np.array([0.4, 0.2]), np.array([[1.0, 0.25], [0.25, 0.5]]))
 LRT_RETURNS = _unit_loading(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.8]]))
 _CHOL_F = chol(np.array([[1.0, 0.2], [0.2, 1.0]]))
 MGLH_ALTERNATIVE = np.block([[_CHOL_F, np.zeros((2, 2))],
                              [np.array([[0.3, 0.1], [-0.2, 0.25]]) @ _CHOL_F,
                               chol(np.array([[1.0, 0.3], [0.3, 0.8]]))]])
+_SUITES = {
+    "theorem1": (NORMAL_RETURNS, None, 5000, 2000),
+    "gaussian": (NORMAL_RETURNS, None, 5000, 2000),
+    "lrt": (LRT_RETURNS, None, 2000, 1000),
+    "mglh": (MGLH_ALTERNATIVE, 2, 5000, 2000),
+}
+SUITES = tuple(_SUITES)
 
 
-def _moments(loading: np.ndarray, seed: int, trials: int, sample_size: int,
-             f_dim: int | None = None) -> tuple[AugmentedMoment, AugmentedMoment]:
-    """The population moment M M' and the stack of the trials' sample moments.
+def _draw(suite: str, seed: int, trials: int | None,
+          sample_size: int | None) -> tuple[SuiteReport, AugmentedMoment, AugmentedMoment]:
+    """The suite's empty report, its population moment M M' and its trials' sample moments.
 
-    The rows are M [1, z']' (unconditional layout) or, given f_dim, M z
-    (conditional layout, the f_dim feature normals drawn first), with z
-    standard normal: so their second moment is M M'.
+    The rows are M [1, z']' or, given a feature count f, M z with the f
+    feature normals drawn first; z is standard normal, so M M' is their
+    second moment. Sizes left as None take the suite's defaults, and the
+    sample size must exceed M's row count so that every moment inverts.
     """
-    d = loading.shape[0]
+    loading, f_dim, default_trials, default_size = _SUITES[suite]
+    dim = loading.shape[0]
+    trials = default_trials if trials is None else trials
+    sample_size = default_size if sample_size is None else sample_size
+    if trials < 2:
+        raise ShapeMismatch(f"need at least 2 trials, got {trials}")
+    if sample_size <= dim:
+        raise ShapeMismatch(
+            f"sample size must exceed the {suite} moment dimension {dim}, got {sample_size}")
+    if seed < 0:
+        raise ShapeMismatch(f"seed must be non-negative, got {seed}")
     if f_dim is None:
-        layout, f_dim, widths = MomentLayout.UNCONDITIONAL, 1, (d - 1,)
+        layout, f_dim, widths = MomentLayout.UNCONDITIONAL, 1, (dim - 1,)
     else:
-        layout, widths = MomentLayout.CONDITIONAL, (f_dim, d - f_dim)
+        layout, widths = MomentLayout.CONDITIONAL, (f_dim, dim - f_dim)
     pop = AugmentedMoment(loading @ loading.T, sample_size, layout, f_dim)
-    return pop, _sampled_moments(seed, trials, sample_size, widths, loading, layout, f_dim)
+    tm = _sampled_moments(seed, trials, sample_size, widths, loading, layout, f_dim)
+    return SuiteReport(suite, seed, trials, sample_size), pop, tm
 
 
-def _spread_suite(suite: str, seed: int, trials: int, sample_size: int,
+def _spread_suite(suite: str, seed: int, trials: int | None, sample_size: int | None,
                   inverse: bool) -> SuiteReport:
     """Empirical vs normal-returns covariance of the scaled vech of the moment or its inverse."""
-    pop, tm = _moments(NORMAL_RETURNS, seed, trials, sample_size)
+    rep, pop, tm = _draw(suite, seed, trials, sample_size)
     omega = gaussian_omega(pop)
     theo = theta_inverse_covariance(pop, omega).covariance if inverse else omega.omega
     ri, ci = vech_indices(pop.dim)
     v = (tm.inverse if inverse else tm.theta)[:, ri, ci]
-    emp = sample_size * np.cov(v, rowvar=False)
+    emp = rep.sample_size * np.cov(v, rowvar=False)
     rel = np.linalg.norm(emp - theo) / np.linalg.norm(theo)
-    rep = SuiteReport(suite, seed, trials, sample_size)
     rep.add("frobenius_rel_err", rel, "bound<=0.100000", rel < 0.10)
     return rep
 
 
-def theorem1_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
+def theorem1_suite(seed: int, trials: int | None, sample_size: int | None) -> SuiteReport:
     """Empirical vs theoretical covariance of the scaled inverse moment vech."""
     return _spread_suite("theorem1", seed, trials, sample_size, inverse=True)
 
 
-def gaussian_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
+def gaussian_suite(seed: int, trials: int | None, sample_size: int | None) -> SuiteReport:
     """Empirical vs closed-form covariance of the scaled moment vech."""
     return _spread_suite("gaussian", seed, trials, sample_size, inverse=False)
 
 
-def lrt_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
+def lrt_suite(seed: int, trials: int | None, sample_size: int | None) -> SuiteReport:
     """Chi-square calibration of the trace-constraint LRT under a true null."""
-    pop, tm = _moments(LRT_RETURNS, seed, trials, sample_size)
+    rep, pop, tm = _draw("lrt", seed, trials, sample_size)
     mats = [np.diag([0.0, 1.0, 0.0]),
             np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])]
     cs = TraceConstraintSet(mats, [np.sum(a * pop.inverse) for a in mats])
@@ -265,7 +284,6 @@ def lrt_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
     stats = sol.stat[solved]
     mean, var = float(stats.mean()), float(stats.var(ddof=1))
     frac_fast = float(np.mean(solved & (sol.iterations <= 10)))
-    rep = SuiteReport("lrt", seed, trials, sample_size)
     rep.extras["failures"] = int(np.sum(~solved))
     rep.add("mean_stat", mean, "bound in 2.00+-0.15", abs(mean - 2.0) <= 0.15)
     rep.add("var_stat", var, "bound in 4.00+-0.60", abs(var - 4.0) <= 0.60)
@@ -273,52 +291,26 @@ def lrt_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
     return rep
 
 
-def mglh_suite(seed: int, trials: int, sample_size: int) -> SuiteReport:
+def mglh_suite(seed: int, trials: int | None, sample_size: int | None) -> SuiteReport:
     """Variance of the trace statistic under a fixed alternative vs the delta law."""
-    pop, tm = _moments(MGLH_ALTERNATIVE, seed, trials, sample_size, f_dim=2)
+    rep, pop, tm = _draw("mglh", seed, trials, sample_size)
     spec = MglhSpec(np.eye(pop.n_assets), np.eye(pop.f_dim), np.zeros((pop.n_assets, pop.f_dim)))
     q = mglh_derivatives(pop, spec)["hlt"]
-    om_pop = OmegaEstimate(omega_gaussian_centered(pop.theta), "gaussian", n_obs=sample_size)
+    om_pop = OmegaEstimate(omega_gaussian_centered(pop.theta), "gaussian", n_obs=rep.sample_size)
     theo_var = om_pop.sandwich(q)
     hlts = mglh_statistics(tm, spec).hlt
-    emp_var = sample_size * float(np.var(hlts, ddof=1))
+    emp_var = rep.sample_size * float(np.var(hlts, ddof=1))
     rel = abs(emp_var - theo_var) / theo_var
-    rep = SuiteReport("mglh", seed, trials, sample_size)
     rep.extras["theoretical_var"] = theo_var
     rep.extras["empirical_var"] = emp_var
     rep.add("hlt_var_rel_err", rel, "bound<=0.150000", rel <= 0.15)
     return rep
 
 
-# suite: its population's loading, default trials, default sample size
-_SUITES = {
-    "theorem1": (NORMAL_RETURNS, 5000, 2000),
-    "gaussian": (NORMAL_RETURNS, 5000, 2000),
-    "lrt": (LRT_RETURNS, 2000, 1000),
-    "mglh": (MGLH_ALTERNATIVE, 5000, 2000),
-}
-SUITES = tuple(_SUITES)
-
-
 def simulate_suite(suite: str, seed: int, trials: int | None = None,
                    sample_size: int | None = None) -> SuiteReport:
-    """Run the named suite's {suite}_suite; sizes left as None take the suite's defaults.
-
-    The sample size must exceed the dimension of the suite's population,
-    so that every sampled moment matrix can be inverted.
-    """
+    """Run the named suite's {suite}_suite; sizes left as None take the suite's defaults."""
     if suite not in _SUITES:
         raise ShapeMismatch(f"unknown suite {suite!r}, expected one of {SUITES}")
-    loading, dt, ds = _SUITES[suite]
-    dim = loading.shape[0]
-    trials = dt if trials is None else trials
-    sample_size = ds if sample_size is None else sample_size
-    if trials < 2:
-        raise ShapeMismatch(f"need at least 2 trials, got {trials}")
-    if sample_size <= dim:
-        raise ShapeMismatch(
-            f"sample size must exceed the {suite} moment dimension {dim}, got {sample_size}")
-    if seed < 0:
-        raise ShapeMismatch(f"seed must be non-negative, got {seed}")
     # looked up by name, so that a suite function replaced on the module is the one that runs
     return globals()[f"{suite}_suite"](seed, trials, sample_size)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from portinf import gaussian as ga
 from portinf import mglh, simulate
 from portinf import oracles as orc
-from portinf.errors import NumericalError
+from portinf.errors import NumericalError, ShapeMismatch
 from portinf.moments import AugmentedMoment, MomentLayout
 
 from conftest import rand_spd, theta_from
@@ -80,19 +80,31 @@ def test_reports_are_pinned(key):
 
 
 
-@pytest.mark.parametrize("loading,f_dim,theta", [
-    (simulate.NORMAL_RETURNS, None, theta_from([0.4, 0.2], [[1.0, 0.25], [0.25, 0.5]])),
-    (simulate.LRT_RETURNS, None, theta_from([0.3, 0.1], [[1.0, 0.2], [0.2, 0.8]])),
-    (simulate.MGLH_ALTERNATIVE, 2, np.block([[_SIG_F, _SIG_F @ _B.T],
-                                             [_B @ _SIG_F, _SIGMA + _B @ _SIG_F @ _B.T]]))],
-    ids=["normal", "lrt", "mglh"])
-def test_population_is_the_moment_of_its_loading(loading, f_dim, theta):
+@pytest.mark.parametrize("suite,theta", [
+    ("theorem1", theta_from([0.4, 0.2], [[1.0, 0.25], [0.25, 0.5]])),
+    ("gaussian", theta_from([0.4, 0.2], [[1.0, 0.25], [0.25, 0.5]])),
+    ("lrt", theta_from([0.3, 0.1], [[1.0, 0.2], [0.2, 0.8]])),
+    ("mglh", np.block([[_SIG_F, _SIG_F @ _B.T], [_B @ _SIG_F, _SIGMA + _B @ _SIG_F @ _B.T]]))],
+    ids=["theorem1", "gaussian", "lrt", "mglh"])
+def test_population_is_the_moment_of_its_loading(suite, theta):
     """M M' is the population's block moment, and the sample moments scatter around it."""
-    pop, tm = simulate._moments(loading, 1, 4 * simulate.CHUNK, 2000, f_dim)
+    rep, pop, tm = simulate._draw(suite, 1, 4 * simulate.CHUNK, 2000)
+    assert (rep.suite, rep.trials, rep.sample_size) == (suite, 4 * simulate.CHUNK, 2000)
     np.testing.assert_allclose(pop.theta, theta, rtol=0, atol=1e-15)
     assert pop.layout is tm.layout and pop.f_dim == tm.f_dim
     assert np.abs(tm.theta.mean(axis=0) - theta).max() < 0.01
 
+
+
+@pytest.mark.parametrize("suite,sample_size", [("theorem1", 3), ("gaussian", 3), ("lrt", 3),
+                                               ("mglh", 4)])
+def test_a_suite_called_directly_checks_its_sizes(suite, sample_size):
+    """The sizes are checked where the population is drawn, not only by simulate_suite."""
+    fn = getattr(simulate, f"{suite}_suite")
+    with pytest.raises(ShapeMismatch, match="moment dimension"):
+        fn(1, 10, sample_size)
+    with pytest.raises(ShapeMismatch, match="at least 2 trials"):
+        fn(1, 1, None)
 
 def test_sampled_moments_hold_one_chunk_of_draws():
     """The draws of one chunk are the only large arrays alive while the stack is built."""
