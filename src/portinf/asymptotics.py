@@ -32,12 +32,13 @@ _BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum centers o
 
 @dataclass
 class OmegaEstimate:
-    """Covariance of vech of the per-row outer products, with provenance.
+    """Covariance of vech of the per-row outer products; its fields say which.
 
-    A closed form keeps the m-by-m matrix itself, and every sandwich
-    uses it. A data estimate keeps the uncentered T-by-m vech series
-    instead, with the HAC lags weighted by `kernel` up to `bandwidth`,
-    and the shape of the gradient alone picks the sandwich's path: a
+    The Gaussian closed form keeps the m-by-m matrix itself, and every
+    sandwich uses it. A data estimate keeps the uncentered T-by-m vech
+    series instead: vanilla without a kernel, HAC with the lags weighted
+    by `kernel` up to `bandwidth`. `label` names it. For a series the
+    shape of the gradient alone picks the sandwich's path: a
     gradient with k < m rows projects the series on it and applies the
     kernel to the T-by-k projection, and one with k >= m rows uses the
     m-by-m matrix, formed from the series on the first read of `omega`.
@@ -49,7 +50,6 @@ class OmegaEstimate:
     """
 
     matrix: np.ndarray | None
-    estimator: str              # "vanilla", "hac", or "gaussian"
     n_obs: int
     kernel: str | None = None
     bandwidth: int | None = None
@@ -58,12 +58,25 @@ class OmegaEstimate:
     def __post_init__(self):
         if (self.matrix is None) == (self.series is None):
             raise ShapeMismatch("give omega as a matrix or as a series")
+        if (self.kernel is None) != (self.bandwidth is None):
+            raise ShapeMismatch("give a HAC kernel and its bandwidth together")
+        if self.kernel is not None:
+            if self.series is None:
+                raise ShapeMismatch("a HAC kernel needs a series, not a matrix")
+            check_hac(self.kernel, self.bandwidth)
         if self.series is not None:
             return
         self.matrix = np.asarray(self.matrix, dtype=float)
         m = self.matrix.shape[0]
         if self.matrix.shape != (m, m):
             raise ShapeMismatch("omega must be square")
+
+    @property
+    def label(self) -> str:
+        """gaussian for a matrix; vanilla, or hac:KERNEL:BANDWIDTH, for a series."""
+        if self.series is None:
+            return "gaussian"
+        return "vanilla" if self.kernel is None else f"hac:{self.kernel}:{self.bandwidth}"
 
     @property
     def dim(self) -> int:
@@ -105,7 +118,7 @@ class OmegaEstimate:
         rounding, the size times eps times the largest eigenvalue.
         """
         mean = z.mean(axis=0)
-        b = self.bandwidth if self.estimator == "hac" else 0
+        b = self.bandwidth or 0
         if self.kernel == "parzen":
             out = _lead_cross(z, mean, [_kernel_weight(self.kernel, k, b) for k in range(1, b + 1)])
             out /= z.shape[0]
@@ -113,7 +126,7 @@ class OmegaEstimate:
             out = _moving_sum_gram(z, mean, b)
             out /= (b + 1) * z.shape[0]
         out = 0.5 * (out + out.T)
-        if self.estimator != "hac":
+        if self.kernel is None:
             return out
         vals, vecs = np.linalg.eigh(out)
         if vals[0] < 0:
@@ -168,19 +181,18 @@ def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _series_omega(aug_rows: np.ndarray, estimator: str, kernel: str | None = None,
+def _series_omega(aug_rows: np.ndarray, kernel: str | None = None,
                   bandwidth: int | None = None) -> OmegaEstimate:
     """Omega held as the uncentered vech outer-product series; `_long_run` centers."""
     y = vech_outer_rows(aug_rows)
-    return OmegaEstimate(None, estimator, n_obs=y.shape[0], kernel=kernel, bandwidth=bandwidth,
-                         series=y)
+    return OmegaEstimate(None, y.shape[0], kernel, bandwidth, series=y)
 
 
 def omega_vanilla(aug_rows: np.ndarray) -> OmegaEstimate:
     """Sample covariance (divisor T) of the per-row vech outer products."""
     if np.atleast_2d(aug_rows).shape[0] < 2:
         raise ShapeMismatch("need at least two rows")
-    return _series_omega(aug_rows, "vanilla")
+    return _series_omega(aug_rows)
 
 
 def default_bandwidth(t: int) -> int:
@@ -264,7 +276,7 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
         bandwidth = default_bandwidth(t)
     if bandwidth >= t:
         raise BandwidthTooLarge(f"bandwidth {bandwidth} must be below T={t}")
-    return _series_omega(aug_rows, "hac", kernel, bandwidth)
+    return _series_omega(aug_rows, kernel, bandwidth)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

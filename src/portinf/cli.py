@@ -19,7 +19,7 @@ from .errors import DataError, NumericalError, ParseError, PortinfError, ShapeMi
 from .harness import RollingVolSpec
 from .kernels import MatrixShape, ivech, vech_len
 from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
-from .moments import MomentLayout, check_risk_budget
+from .moments import check_risk_budget
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 SQRT_HALF = math.sqrt(0.5)
@@ -68,13 +68,13 @@ def build_parser() -> _Parser:
                      description="Asymptotic inference for optimal portfolios")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_opts(p, features=True):
+    def add_data_opts(p, features=True, hac=True):
         p.add_argument("--input", required=True, help="CSV of per-period returns")
         p.add_argument("--assets", required=True, type=_split_csv_arg,
                        help="comma-separated asset columns")
         p.add_argument("--date-column")
-        # the default of --features, and the empty list of the commands without it
-        p.set_defaults(features=[])
+        # the defaults of --features and --hac, and the values of the commands without them
+        p.set_defaults(features=[], hac=None)
         if features:
             p.add_argument("--features", type=_split_csv_arg,
                            help="comma-separated feature columns")
@@ -84,8 +84,9 @@ def build_parser() -> _Parser:
                        f"(default {RollingVolSpec.window})")
         p.add_argument("--vol-lag", type=int,
                        help=f"delay of the quietude weights (default {RollingVolSpec.lag})")
-        p.add_argument("--hac", metavar="KERNEL[:BW]",
-                       help="bartlett or parzen, optional bandwidth")
+        if hac:
+            p.add_argument("--hac", metavar="KERNEL[:BW]",
+                           help="bartlett or parzen, optional bandwidth")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p_infer = sub.add_parser("infer", help="portfolio weights with standard errors")
@@ -97,12 +98,13 @@ def build_parser() -> _Parser:
 
     p_mglh = sub.add_parser("mglh", help="multivariate linear hypothesis test")
     add_data_opts(p_mglh)
+    p_mglh.set_defaults(model=constraints.ConditionalModel.BICONDITIONAL.value)
     p_mglh.add_argument("--A", required=True, dest="a_file", help="CSV contrast on assets")
     p_mglh.add_argument("--C", required=True, dest="c_file", help="CSV contrast on features")
     p_mglh.add_argument("--T", required=True, dest="t_file", help="CSV target matrix")
 
     p_lrt = sub.add_parser("lrt", help="likelihood-ratio test on trace constraints")
-    add_data_opts(p_lrt, features=False)
+    add_data_opts(p_lrt, features=False, hac=False)
     p_lrt.add_argument("--constraints", required=True,
                        help="CSV, one row per constraint: vech(A) then the target")
 
@@ -122,8 +124,9 @@ def build_parser() -> _Parser:
 def _check_data_options(args: argparse.Namespace) -> None:
     """Parse the weighting and HAC options in place and reject bad option values.
 
-    main runs this before any file is read, so that a usage error is
-    reported ahead of a missing or malformed input.
+    The one judge of which options a command needs and accepts: main runs
+    it before any file is read, so that a usage error is reported ahead
+    of a missing or malformed input.
     """
     # either option turns the weights on; the other keeps its default
     vol_opts = {key: value for key, value in (("window", args.vol_window), ("lag", args.vol_lag))
@@ -133,10 +136,21 @@ def _check_data_options(args: argparse.Namespace) -> None:
     if "rfr" in args:  # the portfolio options of infer
         if args.risk_budget is not None:
             check_risk_budget(args.risk_budget)
+            if args.model != "constant":
+                raise ShapeMismatch(f"--risk-budget requires the constant model, not {args.model}")
         if not (math.isfinite(args.rfr) and args.rfr >= 0):
             raise ShapeMismatch(f"rfr must be finite and non-negative, got {args.rfr}")
-    if "feature_lag" in args and args.feature_lag < 0:
-        raise ShapeMismatch(f"feature lag must be non-negative, got {args.feature_lag}")
+        if args.rfr and args.risk_budget is None:
+            raise ShapeMismatch("a non-zero --rfr requires --risk-budget")
+    if "feature_lag" in args:  # the feature options of infer and mglh
+        if args.model == "biconditional" and not args.features:
+            raise ShapeMismatch(f"{args.command} with the biconditional model needs --features")
+        if args.model != "biconditional" and args.features:
+            raise ShapeMismatch(f"--features requires the biconditional model, not {args.model}")
+        if args.center_features and not args.features:
+            raise ShapeMismatch("--center-features requires --features")
+        if args.feature_lag < 0:
+            raise ShapeMismatch(f"feature lag must be non-negative, got {args.feature_lag}")
     if not args.assets:
         raise ShapeMismatch("--assets names no columns")
     for option, columns in (("--assets", args.assets), ("--features", args.features)):
@@ -149,7 +163,7 @@ def _check_data_options(args: argparse.Namespace) -> None:
         raise ShapeMismatch(f"columns both asset and unlagged feature: {', '.join(shared)}")
 
 
-def _prepare(args: argparse.Namespace, vol: RollingVolSpec | None, need_features: bool):
+def _prepare(args: argparse.Namespace, vol: RollingVolSpec | None):
     """Load, weight, lag, and align the data per the run options."""
     loaded = harness.load_csv(args.input, args.assets, args.features or None, args.date_column)
     if loaded.n_dropped:
@@ -185,8 +199,6 @@ def _prepare(args: argparse.Namespace, vol: RollingVolSpec | None, need_features
         features = features[keep]
         if args.center_features:
             features = features - features.mean(axis=0)
-    if need_features and features is None:
-        raise ParseError("this command needs --features")
     return values, features, weights
 
 
@@ -205,8 +217,7 @@ def _two_sided_p(z: float) -> float:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     model = constraints.ConditionalModel(args.model)
-    need_features = model is constraints.ConditionalModel.BICONDITIONAL
-    values, features, weights = _prepare(args, args.vol, need_features)
+    values, features, weights = _prepare(args, args.vol)
     rows, layout, f_dim = constraints.conditional_rows(values, features, weights, model)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
     om = _omega_for(rows, args.hac)
@@ -218,7 +229,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     meta = {
         "model": model.value,
         "n_obs": tm.n_obs,
-        "omega": om.estimator + (f":{om.kernel}:{om.bandwidth}" if om.estimator == "hac" else ""),
+        "omega": om.label,
     }
     tables = []
     if f_dim == 1:
@@ -226,7 +237,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             [asset_names[i], float(coef[i, 0]), float(se[i]), float(z[i]), _two_sided_p(z[i])]
             for i in range(len(asset_names))
         ]
-        if layout is MomentLayout.UNCONDITIONAL and args.risk_budget:
+        if args.risk_budget is not None:
             est = moments.sr_optimal_portfolio(tm, args.risk_budget, args.rfr, asset_names)
             meta["snr_sq"] = est.snr_sq
             meta["objective"] = est.objective
@@ -258,7 +269,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_mglh(args: argparse.Namespace) -> int:
-    values, features, weights = _prepare(args, args.vol, need_features=True)
+    values, features, weights = _prepare(args, args.vol)
     rows, layout, f_dim = constraints.conditional_rows(
         values, features, weights, constraints.ConditionalModel.BICONDITIONAL)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
@@ -271,7 +282,7 @@ def cmd_mglh(args: argparse.Namespace) -> int:
          res.z_scores[name], _two_sided_p(res.z_scores[name])]
         for name in STAT_NAMES
     ]
-    meta = {"n_obs": tm.n_obs, "note": res.note, "omega": om.estimator}
+    meta = {"n_obs": tm.n_obs, "note": res.note, "omega": om.label}
     tables = [harness.ReportTable("mglh", ["statistic", "value", "se", "z", "p"],
                                   rows_out, meta)]
     print(harness.report(tables, args.format))
@@ -279,7 +290,7 @@ def cmd_mglh(args: argparse.Namespace) -> int:
 
 
 def cmd_lrt(args: argparse.Namespace) -> int:
-    values, _, weights = _prepare(args, args.vol, need_features=False)
+    values, _, weights = _prepare(args, args.vol)
     rows, layout, f_dim = constraints.conditional_rows(
         values, None, weights, constraints.ConditionalModel.CONSTANT_SR)
     tm = moments.sample_theta(rows, layout, f_dim=f_dim)
@@ -305,8 +316,10 @@ def cmd_lrt(args: argparse.Namespace) -> int:
 def cmd_attribute(args: argparse.Namespace) -> int:
     # the vanilla column uses every row; only the weighted pass applies the weights
     spec = args.vol or RollingVolSpec()
-    values, _, _ = _prepare(args, None, need_features=False)
+    values, _, _ = _prepare(args, None)
     p = values.shape[1]
+    wts = harness.rolling_volatility(values, spec)
+    mask = np.isfinite(wts)
 
     def r2_for(vals, wts):
         rows, layout, f_dim = constraints.conditional_rows(
@@ -314,17 +327,17 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         tm = moments.sample_theta(rows, layout, f_dim=f_dim)
         om = _omega_for(rows, args.hac)
         dist = asymptotics.theta_inverse_covariance(tm, om)
-        return asymptotics.attribute_error(dist, p)
+        return asymptotics.attribute_error(dist, p), om.label
 
-    vanilla = r2_for(values, None)
-    wts = harness.rolling_volatility(values, spec)
-    mask = np.isfinite(wts)
-    weighted = r2_for(values[mask], wts[mask])
+    vanilla, label = r2_for(values, None)
+    weighted, weighted_label = r2_for(values[mask], wts[mask])
     rows_out = [
         [args.assets[i], f"{100 * vanilla[i]:.1f}%", f"{100 * weighted[i]:.1f}%"]
         for i in range(p)
     ]
-    meta = {"vol_window": spec.window, "vol_lag": spec.lag}
+    meta = {"omega": label, "vol_window": spec.window, "vol_lag": spec.lag}
+    if weighted_label != label:  # a default HAC bandwidth follows each column's row count
+        meta["omega_weighted"] = weighted_label
     tables = [harness.ReportTable("error_attribution",
                                   ["asset", "vanilla", "weighted"], rows_out, meta)]
     print(harness.report(tables, args.format))

@@ -41,7 +41,7 @@ def gaussian_omega(tm: AugmentedMoment) -> OmegaEstimate:
     mean = tm.theta[:, 0]
     v = vech(np.outer(mean, mean))
     omega = vech_pair(tm.theta) - 2.0 * np.outer(v, v)
-    return OmegaEstimate(omega, "gaussian", n_obs=tm.n_obs)
+    return OmegaEstimate(omega, n_obs=tm.n_obs)
 
 
 def omega_gaussian_centered(second_moment: np.ndarray) -> np.ndarray:

@@ -31,21 +31,29 @@ STAT_NAMES = ("hlt", "pbt", "wilks", "roy")
 
 @dataclass
 class MglhSpec:
-    """Hypothesis A B C = T with full-rank contrast matrices."""
+    """Hypothesis A B C = T with full-rank contrast matrices, kept orthonormal.
+
+    The statistics are invariant to A -> QA, C -> CR, T -> QTR for
+    invertible Q and R, so with A' = Qa Ra and C = Qc Rc the spec stores
+    Qa', Qc and Ra'^-1 T Rc^-1: a near-collinear contrast that passes the
+    rank gate then leaves the bordered moment as well conditioned as the
+    moment itself.
+    """
 
     a_matrix: np.ndarray
     c_matrix: np.ndarray
     t_matrix: np.ndarray
 
     def __post_init__(self):
-        self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
-        self.c_matrix = np.atleast_2d(np.asarray(self.c_matrix, dtype=float))
-        self.t_matrix = np.atleast_2d(np.asarray(self.t_matrix, dtype=float))
-        a, c = self.n_rows, self.n_cols
-        if self.t_matrix.shape != (a, c):
-            raise ShapeMismatch(f"target must be {a}x{c}, got {self.t_matrix.shape}")
-        full_row_rank(self.a_matrix, "contrast A", RankDeficient)
-        full_row_rank(self.c_matrix.T, "contrast C'", RankDeficient)
+        c_matrix = np.atleast_2d(np.asarray(self.c_matrix, dtype=float))
+        t_matrix = np.atleast_2d(np.asarray(self.t_matrix, dtype=float))
+        q_a, r_a = np.linalg.qr(full_row_rank(self.a_matrix, "contrast A", RankDeficient).T)
+        q_c, r_c = np.linalg.qr(full_row_rank(c_matrix.T, "contrast C'", RankDeficient).T)
+        a, c = r_a.shape[0], r_c.shape[0]
+        if t_matrix.shape != (a, c):
+            raise ShapeMismatch(f"target must be {a}x{c}, got {t_matrix.shape}")
+        self.a_matrix, self.c_matrix = q_a.T, q_c
+        self.t_matrix = np.linalg.solve(r_c.T, np.linalg.solve(r_a.T, t_matrix).T).T
 
     @property
     def n_rows(self) -> int:

@@ -259,7 +259,7 @@ def _spread_suite(suite: str, seed: int, trials: int | None, sample_size: int | 
     v = (tm.inverse if inverse else tm.theta)[:, ri, ci]
     emp = rep.sample_size * np.cov(v, rowvar=False)
     rel = np.linalg.norm(emp - theo) / np.linalg.norm(theo)
-    rep.add("frobenius_rel_err", rel, "bound<=0.100000", rel < 0.10)
+    rep.add("frobenius_rel_err", rel, "bound<=0.100000", rel <= 0.10)
     return rep
 
 
@@ -296,7 +296,7 @@ def mglh_suite(seed: int, trials: int | None, sample_size: int | None) -> SuiteR
     rep, pop, tm = _draw("mglh", seed, trials, sample_size)
     spec = MglhSpec(np.eye(pop.n_assets), np.eye(pop.f_dim), np.zeros((pop.n_assets, pop.f_dim)))
     q = mglh_derivatives(pop, spec)["hlt"]
-    om_pop = OmegaEstimate(omega_gaussian_centered(pop.theta), "gaussian", n_obs=rep.sample_size)
+    om_pop = OmegaEstimate(omega_gaussian_centered(pop.theta), n_obs=rep.sample_size)
     theo_var = om_pop.sandwich(q)
     hlts = mglh_statistics(tm, spec).hlt
     emp_var = rep.sample_size * float(np.var(hlts, ddof=1))

@@ -255,7 +255,7 @@ def test_criterion_9_constraint_satisfaction():
         m = d * (d + 1) // 2
         cond = AugmentedMoment(rand_spd(rng, d) / d + 0.5 * np.eye(d), n_obs=300,
                                layout=MomentLayout.CONDITIONAL, f_dim=1)
-        om_c = asy.OmegaEstimate(rand_spd(rng, m) / m, "vanilla", n_obs=300)
+        om_c = asy.OmegaEstimate(rand_spd(rng, m) / m, n_obs=300)
         y = vech_lower(kn.chol(cond.theta))
         n_c = int(rng.integers(1, 3))
         bmat = rng.standard_normal((n_c, m))

@@ -203,7 +203,7 @@ class TestSeriesSandwich:
         t = 50
         z = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)[:, None]
         monkeypatch.setattr(asy, "_kernel_weight", lambda kernel, k, bandwidth: 1.0)
-        om = asy.OmegaEstimate(None, "hac", t, kernel="parzen", bandwidth=1, series=z)
+        om = asy.OmegaEstimate(None, t, kernel="parzen", bandwidth=1, series=z)
         with caplog.at_level(logging.WARNING, logger="portinf.asymptotics"):
             var = om.sandwich(np.ones(1))
         assert var == 0.0
@@ -212,7 +212,25 @@ class TestSeriesSandwich:
     @pytest.mark.parametrize("matrix, series", [(None, None), (np.eye(3), np.zeros((4, 3)))])
     def test_omega_needs_a_matrix_or_a_series(self, matrix, series):
         with pytest.raises(ShapeMismatch, match="give omega as a matrix or as a series"):
-            asy.OmegaEstimate(matrix, "vanilla", 5, series=series)
+            asy.OmegaEstimate(matrix, 5, series=series)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"series": np.zeros((5, 3)), "bandwidth": 2}, "kernel and its bandwidth together"),
+        ({"series": np.zeros((5, 3)), "kernel": "bartlett"}, "kernel and its bandwidth together"),
+        ({"matrix": np.eye(3), "kernel": "bartlett", "bandwidth": 2}, "needs a series"),
+        ({"series": np.zeros((5, 3)), "kernel": "foo", "bandwidth": 2}, "unknown kernel"),
+    ], ids=["bandwidth_without_kernel", "kernel_without_bandwidth", "kernel_with_matrix",
+            "unknown_kernel"])
+    def test_construction_rejects_fields_that_name_no_estimate(self, fields, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            asy.OmegaEstimate(fields.pop("matrix", None), 5, **fields)
+
+    def test_each_estimate_names_itself(self, rng):
+        rows = mo.augment(rng.standard_normal((80, 2)))
+        assert asy.omega_vanilla(rows).label == "vanilla"
+        assert asy.omega_hac(rows).label == f"hac:bartlett:{asy.default_bandwidth(80)}"
+        assert asy.omega_hac(rows, kernel="parzen", bandwidth=0).label == "hac:parzen:0"
+        assert gaussian_omega(mo.sample_theta(rows)).label == "gaussian"
 
     def test_omega_is_formed_once(self, rng):
         om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
@@ -570,7 +588,7 @@ class TestCovariancePsdInvariant:
         tm_s = mo.sample_theta(rows)
         for om in (asy.omega_vanilla(rows), asy.omega_hac(rows, bandwidth=4),
                    gaussian_omega(tm)):
-            use = tm if om.estimator == "gaussian" else tm_s
+            use = tm if om.label == "gaussian" else tm_s
             for dist in (asy.theta_inverse_covariance(use, om),
                          asy.portfolio_covariance(use, om, risk_budget=1.0)):
                 cov = dist.covariance

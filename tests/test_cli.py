@@ -157,6 +157,16 @@ class TestMglhCommand:
         stats = {row.split("\t")[0] for row in body[1:]}
         assert stats == {"hlt", "pbt", "wilks", "roy"}
 
+    def test_hac_label_names_kernel_and_bandwidth(self, capsys, tmp_path):
+        paths = []
+        for name, arr in (("A", np.eye(3)[:2]), ("C", np.eye(2)), ("T", np.zeros((2, 2)))):
+            np.savetxt(tmp_path / f"{name}.csv", arr, delimiter=",")
+            paths += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        code, out, _ = run(capsys, "mglh", "--input", FIXTURE, "--assets", ASSETS,
+                           "--features", "level,delta", "--hac", "bartlett", *paths)
+        assert code == 0
+        assert "# omega=hac:bartlett:8\n" in out     # floor(1.2 * 359^(1/3))
+
     @pytest.mark.parametrize("a,c,t", [(np.ones((4, 3)), np.eye(2), np.zeros((4, 2))),
                                        (None, None, None)], ids=["A_4x3", "all_empty"])
     def test_bad_contrast_is_usage_error(self, capsys, tmp_path, a, c, t):
@@ -297,6 +307,30 @@ class TestAttributeCommand:
             assert 0.0 <= float(vanilla[:-1]) <= 100.0
             assert 0.0 <= float(weighted[:-1]) <= 100.0
 
+
+    @pytest.mark.parametrize("args,labels", [
+        ([], ["omega=vanilla"]),
+        (["--hac", "bartlett:5"], ["omega=hac:bartlett:5"]),
+        # 290 weighted rows take a default bandwidth of 7, the 360 rows of the other column 8
+        (["--hac", "bartlett", "--vol-window", "70"],
+         ["omega=hac:bartlett:8", "omega_weighted=hac:bartlett:7"]),
+    ], ids=["vanilla", "hac", "hac_default_bandwidths_differ"])
+    def test_names_its_omega(self, capsys, args, labels):
+        code, out, _ = run(capsys, "attribute", "--input", FIXTURE, "--assets", ASSETS, *args)
+        assert code == 0
+        assert [line[2:] for line in out.splitlines() if line.startswith("# omega")] == labels
+
+    def test_zero_volatility_window_ends_before_any_estimate(self, capsys, tmp_path,
+                                                             monkeypatch):
+        from portinf import asymptotics
+        calls = []
+        original = asymptotics.attribute_error
+        monkeypatch.setattr(asymptotics, "attribute_error",
+                            lambda *a: calls.append(a) or original(*a))
+        code, _, err = run(capsys, "attribute", "--input", zero_run_fixture(tmp_path),
+                           "--assets", ASSETS)
+        assert code == 2 and err.startswith("data error: volatility window")
+        assert calls == []
 
     def test_hac_rounding_is_clipped_silently(self, capsys, caplog):
         # the inverse-moment covariance is singular, so its smallest
@@ -532,6 +566,36 @@ class TestExitCodes:
         assert cli.main([inputs.get(a, a) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,option", [
+        (["mglh", "--A", "A.csv", "--C", "C.csv", "--T", "T.csv"], "--features"),
+        (["infer", "--model", "biconditional"], "--features"),
+        (["infer", "--features", "level"], "--features"),
+        (["infer", "--model", "floating", "--features", "level"], "--features"),
+        (["infer", "--model", "floating", "--risk-budget", "0.1"], "--risk-budget"),
+        (["infer", "--model", "biconditional", "--features", "level", "--risk-budget", "0.1"],
+         "--risk-budget"),
+        (["infer", "--rfr", "0.01"], "--rfr"),
+        (["infer", "--model", "floating", "--rfr", "0.01"], "--rfr"),
+        (["infer", "--center-features"], "--center-features"),
+    ], ids=["mglh_without_features", "biconditional_without_features", "features_constant",
+            "features_floating", "risk_budget_floating", "risk_budget_biconditional",
+            "rfr_without_risk_budget", "rfr_floating", "center_features_without_features"])
+    def test_options_the_command_does_not_take_are_usage_errors(self, capsys, tmp_path,
+                                                                 argv, option):
+        # the input does not exist, so the error comes before any file is read
+        command, *rest = argv
+        code = cli.main([command, "--input", str(tmp_path / "missing.csv"), "--assets", ASSETS,
+                         *rest])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: ") and option in err and err.count("\n") == 1
+
+    def test_lrt_takes_no_hac(self, capsys, tmp_path):
+        code = cli.main(["lrt", "--input", str(tmp_path / "missing.csv"), "--assets", ASSETS,
+                         "--constraints", "cons.csv", "--hac", "bartlett"])
+        assert code == 1
+        assert "unrecognized arguments: --hac bartlett" in capsys.readouterr().err
 
     def test_lagged_asset_as_feature_is_a_model(self, capsys):
         # a feature column that is also an asset enters lagged, which is a valid predictor

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portinf import mglh
 from portinf import oracles as orc
@@ -160,6 +162,33 @@ class TestStatistics:
         for k in mglh.STAT_NAMES:
             assert res2.as_dict()[k] == pytest.approx(res1.as_dict()[k], rel=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1.0, 8.0), st.floats(0.0, 1.0))
+    def test_invariance_to_ill_conditioned_recombination(self, seed, log_cond_q, log_cond_r):
+        # A -> QA, C -> CR, T -> QTR is the same hypothesis for invertible Q
+        # and R, so statistics and variances match even when QA is nearly
+        # rank deficient; forming QTR rounds by about eps cond(Q) cond(R)
+        rng = np.random.default_rng(seed)
+        f, p, a, c = 2, 3, 2, 2
+        tm, _, _, _ = make_conditional(rng, f, p)
+        amat = rng.standard_normal((a, p))
+        cmat = rng.standard_normal((f, c))
+        tmat = rng.standard_normal((a, c))
+        q, r = ill_conditioned(rng, a, log_cond_q), ill_conditioned(rng, c, log_cond_r)
+        om = OmegaEstimate(rand_spd(rng, vech_len(f + p)), n_obs=tm.n_obs)
+        want = mglh.mglh_asymptotic(tm, mglh.MglhSpec(amat, cmat, tmat), om)
+        got = mglh.mglh_asymptotic(tm, mglh.MglhSpec(q @ amat, cmat @ r, q @ tmat @ r), om)
+        for k in mglh.STAT_NAMES:
+            assert got.as_dict()[k] == pytest.approx(want.as_dict()[k], rel=1e-5), k
+            assert got.variances[k] == pytest.approx(want.variances[k], rel=1e-5), k
+
+
+def ill_conditioned(rng, n, log_cond):
+    """A random n-by-n matrix with singular values from 1 down to 10^-log_cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return u @ np.diag(np.logspace(0.0, -log_cond, n)) @ v
+
 
 class TestDerivatives:
     def _fd_all(self, tm, spec):
@@ -242,14 +271,14 @@ class TestAsymptotic:
     def test_zero_omega_gives_zero_variances(self, rng):
         tm, _, _, _ = make_conditional(rng, 2, 2)
         spec = rand_spec(rng, 2, 2, 2, 2)
-        om = OmegaEstimate(np.zeros((vech_len(4), vech_len(4))), "vanilla", n_obs=100)
+        om = OmegaEstimate(np.zeros((vech_len(4), vech_len(4))), n_obs=100)
         res = mglh.mglh_asymptotic(tm, spec, om)
         assert all(v == 0.0 for v in res.variances.values())
 
     def test_variances_nonnegative(self, rng):
         tm, _, _, _ = make_conditional(rng, 2, 3)
         spec = rand_spec(rng, 2, 3, 2, 2)
-        om = OmegaEstimate(rand_spd(rng, vech_len(5)), "vanilla", n_obs=100)
+        om = OmegaEstimate(rand_spd(rng, vech_len(5)), n_obs=100)
         res = mglh.mglh_asymptotic(tm, spec, om)
         assert all(v >= 0.0 for v in res.variances.values())
         assert "approximation" in res.note

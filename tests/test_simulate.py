@@ -79,6 +79,15 @@ def test_reports_are_pinned(key):
     assert simulate.simulate_suite(suite, seed, trials, sample_size).render() == GOLDEN[key]
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "gaussian"])
+def test_spread_at_its_bound_passes(suite, monkeypatch):
+    """The label reads bound<=0.100000, so a relative error of exactly 0.1 passes."""
+    norms = iter([0.1, 1.0])     # |emp - theo|, then |theo|
+    monkeypatch.setattr(simulate.np.linalg, "norm", lambda x: next(norms))
+    report = simulate.simulate_suite(suite, 1, 20, 50).render()
+    assert "check frobenius_rel_err value=0.100000 bound<=0.100000 status=PASS" in report
+
+
 
 @pytest.mark.parametrize("suite,theta", [
     ("theorem1", theta_from([0.4, 0.2], [[1.0, 0.25], [0.25, 0.5]])),
