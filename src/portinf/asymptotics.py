@@ -27,7 +27,7 @@ from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
 logger = logging.getLogger(__name__)
 
 HAC_KERNELS = ("bartlett", "parzen")
-_BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum centers one at a time
+_BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum takes one at a time
 
 
 @dataclass
@@ -35,18 +35,14 @@ class OmegaEstimate:
     """Covariance of vech of the per-row outer products; its fields say which.
 
     The Gaussian closed form keeps the m-by-m matrix itself, and every
-    sandwich uses it. A data estimate keeps the uncentered T-by-m vech
-    series instead: vanilla without a kernel, HAC with the lags weighted
-    by `kernel` up to `bandwidth`. `label` names it. For a series the
-    shape of the gradient alone picks the sandwich's path: a
-    gradient with k < m rows projects the series on it and applies the
-    kernel to the T-by-k projection, and one with k >= m rows uses the
-    m-by-m matrix, formed from the series on the first read of `omega`.
-    Either way the kernel runs in `_long_run`, which centers its input
-    in its own working buffer, so the series is never demeaned: Bartlett
-    (and vanilla, its zero bandwidth) as one Gram of moving sums, Parzen
-    as each row times a weighted sum of the rows after it, over row
-    blocks, each HAC result followed by the PSD clip.
+    sandwich uses it. A data estimate keeps the T-by-m series of
+    estimating functions vech(r r') - vech(R'R/T), centered where
+    `vech_outer_rows` builds it; a `series` given here must be centered,
+    as nothing after it centers. Without a kernel it is vanilla, with
+    one HAC up to `bandwidth`; `label` names it. The gradient's shape
+    alone picks a series sandwich's path: k < m rows project the series
+    and run `_long_run` on the T-by-k projection, k >= m rows use the
+    m-by-m `omega`, formed by `_long_run` on first read.
     """
 
     matrix: np.ndarray | None
@@ -91,8 +87,7 @@ class OmegaEstimate:
         """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
 
         An m-vector gradient gives the scalar variance. With k < m the
-        uncentered series Y is projected first and `_long_run` centers
-        the T-by-k projection: Y g' minus its mean is (Y - mean) g'.
+        centered series is projected first.
         """
         g = np.asarray(g, dtype=float)
         if g.shape[-1] != self.dim:
@@ -104,26 +99,24 @@ class OmegaEstimate:
         return float(out[0, 0]) if g.ndim == 1 else out
 
     def _long_run(self, z: np.ndarray) -> np.ndarray:
-        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a series z, which it centers itself.
+        """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a centered series z, as given.
 
-        Gamma_k = zc[k:]' zc[:-k] / T for zc = z - mean(z); lags run to
-        the bandwidth for a HAC estimate and are absent otherwise. No
-        centered copy of z is held whole: Bartlett, and vanilla as its
+        Gamma_k = z[k:]' z[:-k] / T; lags run to the bandwidth for a HAC
+        estimate and are absent otherwise. Bartlett, and vanilla as its
         zero bandwidth, is one Gram of moving sums (Newey & West 1987,
-        `_moving_sum_gram`), and Parzen is (U'zc + zc'U) / 2T over row
+        `_moving_sum_gram`), and Parzen is (U'z + z'U) / 2T over row
         blocks (`_lead_cross`). Symmetrized; a HAC result is
         eigenvalue-clipped to positive semidefinite. Both kernels are PSD
         in exact arithmetic, so the clip only absorbs rounding; it is
         logged when the clipped eigenvalue is beyond the eigensolver's
         rounding, the size times eps times the largest eigenvalue.
         """
-        mean = z.mean(axis=0)
         b = self.bandwidth or 0
         if self.kernel == "parzen":
-            out = _lead_cross(z, mean, [_kernel_weight(self.kernel, k, b) for k in range(1, b + 1)])
+            out = _lead_cross(z, [_kernel_weight(k, b) for k in range(1, b + 1)])
             out /= z.shape[0]
         else:
-            out = _moving_sum_gram(z, mean, b)
+            out = _moving_sum_gram(z, b)
             out /= (b + 1) * z.shape[0]
         out = 0.5 * (out + out.T)
         if self.kernel is None:
@@ -163,27 +156,30 @@ class DistributionResult:
 
 
 def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
-    """vech(r r') for every augmented row r, one result per row, uncentered.
+    """vech(r r') - vech(R'R/T) for every augmented row r of R: omega's estimating functions.
 
     Column-major: the T-by-m result is a view of an m-by-T buffer, so
-    each vech coordinate's T values are written, and later projected,
-    as one contiguous run.
+    each vech coordinate's T values are written, centered while in
+    cache, and later projected, as one contiguous run.
     """
     aug_rows = np.atleast_2d(np.asarray(aug_rows, dtype=float))
     t, d = aug_rows.shape
     cols = np.ascontiguousarray(aug_rows.T)
+    mean = cols @ cols.T / t
     out = np.empty((vech_len(d), t))
     start = 0
     # vech runs down the columns: column j holds r_j * r[j:]
     for j in range(d):
-        np.multiply(cols[j:], cols[j], out=out[start : start + d - j])
+        block = out[start : start + d - j]
+        np.multiply(cols[j:], cols[j], out=block)
+        block -= mean[j:, j, None]
         start += d - j
     return out.T
 
 
 def _series_omega(aug_rows: np.ndarray, kernel: str | None = None,
                   bandwidth: int | None = None) -> OmegaEstimate:
-    """Omega held as the uncentered vech outer-product series; `_long_run` centers."""
+    """Omega held as the centered vech outer-product series."""
     y = vech_outer_rows(aug_rows)
     return OmegaEstimate(None, y.shape[0], kernel, bandwidth, series=y)
 
@@ -200,37 +196,30 @@ def default_bandwidth(t: int) -> int:
     return max(1, int(np.floor(1.2 * t ** (1.0 / 3.0))))
 
 
-def _moving_sum_gram(z: np.ndarray, mean: np.ndarray, b: int) -> np.ndarray:
-    """Z'Z for the moving sums Z_t = zc_t + ... + zc_{t-b} of the zero-padded zc = z - mean.
+def _moving_sum_gram(z: np.ndarray, b: int) -> np.ndarray:
+    """Z'Z for the moving sums Z_t = z_t + ... + z_{t-b} of the zero-padded z.
 
-    Built by b+1 shifted adds of z into one (T+b)-row buffer in z's
-    layout and centered there: a sum of c in-range terms loses c times
-    the mean, where, for b < T, c is b+1 in the middle and ramps over the
-    b rows at either end.
+    Built by b+1 shifted adds of z into one (T+b)-row buffer in z's layout.
     """
     t, m = z.shape
     sums = np.zeros_like(z, shape=(t + b, m))
     for j in range(b + 1):
         sums[j : j + t] += z
-    sums[b:t] -= (b + 1) * mean
-    ramp = np.arange(1, b + 1)[:, None] * mean
-    sums[:b] -= ramp
-    sums[t:] -= ramp[::-1]
     return sums.T @ sums
 
 
-def _lead_cross(z: np.ndarray, mean: np.ndarray, weights: list[float]) -> np.ndarray:
-    """U'zc for zc = z - mean and U_t = zc_t + 2 sum_k w_k zc_{t+k}, past the end zero.
+def _lead_cross(z: np.ndarray, weights: list[float]) -> np.ndarray:
+    """U'z for U_t = z_t + 2 sum_k w_k z_{t+k}, past the end zero.
 
-    Summed over blocks of about _BLOCK_BYTES of rows, each centered as it
-    is copied together with the b rows after it, so zc is never held whole.
+    Summed over blocks of about _BLOCK_BYTES of rows, each read together
+    with the b rows after it, so U is never held whole.
     """
     t, m = z.shape
     b = len(weights)
     out = np.zeros((m, m))
     step = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, t, step):
-        ahead = z[start : start + step + b] - mean
+        ahead = z[start : start + step + b]
         rows = ahead[:step]
         u = rows.copy()
         for k in range(1, min(b + 1, len(ahead))):
@@ -239,7 +228,7 @@ def _lead_cross(z: np.ndarray, mean: np.ndarray, weights: list[float]) -> np.nda
     return out
 
 
-def _kernel_weight(kernel: str, k: int, bandwidth: int) -> float:
+def _kernel_weight(k: int, bandwidth: int) -> float:
     """Weight of lag k in a lag-sum kernel; Parzen is the only one, as Bartlett is a Gram."""
     z = k / (bandwidth + 1.0)
     if z <= 0.5:
@@ -259,8 +248,8 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
     Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') of the centered series. The
-    estimate keeps the uncentered series, the kernel and the bandwidth,
-    and the kernel centers what it sums (see `OmegaEstimate`). A sandwich
+    estimate keeps that series, the kernel and the bandwidth, and the
+    kernel sums what it is given (see `OmegaEstimate`). A sandwich
     of a gradient with k < m rows applies the kernel to the series
     projected on it and clips the k-by-k result to positive semidefinite;
     the m-by-m matrix, clipped the same way, is formed only when `omega`

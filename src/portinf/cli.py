@@ -24,6 +24,7 @@ from .moments import check_risk_budget
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 SQRT_HALF = math.sqrt(0.5)
 P_FLOOR = 1e-300
+FEATURE_LAG = 1  # rows the features trail the returns by, unless --feature-lag says
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +79,8 @@ def build_parser() -> _Parser:
         if features:
             p.add_argument("--features", type=_split_csv_arg,
                            help="comma-separated feature columns")
-            p.add_argument("--feature-lag", type=int, default=1)
+            p.add_argument("--feature-lag", type=int,
+                           help=f"rows the features trail the returns by (default {FEATURE_LAG})")
             p.add_argument("--center-features", action="store_true")
         p.add_argument("--vol-window", type=int, help="trailing window for quietude weights "
                        f"(default {RollingVolSpec.window})")
@@ -149,6 +151,10 @@ def _check_data_options(args: argparse.Namespace) -> None:
             raise ShapeMismatch(f"--features requires the biconditional model, not {args.model}")
         if args.center_features and not args.features:
             raise ShapeMismatch("--center-features requires --features")
+        if args.feature_lag is None:
+            args.feature_lag = FEATURE_LAG
+        elif not args.features:
+            raise ShapeMismatch("--feature-lag requires --features")
         if args.feature_lag < 0:
             raise ShapeMismatch(f"feature lag must be non-negative, got {args.feature_lag}")
     if not args.assets:

@@ -249,7 +249,9 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     vals, vecs = _g1g2_eigen(fac.g1, fac.g2)
     result = _statistics(vals, spec, tm.n_obs)
     grads = _gradients(tm, spec, fac, vals, vecs)
-    variances = {k: om.sandwich(q) for k, q in grads.items()}
+    # the four gradient rows share one sandwich, so a series is projected once
+    cov = om.sandwich(np.stack(list(grads.values())))
+    variances = dict(zip(grads, np.diag(cov).tolist()))
     nulls = {"hlt": 0.0, "pbt": float(spec.n_rows), "wilks": 1.0, "roy": 0.0}
     z = {}
     for k in STAT_NAMES:

@@ -1,8 +1,11 @@
-"""The benchmark's CLI workload runs only commands that the CLI accepts.
+"""The benchmark's workloads run, and pass their own output checks.
 
 perfbench/workloads.py builds the cli_fixture commands itself; a command
 that the CLI turned into a usage error would fail every op of that
-workload without failing any other test.
+workload without failing any other test. The library workloads check
+their weights and standard errors against perfbench/oracle.py at the
+tolerances the benchmark judges them by, so a change that moves those
+outputs fails here first.
 """
 
 import contextlib
@@ -34,3 +37,12 @@ def test_every_cli_fixture_command_exits_zero(workloads, tmp_path, seed):
             code = portinf.cli.main(argv)
         assert code == 0, (argv, err.getvalue())
         assert out.getvalue()
+
+
+@pytest.mark.parametrize("name, ops", [("WideHac", 4), ("RollingSmall", 16), ("MonteCarlo", 1)])
+def test_library_workloads_pass_their_output_checks(workloads, name, ops):
+    workload = getattr(workloads, name)(portinf, 3, tiny=True)
+    workload.setup()
+    workload.warm_up()
+    outputs = [workload.op(i) for i in range(ops)]
+    assert workload.check(outputs) == [True] * ops

@@ -578,9 +578,11 @@ class TestExitCodes:
         (["infer", "--rfr", "0.01"], "--rfr"),
         (["infer", "--model", "floating", "--rfr", "0.01"], "--rfr"),
         (["infer", "--center-features"], "--center-features"),
+        (["infer", "--feature-lag", "3"], "--feature-lag"),
     ], ids=["mglh_without_features", "biconditional_without_features", "features_constant",
             "features_floating", "risk_budget_floating", "risk_budget_biconditional",
-            "rfr_without_risk_budget", "rfr_floating", "center_features_without_features"])
+            "rfr_without_risk_budget", "rfr_floating", "center_features_without_features",
+            "feature_lag_without_features"])
     def test_options_the_command_does_not_take_are_usage_errors(self, capsys, tmp_path,
                                                                  argv, option):
         # the input does not exist, so the error comes before any file is read

@@ -9,7 +9,8 @@ from portinf import constraints as cn
 from portinf import moments as mo
 
 RISK_BUDGET, RFR = 0.1, 0.001
-OMEGAS = {"vanilla": asy.omega_vanilla, "bartlett": lambda rows: asy.omega_hac(rows, "bartlett")}
+OMEGAS = {"vanilla": asy.omega_vanilla, "bartlett": lambda rows: asy.omega_hac(rows, "bartlett"),
+          "parzen": lambda rows: asy.omega_hac(rows, "parzen")}
 
 
 def one_factor_panel(seed, t, p):
