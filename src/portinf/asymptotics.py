@@ -4,7 +4,9 @@ Everything downstream of the central limit theorem lives here: estimate
 the covariance of vech(row outer products) from data (plain or kernel
 weighted for serial dependence), then push it through Jacobians to get
 covariances for the inverse moment matrix, the scaled optimal portfolio,
-and the signal-noise ratio.
+and the signal-noise ratio. An estimand read off a few entries of the
+inverse takes a data estimate's sandwich from the whitened rows instead,
+with no Jacobian (`OmegaEstimate.inverse_sandwich`).
 
 Covariances follow the per-observation convention: results store the
 asymptotic covariance of sqrt(n) times the estimator, so Var(estimate)
@@ -21,12 +23,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
-from .kernels import PD_RTOL, d_qform_inv_vech, vech, vech_len
+from .kernels import PD_RTOL, d_qform_inv_vech, vech, vech_block, vech_len
 from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
 
 logger = logging.getLogger(__name__)
 
 HAC_KERNELS = ("bartlett", "parzen")
+_FIRST_COLUMN = (slice(None), slice(0, 1))  # the block of theta^-1 the weights and the SNR read
 _BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum takes one at a time
 
 
@@ -38,11 +41,13 @@ class OmegaEstimate:
     sandwich uses it. A data estimate keeps the T-by-m series of
     estimating functions vech(r r') - vech(R'R/T), centered where
     `vech_outer_rows` builds it; a `series` given here must be centered,
-    as nothing after it centers. Without a kernel it is vanilla, with
-    one HAC up to `bandwidth`; `label` names it. The gradient's shape
-    alone picks a series sandwich's path: k < m rows project the series
-    and run `_long_run` on the T-by-k projection, k >= m rows use the
-    m-by-m `omega`, formed by `_long_run` on first read.
+    as nothing after it centers. The estimators also keep the T-by-d
+    augmented `rows` the series was built from, for `inverse_sandwich`.
+    Without a kernel it is vanilla, with one HAC up to `bandwidth`;
+    `label` names it. The gradient's shape alone picks a series
+    sandwich's path: k < m rows project the series and run `_long_run`
+    on the T-by-k projection, k >= m rows use the m-by-m `omega`, formed
+    by `_long_run` on first read.
     """
 
     matrix: np.ndarray | None
@@ -50,6 +55,8 @@ class OmegaEstimate:
     kernel: str | None = None
     bandwidth: int | None = None
     series: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+    dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.matrix is None) == (self.series is None):
@@ -60,11 +67,15 @@ class OmegaEstimate:
             if self.series is None:
                 raise ShapeMismatch("a HAC kernel needs a series, not a matrix")
             check_hac(self.kernel, self.bandwidth)
+        if self.rows is not None and (self.series is None or self.series.shape != (
+                len(self.rows), vech_len(self.rows.shape[1]))):
+            raise ShapeMismatch("rows come with the series built from them")
         if self.series is not None:
+            self.dim = self.series.shape[1]
             return
         self.matrix = np.asarray(self.matrix, dtype=float)
-        m = self.matrix.shape[0]
-        if self.matrix.shape != (m, m):
+        self.dim = self.matrix.shape[0]
+        if self.matrix.shape != (self.dim, self.dim):
             raise ShapeMismatch("omega must be square")
 
     @property
@@ -73,10 +84,6 @@ class OmegaEstimate:
         if self.series is None:
             return "gaussian"
         return "vanilla" if self.kernel is None else f"hac:{self.kernel}:{self.bandwidth}"
-
-    @property
-    def dim(self) -> int:
-        return (self.matrix if self.series is None else self.series).shape[1]
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -90,13 +97,42 @@ class OmegaEstimate:
         centered series is projected first.
         """
         g = np.asarray(g, dtype=float)
-        if g.shape[-1] != self.dim:
-            raise ShapeMismatch(f"gradient of width {g.shape[-1]} does not match omega {self.dim}")
+        self._check_width(g.shape[-1])
         if self.series is None or np.atleast_2d(g).shape[0] >= self.dim:
             out = g @ self.omega @ g.T
             return float(out) if g.ndim == 1 else 0.5 * (out + out.T)
         out = self._long_run(self.series @ np.atleast_2d(g).T)
         return float(out[0, 0]) if g.ndim == 1 else out
+
+    def inverse_sandwich(self, proj: np.ndarray, block: tuple[slice, slice],
+                         front: np.ndarray | None = None) -> np.ndarray | float:
+        """`sandwich` of an estimand read off the block P[block] of P = proj.
+
+        P is theta^-1, or J'(J theta J')^-1 J; `front` maps the c entries
+        of the block, vec'd column-major, to the k outputs (the identity
+        when None; a c-vector gives the scalar variance). The gradient is
+        front @ d_qform_inv_vech(P, rows=vech_block(d, block)), which the
+        matrix, or a series given without its rows, takes as it is. A data
+        estimate never forms it: by the inverse rule dP = -P dtheta P, row
+        by row, the centered series projected on those Jacobian rows is
+        `whitened_influence`, -(s_i s_j - mean) over the whitened rows
+        s_t = P r_t. So `_long_run` runs on the T-by-k columns
+        whitened_influence @ front', at O(T d^2 + T c k), not O(T m k).
+        """
+        proj = np.asarray(proj, dtype=float)
+        self._check_width(vech_len(proj.shape[0]))
+        if self.rows is None:
+            jac = d_qform_inv_vech(proj, rows=vech_block(proj.shape[0], block))
+            return self.sandwich(jac if front is None else front @ jac)
+        z = whitened_influence(self.rows, proj, block)
+        if front is not None:
+            z = z @ np.atleast_2d(front).T
+        out = self._long_run(z)
+        return float(out[0, 0]) if front is not None and front.ndim == 1 else out
+
+    def _check_width(self, m: int) -> None:
+        if m != self.dim:
+            raise ShapeMismatch(f"gradient of width {m} does not match omega {self.dim}")
 
     def _long_run(self, z: np.ndarray) -> np.ndarray:
         """Gamma_0 + sum_k w_k (Gamma_k + Gamma_k') of a centered series z, as given.
@@ -177,11 +213,28 @@ def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def whitened_influence(aug_rows: np.ndarray, proj: np.ndarray,
+                       block: tuple[slice, slice]) -> np.ndarray:
+    """-(s_i s_j - mean) over the whitened rows s_t = P r_t, for each (i, j) of P[block].
+
+    The columns follow the block's column-major order. They equal
+    vech_outer_rows(aug_rows) @ d_qform_inv_vech(P, rows=vech_block(d, block)).T:
+    that Jacobian row pairs vech(r r') - vech(R'R/T) into
+    -(P (r r' - R'R/T) P)_ij, and P (R'R/T) P is the mean of s s', so
+    the columns are centered by their own means.
+    """
+    s = aug_rows @ proj  # row t is (P r_t)', as P is symmetric
+    psi = (s[:, block[1], None] * s[:, None, block[0]]).reshape(len(s), -1)
+    return np.subtract(psi.mean(axis=0), psi, out=psi)
+
+
 def _series_omega(aug_rows: np.ndarray, kernel: str | None = None,
                   bandwidth: int | None = None) -> OmegaEstimate:
-    """Omega held as the centered vech outer-product series."""
-    y = vech_outer_rows(aug_rows)
-    return OmegaEstimate(None, y.shape[0], kernel, bandwidth, series=y)
+    """Omega held as the centered vech outer-product series, with a read-only copy of its rows."""
+    rows = np.array(aug_rows, dtype=float, ndmin=2)
+    rows.setflags(write=False)
+    y = vech_outer_rows(rows)
+    return OmegaEstimate(None, y.shape[0], kernel, bandwidth, series=y, rows=rows)
 
 
 def omega_vanilla(aug_rows: np.ndarray) -> OmegaEstimate:
@@ -285,22 +338,32 @@ def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> Distribu
     return DistributionResult(point, om.sandwich(h), om.n_obs)
 
 
-def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weights, their Jacobian w.r.t. vech(theta), and snr_sq."""
+def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float
+                              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weights, the front map of their chain, and snr_sq.
+
+    The weights read only the first column of theta^-1, and
+    d weights / d theta^-1[:, 0] is the p-by-(p+1) front
+    [-w/(2 psi^2), -(R/psi) I]; `OmegaEstimate.inverse_sandwich` on
+    _FIRST_COLUMN takes the rest of the chain.
+    """
     weights, snr_sq = portfolio_head(tm, risk_budget)
     p = tm.n_assets
     snr = np.sqrt(snr_sq)
-    # d weights / d vech(theta^-1) is [-w/(2 psi^2), -(R/psi) I, 0]: only
-    # the first p+1 vech coordinates (the first column) enter
     front = np.hstack([-weights[:, None] / (2.0 * snr_sq), -(risk_budget / snr) * np.eye(p)])
-    h = front @ d_qform_inv_vech(tm.inverse, rows=np.arange(p + 1))
-    return weights, h, snr_sq
+    return weights, front, snr_sq
 
 
 def portfolio_covariance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> DistributionResult:
-    """Asymptotic law of the risk-budgeted optimal weights."""
-    weights, h, _ = _portfolio_jacobian_chain(tm, risk_budget)
-    return DistributionResult(weights, om.sandwich(h), om.n_obs)
+    """Asymptotic law of the risk-budgeted optimal weights.
+
+    A data Omega takes it from the whitened rows s_t = theta^-1 r_t:
+    the kernel runs on the T-by-p columns -(s_t s_t0 - mean) @ front'
+    (see `OmegaEstimate.inverse_sandwich`), centered by their own means.
+    """
+    weights, front, _ = _portfolio_jacobian_chain(tm, risk_budget)
+    cov = om.inverse_sandwich(tm.inverse, _FIRST_COLUMN, front)
+    return DistributionResult(weights, cov, om.n_obs)
 
 
 def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr: float) -> float:
@@ -308,14 +371,15 @@ def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr
 
     First-order law; only valid with a strictly positive disastrous rate,
     since the gradient of the ratio vanishes at the optimum when rfr = 0.
+    Only the first column of theta^-1 enters, so a data Omega takes it
+    from the one column -(s_t s_t0 - mean) @ front' of the whitened rows
+    s_t = theta^-1 r_t, centered by its own mean.
     """
     if not rfr > 0:
         raise NonPositiveRfr("first-order law needs rfr > 0; use snr_second_order")
     _, snr_sq = portfolio_head(tm, risk_budget)
-    # only the first column of theta^-1, vech coordinates 0..p, enters
-    jac = d_qform_inv_vech(tm.inverse, rows=np.arange(tm.dim))
-    h = -(rfr / (risk_budget * snr_sq)) * (np.concatenate([[0.5], tm.theta[1:, 0]]) @ jac)
-    return om.sandwich(h)
+    front = -(rfr / (risk_budget * snr_sq)) * np.concatenate([[0.5], tm.theta[1:, 0]])
+    return om.inverse_sandwich(tm.inverse, _FIRST_COLUMN, front)
 
 
 def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,13 +389,14 @@ def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float)
     z; its mean is 0.5 tr(M' F M). The law only depends on M M', the
     k-by-k covariance of the weights, so M is its symmetric PSD square
     root (that covariance can be singular, so a Cholesky factor proper
-    need not exist).
+    need not exist). That covariance is `portfolio_covariance`'s, from
+    the whitened rows for a data Omega.
     """
-    _, h, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
+    _, front, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
     snr = np.sqrt(snr_sq)
     mu, sigma = mean_and_covariance(tm)
     f = (np.outer(mu, mu) / snr - snr * sigma) / risk_budget**2
-    m = psd_sqrt(om.sandwich(h))
+    m = psd_sqrt(om.inverse_sandwich(tm.inverse, _FIRST_COLUMN, front))
     return f, m
 
 

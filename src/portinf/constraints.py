@@ -165,12 +165,6 @@ def conditional_rows(
     return rows, MomentLayout.CONDITIONAL, np.atleast_2d(features).shape[1]
 
 
-def _coefficient_coords(d: int, f: int) -> list[int]:
-    """vech coordinates of the lower-left block, column-major."""
-    offsets = [j * d - j * (j - 1) // 2 for j in range(d)]
-    return [offsets[j] + (i - j) for j in range(f) for i in range(f, d)]
-
-
 def markowitz_coefficient(
     tm: AugmentedMoment, om: OmegaEstimate
 ) -> tuple[np.ndarray, DistributionResult]:
@@ -178,13 +172,16 @@ def markowitz_coefficient(
 
     The coefficient is the sign-flipped lower-left block of the inverse
     conditional moment; its covariance marginalizes the inverse-moment
-    law to those coordinates.
+    law to those coordinates (i, j), i >= f > j. A data Omega takes it
+    from the whitened rows s_t = theta^-1 r_t: the kernel runs on the
+    T-by-fp columns -(s_ti s_tj - mean), centered by their own means
+    (see `OmegaEstimate.inverse_sandwich`).
     """
-    f, d, p = tm.f_dim, tm.dim, tm.n_assets
+    f, p = tm.f_dim, tm.n_assets
     coef = unpack_theta_inverse(tm).markowitz.reshape(p, f, order="F")
-    h = d_qform_inv_vech(tm.inverse, rows=_coefficient_coords(d, f))
+    cov = om.inverse_sandwich(tm.inverse, (slice(f, None), slice(0, f)))
     point = coef.reshape(-1, order="F")
-    return coef, DistributionResult(point, om.sandwich(h), om.n_obs)
+    return coef, DistributionResult(point, cov, om.n_obs)
 
 
 def flatten_volatility(

@@ -92,7 +92,7 @@ class LrtSolution:
     iterations: int
     converged: bool
     residual: np.ndarray = field(default_factory=lambda: np.array([]))
-    # residual sup-norm after each accepted step, starting at the initial point
+    # relative residual sup-norm (see lrt_solve_stack) after each accepted step, from the start
     history: list[float] = field(default_factory=list)
 
 
@@ -101,7 +101,7 @@ LRT_OK, LRT_INITIAL_NOT_PD, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVE
     LRT_SAMPLE_NOT_PD = range(6)
 LINE_SEARCH_HALVINGS = 20
 LRT_MAX_ITER = 50    # Newton steps before a member is NoConvergence
-LRT_TOL = 1e-10      # sup-norm of the constraint residual that counts as solved
+LRT_TOL = 1e-12      # relative sup-norm of the constraint residual that counts as solved
 
 
 @dataclass
@@ -162,6 +162,9 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     Gram matrix of the constraints in the inv-weighted inner product and
     so SPD when they are independent, and a step-halving line search that
     keeps theta0 positive definite and the residual norm non-increasing.
+    That norm, the stopping rule LRT_TOL and the history take each
+    residual relative to its constraint's trace terms at the sample, so
+    none of them depends on the scale of a constraint row or the returns.
     theta0, each candidate and each Jacobian are inverted and gated by
     kernels.spd_inverse. All members step together; each has its own
     line search, and a member leaves the iteration when it converges or
@@ -195,8 +198,11 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     inv0, ratio = spd_inverse(theta0)
     pd = ratio >= PD_RTOL
     status = np.where(pd, LRT_OK, LRT_INITIAL_NOT_PD)
+    # the size of each constraint's trace terms at the sample, sum |A_i| o |theta^-1|
+    size = np.sum(np.abs(inv0)[:, None] * np.abs(mats), axis=(2, 3))
+    size[size == 0] = 1.0  # a row whose terms all vanish there keeps its absolute residual
     res = residual_of(inv0)
-    sup = np.abs(res).max(axis=1)
+    sup = np.abs(res / size).max(axis=1)
     history = np.full((n, LRT_MAX_ITER + 1), np.nan)
     history[:, 0] = sup
     iterations = np.zeros(n, dtype=int)
@@ -228,7 +234,7 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
                 theta_c = constrained(thetas[members], cand)
                 inv_c, ratio_c = spd_inverse(theta_c)
             res_c = residual_of(inv_c)
-            sup_c = np.abs(res_c).max(axis=1)
+            sup_c = np.abs(res_c / size[members]).max(axis=1)
             take = (ratio_c >= PD_RTOL) & (sup_c <= sup[members])
             won = members[take]
             lam[won], theta0[won], inv0[won] = cand[take], theta_c[take], inv_c[take]

@@ -47,19 +47,30 @@ def vech_len(n: int) -> int:
 
 
 def vech_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) index arrays of the lower triangle in column-major order."""
-    cols, rows = np.triu_indices(n)
+    """(row, col) index arrays of the lower triangle in column-major order, cached and read-only."""
+    rows, cols, _ = _vech_gather(n)
     return rows, cols
 
 
 @lru_cache(maxsize=64)
 def _vech_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only vech (row, col) indices and the mask of diagonal coordinates."""
-    rows, cols = vech_indices(n)
+    cols, rows = np.triu_indices(n)
     diag = rows == cols
     for arr in (rows, cols, diag):
         arr.setflags(write=False)
     return rows, cols, diag
+
+
+def vech_block(n: int, block: tuple[slice, slice]) -> np.ndarray:
+    """vech coordinates of the entries of block (rows, cols) of a symmetric n-by-n matrix.
+
+    In column-major order over the block; an entry above the diagonal
+    reads its mirror image.
+    """
+    i, j = np.arange(n)[block[0]], np.arange(n)[block[1]]
+    lo, hi = np.minimum.outer(j, i), np.maximum.outer(j, i)
+    return (lo * n - lo * (lo - 1) // 2 + hi - lo).ravel()
 
 
 def check_symmetric(m: np.ndarray, stacked: bool = False) -> np.ndarray:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import (BadLength, RankDeficient, RankDeficientRegression, RepeatedEigenvalue,
                      ShapeMismatch, SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
-from .kernels import check_symmetric, vech_indices, vech_len
+from .kernels import check_symmetric, d_qform_inv_vech, vech_indices, vech_len
 from .mglh import MglhSpec, _feature_solve, _sym, _t
-from .moments import AugmentedMoment, MomentLayout, check_risk_budget
+from .moments import AugmentedMoment, MomentLayout, check_risk_budget, portfolio_head
 from .simulate import CHUNK
 
 EIG_GAP_RTOL = 1e-10
@@ -239,6 +239,43 @@ def conjecture_itheta_cov(tm: AugmentedMoment) -> np.ndarray:
         raise SingularTheta("duplication-sandwiched moment is singular") from exc
     out[0, 0] -= 2.0
     return 0.5 * (out + out.T)
+
+
+def portfolio_jacobian(tm: AugmentedMoment, risk_budget: float) -> np.ndarray:
+    """p-by-m Jacobian of the risk-budgeted weights with respect to vech(theta).
+
+    d weights / d vech(theta^-1) is [-w/(2 psi^2), -(R/psi) I, 0], only
+    the first column of theta^-1 entering, chained with the inverse
+    rule. `asymptotics.portfolio_covariance` sandwiches a data Omega
+    from the whitened rows instead, never forming this Jacobian.
+    """
+    weights, snr_sq = portfolio_head(tm, risk_budget)
+    p = tm.n_assets
+    front = np.hstack([-weights[:, None] / (2.0 * snr_sq),
+                       -(risk_budget / np.sqrt(snr_sq)) * np.eye(p)])
+    return front @ d_qform_inv_vech(tm.inverse, rows=np.arange(p + 1))
+
+
+def snr_gradient(tm: AugmentedMoment, risk_budget: float, rfr: float) -> np.ndarray:
+    """m-vector gradient of the achieved signal-noise ratio with respect to vech(theta).
+
+    The reference for `asymptotics.snr_variance`, formed whole.
+    """
+    _, snr_sq = portfolio_head(tm, risk_budget)
+    jac = d_qform_inv_vech(tm.inverse, rows=np.arange(tm.dim))
+    return -(rfr / (risk_budget * snr_sq)) * (np.concatenate([[0.5], tm.theta[1:, 0]]) @ jac)
+
+
+def coefficient_jacobian(tm: AugmentedMoment) -> np.ndarray:
+    """fp-by-m Jacobian of vech(theta^-1) at the coefficient block, with respect to vech(theta).
+
+    Rows follow the column-major vec of the p-by-f lower-left block; the
+    reference for `constraints.markowitz_coefficient`, formed whole.
+    """
+    f, d = tm.f_dim, tm.dim
+    where = {pair: k for k, pair in enumerate(zip(*vech_indices(d)))}
+    coords = [where[i, j] for j in range(f) for i in range(f, d)]
+    return d_qform_inv_vech(tm.inverse, rows=coords)
 
 
 def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from portinf import asymptotics as asy
 from portinf import moments as mo
 from portinf import constraints as cn
+from portinf import kernels as kn
+from portinf import oracles
 from portinf.constraints import inverse_variance_weighting
 from portinf.errors import (
     BandwidthTooLarge,
@@ -21,11 +23,11 @@ from portinf.errors import (
     ZeroSharpe,
 )
 from portinf.gaussian import gaussian_omega
-from portinf.kernels import ivech, vech, vech_indices
+from portinf.kernels import d_qform_inv_vech, ivech, vech, vech_block, vech_indices
 from portinf.mglh import MglhSpec, mglh_asymptotic
 from portinf.moments import AugmentedMoment
 
-from conftest import fd_jac, rand_unit_corner_theta, theta_from
+from conftest import fd_jac, rand_spd, rand_unit_corner_theta, theta_from
 
 
 def scalar_gaussian_block(mu, sg):
@@ -369,6 +371,125 @@ def test_omega_of_the_wrong_width_is_rejected(rng, name):
         OMEGA_ESTIMATORS[name](rng, om)
 
 
+def layout_rows(rng, t, layout, p, f, offset):
+    """Augmented rows of offset returns and the blocks of theta^-1 their estimands read.
+
+    Unconditional rows [1, x] give the weights' first column and the
+    Markowitz coefficient below the corner; biconditional rows [z, x]
+    give the f-column coefficient block below the f-by-f feature corner.
+    """
+    x = offset_rows(rng, t, p, False, offset)
+    if layout == "unconditional":
+        return mo.augment(x), mo.MomentLayout.UNCONDITIONAL, 1, [
+            (slice(None), slice(0, 1)), (slice(1, None), slice(0, 1))]
+    feats = offset_rows(rng, t, f, False, offset)
+    rows, kind, f_dim = cn.conditional_rows(x, feats, model=cn.ConditionalModel.BICONDITIONAL)
+    return rows, kind, f_dim, [(slice(f, None), slice(0, f)), (slice(None), slice(0, 1))]
+
+
+WHITENED_DRAWS = dict(
+    estimator=st.sampled_from(["vanilla", "bartlett", "parzen"]),
+    layout=st.sampled_from(["unconditional", "biconditional"]), p=st.integers(1, 4),
+    f=st.integers(1, 3), bandwidth=st.integers(0, 8), offset=st.floats(0.0, 1e3),
+    inverse=st.booleans(), seed=st.integers(0, 10_000))
+
+
+class TestWhitenedRows:
+    """The theta^-1 estimands' sandwiches from the whitened rows against the projected series."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**WHITENED_DRAWS)
+    def test_influence_is_the_projected_series(self, estimator, layout, p, f, bandwidth, offset,
+                                               inverse, seed):
+        # P is the sample's theta^-1 or an SPD matrix unrelated to the rows:
+        # the identity holds for any P, since the mean of s s' is P theta P
+        rng = np.random.default_rng(seed)
+        rows, kind, f_dim, blocks = layout_rows(rng, 40 + 5 * p, layout, p, f, offset)
+        d = rows.shape[1]
+        tm = mo.sample_theta(rows, kind, f_dim=f_dim)
+        proj = tm.inverse if inverse else rand_spd(rng, d)
+        om, (want_omega, size) = series_estimate(rows, estimator, bandwidth)
+        i, j = vech_indices(d)
+        for block in blocks:
+            h = d_qform_inv_vech(proj, rows=vech_block(d, block))
+            got = asy.whitened_influence(om.rows, proj, block)
+            # the series carries the rounding of the uncentered products, and so its projection
+            scale = np.abs(rows[:, i] * rows[:, j]) @ np.abs(h).T
+            assert np.abs(got - om.series @ h.T).max() <= 1e-12 * scale.max()
+            front = rng.standard_normal((int(rng.integers(1, 4)), h.shape[0]))
+            g = front @ h
+            want_size = np.abs(g) @ size @ np.abs(g).T
+            got = om.inverse_sandwich(proj, block, front)
+            assert np.abs(got - g @ want_omega @ g.T).max() <= 1e-12 * want_size.max()
+            var = om.inverse_sandwich(proj, block, front[0])
+            assert isinstance(var, float)
+            assert abs(var - got[0, 0]) <= 1e-12 * want_size[0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(estimator=st.sampled_from(["vanilla", "bartlett", "parzen"]), p=st.integers(1, 4),
+           f=st.integers(1, 3), seed=st.integers(0, 10_000))
+    def test_estimands_match_the_jacobian_chain(self, estimator, p, f, seed):
+        # the four estimands against the k-by-m Jacobians that oracles keep
+        rng = np.random.default_rng(seed)
+        x = 0.01 * rng.standard_normal((300, p)) + 0.003
+        x[1:] += 0.3 * x[:-1]
+        rows = mo.augment(x)
+        om, _ = series_estimate(rows, estimator, 6)
+        tm = mo.sample_theta(rows)
+
+        def assert_close(got, want):
+            assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+        assert_close(asy.portfolio_covariance(tm, om, 0.1).covariance,
+                     om.sandwich(oracles.portfolio_jacobian(tm, 0.1)))
+        assert_close(asy.snr_variance(tm, om, 0.1, 0.001),
+                     om.sandwich(oracles.snr_gradient(tm, 0.1, 0.001)))
+        _, m = asy.snr_second_order(tm, om, 0.1)
+        assert_close(m @ m.T, om.sandwich(oracles.portfolio_jacobian(tm, 0.1)))
+        assert_close(cn.markowitz_coefficient(tm, om)[1].covariance,
+                     om.sandwich(oracles.coefficient_jacobian(tm)))
+        feats = rng.standard_normal((300, f))
+        brows, kind, f_dim = cn.conditional_rows(x + 0.001 * feats[:, :1], feats,
+                                                 model=cn.ConditionalModel.BICONDITIONAL)
+        bom, _ = series_estimate(brows, estimator, 6)
+        btm = mo.sample_theta(brows, kind, f_dim=f_dim)
+        assert_close(cn.markowitz_coefficient(btm, bom)[1].covariance,
+                     bom.sandwich(oracles.coefficient_jacobian(btm)))
+
+
+def run_estimands(tm, om):
+    return (cn.markowitz_coefficient(tm, om)[1].covariance,
+            asy.portfolio_covariance(tm, om, 0.1).covariance,
+            asy.snr_variance(tm, om, 0.1, 0.001))
+
+
+@pytest.mark.parametrize("estimator", ["vanilla", "bartlett", "parzen"])
+def test_data_omega_estimands_never_form_a_jacobian_or_read_the_series(rng, estimator):
+    rows = mo.augment(0.01 * rng.standard_normal((200, 3)) + 0.003)
+    tm = mo.sample_theta(rows)
+    om, _ = series_estimate(rows, estimator, 4)
+    spies = [mock.patch.object(module, "d_qform_inv_vech", wraps=kn.d_qform_inv_vech)
+             for module in (kn, asy, cn)]
+    with spies[0] as in_kernels, spies[1] as in_asymptotics, spies[2] as in_constraints, \
+            mock.patch.object(asy.OmegaEstimate, "series", new_callable=mock.PropertyMock) as series:
+        run_estimands(tm, om)
+    for spy in (in_kernels, in_asymptotics, in_constraints, series):
+        spy.assert_not_called()
+
+
+def test_gaussian_omega_estimands_take_the_jacobian_chain(rng):
+    tm = mo.sample_theta(mo.augment(0.01 * rng.standard_normal((200, 3)) + 0.003))
+    om = gaussian_omega(tm)
+    with mock.patch.object(asy, "d_qform_inv_vech", wraps=kn.d_qform_inv_vech) as spy:
+        coef, port, snr = run_estimands(tm, om)
+    assert spy.call_count == 3
+    # the same operations as the k-by-m chain, so the same numbers, up to the
+    # snr front's scalar meeting the Jacobian before or after the vector
+    np.testing.assert_array_equal(coef, om.sandwich(oracles.coefficient_jacobian(tm)))
+    np.testing.assert_array_equal(port, om.sandwich(oracles.portfolio_jacobian(tm, 0.1)))
+    assert snr == pytest.approx(om.sandwich(oracles.snr_gradient(tm, 0.1, 0.001)), rel=1e-14)
+
+
 class TestThetaInverseCovariance:
     def test_scalar_gaussian_grid_cell(self):
         tm = AugmentedMoment(np.array([[1.0, 1.0], [1.0, 2.0]]), n_obs=100)
@@ -412,7 +533,10 @@ class TestPortfolioCovariance:
         theta = rand_unit_corner_theta(rng, p)
         tm = AugmentedMoment(theta, n_obs=100)
         risk_budget = 0.8
-        weights, h, _ = asy._portfolio_jacobian_chain(tm, risk_budget)
+        h = oracles.portfolio_jacobian(tm, risk_budget)
+        _, front, _ = asy._portfolio_jacobian_chain(tm, risk_budget)
+        np.testing.assert_array_equal(
+            front @ d_qform_inv_vech(tm.inverse, rows=vech_block(p + 1, asy._FIRST_COLUMN)), h)
 
         def weight_map(v):
             t = AugmentedMoment(ivech(v), n_obs=100)
@@ -514,8 +638,7 @@ class TestSnrSecondOrder:
         tm = mo.sample_theta(rows)
         for om in (asy.omega_hac(rows, bandwidth=4), gaussian_omega(tm)):
             _, m = asy.snr_second_order(tm, om, risk_budget=0.5)
-            _, h, _ = asy._portfolio_jacobian_chain(tm, 0.5)
-            want = om.sandwich(h)
+            want = om.sandwich(oracles.portfolio_jacobian(tm, 0.5))
             assert np.abs(m @ m.T - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_monte_carlo_mean_of_quadratic_limit(self):

@@ -1,4 +1,5 @@
-"""The paper's equivariances as property tests: scaling returns and permuting assets."""
+"""The paper's equivariances as property tests: scaling returns or features, permuting assets,
+and the identity of the unit corner."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -70,3 +71,38 @@ def test_permuting_assets(seed, t, p, omega):
     assert_close(permuted["snr_sq"], base["snr_sq"])
     for name in ("weights", "weight_se", "weight_z", "coef_z"):
         assert_close(permuted[name], base[name][perm])
+
+
+def coefficient_law(values, features, omega):
+    """The biconditional Markowitz coefficient, column-major, and its z-scores."""
+    rows, layout, f_dim = cn.conditional_rows(values, features,
+                                              model=cn.ConditionalModel.BICONDITIONAL)
+    coef, dist = cn.markowitz_coefficient(mo.sample_theta(rows, layout, f_dim=f_dim),
+                                          OMEGAS[omega](rows))
+    return coef.reshape(-1, order="F"), asy.wald_statistics(dist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_c=st.floats(-6.0, 6.0), f=st.integers(1, 3), **panels)
+def test_scaling_features(log_c, f, seed, t, p, omega):
+    # features in other units: theta^-1's feature columns scale by 1/c, so
+    # the coefficient does, and its standard errors with it
+    c = 10.0**log_c
+    x = one_factor_panel(seed, t, p)
+    z = np.random.default_rng(seed).standard_normal((t, f)) + 0.5
+    base, scaled = coefficient_law(x, z, omega), coefficient_law(x, c * z, omega)
+    assert_close(c * scaled[0], base[0])
+    assert_close(scaled[1], base[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.integers(60, 240), p=st.integers(1, 4))
+def test_unit_corner_is_one_plus_the_squared_sharpe(seed, t, p):
+    # the paper's block inverse: the corner of theta^-1 is 1 + mu' Sigma^-1 mu
+    # for the divisor-T mean and covariance of the returns
+    x = one_factor_panel(seed, t, p)
+    tm = mo.sample_theta(mo.augment(x))
+    mu = x.mean(axis=0)
+    zeta_sq = mu @ np.linalg.solve(np.cov(x, rowvar=False, bias=True).reshape(p, p), mu)
+    assert abs(tm.inverse[0, 0] - (1.0 + zeta_sq)) <= 1e-12 * (1.0 + zeta_sq)
+    assert abs(mo.unpack_theta_inverse(tm).snr_sq - zeta_sq) <= 1e-9 * zeta_sq

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from portinf import gaussian as ga
+from portinf import moments as mo
 from portinf import oracles as orc
 from portinf.asymptotics import theta_inverse_covariance
 from portinf.errors import NumericalError, ShapeMismatch, SingularJacobian
-from portinf.kernels import vech_pair
+from portinf.kernels import vech_len, vech_pair
 from portinf.moments import AugmentedMoment
 
-from conftest import rand_unit_corner_theta
+from conftest import rand_sym, rand_unit_corner_theta
 
 
 def scalar_theta(mu, sg):
@@ -196,6 +197,62 @@ class TestLrtSolve:
         raw[0, 1] = 1.0
         cs = ga.TraceConstraintSet([raw], [0.0])
         np.testing.assert_allclose(cs.matrices[0], 0.5 * (raw + raw.T))
+
+
+def lrt_problem(seed, p, k):
+    """A sample moment of returns in percent-like units and k random constraints near it.
+
+    Each target is its constraint's value at the sample moment, moved by up
+    to 5%, so the null is feasible and the statistic is not zero. k stays
+    below the p+1 moment's vech length: a null of that many rows pins the
+    constrained inverse whole, and its nearly dependent draws solve or fail
+    with the order of their rows (CHANGES.md, FOUND).
+    """
+    k = min(k, vech_len(p + 1) - 1)
+    rng = np.random.default_rng(seed)
+    tm = mo.sample_theta(mo.augment(0.01 * rng.standard_normal((300, p)) + 0.003))
+    mats = [rand_sym(rng, p + 1) for _ in range(k)]
+    targets = [np.sum(a * tm.inverse) * (1.0 + 0.05 * rng.uniform(-1.0, 1.0)) for a in mats]
+    return tm, mats, targets
+
+
+def solved_or_skipped(tm, mats, targets):
+    try:
+        return ga.lrt_solve(tm, ga.TraceConstraintSet(mats, targets))
+    except NumericalError:
+        assume(False)
+
+
+LRT_DRAWS = dict(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), k=st.integers(1, 3))
+
+
+class TestLrtInvariance:
+    """The constrained maximizer depends on the null's level set, not on how its rows are written."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_c=st.floats(-6.0, 6.0), negative=st.booleans(), row=st.integers(0, 2),
+           **LRT_DRAWS)
+    def test_scaling_one_constraint_row(self, log_c, negative, row, seed, p, k):
+        tm, mats, targets = lrt_problem(seed, p, k)
+        base = solved_or_skipped(tm, mats, targets)
+        c, i = (-1.0 if negative else 1.0) * 10.0**log_c, row % len(mats)
+        mats[i], targets[i] = c * mats[i], c * targets[i]
+        scaled = ga.lrt_solve(tm, ga.TraceConstraintSet(mats, targets))
+        assert abs(scaled.stat - base.stat) <= 1e-9 * base.stat
+        want = base.lam.copy()
+        want[i] /= c
+        assert np.abs(scaled.lam - want).max() <= 1e-9 * np.abs(want).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**LRT_DRAWS)
+    def test_permuting_constraint_rows(self, seed, p, k):
+        tm, mats, targets = lrt_problem(seed, p, k)
+        base = solved_or_skipped(tm, mats, targets)
+        perm = np.random.default_rng(seed).permutation(len(mats))
+        permuted = ga.lrt_solve(tm, ga.TraceConstraintSet([mats[j] for j in perm],
+                                                          [targets[j] for j in perm]))
+        assert abs(permuted.stat - base.stat) <= 1e-9 * base.stat
+        assert np.abs(permuted.lam - base.lam[perm]).max() <= 1e-9 * np.abs(base.lam).max()
 
 
 class TestLrtPvalue:

@@ -73,6 +73,17 @@ class TestVecVech:
         m = rand_sym(rng, 4)
         np.testing.assert_allclose(kn.ivech(kn.vech(m)), m)
 
+    @given(st.integers(1, 6), st.data())
+    def test_vech_block_reads_the_block(self, n, data):
+        # vech_block's coordinates pick the block's entries out of vech(M),
+        # above the diagonal included, in the block's column-major order
+        bounds = st.integers(0, n)
+        r0, r1, c0, c1 = (data.draw(bounds) for _ in range(4))
+        block = (slice(min(r0, r1), max(r0, r1)), slice(min(c0, c1), max(c0, c1)))
+        m = rand_sym(np.random.default_rng(n), n)
+        np.testing.assert_array_equal(kn.vech(m)[kn.vech_block(n, block)],
+                                      m[block].reshape(-1, order="F"))
+
     def test_ivech_bad_length(self):
         with pytest.raises(BadLength):
             kn.ivech([1.0, 2.0])
