@@ -141,11 +141,16 @@ class OmegaEstimate:
         estimate and are absent otherwise. Bartlett, and vanilla as its
         zero bandwidth, is one Gram of moving sums (Newey & West 1987,
         `_moving_sum_gram`), and Parzen is (U'z + z'U) / 2T over row
-        blocks (`_lead_cross`). Symmetrized; a HAC result is
-        eigenvalue-clipped to positive semidefinite. Both kernels are PSD
-        in exact arithmetic, so the clip only absorbs rounding; it is
-        logged when the clipped eigenvalue is beyond the eigensolver's
-        rounding, the size times eps times the largest eigenvalue.
+        blocks (`_lead_cross`). Symmetrized; a HAC result with a negative
+        eigenvalue is eigenvalue-clipped to positive semidefinite. Both
+        kernels are PSD in exact arithmetic, so the clip only absorbs
+        rounding. It clips the equilibrated D^-1/2 out D^-1/2, D = diag(out),
+        and scales back (van der Sluis 1969): for returns in units c the
+        entries span c^0 to c^4, and an eigh of out itself rounds at eps
+        times its largest eigenvalue, which swamps the small-unit
+        directions. The clip is logged when the equilibrated eigenvalue
+        it clips is beyond the eigensolver's rounding, the size times eps
+        times the largest one.
         """
         b = self.bandwidth or 0
         if self.kernel == "parzen":
@@ -155,15 +160,15 @@ class OmegaEstimate:
             out = _moving_sum_gram(z, b)
             out /= (b + 1) * z.shape[0]
         out = 0.5 * (out + out.T)
-        if self.kernel is None:
+        if self.kernel is None or np.linalg.eigh(out)[0][0] >= 0:
             return out
-        vals, vecs = np.linalg.eigh(out)
-        if vals[0] < 0:
-            if vals[0] < -vals.size * np.finfo(float).eps * vals[-1]:
-                logger.warning("HAC estimate indefinite (min eig %.3e); clipping to PSD", vals[0])
-            out = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.T
-            out = 0.5 * (out + out.T)
-        return out
+        scale = np.sqrt(np.diag(out).clip(0.0, None))
+        scale[scale == 0] = 1.0
+        vals, vecs = np.linalg.eigh(out / np.outer(scale, scale))
+        if vals[0] < -vals.size * np.finfo(float).eps * vals[-1]:
+            logger.warning("HAC estimate indefinite (min eig %.3e); clipping to PSD", vals[0])
+        out = (vecs * np.clip(vals, 0.0, None)) @ vecs.T * np.outer(scale, scale)
+        return 0.5 * (out + out.T)
 
 
 @dataclass

@@ -72,12 +72,18 @@ class SubspaceSpec:
 @dataclass
 class HedgeSpec:
     """Streams to hedge against: feasible portfolios have zero covariance
-    with every row of G."""
+    with every row of G.
+
+    Only G's row space matters, so the rows are re-orthonormalized on
+    ingestion, as a SubspaceSpec's are: G and QG give one hedge for any
+    invertible Q, however ill-conditioned.
+    """
 
     hedge: np.ndarray
 
     def __post_init__(self):
-        self.hedge = full_row_rank(self.hedge, "hedge matrix", RankDeficientHedge)
+        q, _ = np.linalg.qr(full_row_rank(self.hedge, "hedge matrix", RankDeficientHedge).T)
+        self.hedge = q.T
 
     def augmented(self, f_dim: int) -> np.ndarray:
         return block_diag(np.eye(f_dim), self.hedge)

@@ -308,13 +308,14 @@ def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray
 def sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int, ...],
                     loading: np.ndarray, layout: MomentLayout = MomentLayout.UNCONDITIONAL,
                     f_dim: int = 1) -> AugmentedMoment:
-    """The simulate suites' stack of sampled moments, drawn one chunk at a time.
+    """The simulate suites' stack of sampled moments from drawn rows: the reference law.
 
     Chunk k of CHUNK trials draws from SeedSequence((seed, k)) every trial's
     standard normals of each width in turn, the widths in order; a trial's
     rows are loading @ [1, z'] (unconditional layout) or loading @ z
     (conditional layout), and its moment is loading G loading' for the Gram
-    G of [1, z'] or z.
+    G of [1, z'] or z. `simulate` draws G itself as a Wishart, from a
+    different stream with the same law.
     """
     unit = layout is MomentLayout.UNCONDITIONAL
     ones = np.ones(sample_size)

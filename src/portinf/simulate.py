@@ -3,22 +3,22 @@
 Each suite draws Gaussian rows from a fixed population, declared as the
 loading M that draws them, runs the relevant estimator across trials, and
 compares empirical moments against the theory of the population moment
-M M' at pinned tolerances. Per-chunk generators are seeded
-from SeedSequence((seed, chunk_index)) over numpy's PCG64, so reports are
-reproducible byte for byte across platforms; aggregation runs in trial
-order.
+M M' at pinned tolerances.
 
-Every suite is stacked: one generator draws each chunk's standard
-normals (in the order a per-trial loop would) and forms each trial's
-moment by congruence from the Gram of its draws, and the estimator runs
-once over the (n, d, d) stack of all trials. The streams and the trial
-order are those of a per-trial loop, and so are the reports.
+Every estimator reads only a trial's moment, which is M (G/n) M' for
+the Gram G of the trial's n standard-normal draws, so no row is drawn:
+each trial's Gram is drawn as an exact Wishart by Bartlett's
+decomposition, O(q^2) variates for q columns whatever n is, and the
+estimator runs once over the (n_trials, d, d) stack of all trials.
+Chunk k of CHUNK trials draws from SeedSequence((seed, k)) over numpy's
+PCG64, so two runs of one seed share every chunk that is full in both,
+and aggregation runs in trial order; a seed gives byte-identical reports
+for a given numpy build (the chi-square draws go through the C math
+library).
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +36,6 @@ from .moments import AugmentedMoment, MomentLayout
 from .asymptotics import OmegaEstimate, theta_inverse_covariance
 
 CHUNK = 250
-BLOCK = 10  # trials whose last-width draws a worker holds at once
 
 
 @dataclass
@@ -81,118 +80,56 @@ def _rng_for(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, chunk)))
 
 
-def _worker_count(n_chunks: int, widths: tuple[int, ...]) -> int:
-    """Workers for drawing the chunks: one per usable CPU, at most one per chunk.
+def _wishart(rng: np.random.Generator, k: int, q: int, df: int) -> np.ndarray:
+    """k draws of Wishart(df, I_q), as A A' by Bartlett's decomposition.
 
-    A worker holds a whole chunk's draws of every width but the last, so
-    the count is capped further: those draws of all workers together fit
-    in one chunk's draws.
+    A is lower triangular with sqrt(chi-square(df - i)) at (i, i) and
+    standard normals below the diagonal (Bartlett 1933; Odell & Feiveson
+    1966). The k-by-q diagonal is drawn first, then the k-by-q(q-1)/2
+    entries below it in np.tril_indices(q, -1) order.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    held = sum(widths[:-1])
-    fit = sum(widths) // held if held else n_chunks
-    return max(1, min(cpus, n_chunks, fit))
+    a = np.zeros((k, q, q))
+    diag = np.arange(q)
+    a[:, diag, diag] = np.sqrt(rng.chisquare(df - diag, (k, q)))
+    below = np.tril_indices(q, -1)
+    a[:, below[0], below[1]] = rng.standard_normal((k, below[0].size))
+    return a @ a.swapaxes(1, 2)
 
 
-# The caller works as one of the workers instead of waiting on a pool: every
-# thread that draws holds its own buffers, and a ThreadPoolExecutor with two
-# workers and an idle caller read a peak RSS of 61.0-61.3 MB on the four
-# default suites against 57.8-58.0 MB for this loop (2-core VM, 3 runs each).
-def _run_workers(n_workers: int, n_tasks: int, make_task) -> None:
-    """Run task(i) for every i in range(n_tasks) on n_workers threads, the caller among them.
-
-    Each worker calls make_task() once for its own task function, then
-    takes task indices from a shared counter. The first exception, in any
-    worker, stops every worker from taking another index and is raised in
-    the caller once all threads are joined.
-    """
-    lock = threading.Lock()
-    stop = threading.Event()
-    todo = iter(range(n_tasks))
-    errors = []
-
-    def work():
-        try:
-            task = make_task()
-            while not stop.is_set():
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                task(i)
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-            stop.set()
-
-    threads = []
-    try:
-        for _ in range(n_workers - 1):
-            threads.append(threading.Thread(target=work, daemon=True))
-            threads[-1].start()
-        work()
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
-def _sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int, ...],
-                     loading: np.ndarray, layout: MomentLayout = MomentLayout.UNCONDITIONAL,
+def _sampled_moments(seed: int, trials: int, sample_size: int, loading: np.ndarray,
+                     layout: MomentLayout = MomentLayout.UNCONDITIONAL,
                      f_dim: int = 1) -> AugmentedMoment:
     """The stack of every trial's sample moment of the suite's augmented rows.
 
-    Each trial draws standard-normal blocks of the given widths, in order,
-    and its rows are loading @ [1, z'] (unconditional layout) or
-    loading @ z (conditional layout). The moment is formed by congruence,
-    loading G loading', from the per-trial Gram G of [1, z'] or z, so the
-    rows themselves are never built.
-
-    The chunks are drawn concurrently, each into its own slice of the
-    stack, so the stack does not depend on the number of workers. A
-    chunk's stream holds all its draws of one width before the next, so a
-    worker keeps the chunk's draws of the leading widths and draws the
-    last width BLOCK trials at a time, forming those trials' moments
-    right away; its buffers are allocated once. The stack is validated
-    as a single moment is.
+    A trial's n rows are loading @ [1, z'] (unconditional layout) or
+    loading @ z (conditional layout) for n standard-normal z, and its
+    moment is loading (G/n) loading' for the Gram G of [1, z'] or z. Only
+    G's law matters, so it is drawn directly, O(q^2) variates a trial
+    instead of n q. Conditional: G = W(n, I_q). Unconditional, with q one
+    less than the loading's rows: the sum of z is n zbar with
+    zbar ~ N(0, I_q / n), and the sum of z z' is S + n zbar zbar' with
+    S ~ W(n - 1, I_q) independent of zbar, so G/n is
+    [[1, zbar'], [zbar, S/n + zbar zbar']]. Chunk k of CHUNK trials draws
+    from _rng_for(seed, k): zbar (unconditional only), then S. The
+    stack is validated as a single moment is.
     """
     unit = layout is MomentLayout.UNCONDITIONAL
-    *leading, last = widths
-    ones = np.ones(sample_size)
-    size = min(CHUNK, trials)
-    n_chunks = -(-trials // CHUNK)
-    theta = np.empty((trials,) + (loading.shape[0],) * 2)
-
-    def make_task():
-        lead_bufs = [np.empty((size, sample_size, w)) for w in leading]
-        last_buf = np.empty((min(BLOCK, size), sample_size, last))
-
-        def draw_chunk(idx: int):
-            rng = _rng_for(seed, idx)
-            start = idx * CHUNK
-            n = min(CHUNK, trials - start)
-            leads = [buf[:n] for buf in lead_bufs]
-            for z in leads:
-                rng.standard_normal(out=z)
-            for b in range(0, n, BLOCK):
-                m = min(BLOCK, n - b)
-                rng.standard_normal(out=last_buf[:m])
-                draws = [z[b : b + m] for z in leads] + [last_buf[:m]]
-                gram = np.block([[a.swapaxes(1, 2) @ c for c in draws] for a in draws])
-                gram /= sample_size
-                if unit:
-                    means = np.concatenate([ones @ z for z in draws], axis=1) / sample_size
-                    head = np.concatenate([np.ones((m, 1, 1)), means[:, None, :]], axis=2)
-                    gram = np.block([[head], [means[:, :, None], gram]])
-                theta[start + b : start + b + m] = loading @ gram @ loading.T
-
-        return draw_chunk
-
-    _run_workers(_worker_count(n_chunks, widths), n_chunks, make_task)
+    dim = loading.shape[0]
+    q = dim - 1 if unit else dim
+    theta = np.empty((trials, dim, dim))
+    for idx, start in enumerate(range(0, trials, CHUNK)):
+        k = min(CHUNK, trials - start)
+        rng = _rng_for(seed, idx)
+        if unit:
+            zbar = rng.standard_normal((k, q)) / np.sqrt(sample_size)
+            gram = np.empty((k, dim, dim))
+            gram[:, 0, 0] = 1.0
+            gram[:, 0, 1:] = gram[:, 1:, 0] = zbar
+            gram[:, 1:, 1:] = (_wishart(rng, k, q, sample_size - 1) / sample_size
+                               + zbar[:, :, None] * zbar[:, None, :])
+        else:
+            gram = _wishart(rng, k, q, sample_size) / sample_size
+        theta[start : start + k] = loading @ gram @ loading.T
     return AugmentedMoment(theta, n_obs=sample_size, layout=layout, f_dim=f_dim)
 
 
@@ -204,7 +141,8 @@ def _unit_loading(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 # Each suite's population, declared once as the loading M that draws its rows
 # and, for conditional rows, their feature count (see _draw), followed by the
 # suite's default trials and sample size. Returns are x = mu + chol(sigma) z; the
-# mglh rows are [f', x'], with features f = L_f z_f drawn first and x = B f + L_s z_e.
+# mglh rows are [f', x'] for z = [z_f', z_e']', with features f = L_f z_f and
+# returns x = B f + L_s z_e.
 NORMAL_RETURNS = _unit_loading(np.array([0.4, 0.2]), np.array([[1.0, 0.25], [0.25, 0.5]]))
 LRT_RETURNS = _unit_loading(np.array([0.3, 0.1]), np.array([[1.0, 0.2], [0.2, 0.8]]))
 _CHOL_F = chol(np.array([[1.0, 0.2], [0.2, 1.0]]))
@@ -224,9 +162,9 @@ def _draw(suite: str, seed: int, trials: int | None,
           sample_size: int | None) -> tuple[SuiteReport, AugmentedMoment, AugmentedMoment]:
     """The suite's empty report, its population moment M M' and its trials' sample moments.
 
-    The rows are M [1, z']' or, given a feature count f, M z with the f
-    feature normals drawn first; z is standard normal, so M M' is their
-    second moment. Sizes left as None take the suite's defaults, and the
+    The rows are M [1, z']' or, given a feature count f, M z with the
+    features loading the first f coordinates of z; z is standard normal,
+    so M M' is their second moment. Sizes left as None take the suite's defaults, and the
     sample size must exceed M's row count so that every moment inverts.
     """
     loading, f_dim, default_trials, default_size = _SUITES[suite]
@@ -240,12 +178,10 @@ def _draw(suite: str, seed: int, trials: int | None,
             f"sample size must exceed the {suite} moment dimension {dim}, got {sample_size}")
     if seed < 0:
         raise ShapeMismatch(f"seed must be non-negative, got {seed}")
-    if f_dim is None:
-        layout, f_dim, widths = MomentLayout.UNCONDITIONAL, 1, (dim - 1,)
-    else:
-        layout, widths = MomentLayout.CONDITIONAL, (f_dim, dim - f_dim)
+    layout = MomentLayout.UNCONDITIONAL if f_dim is None else MomentLayout.CONDITIONAL
+    f_dim = 1 if f_dim is None else f_dim
     pop = AugmentedMoment(loading @ loading.T, sample_size, layout, f_dim)
-    tm = _sampled_moments(seed, trials, sample_size, widths, loading, layout, f_dim)
+    tm = _sampled_moments(seed, trials, sample_size, loading, layout, f_dim)
     return SuiteReport(suite, seed, trials, sample_size), pop, tm
 
 

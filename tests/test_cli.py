@@ -134,11 +134,54 @@ class TestUnits:
             assert float(b[3]) == pytest.approx(float(a[3]), rel=1e-5)
             assert 1e-8 * float(b[5]) == pytest.approx(float(a[5]), rel=1e-5)
 
+    @pytest.mark.parametrize("args", [
+        ["--risk-budget", "0.1", "--rfr", "0.001"],
+        ["--hac", "bartlett"],
+        ["--hac", "parzen:4"],
+        ["--model", "biconditional", "--features", "level,delta"],
+    ], ids=["vanilla", "bartlett", "parzen", "biconditional"])
+    def test_percent_returns_print_the_same_z_and_p(self, capsys, tmp_path, args):
+        _, plain, _ = run(capsys, "infer", "--input", FIXTURE, "--assets", ASSETS, *args)
+        code, percent, _ = run(capsys, "infer", "--input", scaled_fixture(tmp_path, 100.0),
+                               "--assets", ASSETS, *args)
+        assert code == 0
+        header = [l for l in plain.splitlines() if l and not l.startswith("#")][0].split("\t")
+        cols = [header.index("z"), header.index("p")]
+        got, want = body_rows(percent), body_rows(plain)
+        assert len(got) == len(want) > 0
+        for a, b in zip(want, got):
+            # six printed digits: a value may round across one unit of the last
+            assert [float(b[i]) for i in cols] == pytest.approx([float(a[i]) for i in cols],
+                                                                rel=1e-5)
+
     def test_all_zero_asset_column_is_a_numerical_failure(self, capsys, tmp_path):
         path = scaled_fixture(tmp_path, 1.0, fixed_column="beta")
         code, _, err = run(capsys, "infer", "--input", path, "--assets", ASSETS)
         assert code == 3
         assert "numerical failure" in err and "all zero" in err
+
+
+class TestAssetOrder:
+    @pytest.mark.parametrize("args", [
+        ["--risk-budget", "0.1", "--rfr", "0.001"],
+        ["--hac", "bartlett"],
+        ["--model", "biconditional", "--features", "level,delta"],
+    ], ids=["vanilla", "bartlett", "biconditional"])
+    @pytest.mark.parametrize("order", ["gamma,alpha,beta", "beta,gamma,alpha", "alpha,gamma,beta"])
+    def test_permuting_assets_permutes_the_rows(self, capsys, args, order):
+        _, plain, _ = run(capsys, "infer", "--input", FIXTURE, "--assets", ASSETS, *args)
+        code, permuted, _ = run(capsys, "infer", "--input", FIXTURE, "--assets", order, *args)
+        assert code == 0
+        want, got = body_rows(plain), body_rows(permuted)
+        # rows run over the assets in the given order (within each feature)
+        assert [row[0] for row in got] == order.split(",") * (len(got) // 3)
+        labels = 2 if "--features" in args else 1   # asset, and feature if any
+        by_label = {tuple(row[:labels]): row[labels:] for row in want}
+        assert len(got) == len(by_label)
+        for row in got:
+            # six printed digits: a value may round across one unit of the last
+            assert [float(c) for c in row[labels:]] == pytest.approx(
+                [float(c) for c in by_label[tuple(row[:labels])]], rel=1e-5)
 
 
 class TestMglhCommand:

@@ -86,6 +86,32 @@ class TestSubspace:
         np.testing.assert_allclose(h, fd, atol=1e-6)
 
 
+class TestHedgeBasis:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 5), log_cond=st.floats(0.0, 6.0),
+           omega=st.sampled_from(["gaussian", "vanilla", "bartlett"]))
+    def test_any_basis_of_the_hedge_gives_one_law(self, seed, p, log_cond, omega):
+        """G and QG span one hedge; the QR of (QG)' recovers its row space to eps cond(QG)."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, p))
+        x = 0.01 + rng.standard_normal((200, p)) @ rand_spd(rng, p) / p
+        rows = mo.augment(x)
+        tm = mo.sample_theta(rows)
+        om = {"gaussian": gaussian_omega, "vanilla": asy.omega_vanilla,
+              "bartlett": lambda rows: asy.omega_hac(rows, "bartlett")}[omega]
+        om = om(tm) if omega == "gaussian" else om(rows)
+        g = rng.standard_normal((k, p))
+        u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        q = u @ np.diag(np.logspace(0.0, -log_cond, k)) @ v.T
+        point, dist = cn.hedged_delta_theta(tm, cn.HedgeSpec(g), om)
+        q_point, q_dist = cn.hedged_delta_theta(tm, cn.HedgeSpec(q @ g), om)
+        rtol = 1e-13 * np.linalg.cond(q @ g)
+        assert np.abs(q_point - point).max() <= rtol * np.abs(point).max()
+        assert (np.abs(q_dist.covariance - dist.covariance).max()
+                <= rtol * np.abs(dist.covariance).max())
+
+
 class TestHedged:
     def test_full_hedge_zeroes_everything(self, rng):
         tm, om = _tm_and_om(rng, 3)

@@ -63,6 +63,21 @@ def test_scaling_returns(log_c, seed, t, p, omega):
 
 
 @settings(max_examples=30, deadline=None)
+@given(log_c=st.floats(-2.0, 20.0), seed=st.integers(0, 2**32 - 1), t=st.integers(60, 400),
+       p=st.integers(1, 8), omega=st.sampled_from(sorted(OMEGAS)))
+def test_attribution_is_unit_free(log_c, seed, t, p, omega):
+    # the m-by-m omega spans c^0 to c^4, and the HAC estimates' PSD clip must not see the units
+    x = one_factor_panel(seed, t, p)
+
+    def attribution(values):
+        rows = mo.augment(values)
+        dist = asy.theta_inverse_covariance(mo.sample_theta(rows), OMEGAS[omega](rows))
+        return asy.attribute_error(dist, p)
+
+    assert_close(attribution(10.0**log_c * x), attribution(x))
+
+
+@settings(max_examples=30, deadline=None)
 @given(**panels)
 def test_permuting_assets(seed, t, p, omega):
     x = one_factor_panel(seed, t, p)

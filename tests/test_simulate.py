@@ -1,21 +1,20 @@
-"""The stacked Monte Carlo engine: pinned reports and stack-versus-one parity."""
+"""The Monte Carlo engine: pinned reports, the law of its draws, and stack-versus-one parity."""
 
-import os
-import sys
-import threading
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+import scipy.stats
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portinf import gaussian as ga
 from portinf import mglh, simulate
 from portinf import oracles as orc
 from portinf.errors import NumericalError, ShapeMismatch
+from portinf.kernels import vech_indices
 from portinf.moments import AugmentedMoment, MomentLayout
 
 from conftest import rand_spd, theta_from
@@ -25,50 +24,49 @@ _SIG_F = np.array([[1.0, 0.2], [0.2, 1.0]])
 _B = np.array([[0.3, 0.1], [-0.2, 0.25]])
 _SIGMA = np.array([[1.0, 0.3], [0.3, 0.8]])
 
-# Reports of the per-trial implementation that the stacked engine replaced,
-# pinned byte for byte: the streams, the trial order and the printed values
-# must not move.
+# Reports of the Wishart engine, pinned byte for byte: the per-chunk streams,
+# the order of the draws within a chunk and the printed values must not move.
 GOLDEN = {
     ("theorem1", 5, 300, None): (
         "suite=theorem1 seed=5 trials=300 sample_size=2000\n"
-        "check frobenius_rel_err value=0.080764 bound<=0.100000 status=PASS\n"
+        "check frobenius_rel_err value=0.098042 bound<=0.100000 status=PASS\n"
         "result=PASS\n"),
     ("gaussian", 5, 300, None): (
         "suite=gaussian seed=5 trials=300 sample_size=2000\n"
-        "check frobenius_rel_err value=0.107028 bound<=0.100000 status=FAIL\n"
-        "result=FAIL\n"),
+        "check frobenius_rel_err value=0.084347 bound<=0.100000 status=PASS\n"
+        "result=PASS\n"),
     ("lrt", 5, 300, None): (
         "suite=lrt seed=5 trials=300 sample_size=1000\n"
         "info failures=0.000000\n"
-        "check mean_stat value=1.918873 bound in 2.00+-0.15 status=PASS\n"
-        "check var_stat value=3.778355 bound in 4.00+-0.60 status=PASS\n"
+        "check mean_stat value=1.883163 bound in 2.00+-0.15 status=PASS\n"
+        "check var_stat value=3.738604 bound in 4.00+-0.60 status=PASS\n"
         "check newton_fast_frac value=1.000000 bound>=0.990000 status=PASS\n"
         "result=PASS\n"),
     ("mglh", 5, 300, None): (
         "suite=mglh seed=5 trials=300 sample_size=2000\n"
-        "info empirical_var=1.206473\n"
+        "info empirical_var=1.187869\n"
         "info theoretical_var=1.229077\n"
-        "check hlt_var_rel_err value=0.018391 bound<=0.150000 status=PASS\n"
+        "check hlt_var_rel_err value=0.033527 bound<=0.150000 status=PASS\n"
         "result=PASS\n"),
     # four rows per trial: the line search works hard and some trials take
     # more than ten Newton steps
     ("lrt", 1, 400, 4): (
         "suite=lrt seed=1 trials=400 sample_size=4\n"
         "info failures=0.000000\n"
-        "check mean_stat value=4.137349 bound in 2.00+-0.15 status=FAIL\n"
-        "check var_stat value=15.810414 bound in 4.00+-0.60 status=FAIL\n"
-        "check newton_fast_frac value=0.947500 bound>=0.990000 status=FAIL\n"
+        "check mean_stat value=4.143923 bound in 2.00+-0.15 status=FAIL\n"
+        "check var_stat value=17.299573 bound in 4.00+-0.60 status=FAIL\n"
+        "check newton_fast_frac value=0.932500 bound>=0.990000 status=FAIL\n"
         "result=FAIL\n"),
-    # six chunks with a ragged last one, so each worker draws several chunks
+    # six chunks with a ragged last one
     ("theorem1", 9, 1300, 200): (
         "suite=theorem1 seed=9 trials=1300 sample_size=200\n"
-        "check frobenius_rel_err value=0.082500 bound<=0.100000 status=PASS\n"
+        "check frobenius_rel_err value=0.062099 bound<=0.100000 status=PASS\n"
         "result=PASS\n"),
     ("mglh", 9, 1300, 200): (
         "suite=mglh seed=9 trials=1300 sample_size=200\n"
-        "info empirical_var=1.362729\n"
+        "info empirical_var=1.397119\n"
         "info theoretical_var=1.229077\n"
-        "check hlt_var_rel_err value=0.108742 bound<=0.150000 status=PASS\n"
+        "check hlt_var_rel_err value=0.136723 bound<=0.150000 status=PASS\n"
         "result=PASS\n"),
 }
 
@@ -115,137 +113,119 @@ def test_a_suite_called_directly_checks_its_sizes(suite, sample_size):
     with pytest.raises(ShapeMismatch, match="at least 2 trials"):
         fn(1, 1, None)
 
-def test_sampled_moments_hold_one_chunk_of_draws():
-    """The draws of one chunk are the only large arrays alive while the stack is built."""
-    widths, sample_size = (2, 2), 500
-    draw_bytes = simulate.CHUNK * sample_size * sum(widths) * 8
 
-    def build():
-        simulate._sampled_moments(3, 3 * simulate.CHUNK + 7, sample_size, widths, np.eye(4),
-                                  MomentLayout.CONDITIONAL, 2)
+def _gram_law(d, unit):
+    """Mean and n times the covariance of vech(G/n), G the Gram of n Gaussian rows x.
 
-    build()  # first use allocates lasting caches that are not part of the build
-    tracemalloc.start()
-    try:
-        build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * draw_bytes
+    x = [1, z'] (unit) or z for standard-normal z: with m = E x and P = Cov x,
+    Cov(x_i x_j, x_k x_l) = P_ik P_jl + P_il P_jk + m_i m_k P_jl + m_i m_l P_jk
+    + m_j m_k P_il + m_j m_l P_ik.
+    """
+    m = np.eye(d)[0] if unit else np.zeros(d)
+    cov = np.eye(d) - np.outer(m, m)
+    i, j = vech_indices(d)
+    a, b = (i[:, None], j[:, None]), (i[None, :], j[None, :])
+    n_cov = (cov[a[0], b[0]] * cov[a[1], b[1]] + cov[a[0], b[1]] * cov[a[1], b[0]]
+             + m[a[0]] * m[b[0]] * cov[a[1], b[1]] + m[a[0]] * m[b[1]] * cov[a[1], b[0]]
+             + m[a[1]] * m[b[0]] * cov[a[0], b[1]] + m[a[1]] * m[b[1]] * cov[a[0], b[0]])
+    return (cov + np.outer(m, m))[i, j], n_cov
 
 
-def _draw_args(seed, trials, unit, f, p, extra):
-    """Arguments of one stack build: widths (p,) or (f, p), a random loading, dim + extra rows."""
-    rng = np.random.default_rng(seed)
-    widths = (p,) if unit else (f, p)
-    d = sum(widths)
-    low = np.tril(rng.uniform(-0.5, 0.5, (d, d)), -1) + np.diag(rng.uniform(0.5, 1.5, d))
-    if unit:
-        loading, layout, f_dim = (simulate._unit_loading(rng.uniform(-0.5, 0.5, d), low @ low.T),
-                                  MomentLayout.UNCONDITIONAL, 1)
+def _identity_draws(seed, trials, n, unit, rows=False):
+    """vech(G/n) of every trial, from the Wishart engine or, with rows, the row oracle."""
+    layout, f_dim = (MomentLayout.UNCONDITIONAL, 1) if unit else (MomentLayout.CONDITIONAL, 2)
+    if rows:
+        tm = orc.sampled_moments(seed, trials, n, (3,) if unit else (2, 2), np.eye(4), layout,
+                                 f_dim)
     else:
-        loading, layout, f_dim = low, MomentLayout.CONDITIONAL, f
-    return seed, trials, loading.shape[0] + extra, widths, loading, layout, f_dim
+        tm = simulate._sampled_moments(seed, trials, n, np.eye(4), layout, f_dim)
+    return tm.theta[(slice(None), *vech_indices(4))]
 
 
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+class TestWishartLaw:
+    """The Wishart engine against the exact law of the Gram and against the row oracle.
+
+    Each bound is set from the law: a mean entry within 5 of its sampling
+    SDs, sqrt(n_cov_aa / (n N)) over N trials, and the empirical n-scaled
+    covariance within 4 times the root-mean-square Frobenius error of a
+    Gaussian empirical covariance, sqrt(sum_ab (C_aa C_bb + C_ab^2) / N).
+    A difference of two independent estimates gets sqrt(2) times each bound.
+    """
+
+    TRIALS, N = 16 * simulate.CHUNK, 50
+
+    def _check(self, got, want_mean, want_cov, spread):
+        trials, n = len(got), self.N
+        mean_sd = np.sqrt(np.diag(want_cov) / (n * trials))
+        assert np.all(np.abs(got.mean(axis=0) - want_mean) <= spread * 5.0 * mean_sd)
+        var = np.diag(want_cov)
+        rms = np.sqrt(np.sum(np.outer(var, var) + want_cov**2) / trials)
+        emp = n * np.cov(got, rowvar=False)
+        assert np.linalg.norm(emp - want_cov) <= spread * 4.0 * rms
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "conditional"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_moments_match_the_exact_law(self, seed, unit):
+        got = _identity_draws(seed, self.TRIALS, self.N, unit)
+        self._check(got, *_gram_law(4, unit), spread=1.0)
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "conditional"])
+    def test_moments_match_the_row_oracle(self, unit):
+        got = _identity_draws(2, self.TRIALS, self.N, unit)
+        rows = _identity_draws(3, self.TRIALS, self.N, unit, rows=True)
+        self._check(got, rows.mean(axis=0), self.N * np.cov(rows, rowvar=False),
+                    spread=np.sqrt(2.0))
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "conditional"])
+    def test_diagonal_is_chi_square(self, unit):
+        """G_ii is chi-square(n) for each z coordinate i, with the unit row or without."""
+        got = _identity_draws(4, self.TRIALS, self.N, unit)
+        diag = np.flatnonzero(vech_indices(4)[0] == vech_indices(4)[1])[1 if unit else 0:]
+        for a in diag:
+            assert scipy.stats.kstest(self.N * got[:, a], "chi2", args=(self.N,)).pvalue > 1e-4
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 2 * simulate.CHUNK + 9),
+           p=st.integers(1, 4), extra=st.integers(1, 30))
+    def test_unit_corner_is_one_and_members_are_spd(self, seed, trials, p, extra):
+        rng = np.random.default_rng(seed)
+        low = np.tril(rng.uniform(-0.5, 0.5, (p, p)), -1) + np.diag(rng.uniform(0.5, 1.5, p))
+        loading = simulate._unit_loading(rng.uniform(-0.5, 0.5, p), low @ low.T)
+        theta = simulate._sampled_moments(seed, trials, p + 1 + extra, loading).theta
+        assert theta.shape == (trials, p + 1, p + 1)
+        assert np.all(theta[:, 0, 0] == 1.0)
+        assert np.array_equal(theta, theta.swapaxes(1, 2))
+        assert np.all(np.linalg.eigvalsh(theta)[:, 0] > 0)
 
 
-class TestConcurrentDraws:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4 * simulate.CHUNK + 13),
-           unit=st.booleans(), f=st.integers(1, 3), p=st.integers(1, 3),
-           extra=st.integers(1, 30))
-    @example(seed=1, trials=simulate.CHUNK, unit=True, f=2, p=2, extra=1)
-    @example(seed=7, trials=2 * simulate.CHUNK, unit=False, f=2, p=2, extra=1)
-    @example(seed=7, trials=simulate.CHUNK + 1, unit=False, f=1, p=3, extra=2)
-    @example(seed=3, trials=4 * simulate.CHUNK + 13, unit=True, f=1, p=1, extra=1)
-    def test_stack_matches_serial_oracle(self, seed, trials, unit, f, p, extra):
-        args = _draw_args(seed, trials, unit, f, p, extra)
-        assert np.array_equal(simulate._sampled_moments(*args).theta,
-                              orc.sampled_moments(*args).theta)
+@pytest.mark.parametrize("suite", simulate.SUITES)
+def test_a_shorter_run_draws_the_same_leading_chunks(suite):
+    """Chunk k draws from its own stream, so trials=CHUNK is the first chunk of trials=5000."""
+    _, _, short = simulate._draw(suite, 17, simulate.CHUNK, 300)
+    _, _, long = simulate._draw(suite, 17, 5000, 300)
+    assert np.array_equal(short.theta, long.theta[: simulate.CHUNK])
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_stack_does_not_depend_on_cpus(self, monkeypatch, cpus):
-        _set_cpus(monkeypatch, cpus)
-        for trials in (7, 2 * simulate.CHUNK, 4 * simulate.CHUNK + 13):
-            for unit in (True, False):
-                args = _draw_args(5, trials, unit, 2, 2, 3)
-                assert np.array_equal(simulate._sampled_moments(*args).theta,
-                                      orc.sampled_moments(*args).theta)
 
-    def test_each_chunk_is_drawn_once_under_contention(self, monkeypatch):
-        """More workers than cores and a short switch interval: no chunk is lost or repeated."""
-        _set_cpus(monkeypatch, 8)
-        rng_for = simulate._rng_for
-        started = []
+@pytest.mark.parametrize("suite", simulate.SUITES)
+def test_a_repeated_report_is_byte_identical(suite):
+    first = simulate.simulate_suite(suite, 23, 600, 200).render()
+    assert simulate.simulate_suite(suite, 23, 600, 200).render() == first
 
-        def counting(seed, chunk):
-            started.append(chunk)
-            return rng_for(seed, chunk)
 
-        monkeypatch.setattr(simulate, "_rng_for", counting)
-        args = _draw_args(11, 40 * simulate.CHUNK + 3, True, 1, 1, 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            theta = simulate._sampled_moments(*args).theta
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(started) == list(range(41))
-        assert np.array_equal(theta, orc.sampled_moments(*args).theta)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_worker_count(self, monkeypatch, cpus):
-        _set_cpus(monkeypatch, cpus)
-        assert simulate._worker_count(1, (2,)) == 1
-        assert simulate._worker_count(5, (2,)) == min(cpus, 5)
-        # each worker holds its chunk's leading-width draws: 2 of 4 columns, then 1 of 4
-        assert simulate._worker_count(5, (2, 2)) == min(cpus, 2)
-        assert simulate._worker_count(5, (1, 3)) == min(cpus, 4)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    @pytest.mark.parametrize("unit,bound", [(True, 0.25), (False, 1.25)],
-                             ids=["unit", "conditional"])
-    def test_memory_does_not_grow_with_cpus(self, monkeypatch, cpus, unit, bound):
-        """All workers together hold at most about one chunk's draws."""
-        _set_cpus(monkeypatch, cpus)
-        args = _draw_args(3, 3 * simulate.CHUNK + 7, unit, 2, 2, 495)
-        draw_bytes = simulate.CHUNK * args[2] * sum(args[3]) * 8
-
-        simulate._sampled_moments(*args)  # lasting caches of first use are not the build's
+def test_memory_does_not_grow_with_the_sample_size():
+    """A trial draws O(q^2) variates whatever its sample size, so the build's peak does not move."""
+    def peak(sample_size):
+        simulate._sampled_moments(3, 3 * simulate.CHUNK + 7, sample_size, np.eye(4),
+                                  MomentLayout.CONDITIONAL, 2)
         tracemalloc.start()
         try:
-            simulate._sampled_moments(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            simulate._sampled_moments(3, 3 * simulate.CHUNK + 7, sample_size, np.eye(4),
+                                      MomentLayout.CONDITIONAL, 2)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * draw_bytes
 
-    @pytest.mark.parametrize("bad_chunk", [0, 3, 7])
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_worker_error_is_raised_in_caller(self, monkeypatch, capsys, bad_chunk, error):
-        _set_cpus(monkeypatch, 2)
-        raised = error(f"chunk {bad_chunk}")
-        rng_for = simulate._rng_for
-        started = []
-
-        def failing(seed, chunk):
-            started.append(chunk)
-            if chunk == bad_chunk:
-                raise raised
-            return rng_for(seed, chunk)
-
-        monkeypatch.setattr(simulate, "_rng_for", failing)
-        before = threading.active_count()
-        with pytest.raises(error) as info:
-            simulate._sampled_moments(*_draw_args(1, 8 * simulate.CHUNK, False, 2, 2, 400))
-        assert info.value is raised
-        assert threading.active_count() == before
-        assert capsys.readouterr().err == ""
-        # the other worker finishes the chunk it holds and takes no more
-        assert max(started) <= bad_chunk + 2
+    assert peak(500_000) <= 1.05 * peak(50)
 
 
 def _unit_corner(rng, d, pd=True):
