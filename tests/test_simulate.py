@@ -1,5 +1,7 @@
 """The Monte Carlo engine: pinned reports, the law of its draws, and stack-versus-one parity."""
 
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -226,6 +228,92 @@ def test_memory_does_not_grow_with_the_sample_size():
             tracemalloc.stop()
 
     assert peak(500_000) <= 1.05 * peak(50)
+
+
+def _peak_bytes(args):
+    """tracemalloc's peak over one stack build, after a first build that fills lasting caches."""
+    simulate._sampled_moments(*args)
+    tracemalloc.start()
+    try:
+        simulate._sampled_moments(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_moments_hold_one_chunk_of_draws():
+    """Besides the stack, only a few of one chunk's d-by-d arrays are alive while it is built."""
+    d, trials = 4, 3 * simulate.CHUNK + 7
+    peak = _peak_bytes((3, trials, 500, np.eye(d), MomentLayout.CONDITIONAL, 2))
+    assert peak < trials * d * d * 8 + 8 * simulate.CHUNK * d * d * 8
+
+
+def _draw_args(seed, trials, unit, f, p, extra):
+    """Arguments of one stack build: p returns (unit) or f features and p returns, dim + extra rows."""
+    rng = np.random.default_rng(seed)
+    d = p if unit else f + p
+    low = np.tril(rng.uniform(-0.5, 0.5, (d, d)), -1) + np.diag(rng.uniform(0.5, 1.5, d))
+    if unit:
+        loading, layout, f_dim = (simulate._unit_loading(rng.uniform(-0.5, 0.5, d), low @ low.T),
+                                  MomentLayout.UNCONDITIONAL, 1)
+    else:
+        loading, layout, f_dim = low, MomentLayout.CONDITIONAL, f
+    return seed, trials, loading.shape[0] + extra, loading, layout, f_dim
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+class TestConcurrentDraws:
+    """The draw is the same on every machine: its stack, its memory and its errors do not
+    depend on how many CPUs the process may use, and a failing chunk stops the build."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_stack_does_not_depend_on_cpus(self, monkeypatch, cpus):
+        cases = [_draw_args(5, trials, unit, 2, 2, 3)
+                 for trials in (7, 2 * simulate.CHUNK, 4 * simulate.CHUNK + 13)
+                 for unit in (True, False)]
+        _set_cpus(monkeypatch, 1)
+        want = [simulate._sampled_moments(*args).theta for args in cases]
+        _set_cpus(monkeypatch, cpus)
+        for args, theta in zip(cases, want):
+            assert np.array_equal(simulate._sampled_moments(*args).theta, theta)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("unit,bound", [(True, 0.25), (False, 1.25)],
+                             ids=["unit", "conditional"])
+    def test_memory_does_not_grow_with_cpus(self, monkeypatch, cpus, unit, bound):
+        """The build holds at most about one chunk's draws of n rows, whatever the CPU count."""
+        _set_cpus(monkeypatch, cpus)
+        args = _draw_args(3, 3 * simulate.CHUNK + 7, unit, 2, 2, 495)
+        draw_bytes = simulate.CHUNK * args[2] * (2 if unit else 4) * 8
+        assert _peak_bytes(args) < bound * draw_bytes
+
+    @pytest.mark.parametrize("bad_chunk", [0, 3, 7])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_worker_error_is_raised_in_caller(self, monkeypatch, capsys, bad_chunk, error):
+        """A chunk whose draw fails raises its own error in the caller, and no later chunk starts."""
+        _set_cpus(monkeypatch, 2)
+        raised = error(f"chunk {bad_chunk}")
+        rng_for = simulate._rng_for
+        started = []
+
+        def failing(seed, chunk):
+            started.append(chunk)
+            if chunk == bad_chunk:
+                raise raised
+            return rng_for(seed, chunk)
+
+        monkeypatch.setattr(simulate, "_rng_for", failing)
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            simulate._sampled_moments(*_draw_args(1, 8 * simulate.CHUNK, False, 2, 2, 400))
+        assert info.value is raised
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == ""
+        assert started == list(range(bad_chunk + 1))
 
 
 def _unit_corner(rng, d, pd=True):
