@@ -1,12 +1,10 @@
-"""Covariance of the vectorized outer products and its delta-method chains.
+"""Covariance of the vectorized outer products and the one delta-method sandwich.
 
 Everything downstream of the central limit theorem lives here: estimate
-the covariance of vech(row outer products) from data (plain or kernel
-weighted for serial dependence), then push it through Jacobians to get
-covariances for the inverse moment matrix, the scaled optimal portfolio,
-and the signal-noise ratio. An estimand read off a few entries of the
-inverse takes a data estimate's sandwich from the whitened rows instead,
-with no Jacobian (`OmegaEstimate.inverse_sandwich`).
+the covariance Omega of vech(row outer products) from data (plain or
+kernel weighted for serial dependence) or in the Gaussian closed form,
+and turn every estimand's gradient, given in one form through a factor
+of the rows, into its covariance with `OmegaEstimate.sandwich`.
 
 Covariances follow the per-observation convention: results store the
 asymptotic covariance of sqrt(n) times the estimator, so Var(estimate)
@@ -23,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
-from .kernels import PD_RTOL, d_qform_inv_vech, vech, vech_block, vech_len
+from .kernels import PD_RTOL, check_symmetric, vech, vech_block, vech_indices, vech_len, vech_pair
 from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
 
 logger = logging.getLogger(__name__)
@@ -35,100 +33,116 @@ _BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum takes one
 
 @dataclass
 class OmegaEstimate:
-    """Covariance of vech of the per-row outer products; its fields say which.
+    """Covariance Omega of vech of the per-row outer products; its fields say which.
 
-    The Gaussian closed form keeps the m-by-m matrix itself, and every
-    sandwich uses it. A data estimate keeps the T-by-m series of
-    estimating functions vech(r r') - vech(R'R/T), centered where
-    `vech_outer_rows` builds it; a `series` given here must be centered,
-    as nothing after it centers. The estimators also keep the T-by-d
-    augmented `rows` the series was built from, for `inverse_sandwich`.
-    Without a kernel it is vanilla, with one HAC up to `bandwidth`;
-    `label` names it. The gradient's shape alone picks a series
-    sandwich's path: k < m rows project the series and run `_long_run`
-    on the T-by-k projection, k >= m rows use the m-by-m `omega`, formed
-    by `_long_run` on first read.
+    The Gaussian closed form keeps the rows' second moment `theta` and
+    `mean` (zero when None). A data estimate keeps the augmented `rows`,
+    read-only, and the centered series vech(r r') - vech(R'R/T) that
+    `vech_outer_rows` builds from them, which only `omega` reads; it is
+    vanilla without a kernel, HAC up to `bandwidth` with one.
+
+    Every gradient comes in one form: symmetric Gamma_k = F W_k F',
+    d est_k = tr(Gamma_k dtheta), through a d-by-r factor F of the rows. A
+    data estimate runs `_long_run` on the centered influence
+    psi_tk = s_t' W_k s_t, s_t = F' r_t. The Gaussian one is
+    2 tr(W_k S W_l S) - 2 (nu' W_k nu)(nu' W_l nu), S = F' theta F and
+    nu = F' mean, that is 2 <C' Gamma_k C, C' Gamma_l C> less the mean
+    term for theta = C C' (Isserlis 1918). Neither forms `omega` unless
+    it is read.
     """
 
-    matrix: np.ndarray | None
+    theta: np.ndarray | None
     n_obs: int
     kernel: str | None = None
     bandwidth: int | None = None
-    series: np.ndarray | None = field(default=None, repr=False)
     rows: np.ndarray | None = field(default=None, repr=False)
+    mean: np.ndarray | None = field(default=None, repr=False)
+    series: np.ndarray | None = field(default=None, init=False, repr=False)
     dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if (self.matrix is None) == (self.series is None):
-            raise ShapeMismatch("give omega as a matrix or as a series")
+        if (self.theta is None) == (self.rows is None):
+            raise ShapeMismatch("give omega as a Gaussian moment or as rows")
         if (self.kernel is None) != (self.bandwidth is None):
             raise ShapeMismatch("give a HAC kernel and its bandwidth together")
-        if self.kernel is not None:
-            if self.series is None:
-                raise ShapeMismatch("a HAC kernel needs a series, not a matrix")
-            check_hac(self.kernel, self.bandwidth)
-        if self.rows is not None and (self.series is None or self.series.shape != (
-                len(self.rows), vech_len(self.rows.shape[1]))):
-            raise ShapeMismatch("rows come with the series built from them")
-        if self.series is not None:
-            self.dim = self.series.shape[1]
+        if self.rows is None:
+            if self.kernel is not None:
+                raise ShapeMismatch("a HAC kernel needs rows, not a Gaussian moment")
+            self.theta = check_symmetric(self.theta)
+            d = self.theta.shape[0]
+            self.mean = np.zeros(d) if self.mean is None else np.asarray(self.mean, dtype=float)
+            self.dim = vech_len(d)
             return
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.dim = self.matrix.shape[0]
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ShapeMismatch("omega must be square")
+        if self.kernel is not None:
+            check_hac(self.kernel, self.bandwidth)
+        rows = np.array(self.rows, dtype=float, ndmin=2)
+        rows.setflags(write=False)
+        self.rows, self.series = rows, vech_outer_rows(rows)
+        self.dim = self.series.shape[1]
 
     @property
     def label(self) -> str:
-        """gaussian for a matrix; vanilla, or hac:KERNEL:BANDWIDTH, for a series."""
-        if self.series is None:
+        """gaussian for a moment; vanilla, or hac:KERNEL:BANDWIDTH, for rows."""
+        if self.rows is None:
             return "gaussian"
         return "vanilla" if self.kernel is None else f"hac:{self.kernel}:{self.bandwidth}"
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """The m-by-m matrix; a data estimate forms it on first read."""
-        return self.matrix if self.series is None else self._long_run(self.series)
-
-    def sandwich(self, g: np.ndarray) -> np.ndarray | float:
-        """Delta-method covariance g omega g' of a k-by-m gradient, symmetrized.
-
-        An m-vector gradient gives the scalar variance. With k < m the
-        centered series is projected first.
-        """
-        g = np.asarray(g, dtype=float)
-        self._check_width(g.shape[-1])
-        if self.series is None or np.atleast_2d(g).shape[0] >= self.dim:
-            out = g @ self.omega @ g.T
-            return float(out) if g.ndim == 1 else 0.5 * (out + out.T)
-        out = self._long_run(self.series @ np.atleast_2d(g).T)
-        return float(out[0, 0]) if g.ndim == 1 else out
-
-    def inverse_sandwich(self, proj: np.ndarray, block: tuple[slice, slice],
-                         front: np.ndarray | None = None) -> np.ndarray | float:
-        """`sandwich` of an estimand read off the block P[block] of P = proj.
-
-        P is theta^-1, or J'(J theta J')^-1 J; `front` maps the c entries
-        of the block, vec'd column-major, to the k outputs (the identity
-        when None; a c-vector gives the scalar variance). The gradient is
-        front @ d_qform_inv_vech(P, rows=vech_block(d, block)), which the
-        matrix, or a series given without its rows, takes as it is. A data
-        estimate never forms it: by the inverse rule dP = -P dtheta P, row
-        by row, the centered series projected on those Jacobian rows is
-        `whitened_influence`, -(s_i s_j - mean) over the whitened rows
-        s_t = P r_t. So `_long_run` runs on the T-by-k columns
-        whitened_influence @ front', at O(T d^2 + T c k), not O(T m k).
-        """
-        proj = np.asarray(proj, dtype=float)
-        self._check_width(vech_len(proj.shape[0]))
+        """The m-by-m matrix, formed on first read: the kernel on the series, or the closed form."""
         if self.rows is None:
-            jac = d_qform_inv_vech(proj, rows=vech_block(proj.shape[0], block))
-            return self.sandwich(jac if front is None else front @ jac)
-        z = whitened_influence(self.rows, proj, block)
-        if front is not None:
-            z = z @ np.atleast_2d(front).T
-        out = self._long_run(z)
-        return float(out[0, 0]) if front is not None and front.ndim == 1 else out
+            return self._isserlis(np.eye(self.theta.shape[0]), None, None)
+        return self._long_run(self.series)
+
+    def sandwich(self, factor: np.ndarray, block: tuple[slice, slice] | None = None,
+                 front: np.ndarray | None = None) -> np.ndarray | float:
+        """Delta-method covariance of k estimands that move as front @ x.
+
+        x is vech(F' dtheta F) for the d-by-r `factor` F, or the entries of
+        its `block` (rows, cols), column-major; `front` (W_k's weights on x)
+        is None for x itself, k-by-c, or a c-vector whose variance comes
+        back as a float.
+        """
+        factor = np.asarray(factor, dtype=float)
+        self._check_width(vech_len(factor.shape[0]))
+        if self.rows is None:
+            out = self._isserlis(factor, block, front)
+        else:
+            out = self._long_run(self.influence(factor, block, front))
+        return float(out[0, 0]) if front is not None and np.ndim(front) == 1 else out
+
+    def influence(self, factor: np.ndarray, block: tuple[slice, slice] | None = None,
+                  front: np.ndarray | None = None) -> np.ndarray:
+        """A data estimate's T-by-k influence: x of s_t s_t' less its mean, times front'.
+
+        F' (r_t r_t' - R'R/T) F is s_t s_t' less its mean, at O(T d r + T c k).
+        """
+        s = self.rows @ factor  # row t is (F' r_t)'
+        if block is None:
+            z = vech_outer_rows(s)
+        else:
+            z = (s[:, block[1], None] * s[:, None, block[0]]).reshape(len(s), -1)
+            z -= z.mean(axis=0)
+        return z if front is None else z @ np.atleast_2d(front).T
+
+    def _isserlis(self, factor: np.ndarray, block: tuple[slice, slice] | None,
+                  front: np.ndarray | None) -> np.ndarray:
+        """The Gaussian sandwich: x of s s' has covariance pair(S) - 2 v v', v = x of nu nu'.
+
+        For F = P = theta^-1 that is pair(P) - 2 e1 e1', read off P itself.
+        """
+        s = factor.T @ self.theta @ factor
+        s = 0.5 * (s + s.T)
+        nu = factor.T @ self.mean
+        coords = slice(None) if block is None else vech_block(s.shape[0], block)
+        i, j = vech_indices(s.shape[0])
+        v = (nu[i] * nu[j])[coords]
+        out = vech_pair(s, coords)[:, coords] - 2.0 * np.outer(v, v)
+        if front is None:
+            return out
+        front = np.atleast_2d(front)
+        out = front @ out @ front.T
+        return 0.5 * (out + out.T)
 
     def _check_width(self, m: int) -> None:
         if m != self.dim:
@@ -218,35 +232,12 @@ def vech_outer_rows(aug_rows: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def whitened_influence(aug_rows: np.ndarray, proj: np.ndarray,
-                       block: tuple[slice, slice]) -> np.ndarray:
-    """-(s_i s_j - mean) over the whitened rows s_t = P r_t, for each (i, j) of P[block].
-
-    The columns follow the block's column-major order. They equal
-    vech_outer_rows(aug_rows) @ d_qform_inv_vech(P, rows=vech_block(d, block)).T:
-    that Jacobian row pairs vech(r r') - vech(R'R/T) into
-    -(P (r r' - R'R/T) P)_ij, and P (R'R/T) P is the mean of s s', so
-    the columns are centered by their own means.
-    """
-    s = aug_rows @ proj  # row t is (P r_t)', as P is symmetric
-    psi = (s[:, block[1], None] * s[:, None, block[0]]).reshape(len(s), -1)
-    return np.subtract(psi.mean(axis=0), psi, out=psi)
-
-
-def _series_omega(aug_rows: np.ndarray, kernel: str | None = None,
-                  bandwidth: int | None = None) -> OmegaEstimate:
-    """Omega held as the centered vech outer-product series, with a read-only copy of its rows."""
-    rows = np.array(aug_rows, dtype=float, ndmin=2)
-    rows.setflags(write=False)
-    y = vech_outer_rows(rows)
-    return OmegaEstimate(None, y.shape[0], kernel, bandwidth, series=y, rows=rows)
-
-
 def omega_vanilla(aug_rows: np.ndarray) -> OmegaEstimate:
     """Sample covariance (divisor T) of the per-row vech outer products."""
-    if np.atleast_2d(aug_rows).shape[0] < 2:
+    t = np.atleast_2d(aug_rows).shape[0]
+    if t < 2:
         raise ShapeMismatch("need at least two rows")
-    return _series_omega(aug_rows)
+    return OmegaEstimate(None, t, rows=aug_rows)
 
 
 def default_bandwidth(t: int) -> int:
@@ -306,12 +297,11 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     """Kernel-weighted long-run covariance of the vech outer-product series.
 
     Gamma_0 + sum_k w(k) (Gamma_k + Gamma_k') of the centered series. The
-    estimate keeps that series, the kernel and the bandwidth, and the
-    kernel sums what it is given (see `OmegaEstimate`). A sandwich
-    of a gradient with k < m rows applies the kernel to the series
-    projected on it and clips the k-by-k result to positive semidefinite;
-    the m-by-m matrix, clipped the same way, is formed only when `omega`
-    is read or a gradient has k >= m rows. Bartlett's weights
+    estimate keeps the rows, the kernel and the bandwidth, and the kernel
+    sums what it is given (see `OmegaEstimate`). A sandwich of k
+    estimands applies the kernel to their T-by-k influence series and
+    clips the k-by-k result to positive semidefinite; the m-by-m matrix,
+    clipped the same way, is formed only when `omega` is read. Bartlett's weights
     1 - k/(b+1) make the sum one Gram, Z'Z / ((b+1) T), of the moving
     sums of b+1 consecutive rows, at O((T+b) k^2) for k columns; Parzen
     pairs each row with the weighted sum of the b rows after it, at
@@ -323,7 +313,7 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
         bandwidth = default_bandwidth(t)
     if bandwidth >= t:
         raise BandwidthTooLarge(f"bandwidth {bandwidth} must be below T={t}")
-    return _series_omega(aug_rows, kernel, bandwidth)
+    return OmegaEstimate(None, t, kernel, bandwidth, rows=aug_rows)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -335,39 +325,29 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> DistributionResult:
     """Asymptotic law of vech of the inverse moment matrix.
 
-    The Jacobian is the vech inverse rule evaluated at the sample moment;
-    the covariance is the sandwich of omega with it.
+    By the inverse rule it moves as -vech(P dtheta P), P = theta^-1: the
+    factor P, whose sign a covariance does not see.
     """
-    h = d_qform_inv_vech(tm.inverse)
-    point = vech(tm.inverse)
-    return DistributionResult(point, om.sandwich(h), om.n_obs)
+    return DistributionResult(vech(tm.inverse), om.sandwich(tm.inverse), om.n_obs)
 
 
-def _portfolio_jacobian_chain(tm: AugmentedMoment, risk_budget: float
-                              ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weights, the front map of their chain, and snr_sq.
+def _weights_front(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weights, their front on the factor theta^-1 and _FIRST_COLUMN, and snr_sq.
 
-    The weights read only the first column of theta^-1, and
-    d weights / d theta^-1[:, 0] is the p-by-(p+1) front
-    [-w/(2 psi^2), -(R/psi) I]; `OmegaEstimate.inverse_sandwich` on
-    _FIRST_COLUMN takes the rest of the chain.
+    d weights / d theta^-1[:, 0] = [-w/(2 psi^2), -(R/psi) I], and that
+    column moves as -(P dtheta P)[:, 0].
     """
     weights, snr_sq = portfolio_head(tm, risk_budget)
     p = tm.n_assets
     snr = np.sqrt(snr_sq)
-    front = np.hstack([-weights[:, None] / (2.0 * snr_sq), -(risk_budget / snr) * np.eye(p)])
+    front = np.hstack([weights[:, None] / (2.0 * snr_sq), (risk_budget / snr) * np.eye(p)])
     return weights, front, snr_sq
 
 
 def portfolio_covariance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> DistributionResult:
-    """Asymptotic law of the risk-budgeted optimal weights.
-
-    A data Omega takes it from the whitened rows s_t = theta^-1 r_t:
-    the kernel runs on the T-by-p columns -(s_t s_t0 - mean) @ front'
-    (see `OmegaEstimate.inverse_sandwich`), centered by their own means.
-    """
-    weights, front, _ = _portfolio_jacobian_chain(tm, risk_budget)
-    cov = om.inverse_sandwich(tm.inverse, _FIRST_COLUMN, front)
+    """Asymptotic law of the risk-budgeted optimal weights."""
+    weights, front, _ = _weights_front(tm, risk_budget)
+    cov = om.sandwich(tm.inverse, _FIRST_COLUMN, front)
     return DistributionResult(weights, cov, om.n_obs)
 
 
@@ -376,15 +356,13 @@ def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr
 
     First-order law; only valid with a strictly positive disastrous rate,
     since the gradient of the ratio vanishes at the optimum when rfr = 0.
-    Only the first column of theta^-1 enters, so a data Omega takes it
-    from the one column -(s_t s_t0 - mean) @ front' of the whitened rows
-    s_t = theta^-1 r_t, centered by its own mean.
+    Only the first column of theta^-1 enters.
     """
     if not rfr > 0:
         raise NonPositiveRfr("first-order law needs rfr > 0; use snr_second_order")
     _, snr_sq = portfolio_head(tm, risk_budget)
-    front = -(rfr / (risk_budget * snr_sq)) * np.concatenate([[0.5], tm.theta[1:, 0]])
-    return om.inverse_sandwich(tm.inverse, _FIRST_COLUMN, front)
+    front = (rfr / (risk_budget * snr_sq)) * np.concatenate([[0.5], tm.theta[1:, 0]])
+    return om.sandwich(tm.inverse, _FIRST_COLUMN, front)
 
 
 def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> tuple[np.ndarray, np.ndarray]:
@@ -394,14 +372,13 @@ def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float)
     z; its mean is 0.5 tr(M' F M). The law only depends on M M', the
     k-by-k covariance of the weights, so M is its symmetric PSD square
     root (that covariance can be singular, so a Cholesky factor proper
-    need not exist). That covariance is `portfolio_covariance`'s, from
-    the whitened rows for a data Omega.
+    need not exist). That covariance is `portfolio_covariance`'s.
     """
-    _, front, snr_sq = _portfolio_jacobian_chain(tm, risk_budget)
+    _, front, snr_sq = _weights_front(tm, risk_budget)
     snr = np.sqrt(snr_sq)
     mu, sigma = mean_and_covariance(tm)
     f = (np.outer(mu, mu) / snr - snr * sigma) / risk_budget**2
-    m = psd_sqrt(om.inverse_sandwich(tm.inverse, _FIRST_COLUMN, front))
+    m = psd_sqrt(om.sandwich(tm.inverse, _FIRST_COLUMN, front))
     return f, m
 
 

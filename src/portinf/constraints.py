@@ -31,14 +31,12 @@ from .kernels import (
     MatrixShape,
     block_diag,
     chol,
-    d_chol_vech,
-    d_gram,
-    d_qform_inv_vech,
     full_row_rank,
     ivech,
     spd_inverse,
     vech,
-    vech_gradient,
+    vech_block,
+    vech_indices,
     vech_len,
     vech_lower,
 )
@@ -119,12 +117,14 @@ def _project_core(jt: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def subspace_theta(
     tm: AugmentedMoment, spec: SubspaceSpec, om: OmegaEstimate
 ) -> tuple[np.ndarray, DistributionResult]:
-    """Projection of the inverse moment onto the feasible baskets, with its law."""
+    """Projection of the inverse moment onto the feasible baskets, with its law.
+
+    P = J'(J theta J')^-1 J moves as -P dtheta P, as the inverse does: the factor P.
+    """
     jt = spec.augmented(tm.f_dim)
     proj = _project_core(jt, tm.theta)
     point = vech(proj)
-    h = d_qform_inv_vech(proj)
-    return point, DistributionResult(point, om.sandwich(h), om.n_obs)
+    return point, DistributionResult(point, om.sandwich(proj), om.n_obs)
 
 
 def hedged_delta_theta(
@@ -133,13 +133,20 @@ def hedged_delta_theta(
     """Inverse moment minus its hedge projection, with its asymptotic law.
 
     The corner of the delta is the hedged squared Sharpe; the off-corner
-    column holds the negated hedged portfolio direction.
+    column holds the negated hedged portfolio direction. It moves as
+    P dtheta P - theta^-1 dtheta theta^-1 for the hedge projection P: the
+    factor [theta^-1, P], whose F' dtheta F holds the two as its diagonal blocks.
     """
     gt = spec.augmented(tm.f_dim)
     proj = _project_core(gt, tm.theta)
     point = vech(tm.inverse - proj)
-    h = d_qform_inv_vech(tm.inverse) - d_qform_inv_vech(proj)
-    return point, DistributionResult(point, om.sandwich(h), om.n_obs)
+    d = tm.dim
+    m, (i, j) = vech_len(d), vech_indices(d)
+    front = np.zeros((m, vech_len(2 * d)))
+    for sign, block in ((-1.0, slice(0, d)), (1.0, slice(d, None))):
+        front[np.arange(m), vech_block(2 * d, (block, block))[j * d + i]] = sign
+    cov = om.sandwich(np.hstack([tm.inverse, proj]), front=front)
+    return point, DistributionResult(point, cov, om.n_obs)
 
 
 def conditional_rows(
@@ -178,14 +185,12 @@ def markowitz_coefficient(
 
     The coefficient is the sign-flipped lower-left block of the inverse
     conditional moment; its covariance marginalizes the inverse-moment
-    law to those coordinates (i, j), i >= f > j. A data Omega takes it
-    from the whitened rows s_t = theta^-1 r_t: the kernel runs on the
-    T-by-fp columns -(s_ti s_tj - mean), centered by their own means
-    (see `OmegaEstimate.inverse_sandwich`).
+    law to those coordinates (i, j), i >= f > j: the factor theta^-1 on
+    that block.
     """
     f, p = tm.f_dim, tm.n_assets
     coef = unpack_theta_inverse(tm).markowitz.reshape(p, f, order="F")
-    cov = om.inverse_sandwich(tm.inverse, (slice(f, None), slice(0, f)))
+    cov = om.sandwich(tm.inverse, (slice(f, None), slice(0, f)))
     point = coef.reshape(-1, order="F")
     return coef, DistributionResult(point, cov, om.n_obs)
 
@@ -239,8 +244,11 @@ def constrained_cholesky_estimate(
     """Moment estimate satisfying linear constraints on its Cholesky factor.
 
     Solves the W-weighted projection of vech(chol(theta)) onto the
-    constraint plane, rebuilds the moment from the projected factor, and
-    chains the gram, projection, and Cholesky Jacobians for the law.
+    constraint plane and rebuilds the moment from the projected factor.
+    By the Cholesky rule dL = L Phi(L^-1 dtheta L^-T), Phi keeping the
+    lower triangle with its diagonal halved, it moves with the factor L^-T;
+    the front is d theta_c = dL_c L_c' + L_c dL_c', vech(dL_c) = proj vech(dL),
+    at each unit coordinate.
     """
     d = tm.dim
     m = vech_len(d)
@@ -265,10 +273,18 @@ def constrained_cholesky_estimate(
 
     factor_c = ivech(z, MatrixShape.LOWER_TRIANGULAR)
     theta_c = factor_c @ factor_c.T
-    h = d_gram(factor_c) @ proj @ d_chol_vech(factor)
+    rows, cols = vech_indices(d)
+    # at unit coordinate (a, b), dL is column a of L, halved when a = b, in column b
+    d_factor = np.zeros((m, d, d))
+    d_factor[np.arange(m), :, cols] = factor[:, rows].T * np.where(rows == cols, 0.5, 1.0)[:, None]
+    d_factor_c = np.zeros((m, d, d))
+    d_factor_c[:, rows, cols] = d_factor[:, rows, cols] @ proj.T
+    d_theta = d_factor_c @ factor_c.T
+    front = (d_theta + d_theta.swapaxes(1, 2))[:, rows, cols].T
     point = vech(theta_c)
     out = AugmentedMoment(theta_c, tm.n_obs, layout=tm.layout, f_dim=tm.f_dim)
-    return out, DistributionResult(point, om.sandwich(h), om.n_obs)
+    cov = om.sandwich(np.linalg.inv(factor).T, front=front)
+    return out, DistributionResult(point, cov, om.n_obs)
 
 
 def reduced_rank_coefficient(
@@ -282,7 +298,7 @@ def reduced_rank_coefficient(
     K the divided differences of g: -1/(lam_i lam_j) between kept values,
     1/(lam_i (lam_i - lam_j)) between kept i and dropped j, 0 between
     dropped ones. The only denominator is the kept/dropped gap, gated
-    against RANK_RTOL of the leading eigenvalue.
+    against RANK_RTOL of the leading eigenvalue. It moves with the factor V.
     """
     f, d, p = tm.f_dim, tm.dim, tm.n_assets
     if r < 1 or r > d:
@@ -301,9 +317,11 @@ def reduced_rank_coefficient(
     div[:r, r:] = g[:, None] / (vals[:r, None] - vals[None, r:])
     div[r:, :r] = div[:r, r:].T
     coef = -((vecs[f:, :r] * g) @ vecs[:f, :r].T)
-    # entry (i, j) of the column-major vec(coef) is -P_ab, a = f + i, b = j, and
-    # dP_ab = tr(G' dtheta) with G = V (K o v_a v_b') V', v_a row a of V
+    # entry (i, j) of the column-major vec(coef) is -P_ab, a = f + i, b = j; with v_a row
+    # a of V, dP_ab puts K_kl (v_ak v_bl + v_al v_bk) on vech coordinate (k, l), half at k = l
     va, vb = np.tile(vecs[f:], (f, 1)), np.repeat(vecs[:f], p, axis=0)
-    jac = -vech_gradient(vecs @ (div * va[:, :, None] * vb[:, None, :]) @ vecs.T)
+    rows, cols = vech_indices(d)
+    front = -div[rows, cols] * (va[:, rows] * vb[:, cols] + va[:, cols] * vb[:, rows])
+    front[:, rows == cols] *= 0.5
     point = coef.reshape(-1, order="F")
-    return coef, DistributionResult(point, om.sandwich(jac), om.n_obs)
+    return coef, DistributionResult(point, om.sandwich(vecs, front=front), om.n_obs)

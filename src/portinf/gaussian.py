@@ -23,35 +23,23 @@ from .errors import (
     ShapeMismatch,
     SingularJacobian,
 )
-from .kernels import PD_RTOL, check_symmetric, spd_inverse, vech, vech_pair
+from .kernels import PD_RTOL, full_row_rank, spd_inverse
 from .moments import AugmentedMoment, MomentLayout
 
 
 def gaussian_omega(tm: AugmentedMoment) -> OmegaEstimate:
     """Closed-form covariance of vech of the moment matrix under Gaussian returns.
 
-    Isserlis' theorem for the non-central row r = [1, x']: pair(Theta)
-    minus 2 v v' with v = vech(Theta_0 Theta_0'), Theta_0 the first
-    column of Theta (the mean of r). The first row and column are exactly
-    zero (the corner coordinate is deterministic); the rest is the
-    inverse of oracles.fisher_information_block.
+    Isserlis' theorem for the non-central row r = [1, x'], held as Theta
+    and its first column Theta_0, the mean of r (see `OmegaEstimate`).
+    `omega`, formed only when read, is pair(Theta) minus 2 v v' with
+    v = vech(Theta_0 Theta_0'); its first row and column are exactly zero
+    (the corner coordinate is deterministic) and the rest is the inverse
+    of oracles.fisher_information_block.
     """
     if tm.layout is not MomentLayout.UNCONDITIONAL:
         raise ShapeMismatch("closed form is for the unconditional layout")
-    mean = tm.theta[:, 0]
-    v = vech(np.outer(mean, mean))
-    omega = vech_pair(tm.theta) - 2.0 * np.outer(v, v)
-    return OmegaEstimate(omega, n_obs=tm.n_obs)
-
-
-def omega_gaussian_centered(second_moment: np.ndarray) -> np.ndarray:
-    """Covariance of vech(z z') for mean-zero Gaussian z with the given second moment.
-
-    pair(S), see vech_pair. Used as the population omega when augmented
-    rows are themselves jointly Gaussian with mean zero (for example a
-    mean-zero predictive-regression design).
-    """
-    return vech_pair(check_symmetric(second_moment))
+    return OmegaEstimate(tm.theta, tm.n_obs, mean=tm.theta[:, 0])
 
 
 @dataclass
@@ -161,15 +149,25 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     tr(A_i inv(theta0)) - a_i use the Jacobian tr(A_i inv A_l inv), the
     Gram matrix of the constraints in the inv-weighted inner product and
     so SPD when they are independent, and a step-halving line search that
-    keeps theta0 positive definite and the residual norm non-increasing.
-    That norm, the stopping rule LRT_TOL and the history take each
-    residual relative to its constraint's trace terms at the sample, so
-    none of them depends on the scale of a constraint row or the returns.
+    keeps theta0 positive definite and takes a step when the old
+    Jacobian's Newton step shrinks there (Deuflhard's natural monotonicity
+    test, which no rewriting of the rows changes). The stopping rule
+    LRT_TOL and the history take each residual relative to its
+    constraint's trace terms at the sample, so neither depends on the
+    scale of a constraint row or the returns.
     theta0, each candidate and each Jacobian are inverted and gated by
     kernels.spd_inverse. All members step together; each has its own
     line search, and a member leaves the iteration when it converges or
     fails, with its status recording why. A single moment is a stack of
     one.
+
+    A -> QA, a -> Qa is the same null for any invertible Q, so, as
+    `mglh.MglhSpec` keeps its contrasts, the Newton steps run in a
+    Frobenius-orthonormal basis B of the rows, A = R'B, whose rank is
+    gated with RANK_RTOL (RankDeficient) before the first step: each
+    solves for the multipliers of B, R lam, with the Jacobian
+    tr(B_i inv B_l inv) and the basis residuals, R'^-1 times the caller's.
+    lam, the residual, the history and the statistic are the caller's.
     """
     d = tm.dim
     thetas = tm.theta.reshape(-1, d, d)
@@ -181,18 +179,25 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     if cs.matrices[0].shape[0] != d:
         raise ShapeMismatch("constraint size does not match the moment matrix")
     mats = np.array(cs.matrices)
-    lam = np.zeros((n, m))
+    q, r = np.linalg.qr(full_row_rank(mats.reshape(m, d * d), "constraint matrices").T)
+    basis, r_inv = np.ascontiguousarray(q.T).reshape(m, d, d), np.linalg.inv(r)
+    lam = np.zeros((n, m))  # the multipliers of the basis, R times the caller's
 
     def constrained(theta_hat, lam):
         out = theta_hat.copy()
         for i in range(m):
-            out -= lam[:, i, None, None] * mats[i]
+            out -= lam[:, i, None, None] * basis[i]
         return out
 
     # trace pairings as elementwise sums, never a product across members, so
     # that each member's arithmetic does not depend on the stack around it
     def residual_of(inv0):
         return np.sum(inv0[:, None] * mats, axis=(2, 3)) - cs.targets
+
+    def newton(jac_inv, res):
+        """The Newton step J^-1 res' for the basis' residuals res' = R'^-1 res."""
+        res_basis = sum(res[:, j, None] * r_inv[j] for j in range(m))
+        return (jac_inv @ res_basis[:, :, None])[:, :, 0]
 
     theta0 = constrained(thetas, lam)
     inv0, ratio = spd_inverse(theta0)
@@ -212,14 +217,16 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        w = inv0[idx, None] @ mats @ inv0[idx, None]
+        w = inv0[idx, None] @ basis @ inv0[idx, None]
         # a Jacobian near underflow gives a step that overflows, and the line search rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            jac_inv, jac_ratio = spd_inverse(np.sum(w[:, :, None] * mats, axis=(3, 4)))
-            step = (jac_inv @ res[idx][:, :, None])[:, :, 0]
+            jac_inv, jac_ratio = spd_inverse(np.sum(w[:, :, None] * basis, axis=(3, 4)))
+            step = newton(jac_inv, res[idx])
+            size_of_step = np.sqrt(np.sum(step**2, axis=1))
         solved = jac_ratio >= PD_RTOL
         status[idx[~solved]] = LRT_SINGULAR_JACOBIAN
-        idx, step = idx[solved], step[solved]
+        idx, step, jac_inv = idx[solved], step[solved], jac_inv[solved]
+        size_of_step = size_of_step[solved]
 
         pending = np.ones(idx.size, dtype=bool)
         scale = 1.0
@@ -235,7 +242,10 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
                 inv_c, ratio_c = spd_inverse(theta_c)
             res_c = residual_of(inv_c)
             sup_c = np.abs(res_c / size[members]).max(axis=1)
-            take = (ratio_c >= PD_RTOL) & (sup_c <= sup[members])
+            with np.errstate(over="ignore", invalid="ignore"):
+                again = newton(jac_inv[trying], res_c)
+                shrinks = np.sqrt(np.sum(again**2, axis=1)) <= size_of_step[trying]
+            take = (ratio_c >= PD_RTOL) & shrinks
             won = members[take]
             lam[won], theta0[won], inv0[won] = cand[take], theta_c[take], inv_c[take]
             res[won], sup[won] = res_c[take], sup_c[take]
@@ -248,6 +258,7 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         active = (status == LRT_OK) & ~(sup < LRT_TOL)
     status[active] = LRT_NO_CONVERGENCE
 
+    lam = sum(lam[:, j, None] * r_inv[:, j] for j in range(m))  # the caller's: R^-1 lam
     stat = np.full(n, np.nan)
     good = np.flatnonzero(status == LRT_OK)
     if good.size:

@@ -7,11 +7,13 @@ columns are the partials, and matrix derivatives are derivatives of the
 column-major vectorizations. vech stacks the lower triangle column by
 column.
 
-The estimators build their vech Jacobians with index gathers over the
-cached vech coordinates (vech_pair, d_qform_inv_vech, d_gram), which
-cost O(m^2) for m = n(n+1)/2 and never form a Kronecker product. The
-dense structural matrices, the kron-form rules and the finite-difference
-Jacobian that the tests compare the gathers against live in oracles.
+The derivative rules here are index gathers over the cached vech
+coordinates (vech_pair, d_qform_inv_vech), which cost O(m^2) for
+m = n(n+1)/2 and never form a Kronecker product. No estimator forms a
+vech Jacobian: each gives `OmegaEstimate.sandwich` its gradient through a
+factor of the rows. The dense structural matrices, the kron-form rules,
+the other vech Jacobians and the finite-difference Jacobian that the
+tests compare against live in oracles.
 """
 
 from __future__ import annotations
@@ -217,17 +219,6 @@ def vech_pair(a: np.ndarray, rows=None) -> np.ndarray:
     return ai.take(r, axis=1) * aj.take(c, axis=1) + ai.take(c, axis=1) * aj.take(r, axis=1)
 
 
-def vech_gradient(gam: np.ndarray) -> np.ndarray:
-    """vech gradient of tr(G' dX) over symmetric dX: G + G' off the diagonal, G on it.
-
-    G may be a (..., n, n) stack; the vech coordinates run along the last axis.
-    """
-    rows, cols, diag = _vech_gather(gam.shape[-1])
-    out = gam[..., rows, cols] + gam[..., cols, rows]
-    out[..., diag] *= 0.5
-    return out
-
-
 def d_qform_inv_vech(proj: np.ndarray, rows=None) -> np.ndarray:
     """vech Jacobian of X -> J'(J X J')^-1 J at the value P it takes there.
 
@@ -248,30 +239,6 @@ def d_inv_vech(a: np.ndarray) -> np.ndarray:
     """
     a = check_symmetric(a)
     return d_qform_inv_vech(_inv(a, "d_inv_vech: input is singular"))
-
-
-def d_gram(y: np.ndarray) -> np.ndarray:
-    """Jacobian of vech(YY') with respect to vech(Y), Y lower triangular.
-
-    d_gram(Y)[(i,j),(k,l)] = delta_ik Y_jl + delta_jk Y_il, which is
-    L (I + K)(Y kron I) L'.
-    """
-    y = np.asarray(y, dtype=float)
-    r, c, _ = _vech_gather(y.shape[0])
-    ri, rj = r[:, None], c[:, None]
-    return (ri == r) * y[rj, c] + (rj == r) * y[ri, c]
-
-
-def d_chol_vech(y: np.ndarray) -> np.ndarray:
-    """Jacobian of vech(Y) with respect to vech(YY'), Y lower Cholesky.
-
-    Computed as the inverse of d_gram(Y).
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if y.shape != (n, n) or np.abs(np.triu(y, 1)).max(initial=0.0) > 0:
-        raise ShapeMismatch("d_chol_vech expects a lower-triangular factor")
-    return _inv(d_gram(y), "d_chol_vech: derivative of the gram map is singular")
 
 
 def d_qform_inv(j: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     SingularCquad,
     SingularTheta,
 )
-from .kernels import block_diag, full_row_rank, vech_gradient
+from .kernels import block_diag, full_row_rank, vech_indices
 from .moments import AugmentedMoment, MomentLayout
 
 EIG_GAP_RTOL = 1e-10
@@ -196,8 +196,9 @@ def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
     return _statistics(vals, spec, tm.n_obs)
 
 
-def _gradients(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarray,
-               vecs: np.ndarray) -> dict[str, np.ndarray]:
+def _weights(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarray,
+             vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, tuple]]:
+    """L1, R2 and each statistic's (W1, W2); see `mglh_derivatives`."""
     g1, g2 = fac.g1, fac.g2
     l1 = np.zeros((tm.dim, spec.n_cols))
     l1[: tm.f_dim] = fac.feature_c @ g1
@@ -216,22 +217,36 @@ def _gradients(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndar
         "wilks": (-wilks * g1_inv, -wilks * g2_inv),
         "roy": (np.outer(g2 @ v, u) / uv, np.outer(v, u @ g1) / uv),
     }
-    return {name: vech_gradient(l1 @ w1 @ l1.T - r2 @ w2 @ r2.T)
-            for name, (w1, w2) in weights.items()}
+    return l1, r2, weights
 
 
-def mglh_derivatives(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
-    """Gradient rows of the four statistics with respect to vech(theta).
+def _gradients(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarray,
+               vecs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    l1, r2, weights = _weights(tm, spec, fac, vals, vecs)
+    # tr(W x) on the symmetric x puts W_ab + W_ba on each vech coordinate, W_aa on the diagonal
+    rows, cols = vech_indices(2 * spec.n_cols)
+    fronts = {}
+    for name, (w1, w2) in weights.items():
+        w = block_diag(w1, -w2)
+        fronts[name] = (w + w.T)[rows, cols]
+        fronts[name][rows == cols] *= 0.5
+    return np.hstack([l1, r2]), fronts
+
+
+def mglh_derivatives(tm: AugmentedMoment,
+                     spec: MglhSpec) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradients of the four statistics with respect to theta, as a factor and one front each.
 
     Each statistic moves as tr(W1 dG1) + tr(W2 dG2). With
     dG1 = L1' dtheta L1, L1 = E inv(feature gram) C G1 (E the leading
     columns), and dG2 = -R2' dtheta R2, R2 = M Q S (M the border, Q the
     inverse bordered moment, S the stacked contrast and target), the
-    full-matrix gradient is Gamma = L1 W1 L1' - R2 W2 R2', and the vech
-    gradient is vech(Gamma + Gamma' - diag Gamma). The largest-root
-    weights pair the left and right eigenvectors of the (non-symmetric)
-    product G1 G2. inv(feature gram) C and Q are those that G1 and G2
-    were formed from.
+    gradient is Gamma = L1 W1 L1' - R2 W2 R2' = F W F' for the factor
+    F = [L1, R2] and W = diag(W1, -W2). Returns F and, per statistic, W's
+    front on vech(F' dtheta F) for `OmegaEstimate.sandwich`. The
+    largest-root weights pair the left and right eigenvectors of the
+    (non-symmetric) product G1 G2. inv(feature gram) C and Q are those
+    that G1 and G2 were formed from.
     """
     fac = _factorize(tm, spec)
     return _gradients(tm, spec, fac, *_g1g2_eigen(fac.g1, fac.g2))
@@ -248,10 +263,10 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     fac = _factorize(tm, spec)
     vals, vecs = _g1g2_eigen(fac.g1, fac.g2)
     result = _statistics(vals, spec, tm.n_obs)
-    grads = _gradients(tm, spec, fac, vals, vecs)
-    # the four gradient rows share one sandwich, so a series is projected once
-    cov = om.sandwich(np.stack(list(grads.values())))
-    variances = dict(zip(grads, np.diag(cov).tolist()))
+    factor, fronts = _gradients(tm, spec, fac, vals, vecs)
+    # the four statistics share one factor and one sandwich
+    cov = om.sandwich(factor, front=np.stack(list(fronts.values())))
+    variances = dict(zip(fronts, np.diag(cov).tolist()))
     nulls = {"hlt": 0.0, "pbt": float(spec.n_rows), "wilks": 1.0, "roy": 0.0}
     z = {}
     for k in STAT_NAMES:

@@ -1,8 +1,11 @@
 """Reference implementations that the tests and the selftest compare against.
 
-Dense structural matrices, kron-form derivative rules, finite differences,
-the truncated-eigen pseudoinverse, and literal forms of estimators that
-production computes another way. No production module imports this one.
+Dense structural matrices, kron-form derivative rules, the vech
+Jacobians of the gram, Cholesky and trace-form maps, finite differences,
+the truncated-eigen pseudoinverse, every estimand's k-by-m vech Jacobian
+(production gives `OmegaEstimate.sandwich` a factor of the rows instead),
+and literal forms of estimators that production computes another way. No
+production module imports this one.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import numpy as np
 
 from .errors import (BadLength, RankDeficient, RankDeficientRegression, RepeatedEigenvalue,
                      ShapeMismatch, SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
-from .kernels import check_symmetric, d_qform_inv_vech, vech_indices, vech_len
-from .mglh import MglhSpec, _feature_solve, _sym, _t
+from .kernels import (MatrixShape, _inv, _vech_gather, check_symmetric, chol, d_qform_inv_vech,
+                      ivech, vech_indices, vech_len, vech_lower)
+from .mglh import MglhSpec, _factorize, _feature_solve, _g1g2_eigen, _sym, _t, _weights
 from .moments import AugmentedMoment, MomentLayout, check_risk_budget, portfolio_head
 from .simulate import CHUNK
 
@@ -179,6 +183,122 @@ def pinv_rank(x: np.ndarray, r: int) -> np.ndarray:
     return vr @ np.diag(1.0 / vals[:r]) @ vr.T
 
 
+def vech_gradient(gam: np.ndarray) -> np.ndarray:
+    """vech gradient of tr(G' dX) over symmetric dX: G + G' off the diagonal, G on it.
+
+    G may be a (..., n, n) stack; the vech coordinates run along the last axis.
+    """
+    rows, cols, diag = _vech_gather(gam.shape[-1])
+    out = gam[..., rows, cols] + gam[..., cols, rows]
+    out[..., diag] *= 0.5
+    return out
+
+
+def d_gram(y: np.ndarray) -> np.ndarray:
+    """Jacobian of vech(YY') with respect to vech(Y), Y lower triangular.
+
+    d_gram(Y)[(i,j),(k,l)] = delta_ik Y_jl + delta_jk Y_il, which is
+    L (I + K)(Y kron I) L'.
+    """
+    y = np.asarray(y, dtype=float)
+    r, c, _ = _vech_gather(y.shape[0])
+    ri, rj = r[:, None], c[:, None]
+    return (ri == r) * y[rj, c] + (rj == r) * y[ri, c]
+
+
+def d_chol_vech(y: np.ndarray) -> np.ndarray:
+    """Jacobian of vech(Y) with respect to vech(YY'), Y lower Cholesky.
+
+    Computed as the inverse of d_gram(Y).
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    if y.shape != (n, n) or np.abs(np.triu(y, 1)).max(initial=0.0) > 0:
+        raise ShapeMismatch("d_chol_vech expects a lower-triangular factor")
+    return _inv(d_gram(y), "d_chol_vech: derivative of the gram map is singular")
+
+
+def factor_jacobian(factor: np.ndarray, block: tuple[slice, slice] | None = None,
+                    front: np.ndarray | None = None) -> np.ndarray:
+    """The k-by-m vech Jacobian of a gradient in `OmegaEstimate.sandwich`'s factor form.
+
+    Entry (a, b) of F' dtheta F is sum_ij F_ia F_jb dtheta_ij, so its row
+    over the vech coordinates (i, j) of theta is F_ia F_jb + F_ja F_ib,
+    halved on the diagonal; front then maps those rows to the outputs.
+    """
+    factor = np.asarray(factor, dtype=float)
+    r = factor.shape[1]
+    if block is None:
+        a, b = vech_indices(r)
+    else:
+        rows, cols = np.arange(r)[block[0]], np.arange(r)[block[1]]
+        a, b = np.tile(rows, cols.size), np.repeat(cols, rows.size)
+    i, j = vech_indices(factor.shape[0])
+    jac = factor[i][:, a] * factor[j][:, b] + factor[j][:, a] * factor[i][:, b]
+    jac[i == j] *= 0.5
+    return jac.T if front is None else front @ jac.T
+
+
+def _projection(jt: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return jt.T @ np.linalg.inv(jt @ theta @ jt.T) @ jt
+
+
+def subspace_jacobian(tm: AugmentedMoment, spec) -> np.ndarray:
+    """m-by-m Jacobian of `constraints.subspace_theta`: the rule of J'(J theta J')^-1 J."""
+    return d_qform_inv_vech(_projection(spec.augmented(tm.f_dim), tm.theta))
+
+
+def hedge_jacobian(tm: AugmentedMoment, spec) -> np.ndarray:
+    """m-by-m Jacobian of `constraints.hedged_delta_theta`: the inverse rule less P's."""
+    proj = _projection(spec.augmented(tm.f_dim), tm.theta)
+    return d_qform_inv_vech(tm.inverse) - d_qform_inv_vech(proj)
+
+
+def cholesky_jacobian(tm: AugmentedMoment, cc) -> np.ndarray:
+    """m-by-m Jacobian of `constraints.constrained_cholesky_estimate`, chained literally.
+
+    d_gram of the constrained factor, the weighted projection, and
+    d_chol_vech of the sample factor.
+    """
+    factor = chol(tm.theta)
+    y, m = vech_lower(factor), vech_len(tm.dim)
+    proj, z = np.eye(m), y
+    if cc.n_constraints:
+        w_inv = np.linalg.inv(np.eye(m) if cc.weighting is None else cc.weighting)
+        bmat = cc.b_matrix
+        gain = w_inv @ bmat.T @ np.linalg.inv(bmat @ w_inv @ bmat.T)
+        proj = np.eye(m) - gain @ bmat
+        z = gain @ cc.b_vector + proj @ y
+    return d_gram(ivech(z, MatrixShape.LOWER_TRIANGULAR)) @ proj @ d_chol_vech(factor)
+
+
+def reduced_rank_jacobian(tm: AugmentedMoment, r: int) -> np.ndarray:
+    """fp-by-m Jacobian of `constraints.reduced_rank_coefficient`, one vech_gradient per entry.
+
+    Entry (i, j) of the column-major vec(coef) is -P_ab, a = f + i, b = j,
+    with dP_ab = tr(G' dtheta), G = V (K o v_a v_b') V', K the divided
+    differences of the truncated eigen-inverse and v_a row a of V.
+    """
+    f, d, p = tm.f_dim, tm.dim, tm.n_assets
+    vals, vecs = np.linalg.eigh(tm.theta)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    g = 1.0 / vals[:r]
+    div = np.zeros((d, d))
+    div[:r, :r] = -np.outer(g, g)
+    div[:r, r:] = g[:, None] / (vals[:r, None] - vals[None, r:])
+    div[r:, :r] = div[:r, r:].T
+    va, vb = np.tile(vecs[f:], (f, 1)), np.repeat(vecs[:f], p, axis=0)
+    return -vech_gradient(vecs @ (div * va[:, :, None] * vb[:, None, :]) @ vecs.T)
+
+
+def mglh_jacobians(tm: AugmentedMoment, spec: MglhSpec) -> dict[str, np.ndarray]:
+    """The four statistics' m-vector gradients, vech_gradient(L1 W1 L1' - R2 W2 R2') each."""
+    fac = _factorize(tm, spec)
+    l1, r2, weights = _weights(tm, spec, fac, *_g1g2_eigen(fac.g1, fac.g2))
+    return {name: vech_gradient(l1 @ w1 @ l1.T - r2 @ w2 @ r2.T)
+            for name, (w1, w2) in weights.items()}
+
+
 def fd_step(x: np.ndarray) -> float:
     """Central-difference step: 1e-5 scaled by the sup norm of the input."""
     return 1e-5 * max(1.0, float(np.abs(x).max()))
@@ -246,8 +366,8 @@ def portfolio_jacobian(tm: AugmentedMoment, risk_budget: float) -> np.ndarray:
 
     d weights / d vech(theta^-1) is [-w/(2 psi^2), -(R/psi) I, 0], only
     the first column of theta^-1 entering, chained with the inverse
-    rule. `asymptotics.portfolio_covariance` sandwiches a data Omega
-    from the whitened rows instead, never forming this Jacobian.
+    rule. `asymptotics.portfolio_covariance` gives the sandwich the
+    factor theta^-1 and a front instead, never forming this Jacobian.
     """
     weights, snr_sq = portfolio_head(tm, risk_budget)
     p = tm.n_assets

@@ -28,7 +28,6 @@ from .gaussian import (
     TraceConstraintSet,
     gaussian_omega,
     lrt_solve_stack,
-    omega_gaussian_centered,
 )
 from .kernels import chol, vech_indices
 from .mglh import MglhSpec, mglh_derivatives, mglh_statistics
@@ -231,9 +230,9 @@ def mglh_suite(seed: int, trials: int | None, sample_size: int | None) -> SuiteR
     """Variance of the trace statistic under a fixed alternative vs the delta law."""
     rep, pop, tm = _draw("mglh", seed, trials, sample_size)
     spec = MglhSpec(np.eye(pop.n_assets), np.eye(pop.f_dim), np.zeros((pop.n_assets, pop.f_dim)))
-    q = mglh_derivatives(pop, spec)["hlt"]
-    om_pop = OmegaEstimate(omega_gaussian_centered(pop.theta), n_obs=rep.sample_size)
-    theo_var = om_pop.sandwich(q)
+    factor, fronts = mglh_derivatives(pop, spec)
+    # the rows are mean-zero Gaussian with second moment theta: a Gaussian omega of zero mean
+    theo_var = OmegaEstimate(pop.theta, rep.sample_size).sandwich(factor, front=fronts["hlt"])
     hlts = mglh_statistics(tm, spec).hlt
     emp_var = rep.sample_size * float(np.var(hlts, ddof=1))
     rel = abs(emp_var - theo_var) / theo_var

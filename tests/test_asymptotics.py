@@ -24,6 +24,7 @@ from portinf.errors import (
 )
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import d_qform_inv_vech, ivech, vech, vech_block, vech_indices
+from portinf import mglh
 from portinf.mglh import MglhSpec, mglh_asymptotic
 from portinf.moments import AugmentedMoment
 
@@ -136,6 +137,12 @@ def offset_rows(rng, t, d, augmented, offset):
     return rows
 
 
+def jacobian_sandwich(om, jac):
+    """The sandwich of a k-by-m vech Jacobian: the identity factor, the Jacobian as its front."""
+    d = round((np.sqrt(8 * np.shape(jac)[-1] + 1) - 1) / 2)
+    return om.sandwich(np.eye(d), front=jac)
+
+
 def series_estimate(rows, estimator, bandwidth):
     """The library's estimate of the rows, and explicit_omega's, at a bandwidth below T."""
     if estimator == "vanilla":
@@ -175,9 +182,9 @@ class TestSeriesSandwich:
         g = rng.standard_normal((k, want_omega.shape[0]))
         want = g @ want_omega @ g.T
         want_size = np.abs(g) @ size @ np.abs(g).T
-        assert np.abs(om.sandwich(g) - want).max() <= 1e-12 * want_size.max()
+        assert np.abs(jacobian_sandwich(om, g) - want).max() <= 1e-12 * want_size.max()
         assert np.abs(om.omega - want_omega).max() <= 1e-12 * size.max()
-        var = om.sandwich(g[0])
+        var = jacobian_sandwich(om, g[0])
         assert isinstance(var, float)
         assert abs(var - want[0, 0]) <= 1e-12 * want_size[0, 0]
 
@@ -192,7 +199,8 @@ class TestSeriesSandwich:
         reversed_om, _ = series_estimate(rows[::-1], estimator, bandwidth)
         g = rng.standard_normal((k, om.dim))
         want_size = np.abs(g) @ size @ np.abs(g).T
-        assert np.abs(reversed_om.sandwich(g) - om.sandwich(g)).max() <= 1e-12 * want_size.max()
+        got = jacobian_sandwich(reversed_om, g)
+        assert np.abs(got - jacobian_sandwich(om, g)).max() <= 1e-12 * want_size.max()
         assert np.abs(reversed_om.omega - om.omega).max() <= 1e-12 * size.max()
 
     @settings(max_examples=25, deadline=None)
@@ -211,7 +219,8 @@ class TestSeriesSandwich:
         assert np.abs(om.omega - want_omega).max() <= 1e-12 * size.max()
         g = rng.standard_normal((max(om.dim - 1, 1), om.dim))
         want_size = np.abs(g) @ size @ np.abs(g).T
-        assert np.abs(om.sandwich(g) - g @ want_omega @ g.T).max() <= 1e-12 * want_size.max()
+        got = jacobian_sandwich(om, g)
+        assert np.abs(got - g @ want_omega @ g.T).max() <= 1e-12 * want_size.max()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 300), st.integers(1, 5), st.integers(0, 40), st.booleans(),
@@ -225,7 +234,7 @@ class TestSeriesSandwich:
         om = asy.omega_hac(rows, kernel="bartlett", bandwidth=min(bandwidth, t - 1))
         with mock.patch.object(asy.logger, "warning") as warning:
             om.omega
-            om.sandwich(rng.standard_normal((max(om.dim - 1, 1), om.dim)))
+            jacobian_sandwich(om, rng.standard_normal((max(om.dim - 1, 1), om.dim)))
         warning.assert_not_called()
 
     def test_clip_beyond_rounding_is_logged(self, caplog, monkeypatch):
@@ -234,22 +243,23 @@ class TestSeriesSandwich:
         t = 50
         z = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)[:, None]
         monkeypatch.setattr(asy, "_kernel_weight", lambda k, bandwidth: 1.0)
-        om = asy.OmegaEstimate(None, t, kernel="parzen", bandwidth=1, series=z)
+        om = asy.omega_hac(np.ones((t, 1)), kernel="parzen", bandwidth=1)
         with caplog.at_level(logging.WARNING, logger="portinf.asymptotics"):
-            var = om.sandwich(np.ones(1))
+            var = om._long_run(z)[0, 0]
         assert var == 0.0
         assert "clipping to PSD" in caplog.text
 
+    # a Gaussian estimate is given by its moment matrix, a data one by the rows its series is of
     @pytest.mark.parametrize("matrix, series", [(None, None), (np.eye(3), np.zeros((4, 3)))])
     def test_omega_needs_a_matrix_or_a_series(self, matrix, series):
-        with pytest.raises(ShapeMismatch, match="give omega as a matrix or as a series"):
-            asy.OmegaEstimate(matrix, 5, series=series)
+        with pytest.raises(ShapeMismatch, match="give omega as a Gaussian moment or as rows"):
+            asy.OmegaEstimate(matrix, 5, rows=series)
 
     @pytest.mark.parametrize("fields, message", [
-        ({"series": np.zeros((5, 3)), "bandwidth": 2}, "kernel and its bandwidth together"),
-        ({"series": np.zeros((5, 3)), "kernel": "bartlett"}, "kernel and its bandwidth together"),
-        ({"matrix": np.eye(3), "kernel": "bartlett", "bandwidth": 2}, "needs a series"),
-        ({"series": np.zeros((5, 3)), "kernel": "foo", "bandwidth": 2}, "unknown kernel"),
+        ({"rows": np.zeros((5, 3)), "bandwidth": 2}, "kernel and its bandwidth together"),
+        ({"rows": np.zeros((5, 3)), "kernel": "bartlett"}, "kernel and its bandwidth together"),
+        ({"matrix": np.eye(3), "kernel": "bartlett", "bandwidth": 2}, "needs rows"),
+        ({"rows": np.zeros((5, 3)), "kernel": "foo", "bandwidth": 2}, "unknown kernel"),
     ], ids=["bandwidth_without_kernel", "kernel_without_bandwidth", "kernel_with_matrix",
             "unknown_kernel"])
     def test_construction_rejects_fields_that_name_no_estimate(self, fields, message):
@@ -269,7 +279,7 @@ class TestSeriesSandwich:
 
     def test_identity_gradient_gives_omega(self, rng):
         om = asy.omega_hac(mo.augment(rng.standard_normal((80, 2))), bandwidth=3)
-        np.testing.assert_array_equal(om.sandwich(np.eye(om.dim)), om.omega)
+        np.testing.assert_array_equal(om.sandwich(np.eye(3)), om.omega)
         assert om.omega is om.omega
 
     @settings(max_examples=60, deadline=None)
@@ -283,12 +293,12 @@ class TestSeriesSandwich:
         om = (asy.omega_vanilla(rows) if estimator == "vanilla"
               else asy.omega_hac(rows, kernel=estimator, bandwidth=bandwidth))
         g = rng.standard_normal((int(rng.integers(1, om.dim)), om.dim))
-        first = om.sandwich(g)
+        first = jacobian_sandwich(om, g)
         om.omega
-        np.testing.assert_array_equal(om.sandwich(g), first)
-        om.sandwich(rng.standard_normal((om.dim + 1, om.dim)))
-        np.testing.assert_array_equal(om.sandwich(g), first)
-        assert om.matrix is None
+        np.testing.assert_array_equal(jacobian_sandwich(om, g), first)
+        jacobian_sandwich(om, rng.standard_normal((om.dim + 1, om.dim)))
+        np.testing.assert_array_equal(jacobian_sandwich(om, g), first)
+        assert om.theta is None
 
 
 @pytest.mark.parametrize("estimator", ["vanilla", "bartlett", "parzen"])
@@ -325,7 +335,7 @@ class TestOmegaDiagonal:
         x[1:] += 0.3 * x[:-1]
         rows = mo.augment(x)
         om = asy.omega_vanilla(rows) if kernel == "vanilla" else asy.omega_hac(rows, kernel)
-        own = np.array([om.sandwich(e) for e in np.eye(om.dim)])
+        own = np.array([jacobian_sandwich(om, e) for e in np.eye(om.dim)])
         diag = np.diag(om.omega)
         assert np.abs(own - diag).max() <= 1e-12 * np.abs(diag).max()
         w = inverse_variance_weighting(om)
@@ -395,7 +405,7 @@ WHITENED_DRAWS = dict(
 
 
 class TestWhitenedRows:
-    """The theta^-1 estimands' sandwiches from the whitened rows against the projected series."""
+    """The sandwich of a factor's block against the series projected on its Jacobian rows."""
 
     @settings(max_examples=80, deadline=None)
     @given(**WHITENED_DRAWS)
@@ -411,17 +421,18 @@ class TestWhitenedRows:
         om, (want_omega, size) = series_estimate(rows, estimator, bandwidth)
         i, j = vech_indices(d)
         for block in blocks:
-            h = d_qform_inv_vech(proj, rows=vech_block(d, block))
-            got = asy.whitened_influence(om.rows, proj, block)
+            # x = (P dtheta P)[block] is minus the inverse rule's rows there, for any P
+            h = -d_qform_inv_vech(proj, rows=vech_block(d, block))
+            got = om.influence(proj, block)
             # the series carries the rounding of the uncentered products, and so its projection
             scale = np.abs(rows[:, i] * rows[:, j]) @ np.abs(h).T
             assert np.abs(got - om.series @ h.T).max() <= 1e-12 * scale.max()
             front = rng.standard_normal((int(rng.integers(1, 4)), h.shape[0]))
             g = front @ h
             want_size = np.abs(g) @ size @ np.abs(g).T
-            got = om.inverse_sandwich(proj, block, front)
+            got = om.sandwich(proj, block, front)
             assert np.abs(got - g @ want_omega @ g.T).max() <= 1e-12 * want_size.max()
-            var = om.inverse_sandwich(proj, block, front[0])
+            var = om.sandwich(proj, block, front[0])
             assert isinstance(var, float)
             assert abs(var - got[0, 0]) <= 1e-12 * want_size[0, 0]
 
@@ -441,20 +452,20 @@ class TestWhitenedRows:
             assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
 
         assert_close(asy.portfolio_covariance(tm, om, 0.1).covariance,
-                     om.sandwich(oracles.portfolio_jacobian(tm, 0.1)))
+                     jacobian_sandwich(om, oracles.portfolio_jacobian(tm, 0.1)))
         assert_close(asy.snr_variance(tm, om, 0.1, 0.001),
-                     om.sandwich(oracles.snr_gradient(tm, 0.1, 0.001)))
+                     jacobian_sandwich(om, oracles.snr_gradient(tm, 0.1, 0.001)))
         _, m = asy.snr_second_order(tm, om, 0.1)
-        assert_close(m @ m.T, om.sandwich(oracles.portfolio_jacobian(tm, 0.1)))
+        assert_close(m @ m.T, jacobian_sandwich(om, oracles.portfolio_jacobian(tm, 0.1)))
         assert_close(cn.markowitz_coefficient(tm, om)[1].covariance,
-                     om.sandwich(oracles.coefficient_jacobian(tm)))
+                     jacobian_sandwich(om, oracles.coefficient_jacobian(tm)))
         feats = rng.standard_normal((300, f))
         brows, kind, f_dim = cn.conditional_rows(x + 0.001 * feats[:, :1], feats,
                                                  model=cn.ConditionalModel.BICONDITIONAL)
         bom, _ = series_estimate(brows, estimator, 6)
         btm = mo.sample_theta(brows, kind, f_dim=f_dim)
         assert_close(cn.markowitz_coefficient(btm, bom)[1].covariance,
-                     bom.sandwich(oracles.coefficient_jacobian(btm)))
+                     jacobian_sandwich(bom, oracles.coefficient_jacobian(btm)))
 
 
 def run_estimands(tm, om):
@@ -468,26 +479,28 @@ def test_data_omega_estimands_never_form_a_jacobian_or_read_the_series(rng, esti
     rows = mo.augment(0.01 * rng.standard_normal((200, 3)) + 0.003)
     tm = mo.sample_theta(rows)
     om, _ = series_estimate(rows, estimator, 4)
-    spies = [mock.patch.object(module, "d_qform_inv_vech", wraps=kn.d_qform_inv_vech)
-             for module in (kn, asy, cn)]
-    with spies[0] as in_kernels, spies[1] as in_asymptotics, spies[2] as in_constraints, \
+    with mock.patch.object(kn, "d_qform_inv_vech", wraps=kn.d_qform_inv_vech) as rule, \
             mock.patch.object(asy.OmegaEstimate, "series", new_callable=mock.PropertyMock) as series:
         run_estimands(tm, om)
-    for spy in (in_kernels, in_asymptotics, in_constraints, series):
-        spy.assert_not_called()
+    rule.assert_not_called()
+    series.assert_not_called()
+    # no estimator module holds the vech rule of the inverse to call
+    for module in (asy, cn, mglh):
+        assert not hasattr(module, "d_qform_inv_vech")
 
 
-def test_gaussian_omega_estimands_take_the_jacobian_chain(rng):
+def test_gaussian_omega_estimands_match_the_jacobian_chain(rng):
     tm = mo.sample_theta(mo.augment(0.01 * rng.standard_normal((200, 3)) + 0.003))
     om = gaussian_omega(tm)
-    with mock.patch.object(asy, "d_qform_inv_vech", wraps=kn.d_qform_inv_vech) as spy:
+    with mock.patch.object(kn, "d_qform_inv_vech", wraps=kn.d_qform_inv_vech) as rule:
         coef, port, snr = run_estimands(tm, om)
-    assert spy.call_count == 3
-    # the same operations as the k-by-m chain, so the same numbers, up to the
-    # snr front's scalar meeting the Jacobian before or after the vector
-    np.testing.assert_array_equal(coef, om.sandwich(oracles.coefficient_jacobian(tm)))
-    np.testing.assert_array_equal(port, om.sandwich(oracles.portfolio_jacobian(tm, 0.1)))
-    assert snr == pytest.approx(om.sandwich(oracles.snr_gradient(tm, 0.1, 0.001)), rel=1e-14)
+    rule.assert_not_called()
+    # the trace form reads the factor's own moment, the chain sandwiches omega with a Jacobian
+    for got, jac in ((coef, oracles.coefficient_jacobian(tm)),
+                     (port, oracles.portfolio_jacobian(tm, 0.1)),
+                     (snr, oracles.snr_gradient(tm, 0.1, 0.001))):
+        want = jac @ om.omega @ jac.T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestThetaInverseCovariance:
@@ -534,9 +547,9 @@ class TestPortfolioCovariance:
         tm = AugmentedMoment(theta, n_obs=100)
         risk_budget = 0.8
         h = oracles.portfolio_jacobian(tm, risk_budget)
-        _, front, _ = asy._portfolio_jacobian_chain(tm, risk_budget)
-        np.testing.assert_array_equal(
-            front @ d_qform_inv_vech(tm.inverse, rows=vech_block(p + 1, asy._FIRST_COLUMN)), h)
+        _, front, _ = asy._weights_front(tm, risk_budget)
+        got = oracles.factor_jacobian(tm.inverse, asy._FIRST_COLUMN, front)
+        assert np.abs(got - h).max() <= 1e-13 * np.abs(h).max()
 
         def weight_map(v):
             t = AugmentedMoment(ivech(v), n_obs=100)
@@ -638,7 +651,7 @@ class TestSnrSecondOrder:
         tm = mo.sample_theta(rows)
         for om in (asy.omega_hac(rows, bandwidth=4), gaussian_omega(tm)):
             _, m = asy.snr_second_order(tm, om, risk_budget=0.5)
-            want = om.sandwich(oracles.portfolio_jacobian(tm, 0.5))
+            want = jacobian_sandwich(om, oracles.portfolio_jacobian(tm, 0.5))
             assert np.abs(m @ m.T - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_monte_carlo_mean_of_quadratic_limit(self):

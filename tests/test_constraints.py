@@ -241,7 +241,7 @@ class TestMarkowitzCoefficient:
         sigma = np.array([[0.5, 0.1], [0.1, 0.7]])
         theta = np.block([[sig_f, np.zeros((2, 2))], [np.zeros((2, 2)), sigma]])
         tm = AugmentedMoment(theta, n_obs=300, layout=MomentLayout.CONDITIONAL, f_dim=2)
-        om = asy.OmegaEstimate(np.eye(10), n_obs=300)
+        om = asy.OmegaEstimate(np.eye(4), n_obs=300)
         coef, dist = cn.markowitz_coefficient(tm, om)
         np.testing.assert_allclose(coef, np.zeros((2, 2)), atol=1e-14)
         np.testing.assert_allclose(asy.wald_statistics(dist), np.zeros(4), atol=1e-12)
@@ -280,7 +280,7 @@ class TestHedgedConditional:
         theta = np.block([[sig_f, sig_f @ bmat.T],
                           [bmat @ sig_f, sigma + bmat @ sig_f @ bmat.T]])
         tm = AugmentedMoment(theta, n_obs=400, layout=MomentLayout.CONDITIONAL, f_dim=2)
-        om = asy.OmegaEstimate(np.eye(15), n_obs=400)
+        om = asy.OmegaEstimate(np.eye(5), n_obs=400)
         g = rng.standard_normal((1, 3))
         spec = cn.HedgeSpec(g)
         point, _ = cn.hedged_delta_theta(tm, spec, om)
@@ -297,7 +297,7 @@ class TestHedgedConditional:
         theta = np.block([[sig_f, sig_f @ bmat.T],
                           [bmat @ sig_f, sigma + bmat @ sig_f @ bmat.T]])
         tm = AugmentedMoment(theta, n_obs=400, layout=MomentLayout.CONDITIONAL, f_dim=2)
-        om = asy.OmegaEstimate(np.eye(10), n_obs=400)
+        om = asy.OmegaEstimate(np.eye(4), n_obs=400)
         spec = cn.HedgeSpec(np.array([[0.6, -0.8]]))
         gt = spec.augmented(2)
 
@@ -386,8 +386,7 @@ class TestConstrainedCholesky:
     def _conditional_tm(self, rng, d=3, n_obs=400):
         theta = rand_spd(rng, d) / d + 0.5 * np.eye(d)
         tm = AugmentedMoment(theta, n_obs=n_obs, layout=MomentLayout.CONDITIONAL, f_dim=1)
-        m = theta.shape[0] * (theta.shape[0] + 1) // 2
-        om = asy.OmegaEstimate(rand_spd(rng, m) / m, n_obs=n_obs)
+        om = asy.OmegaEstimate(rand_spd(rng, theta.shape[0]) / theta.shape[0], n_obs=n_obs)
         return tm, om
 
     def test_no_constraints_passthrough(self, rng):
@@ -501,7 +500,6 @@ class TestConstrainedCholeskyLaw:
     def test_monte_carlo_covariance_agreement(self):
         # end-to-end check of the three-factor Jacobian chain: empirical
         # covariance of the constrained estimate vs the sandwich law
-        from portinf.gaussian import omega_gaussian_centered
         from portinf.kernels import vech_indices
 
         theta_pop = np.array([[1.0, 0.3, 0.1],
@@ -513,7 +511,7 @@ class TestConstrainedCholeskyLaw:
         t, trials = 600, 2500
         tm_pop = AugmentedMoment(theta_pop, n_obs=t,
                                  layout=MomentLayout.CONDITIONAL, f_dim=1)
-        om_pop = asy.OmegaEstimate(omega_gaussian_centered(theta_pop), n_obs=t)
+        om_pop = asy.OmegaEstimate(theta_pop, t)  # mean-zero Gaussian rows
         _, dist_pop = cn.constrained_cholesky_estimate(tm_pop, cc, om_pop)
         theo = dist_pop.covariance
 
@@ -540,8 +538,7 @@ class TestReducedRank:
         theta = np.block([[sig_f, sig_f @ bmat.T],
                           [bmat @ sig_f, sigma + bmat @ sig_f @ bmat.T]])
         tm = AugmentedMoment(theta, n_obs=n_obs, layout=MomentLayout.CONDITIONAL, f_dim=f)
-        m = theta.shape[0] * (theta.shape[0] + 1) // 2
-        om = asy.OmegaEstimate(rand_spd(rng, m) / m, n_obs=n_obs)
+        om = asy.OmegaEstimate(rand_spd(rng, theta.shape[0]) / theta.shape[0], n_obs=n_obs)
         return tm, om
 
     def test_full_rank_matches_plain_coefficient(self, rng):
@@ -555,7 +552,7 @@ class TestReducedRank:
         eps = 1e-8
         theta = np.outer(u, u) + eps * np.eye(4)
         tm = AugmentedMoment(theta, n_obs=200, layout=MomentLayout.CONDITIONAL, f_dim=2)
-        om = asy.OmegaEstimate(np.eye(10), n_obs=200)
+        om = asy.OmegaEstimate(np.eye(4), n_obs=200)
         coef, _ = cn.reduced_rank_coefficient(tm, 1, om)
         denom = (u @ u) ** 2
         expect = -np.outer(u[2:], u[:2]) / denom
@@ -579,7 +576,7 @@ class TestReducedRank:
     def test_small_gap_raises(self):
         theta = np.diag([2.0, 1.0 + 1e-13, 1.0, 0.5])
         tm = AugmentedMoment(theta, n_obs=100, layout=MomentLayout.CONDITIONAL, f_dim=2)
-        om = asy.OmegaEstimate(np.eye(10), n_obs=100)
+        om = asy.OmegaEstimate(np.eye(4), n_obs=100)
         with pytest.raises(cn.EigGapTooSmall):
             cn.reduced_rank_coefficient(tm, 2, om)
 
@@ -594,9 +591,14 @@ class TestReducedRank:
         vals = np.linalg.eigvalsh(theta)[::-1]
         assume(r == d or vals[r - 1] - vals[r] >= 1e-3 * vals[0])
         tm = AugmentedMoment(theta, n_obs=100, layout=MomentLayout.CONDITIONAL, f_dim=f)
-        om = asy.OmegaEstimate(np.eye(d * (d + 1) // 2), n_obs=100)
+        om = asy.OmegaEstimate(np.eye(d), n_obs=100)
         grads = []
-        om.sandwich = lambda g: grads.append(g) or g @ g.T
+
+        def sandwich(*form, **fields):
+            grads.append(orc.factor_jacobian(*form, **fields))
+            return grads[-1] @ grads[-1].T
+
+        om.sandwich = sandwich
 
         coef, _ = cn.reduced_rank_coefficient(tm, r, om)
 
@@ -610,6 +612,8 @@ class TestReducedRank:
         np.testing.assert_allclose(coef.reshape(-1, order="F"), coef_map(vech(theta)),
                                    rtol=0, atol=1e-10 * np.abs(coef).max())
         assert np.abs(grads[0] - fd).max() <= 1e-5 * np.abs(fd).max()
+        want = orc.reduced_rank_jacobian(tm, r)
+        assert np.abs(grads[0] - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("f,p", [(1, 1), (1, 3), (2, 2), (3, 2)])
     def test_full_rank_covariance_matches_plain_coefficient(self, rng, f, p):

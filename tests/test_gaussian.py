@@ -1,5 +1,7 @@
 """Closed-form Gaussian covariances and the trace-constraint LRT."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.special
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 from portinf import gaussian as ga
 from portinf import moments as mo
 from portinf import oracles as orc
-from portinf.asymptotics import theta_inverse_covariance
-from portinf.errors import NumericalError, ShapeMismatch, SingularJacobian
+from portinf.asymptotics import OmegaEstimate, theta_inverse_covariance
+from portinf.errors import NumericalError, RankDeficient, ShapeMismatch
 from portinf.kernels import vech_len, vech_pair
 from portinf.moments import AugmentedMoment
 
-from conftest import rand_sym, rand_unit_corner_theta
+from conftest import rand_sym, rand_unit_corner_theta, theta_from
 
 
 def scalar_theta(mu, sg):
@@ -46,6 +48,34 @@ class TestGaussianOmega:
         theta = rand_unit_corner_theta(rng, 3)
         om = ga.gaussian_omega(AugmentedMoment(theta, n_obs=10))
         assert np.linalg.eigvalsh(om.omega[1:, 1:])[0] > 0
+
+
+class TestInverseLawAccuracy:
+    """The Gaussian law of vech(theta^-1), read off P = theta^-1, against its closed form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 5), log_cond=st.floats(0.0, 4.7), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_closed_form_to_eps_cond(self, p, log_cond, seed):
+        # The sandwich is pair(S) - 2 v v' with S = P theta P and v = vech(nu nu'),
+        # nu = P theta e1; the closed form is pair(P) - 2 e1 e1'. S - P is P times the
+        # residual theta P - I of the computed inverse plus the rounding of the two
+        # products, each at most about d eps cond(theta) |P|, and nu - e1 likewise at
+        # most about d eps cond(theta). So an entry S_ik S_jl + S_il S_jk moves by at
+        # most about 2 (2 d eps cond) |P| |P|, and the mean term by 4 d eps cond, below
+        # |P|^2 as |P| >= theta^-1_00 >= 1: in all 12 d eps cond(theta) |P|^2. A
+        # Jacobian of the inverse sandwiched with pair(theta) rounds at eps cond(theta)^2.
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        sigma = (u * np.logspace(0.0, -log_cond, p)) @ u.T
+        theta = theta_from(0.3 * rng.standard_normal(p), sigma)
+        cond = np.linalg.cond(theta)
+        assume(cond <= 1e5)
+        tm = AugmentedMoment(theta, n_obs=100)
+        got = theta_inverse_covariance(tm, ga.gaussian_omega(tm)).covariance
+        want = vech_pair(tm.inverse)
+        want[0, 0] -= 2.0
+        bound = 12 * (p + 1) * np.finfo(float).eps * cond * np.linalg.norm(tm.inverse, 2) ** 2
+        assert np.abs(got - want).max() <= bound
 
 
 class TestConjectureRoutes:
@@ -94,7 +124,8 @@ class TestOmegaGaussianCentered:
         z = rng.multivariate_normal(np.zeros(2), s, size=200_000)
         y = np.column_stack([z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 1] ** 2])
         emp = np.cov(y, rowvar=False)
-        np.testing.assert_allclose(ga.omega_gaussian_centered(s), emp, rtol=0.05, atol=0.05)
+        # a Gaussian omega of zero mean
+        np.testing.assert_allclose(OmegaEstimate(s, len(z)).omega, emp, rtol=0.05, atol=0.05)
 
 
 class TestLrtSolve:
@@ -171,12 +202,13 @@ class TestLrtSolve:
             assert abs(np.sum(a * inv0) - t) < 1e-8
 
     @pytest.mark.parametrize("eps", [0.0, 1e-15], ids=["repeated", "nearly_repeated"])
-    def test_dependent_constraints_have_a_singular_jacobian(self, eps):
-        # the Jacobian is the Gram matrix of the constraints, singular when they are dependent
+    def test_dependent_constraints_are_rank_deficient(self, eps):
+        # dependent rows span fewer matrices than there are rows: the rank gate
+        # stops them before the first Newton step
         a1 = np.diag([0.0, 1.0, 0.0])
         a2 = a1 + eps * np.diag([0.0, 0.0, 1.0])
         target = 0.9 * self.inv[1, 1]
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(RankDeficient):
             ga.lrt_solve(self.tm, ga.TraceConstraintSet([a1, a2], [target, target]))
 
     def test_residual_norm_descends(self):
@@ -199,16 +231,17 @@ class TestLrtSolve:
         np.testing.assert_allclose(cs.matrices[0], 0.5 * (raw + raw.T))
 
 
-def lrt_problem(seed, p, k):
+def lrt_problem(seed, p, k, whole=False):
     """A sample moment of returns in percent-like units and k random constraints near it.
 
     Each target is its constraint's value at the sample moment, moved by up
-    to 5%, so the null is feasible and the statistic is not zero. k stays
-    below the p+1 moment's vech length: a null of that many rows pins the
-    constrained inverse whole, and its nearly dependent draws solve or fail
-    with the order of their rows (CHANGES.md, FOUND).
+    to 5%, so the null is feasible and the statistic is not zero. Unless
+    `whole`, k stays below the p+1 moment's vech length: a null of that
+    many rows pins the constrained inverse whole, often outside the
+    positive definite cone, and its Newton Jacobian is nearly singular.
     """
-    k = min(k, vech_len(p + 1) - 1)
+    if not whole:
+        k = min(k, vech_len(p + 1) - 1)
     rng = np.random.default_rng(seed)
     tm = mo.sample_theta(mo.augment(0.01 * rng.standard_normal((300, p)) + 0.003))
     mats = [rand_sym(rng, p + 1) for _ in range(k)]
@@ -253,6 +286,63 @@ class TestLrtInvariance:
                                                           [targets[j] for j in perm]))
         assert abs(permuted.stat - base.stat) <= 1e-9 * base.stat
         assert np.abs(permuted.lam - base.lam[perm]).max() <= 1e-9 * np.abs(base.lam).max()
+
+
+def ill_conditioned(rng, n, log_cond):
+    """A random n-by-n matrix with singular values from 1 down to 10^-log_cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return u @ np.diag(np.logspace(0.0, -log_cond, n)) @ v
+
+
+class TestLrtNearlyDependentRows:
+    """One pinned null of three rows at p = 1 whose Newton Jacobian is nearly singular.
+
+    Seed 2960 of a sweep of such nulls: solved in the rows as written, its
+    recombinations QA, Qb failed with LostPositiveDefiniteness or
+    SingularJacobian. Solved in an orthonormal basis of the rows' span, it
+    is one null however its rows are written.
+    """
+
+    def setup_method(self):
+        self.tm, self.mats, self.targets = lrt_problem(2960, 1, 3, whole=True)
+        self.base = ga.lrt_solve(self.tm, ga.TraceConstraintSet(self.mats, self.targets))
+
+    def solve(self, mats, targets):
+        return ga.lrt_solve(self.tm, ga.TraceConstraintSet(list(mats), list(targets)))
+
+    def test_newton_jacobian_is_nearly_singular(self):
+        inv = self.tm.inverse
+        gram = [[np.sum(a @ inv * (b @ inv).T) for b in self.mats] for a in self.mats]
+        vals = np.linalg.eigvalsh(gram)
+        assert 2e-10 <= vals[0] / vals[-1] <= 6e-9
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_permuting_rows(self, perm):
+        got = self.solve([self.mats[j] for j in perm], [self.targets[j] for j in perm])
+        assert abs(got.stat - self.base.stat) <= 1e-9 * self.base.stat
+        want = self.base.lam[list(perm)]
+        assert np.abs(got.lam - want).max() <= 1e-9 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_c=st.floats(-6.0, 6.0), negative=st.booleans(), row=st.integers(0, 2))
+    def test_scaling_one_row(self, log_c, negative, row):
+        c = (-1.0 if negative else 1.0) * 10.0**log_c
+        mats, targets = list(self.mats), list(self.targets)
+        mats[row], targets[row] = c * mats[row], c * targets[row]
+        assert abs(self.solve(mats, targets).stat - self.base.stat) <= 1e-9 * self.base.stat
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_cond=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_recombining_rows(self, log_cond, seed):
+        # forming QA and Qb rounds the rows by about eps cond(Q), which moves the
+        # null itself: rows perturbed by 2e-10 relative move this statistic by up
+        # to 4.4e-9, 22 times as much, so past 1e-9 the bound allows 100 eps cond(Q)
+        q = ill_conditioned(np.random.default_rng(seed), 3, log_cond)
+        got = self.solve(np.einsum("ij,jkl->ikl", q, np.array(self.mats)),
+                         q @ np.array(self.targets))
+        bound = 1e-9 + 100 * np.finfo(float).eps * 10.0**log_cond
+        assert abs(got.stat - self.base.stat) <= bound * self.base.stat
 
 
 class TestLrtPvalue:

@@ -9,7 +9,7 @@ from portinf import mglh
 from portinf import oracles as orc
 from portinf.asymptotics import OmegaEstimate
 from portinf.errors import ShapeMismatch
-from portinf.kernels import ivech, vech, vech_len
+from portinf.kernels import ivech, vech
 from portinf.moments import AugmentedMoment, MomentLayout
 
 from conftest import fd_jac, rand_spd
@@ -175,7 +175,7 @@ class TestStatistics:
         cmat = rng.standard_normal((f, c))
         tmat = rng.standard_normal((a, c))
         q, r = ill_conditioned(rng, a, log_cond_q), ill_conditioned(rng, c, log_cond_r)
-        om = OmegaEstimate(rand_spd(rng, vech_len(f + p)), n_obs=tm.n_obs)
+        om = OmegaEstimate(rand_spd(rng, f + p), n_obs=tm.n_obs)
         want = mglh.mglh_asymptotic(tm, mglh.MglhSpec(amat, cmat, tmat), om)
         got = mglh.mglh_asymptotic(tm, mglh.MglhSpec(q @ amat, cmat @ r, q @ tmat @ r), om)
         for k in mglh.STAT_NAMES:
@@ -188,6 +188,17 @@ def ill_conditioned(rng, n, log_cond):
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return u @ np.diag(np.logspace(0.0, -log_cond, n)) @ v
+
+
+def vech_gradients(tm, spec):
+    """The four statistics' vech gradients from the factor form, checked against the oracles'."""
+    factor, fronts = mglh.mglh_derivatives(tm, spec)
+    out = {k: orc.factor_jacobian(factor, front=q) for k, q in fronts.items()}
+    for k, want in orc.mglh_jacobians(tm, spec).items():
+        # the two terms of Gamma can cancel, so rounding scales with their magnitudes
+        size = orc.factor_jacobian(np.abs(factor), front=np.abs(fronts[k]))
+        assert np.abs(out[k] - want).max() <= 1e-12 * size.max(), k
+    return out
 
 
 class TestDerivatives:
@@ -205,7 +216,7 @@ class TestDerivatives:
         f, p, a, c = dims
         tm, _, bmat, _ = make_conditional(rng, f, p)
         spec = rand_spec(rng, f, p, a, c)
-        grads = mglh.mglh_derivatives(tm, spec)
+        grads = vech_gradients(tm, spec)
         fd = self._fd_all(tm, spec)
         for i, name in enumerate(mglh.STAT_NAMES):
             np.testing.assert_allclose(grads[name], fd[i], atol=1e-6,
@@ -214,7 +225,7 @@ class TestDerivatives:
     def test_under_exact_null(self, rng):
         tm, _, bmat, _ = make_conditional(rng, 2, 2)
         spec = rand_spec(rng, 2, 2, 1, 1, null=True, bmat=bmat)
-        grads = mglh.mglh_derivatives(tm, spec)
+        grads = vech_gradients(tm, spec)
         fd = self._fd_all(tm, spec)
         for i, name in enumerate(mglh.STAT_NAMES):
             np.testing.assert_allclose(grads[name], fd[i], atol=1e-6)
@@ -224,7 +235,7 @@ class TestDerivatives:
         theta = np.array([[sig_f, sig_f * b], [sig_f * b, sigma + b * sig_f * b]])
         tm = AugmentedMoment(theta, n_obs=50, layout=MomentLayout.CONDITIONAL, f_dim=1)
         spec = mglh.MglhSpec([[1.0]], [[1.0]], [[0.0]])
-        grads = mglh.mglh_derivatives(tm, spec)
+        grads = vech_gradients(tm, spec)
         fd = self._fd_all(tm, spec)
         np.testing.assert_allclose(grads["hlt"], fd[0], atol=1e-8)
 
@@ -233,7 +244,6 @@ class TestAsymptotic:
     def test_all_four_variances_match_monte_carlo(self):
         # the acceptance gate pins only the trace statistic; this checks
         # the other three gradients carry correct variances too
-        from portinf.gaussian import omega_gaussian_centered
         from portinf.kernels import chol
 
         sig_f = np.array([[1.0, 0.2], [0.2, 1.0]])
@@ -245,9 +255,9 @@ class TestAsymptotic:
         tm_pop = AugmentedMoment(theta_pop, n_obs=t,
                                  layout=MomentLayout.CONDITIONAL, f_dim=2)
         spec = mglh.MglhSpec(np.eye(2), np.eye(2), np.zeros((2, 2)))
-        grads = mglh.mglh_derivatives(tm_pop, spec)
-        om = omega_gaussian_centered(theta_pop)
-        theo = {k: float(q @ om @ q) for k, q in grads.items()}
+        factor, fronts = mglh.mglh_derivatives(tm_pop, spec)
+        om = OmegaEstimate(theta_pop, t)  # mean-zero Gaussian rows
+        theo = {k: om.sandwich(factor, front=q) for k, q in fronts.items()}
 
         rng = np.random.default_rng(31415)
         cf, cs = chol(sig_f), chol(sigma)
@@ -271,14 +281,14 @@ class TestAsymptotic:
     def test_zero_omega_gives_zero_variances(self, rng):
         tm, _, _, _ = make_conditional(rng, 2, 2)
         spec = rand_spec(rng, 2, 2, 2, 2)
-        om = OmegaEstimate(np.zeros((vech_len(4), vech_len(4))), n_obs=100)
+        om = OmegaEstimate(np.zeros((4, 4)), n_obs=100)
         res = mglh.mglh_asymptotic(tm, spec, om)
         assert all(v == 0.0 for v in res.variances.values())
 
     def test_variances_nonnegative(self, rng):
         tm, _, _, _ = make_conditional(rng, 2, 3)
         spec = rand_spec(rng, 2, 3, 2, 2)
-        om = OmegaEstimate(rand_spd(rng, vech_len(5)), n_obs=100)
+        om = OmegaEstimate(rand_spd(rng, 5), n_obs=100)
         res = mglh.mglh_asymptotic(tm, spec, om)
         assert all(v >= 0.0 for v in res.variances.values())
         assert "approximation" in res.note

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from portinf import gaussian as ga
 from portinf import mglh, simulate
 from portinf import oracles as orc
-from portinf.errors import NumericalError, ShapeMismatch
+from portinf.errors import NumericalError, RankDeficient, ShapeMismatch
 from portinf.kernels import vech_indices
 from portinf.moments import AugmentedMoment, MomentLayout
 
@@ -352,6 +352,12 @@ class TestLrtStack:
                            for k in kinds[:n]])
         # a hypothesis test cannot take a function-scoped fixture such as monkeypatch
         with mock.patch.object(ga, "LRT_MAX_ITER", max_iter):
+            if m > 1 and np.linalg.matrix_rank(np.reshape(mats, (m, -1))) < m:
+                # a repeated pair: the rank gate rejects the null before any member steps
+                for moment in (thetas, *thetas):
+                    with pytest.raises(RankDeficient):
+                        ga.lrt_solve_stack(AugmentedMoment(moment, n_obs=50), cs)
+                return
             stack = ga.lrt_solve_stack(AugmentedMoment(thetas, n_obs=50), cs)
             for i, theta in enumerate(thetas):
                 try:
