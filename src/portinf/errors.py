@@ -107,10 +107,6 @@ class RankDeficientHedge(NumericalError):
     pass
 
 
-class RankDeficientRegression(NumericalError):
-    pass
-
-
 class RepeatedEigenvalue(NumericalError):
     pass
 

@@ -80,7 +80,7 @@ class LrtSolution:
     iterations: int
     converged: bool
     residual: np.ndarray = field(default_factory=lambda: np.array([]))
-    # relative residual sup-norm (see lrt_solve_stack) after each accepted step, from the start
+    # Newton decrement res' J^-1 res (see lrt_solve_stack) at the start and after each step
     history: list[float] = field(default_factory=list)
 
 
@@ -89,7 +89,12 @@ LRT_OK, LRT_INITIAL_NOT_PD, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVE
     LRT_SAMPLE_NOT_PD = range(6)
 LINE_SEARCH_HALVINGS = 20
 LRT_MAX_ITER = 50    # Newton steps before a member is NoConvergence
-LRT_TOL = 1e-12      # relative sup-norm of the constraint residual that counts as solved
+# A member stops when its Newton decrement is at most LRT_TOL^2 mu' J mu. The
+# step it leaves moves the statistic by n mu' res <= n |mu|_J sqrt(decrement),
+# so near the null, where the statistic is n |mu|_J^2 / 2, it is solved to
+# 2 LRT_TOL = 2e-11 relative, a fiftieth of the 1e-9 to which two writings of
+# one null must agree; far from it the bound grows with the largest nu.
+LRT_TOL = 1e-11
 
 
 @dataclass
@@ -127,7 +132,7 @@ class LrtStack:
             return LostPositiveDefiniteness(
                 "line search failed to keep the constrained moment positive definite")
         if code == LRT_NO_CONVERGENCE:
-            return NoConvergence(f"residual sup-norm {np.abs(self.residual[i]).max():.3e} "
+            return NoConvergence(f"Newton decrement {self.history[i, self.iterations[i]]:.3e} "
                                  f"after {self.iterations[i]} iterations")
         return LostPositiveDefiniteness("the sample moment is not positive definite")
 
@@ -145,29 +150,21 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     """Constrained MLE and likelihood-ratio statistic for every member of a stack.
 
     The constrained maximizer is the sample moment minus a multiplier
-    combination of the constraint matrices; Newton steps on the residual
-    tr(A_i inv(theta0)) - a_i use the Jacobian tr(A_i inv A_l inv), the
-    Gram matrix of the constraints in the inv-weighted inner product and
-    so SPD when they are independent, and a step-halving line search that
-    keeps theta0 positive definite and takes a step when the old
-    Jacobian's Newton step shrinks there (Deuflhard's natural monotonicity
-    test, which no rewriting of the rows changes). The stopping rule
-    LRT_TOL and the history take each residual relative to its
-    constraint's trace terms at the sample, so neither depends on the
-    scale of a constraint row or the returns.
-    theta0, each candidate and each Jacobian are inverted and gated by
-    kernels.spd_inverse. All members step together; each has its own
-    line search, and a member leaves the iteration when it converges or
-    fails, with its status recording why. A single moment is a stack of
-    one.
-
-    A -> QA, a -> Qa is the same null for any invertible Q, so, as
-    `mglh.MglhSpec` keeps its contrasts, the Newton steps run in a
-    Frobenius-orthonormal basis B of the rows, A = R'B, whose rank is
-    gated with RANK_RTOL (RankDeficient) before the first step: each
-    solves for the multipliers of B, R lam, with the Jacobian
-    tr(B_i inv B_l inv) and the basis residuals, R'^-1 times the caller's.
-    lam, the residual, the history and the statistic are the caller's.
+    combination of the constraint matrices. A -> QA, a -> Qa is the same
+    null for any invertible Q, so the iteration runs wholly in a
+    Frobenius-orthonormal basis B of the rows, A = R'B, rank-gated with
+    RANK_RTOL (RankDeficient) as `mglh.MglhSpec` keeps its contrasts:
+    damped Newton steps on B's multipliers mu for the residual
+    tr(B_i inv(theta0)) - b_i, b = R'^-1 a, with the Jacobian
+    J = tr(B_i inv B_l inv). A step-halving line search keeps theta0
+    positive definite and takes a step when the Newton decrement
+    res' J^-1 res, with the old Jacobian, is no larger there (Deuflhard's
+    natural monotonicity test); a member stops when that decrement falls
+    to LRT_TOL^2 mu' J mu or to its rounding level. No rewriting of the
+    rows moves either test. lam = R^-1 mu and the residual R' res are the
+    caller's. Every inverse is taken and gated by kernels.spd_inverse.
+    Members step together, each with its own line search and status; a
+    single moment is a stack of one.
     """
     d = tm.dim
     thetas = tm.theta.reshape(-1, d, d)
@@ -178,55 +175,56 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         return LrtStack(empty, thetas.copy(), np.zeros(n), 0, zeros, zeros, empty, empty)
     if cs.matrices[0].shape[0] != d:
         raise ShapeMismatch("constraint size does not match the moment matrix")
-    mats = np.array(cs.matrices)
-    q, r = np.linalg.qr(full_row_rank(mats.reshape(m, d * d), "constraint matrices").T)
+    q, r = np.linalg.qr(full_row_rank(np.reshape(cs.matrices, (m, d * d)), "constraint matrices").T)
     basis, r_inv = np.ascontiguousarray(q.T).reshape(m, d, d), np.linalg.inv(r)
-    lam = np.zeros((n, m))  # the multipliers of the basis, R times the caller's
+    targets = r_inv.T @ cs.targets  # b = R'^-1 a
 
-    def constrained(theta_hat, lam):
+    def constrained(theta_hat, mu):
         out = theta_hat.copy()
         for i in range(m):
-            out -= lam[:, i, None, None] * basis[i]
+            out -= mu[:, i, None, None] * basis[i]
         return out
 
     # trace pairings as elementwise sums, never a product across members, so
     # that each member's arithmetic does not depend on the stack around it
     def residual_of(inv0):
-        return np.sum(inv0[:, None] * mats, axis=(2, 3)) - cs.targets
+        return np.sum(inv0[:, None] * basis, axis=(2, 3)) - targets
 
-    def newton(jac_inv, res):
-        """The Newton step J^-1 res' for the basis' residuals res' = R'^-1 res."""
-        res_basis = sum(res[:, j, None] * r_inv[j] for j in range(m))
-        return (jac_inv @ res_basis[:, :, None])[:, :, 0]
+    # theta0 = theta - mu B rounds by about eps^2 (d + mu' J mu) in the squared
+    # J-norm and each of the m residuals sums d^2 products, so the decrement
+    # rounds by about d^2 m eps^2 (d + mu' J mu) over the Jacobian's ratio
+    def solved(dec, mu_norm, jac_ratio):
+        floor = d * d * m * np.finfo(float).eps ** 2 * (d + mu_norm)
+        return (dec <= LRT_TOL**2 * mu_norm) | (dec * jac_ratio <= floor)
 
-    theta0 = constrained(thetas, lam)
+    mu = np.zeros((n, m))
+    theta0 = thetas.copy()
     inv0, ratio = spd_inverse(theta0)
-    pd = ratio >= PD_RTOL
-    status = np.where(pd, LRT_OK, LRT_INITIAL_NOT_PD)
-    # the size of each constraint's trace terms at the sample, sum |A_i| o |theta^-1|
-    size = np.sum(np.abs(inv0)[:, None] * np.abs(mats), axis=(2, 3))
-    size[size == 0] = 1.0  # a row whose terms all vanish there keeps its absolute residual
+    status = np.where(ratio >= PD_RTOL, LRT_OK, LRT_INITIAL_NOT_PD)
     res = residual_of(inv0)
-    sup = np.abs(res / size).max(axis=1)
     history = np.full((n, LRT_MAX_ITER + 1), np.nan)
-    history[:, 0] = sup
     iterations = np.zeros(n, dtype=int)
-    active = pd & ~(sup < LRT_TOL)
+    active = status == LRT_OK
 
-    for _ in range(LRT_MAX_ITER):
+    for sweep in range(LRT_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         w = inv0[idx, None] @ basis @ inv0[idx, None]
+        jac = np.sum(w[:, :, None] * basis, axis=(3, 4))
         # a Jacobian near underflow gives a step that overflows, and the line search rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            jac_inv, jac_ratio = spd_inverse(np.sum(w[:, :, None] * basis, axis=(3, 4)))
-            step = newton(jac_inv, res[idx])
-            size_of_step = np.sqrt(np.sum(step**2, axis=1))
-        solved = jac_ratio >= PD_RTOL
-        status[idx[~solved]] = LRT_SINGULAR_JACOBIAN
-        idx, step, jac_inv = idx[solved], step[solved], jac_inv[solved]
-        size_of_step = size_of_step[solved]
+            jac_inv, jac_ratio = spd_inverse(jac)
+            step = (jac_inv @ res[idx, :, None])[:, :, 0]
+            exact = np.sum(res[idx] * step, axis=1)
+        keep = jac_ratio >= PD_RTOL
+        status[idx[~keep]] = LRT_SINGULAR_JACOBIAN
+        if sweep == 0:  # the exact decrement at the start, where mu = 0
+            history[idx, 0] = exact
+            keep &= ~solved(exact, 0.0, jac_ratio)
+        active[idx[~keep]] = False
+        idx, jac, jac_ratio, jac_inv, step, exact = (
+            a[keep] for a in (idx, jac, jac_ratio, jac_inv, step, exact))
 
         pending = np.ones(idx.size, dtype=bool)
         scale = 1.0
@@ -237,43 +235,41 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
             members = idx[trying]
             # a step that overflows gives a non-finite candidate, rejected as not PD
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = lam[members] - scale * step[trying]
+                cand = mu[members] - scale * step[trying]
                 theta_c = constrained(thetas[members], cand)
                 inv_c, ratio_c = spd_inverse(theta_c)
-            res_c = residual_of(inv_c)
-            sup_c = np.abs(res_c / size[members]).max(axis=1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                again = newton(jac_inv[trying], res_c)
-                shrinks = np.sqrt(np.sum(again**2, axis=1)) <= size_of_step[trying]
-            take = (ratio_c >= PD_RTOL) & shrinks
+                res_c = residual_of(inv_c)
+                again = (jac_inv[trying] @ res_c[:, :, None])[:, :, 0]  # the simplified step
+                simplified = np.sum(res_c * again, axis=1)
+            take = (ratio_c >= PD_RTOL) & (simplified <= exact[trying])
             won = members[take]
-            lam[won], theta0[won], inv0[won] = cand[take], theta_c[take], inv_c[take]
-            res[won], sup[won] = res_c[take], sup_c[take]
+            mu[won], theta0[won], inv0[won] = cand[take], theta_c[take], inv_c[take]
+            res[won] = res_c[take]
+            history[won, iterations[won] + 1] = simplified[take]
             pending[trying[take]] = False
             scale *= 0.5
         iterations[idx] += 1
         status[idx[pending]] = LRT_LINE_SEARCH
-        stepped = idx[~pending]
-        history[stepped, iterations[stepped]] = sup[stepped]
-        active = (status == LRT_OK) & ~(sup < LRT_TOL)
+        mu_norm = np.sum(mu[idx, :, None] * jac * mu[idx, None, :], axis=(1, 2))
+        active[idx[pending | solved(history[idx, iterations[idx]], mu_norm, jac_ratio)]] = False
     status[active] = LRT_NO_CONVERGENCE
 
-    lam = sum(lam[:, j, None] * r_inv[:, j] for j in range(m))  # the caller's: R^-1 lam
     stat = np.full(n, np.nan)
     good = np.flatnonzero(status == LRT_OK)
     if good.size:
         # n (logdet theta0 - logdet theta + tr(theta0^-1 theta) - d) is n sum(nu - log1p nu)
         # over the eigenvalues nu of theta0^-1/2 (theta - theta0) theta0^-1/2, with
         # theta - theta0 straight from the multipliers, so no log-determinants cancel
-        scale = 1.0 / np.sqrt(np.diagonal(theta0[good], 0, -2, -1))
-        vals, vecs = np.linalg.eigh(scale[:, :, None] * theta0[good] * scale[:, None, :])
-        half = scale[:, :, None] * vecs / np.sqrt(vals)[:, None, :]  # half half' = theta0^-1
-        delta = np.sum(lam[good, :, None, None] * mats, axis=1)
+        half = np.linalg.cholesky(inv0[good])  # half half' = theta0^-1
+        delta = np.sum(mu[good, :, None, None] * basis, axis=1)
         nu = np.linalg.eigvalsh(half.swapaxes(1, 2) @ delta @ half)
         status[good[(1.0 + nu <= 0).any(axis=1)]] = LRT_SAMPLE_NOT_PD
         stat[good] = tm.n_obs * _nu_minus_log1p(np.where(1.0 + nu > 0, nu, 0.0)).sum(axis=1)
         stat[status != LRT_OK] = np.nan
-    return LrtStack(lam, theta0, stat, m, iterations, status, res, history)
+    # the caller's multipliers R^-1 mu and residual R' res
+    lam = sum(mu[:, j, None] * r_inv[:, j] for j in range(m))
+    residual = sum(res[:, j, None] * r[j] for j in range(m))
+    return LrtStack(lam, theta0, stat, m, iterations, status, residual, history)
 
 
 def _nu_minus_log1p(nu: np.ndarray) -> np.ndarray:

@@ -151,17 +151,6 @@ def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
     return _Factors(_sym(g1), _sym(s.T @ core_inv @ s), _sym(cquad), feature_c, core_inv)
 
 
-def mglh_g1g2(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The two c-by-c factors whose product carries the hypothesis eigenvalues.
-
-    G1 inverts the contrasted feature gram; G2 sandwiches the inverse of
-    the bordered moment matrix between the stacked contrast and target.
-    A stack of moments gives a stack of each factor.
-    """
-    fac = _factorize(tm, spec)
-    return fac.g1, fac.g2
-
-
 def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and right eigenvectors of the product G1 G2.
 

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BadLength, RankDeficient, RankDeficientRegression, RepeatedEigenvalue,
-                     ShapeMismatch, SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
+from .errors import (BadLength, NumericalError, RankDeficient, RepeatedEigenvalue, ShapeMismatch,
+                     SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
 from .kernels import (MatrixShape, _inv, _vech_gather, check_symmetric, chol, d_qform_inv_vech,
                       ivech, vech_indices, vech_len, vech_lower)
 from .mglh import MglhSpec, _factorize, _feature_solve, _g1g2_eigen, _sym, _t, _weights
@@ -451,6 +451,10 @@ def sampled_moments(seed: int, trials: int, sample_size: int, widths: tuple[int,
             gram = np.block([[head], [means[:, :, None], gram]])
         theta[start : start + n] = loading @ gram @ loading.T
     return AugmentedMoment(theta, n_obs=sample_size, layout=layout, f_dim=f_dim)
+
+
+class RankDeficientRegression(NumericalError):
+    """The returns of the Britten-Jones regression are rank deficient."""
 
 
 def britten_jones(values: np.ndarray) -> np.ndarray:

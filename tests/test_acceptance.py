@@ -200,7 +200,8 @@ def test_criterion_7_mglh_route_equivalence():
         amat = _orth(rng, a, p)
         cmat = _orth(rng, f, c)
         spec = mglh.MglhSpec(amat, cmat, rng.standard_normal((a, c)))
-        g1, g2 = mglh.mglh_g1g2(tm, spec)
+        fac = mglh._factorize(tm, spec)
+        g1, g2 = fac.g1, fac.g2
         h, e = orc.mglh_he(tm, spec)
         size = max(a, c)
         # both spectra via symmetric-definite pencils, the stable route

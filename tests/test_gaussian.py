@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from portinf import gaussian as ga
@@ -231,7 +231,7 @@ class TestLrtSolve:
         np.testing.assert_allclose(cs.matrices[0], 0.5 * (raw + raw.T))
 
 
-def lrt_problem(seed, p, k, whole=False):
+def lrt_problem(seed, p, k, whole=False, units=1.0):
     """A sample moment of returns in percent-like units and k random constraints near it.
 
     Each target is its constraint's value at the sample moment, moved by up
@@ -239,13 +239,21 @@ def lrt_problem(seed, p, k, whole=False):
     `whole`, k stays below the p+1 moment's vech length: a null of that
     many rows pins the constrained inverse whole, often outside the
     positive definite cone, and its Newton Jacobian is nearly singular.
+    `units` multiplies the returns and writes each row A as D A D,
+    D = diag(1, units, ..., units), which leaves the targets and the null
+    as they are.
     """
     if not whole:
         k = min(k, vech_len(p + 1) - 1)
     rng = np.random.default_rng(seed)
-    tm = mo.sample_theta(mo.augment(0.01 * rng.standard_normal((300, p)) + 0.003))
+    returns = 0.01 * rng.standard_normal((300, p)) + 0.003
+    tm = mo.sample_theta(mo.augment(returns))
     mats = [rand_sym(rng, p + 1) for _ in range(k)]
     targets = [np.sum(a * tm.inverse) * (1.0 + 0.05 * rng.uniform(-1.0, 1.0)) for a in mats]
+    if units != 1.0:
+        tm = mo.sample_theta(mo.augment(units * returns))
+        scale = np.r_[1.0, np.full(p, units)]
+        mats = [scale[:, None] * a * scale for a in mats]
     return tm, mats, targets
 
 
@@ -275,6 +283,19 @@ class TestLrtInvariance:
         want = base.lam.copy()
         want[i] /= c
         assert np.abs(scaled.lam - want).max() <= 1e-9 * np.abs(want).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_c=st.floats(-2.0, 2.0), **LRT_DRAWS)
+    @example(log_c=-2.0, seed=114, p=1, k=3)  # a far null of 18 steps, in hundredths
+    @example(log_c=1.0, seed=563, p=2, k=1)  # a statistic of 3.3e-12
+    def test_units_of_the_returns(self, log_c, seed, p, k):
+        base = solved_or_skipped(*lrt_problem(seed, p, k))
+        tm, mats, targets = lrt_problem(seed, p, k, units=10.0**log_c)
+        scaled = ga.lrt_solve(tm, ga.TraceConstraintSet(mats, targets))
+        # the rounded moment and rows pin a statistic near zero only to far less
+        # than 1e-9 of itself (the rescaled returns' moment rounds apart from the
+        # returns'), so below 1 the bound is 1e-9 absolute
+        assert abs(scaled.stat - base.stat) <= 1e-9 * max(base.stat, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(**LRT_DRAWS)
@@ -335,14 +356,30 @@ class TestLrtNearlyDependentRows:
     @settings(max_examples=40, deadline=None)
     @given(log_cond=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
     def test_recombining_rows(self, log_cond, seed):
-        # forming QA and Qb rounds the rows by about eps cond(Q), which moves the
-        # null itself: rows perturbed by 2e-10 relative move this statistic by up
-        # to 4.4e-9, 22 times as much, so past 1e-9 the bound allows 100 eps cond(Q)
         q = ill_conditioned(np.random.default_rng(seed), 3, log_cond)
-        got = self.solve(np.einsum("ij,jkl->ikl", q, np.array(self.mats)),
-                         q @ np.array(self.targets))
-        bound = 1e-9 + 100 * np.finfo(float).eps * 10.0**log_cond
-        assert abs(got.stat - self.base.stat) <= bound * self.base.stat
+        assert_recombination_holds(self.tm, self.mats, self.targets, self.base, q, log_cond)
+
+    # the seeds of 2950-2999 whose three rows at p = 1 solve as written
+    @pytest.mark.parametrize("seed", [2950, 2952, 2953, 2955, 2958, 2959, 2960, 2962, 2964, 2966,
+                                      2967, 2969, 2972, 2973, 2974, 2980, 2981, 2983, 2990, 2993,
+                                      2995, 2998])
+    def test_recombining_the_sweep(self, seed):
+        tm, mats, targets = lrt_problem(seed, 1, 3, whole=True)
+        base = ga.lrt_solve(tm, ga.TraceConstraintSet(mats, targets))
+        rng = np.random.default_rng(seed)
+        for log_cond in (1.5, 1.5, 1.5, 3.0, 3.0, 3.0):
+            q = ill_conditioned(rng, 3, log_cond)
+            assert_recombination_holds(tm, mats, targets, base, q, log_cond)
+
+
+def assert_recombination_holds(tm, mats, targets, base, q, log_cond):
+    # forming QA and Qb rounds the rows by about eps cond(Q), which moves the
+    # null itself: rows perturbed by 2e-10 relative move seed 2960's statistic
+    # by up to 4.4e-9, 22 times as much, so past 1e-9 the bound allows 100 eps cond(Q)
+    got = ga.lrt_solve(tm, ga.TraceConstraintSet(list(np.einsum("ij,jkl->ikl", q, np.array(mats))),
+                                                 list(q @ np.array(targets))))
+    bound = 1e-9 + 100 * np.finfo(float).eps * 10.0**log_cond
+    assert abs(got.stat - base.stat) <= bound * base.stat
 
 
 class TestLrtPvalue:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from portinf import harness as hs
 from portinf import oracles as orc
 from portinf import simulate
-from portinf.errors import EmptyPanel, ParseError, RankDeficientRegression, ZeroVolatilityWindow
+from portinf.errors import EmptyPanel, ParseError, ZeroVolatilityWindow
+from portinf.oracles import RankDeficientRegression
 
 
 class TestLoadCsv:

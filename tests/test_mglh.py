@@ -81,13 +81,14 @@ class TestG1G2:
     def test_null_gives_identity_product(self, rng):
         tm, _, bmat, _ = make_conditional(rng, 2, 2)
         spec = rand_spec(rng, 2, 2, 1, 2, null=True, bmat=bmat)
-        g1, g2 = mglh.mglh_g1g2(tm, spec)
+        fac = mglh._factorize(tm, spec)
+        g1, g2 = fac.g1, fac.g2
         np.testing.assert_allclose(g1 @ g2, np.eye(2), atol=1e-10)
 
     def test_bordered_route_matches_direct_formula(self, rng):
         tm, sig_f, bmat, sigma = make_conditional(rng, 3, 2)
         spec = rand_spec(rng, 3, 2, 2, 2)
-        _, g2 = mglh.mglh_g1g2(tm, spec)
+        g2 = mglh._factorize(tm, spec).g2
         a, c, t = spec.a_matrix, spec.c_matrix, spec.t_matrix
         resid = a @ bmat @ c - t
         direct = (c.T @ np.linalg.solve(sig_f, c)
@@ -101,7 +102,8 @@ class TestG1G2:
         a, c = rng.integers(1, p + 1), rng.integers(1, f + 1)
         tm, _, bmat, _ = make_conditional(rng, f, p)
         spec = rand_spec(rng, f, p, a, c)
-        g1, g2 = mglh.mglh_g1g2(tm, spec)
+        fac = mglh._factorize(tm, spec)
+        g1, g2 = fac.g1, fac.g2
         h, e = orc.mglh_he(tm, spec)
         size = max(a, c)
         eig1 = np.sort(np.linalg.eigvals(g1 @ g2).real)
