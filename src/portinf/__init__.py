@@ -5,54 +5,23 @@ optimal portfolio and precision matrix off its inverse, and delivers
 delta-method covariances (plain, kernel-robust, or Gaussian closed
 form) for every derived quantity, plus constrained variants, linear
 hypothesis statistics, and Monte Carlo validation of the laws.
+
+Importing the package loads none of its modules: each is imported where
+it is first read, as `portinf.moments` or `from portinf import moments`,
+so that a command pays only for the modules it uses.
 """
 
-from . import asymptotics, constraints, gaussian, harness, kernels, mglh, moments, simulate
-from .asymptotics import (
-    DistributionResult,
-    OmegaEstimate,
-    attribute_error,
-    omega_hac,
-    omega_vanilla,
-    portfolio_covariance,
-    snr_second_order,
-    snr_variance,
-    theta_inverse_covariance,
-    wald_statistics,
-)
-from .constraints import (
-    CholeskyConstraint,
-    ConditionalModel,
-    HedgeSpec,
-    SubspaceSpec,
-    constrained_cholesky_estimate,
-    flatten_volatility,
-    hedged_delta_theta,
-    inverse_variance_weighting,
-    markowitz_coefficient,
-    reduced_rank_coefficient,
-    subspace_theta,
-)
-from .gaussian import (
-    LrtSolution,
-    LrtStack,
-    TraceConstraintSet,
-    gaussian_omega,
-    lrt_pvalue,
-    lrt_solve,
-    lrt_solve_stack,
-)
-from .mglh import MglhResult, MglhSpec, mglh_asymptotic, mglh_statistics
-from .moments import (
-    AugmentedMoment,
-    MomentLayout,
-    PortfolioEstimate,
-    ReturnsPanel,
-    ThetaInverseParts,
-    augment,
-    sample_theta,
-    sr_optimal_portfolio,
-    unpack_theta_inverse,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset({
+    "asymptotics", "cli", "constraints", "errors", "gaussian", "harness", "kernels", "mglh",
+    "moments", "oracles", "selftest", "simulate",
+})
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,11 +14,10 @@ import warnings
 
 import numpy as np
 
-from . import asymptotics, constraints, gaussian, harness, moments, simulate
+from . import asymptotics, constraints, harness, moments
 from .errors import DataError, NumericalError, ParseError, PortinfError, ShapeMismatch
 from .harness import RollingVolSpec
 from .kernels import MatrixShape, ivech, vech_len
-from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
 from .moments import check_risk_budget
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -62,6 +61,15 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ParseError(f"{path}: {exc.strerror or 'not found'}") from exc
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+class _Suites:
+    """simulate.SUITES, imported only when argparse checks a simulate run's suite or lists it."""
+
+    def __iter__(self):
+        from .simulate import SUITES
+
+        return iter(SUITES)
 
 
 def build_parser() -> _Parser:
@@ -114,7 +122,9 @@ def build_parser() -> _Parser:
     add_data_opts(p_attr, features=False)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo validation of the asymptotic laws")
-    p_sim.add_argument("--suite", required=True, choices=simulate.SUITES)
+    # without a metavar argparse would read the choices to make one, here and for every command
+    p_sim.add_argument("--suite", required=True, choices=_Suites(), metavar="SUITE",
+                       help="one of %(choices)s")
     p_sim.add_argument("--seed", required=True, type=int)
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--sample-size", type=int)
@@ -275,6 +285,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_mglh(args: argparse.Namespace) -> int:
+    from .mglh import STAT_NAMES, MglhSpec, mglh_asymptotic
+
     values, features, weights = _prepare(args, args.vol)
     rows, layout, f_dim = constraints.conditional_rows(
         values, features, weights, constraints.ConditionalModel.BICONDITIONAL)
@@ -296,6 +308,8 @@ def cmd_mglh(args: argparse.Namespace) -> int:
 
 
 def cmd_lrt(args: argparse.Namespace) -> int:
+    from . import gaussian
+
     values, _, weights = _prepare(args, args.vol)
     rows, layout, f_dim = constraints.conditional_rows(
         values, None, weights, constraints.ConditionalModel.CONSTANT_SR)
@@ -351,6 +365,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate
+
     rep = simulate.simulate_suite(args.suite, args.seed, args.trials, args.sample_size)
     sys.stdout.write(rep.render())
     return EXIT_OK if rep.passed else EXIT_NUMERIC

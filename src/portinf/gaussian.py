@@ -254,21 +254,22 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         active[idx[pending | solved(history[idx, iterations[idx]], mu_norm, jac_ratio)]] = False
     status[active] = LRT_NO_CONVERGENCE
 
+    # the caller's multipliers R^-1 mu and residual R' res
+    lam = sum(mu[:, j, None] * r_inv[:, j] for j in range(m))
+    residual = sum(res[:, j, None] * r[j] for j in range(m))
     stat = np.full(n, np.nan)
     good = np.flatnonzero(status == LRT_OK)
     if good.size:
         # n (logdet theta0 - logdet theta + tr(theta0^-1 theta) - d) is n sum(nu - log1p nu)
         # over the eigenvalues nu of theta0^-1/2 (theta - theta0) theta0^-1/2, with
-        # theta - theta0 straight from the multipliers, so no log-determinants cancel
+        # theta - theta0 = sum lam_i A_i straight from the multipliers reported, so no
+        # log-determinants cancel and the statistic is the one lam and A give
         half = np.linalg.cholesky(inv0[good])  # half half' = theta0^-1
-        delta = np.sum(mu[good, :, None, None] * basis, axis=1)
+        delta = np.sum(lam[good, :, None, None] * np.asarray(cs.matrices), axis=1)
         nu = np.linalg.eigvalsh(half.swapaxes(1, 2) @ delta @ half)
         status[good[(1.0 + nu <= 0).any(axis=1)]] = LRT_SAMPLE_NOT_PD
         stat[good] = tm.n_obs * _nu_minus_log1p(np.where(1.0 + nu > 0, nu, 0.0)).sum(axis=1)
         stat[status != LRT_OK] = np.nan
-    # the caller's multipliers R^-1 mu and residual R' res
-    lam = sum(mu[:, j, None] * r_inv[:, j] for j in range(m))
-    residual = sum(res[:, j, None] * r[j] for j in range(m))
     return LrtStack(lam, theta0, stat, m, iterations, status, residual, history)
 
 

@@ -8,7 +8,6 @@ formed; the estimation modules never shift time themselves.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -165,6 +164,8 @@ def render_tsv(tables: list[ReportTable]) -> str:
 
 
 def render_json(tables: list[ReportTable]) -> str:
+    import json  # only a --format json run pays for it
+
     payload = [
         {
             "title": tbl.title,
