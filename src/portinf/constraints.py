@@ -1,9 +1,10 @@
 """Constrained and conditional portfolio estimators.
 
 Subspace-restricted and hedged portfolios work by projecting the moment
-matrix through an augmented basket/hedge matrix; conditional models feed
-weighted feature rows into the same machinery; equality constraints on
-the Cholesky factor are imposed by weighted projection; rank constraints
+matrix through an augmented matrix of orthonormal rows; conditional
+models feed weighted feature rows into the same machinery; equality
+constraints on the Cholesky factor are imposed by weighted projection
+onto orthonormal constraint rows; rank constraints
 go through the truncated eigendecomposition, differentiated in closed
 form by the divided differences of its eigenvalue map.
 """
@@ -20,7 +21,6 @@ from .errors import (
     EigGapTooSmall,
     NonPositiveVolFeature,
     RankDeficient,
-    RankDeficientHedge,
     ShapeMismatch,
     SingularProjection,
     SingularWeighting,
@@ -31,8 +31,8 @@ from .kernels import (
     MatrixShape,
     block_diag,
     chol,
-    full_row_rank,
     ivech,
+    row_basis,
     spd_inverse,
     vech,
     vech_block,
@@ -51,55 +51,46 @@ class ConditionalModel(Enum):
 
 @dataclass
 class SubspaceSpec:
-    """Feasible baskets: rows of J span the allowed portfolio subspace.
+    """A portfolio subspace: the rows of J span the feasible baskets of
+    `subspace_theta`, or the streams that `hedged_delta_theta` hedges against.
 
-    Rows are re-orthonormalized on ingestion; the projection formulas
-    require J J' = I.
+    Only J's row space matters, so J is kept as its orthonormal row basis
+    (`kernels.row_basis`): J and QJ give one law for any invertible Q,
+    however ill-conditioned, and the projection formulas need J J' = I.
     """
 
     basket: np.ndarray
 
     def __post_init__(self):
-        q, _ = np.linalg.qr(full_row_rank(self.basket, "basket").T)
-        self.basket = q.T
+        self.basket, _ = row_basis(self.basket, "subspace matrix")
 
     def augmented(self, f_dim: int) -> np.ndarray:
         return block_diag(np.eye(f_dim), self.basket)
 
 
 @dataclass
-class HedgeSpec:
-    """Streams to hedge against: feasible portfolios have zero covariance
-    with every row of G.
-
-    Only G's row space matters, so the rows are re-orthonormalized on
-    ingestion, as a SubspaceSpec's are: G and QG give one hedge for any
-    invertible Q, however ill-conditioned.
-    """
-
-    hedge: np.ndarray
-
-    def __post_init__(self):
-        q, _ = np.linalg.qr(full_row_rank(self.hedge, "hedge matrix", RankDeficientHedge).T)
-        self.hedge = q.T
-
-    def augmented(self, f_dim: int) -> np.ndarray:
-        return block_diag(np.eye(f_dim), self.hedge)
-
-
-@dataclass
 class CholeskyConstraint:
-    """Equality constraints B vech(chol(theta)) = b with SPD weighting W."""
+    """Equality constraints B vech(chol(theta)) = b with SPD weighting W.
+
+    B z = b and QB z = Qb are one plane for any invertible Q, so with
+    B = R'Q (`kernels.row_basis`) the constraint keeps the orthonormal
+    rows Q as b_matrix and R'^-1 b as b_vector, as `mglh.MglhSpec` keeps
+    its contrasts.
+    """
 
     b_matrix: np.ndarray
     b_vector: np.ndarray
     weighting: np.ndarray | None = None
 
     def __post_init__(self):
-        self.b_matrix = np.atleast_2d(np.asarray(self.b_matrix, dtype=float))
-        self.b_vector = np.asarray(self.b_vector, dtype=float).ravel()
-        if self.b_matrix.shape[0] != self.b_vector.size:
+        bmat = np.atleast_2d(np.asarray(self.b_matrix, dtype=float))
+        target = np.asarray(self.b_vector, dtype=float).ravel()
+        if bmat.shape[0] != target.size:
             raise ShapeMismatch("one target per constraint row")
+        if target.size:
+            bmat, r = row_basis(bmat, "constraint matrix B")
+            target = np.linalg.solve(r.T, target)
+        self.b_matrix, self.b_vector = bmat, target
 
     @property
     def n_constraints(self) -> int:
@@ -128,9 +119,9 @@ def subspace_theta(
 
 
 def hedged_delta_theta(
-    tm: AugmentedMoment, spec: HedgeSpec, om: OmegaEstimate
+    tm: AugmentedMoment, spec: SubspaceSpec, om: OmegaEstimate
 ) -> tuple[np.ndarray, DistributionResult]:
-    """Inverse moment minus its hedge projection, with its asymptotic law.
+    """Inverse moment minus its projection on the hedged streams, with its asymptotic law.
 
     The corner of the delta is the hedged squared Sharpe; the off-corner
     column holds the negated hedged portfolio direction. It moves as
@@ -263,7 +254,7 @@ def constrained_cholesky_estimate(
         bmat = cc.b_matrix
         if bmat.shape[1] != m:
             raise ShapeMismatch(f"constraint columns {bmat.shape[1]} != vech length {m}")
-        w_inv, ratio = spd_inverse(np.eye(m) if cc.weighting is None else cc.weighting)
+        w_inv, ratio = (np.eye(m), 1.0) if cc.weighting is None else spd_inverse(cc.weighting)
         winv_bt = w_inv @ bmat.T
         gram_inv, gram_ratio = spd_inverse(bmat @ winv_bt)
         if not min(ratio, gram_ratio) >= PD_RTOL:
@@ -283,7 +274,7 @@ def constrained_cholesky_estimate(
     front = (d_theta + d_theta.swapaxes(1, 2))[:, rows, cols].T
     point = vech(theta_c)
     out = AugmentedMoment(theta_c, tm.n_obs, layout=tm.layout, f_dim=tm.f_dim)
-    cov = om.sandwich(np.linalg.inv(factor).T, front=front)
+    cov = om.sandwich(tm.inverse @ factor, front=front)  # theta^-1 L = L^-T
     return out, DistributionResult(point, cov, om.n_obs)
 
 

@@ -103,10 +103,6 @@ class RankDeficient(NumericalError):
     pass
 
 
-class RankDeficientHedge(NumericalError):
-    pass
-
-
 class RepeatedEigenvalue(NumericalError):
     pass
 

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     SingularJacobian,
 )
-from .kernels import PD_RTOL, full_row_rank, spd_inverse
+from .kernels import PD_RTOL, row_basis, spd_inverse
 from .moments import AugmentedMoment, MomentLayout
 
 
@@ -151,9 +151,9 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
 
     The constrained maximizer is the sample moment minus a multiplier
     combination of the constraint matrices. A -> QA, a -> Qa is the same
-    null for any invertible Q, so the iteration runs wholly in a
-    Frobenius-orthonormal basis B of the rows, A = R'B, rank-gated with
-    RANK_RTOL (RankDeficient) as `mglh.MglhSpec` keeps its contrasts:
+    null for any invertible Q, so the iteration runs wholly in the
+    Frobenius-orthonormal basis B of the rows, A = R'B, of
+    `kernels.row_basis`, as `mglh.MglhSpec` keeps its contrasts:
     damped Newton steps on B's multipliers mu for the residual
     tr(B_i inv(theta0)) - b_i, b = R'^-1 a, with the Jacobian
     J = tr(B_i inv B_l inv). A step-halving line search keeps theta0
@@ -175,8 +175,8 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         return LrtStack(empty, thetas.copy(), np.zeros(n), 0, zeros, zeros, empty, empty)
     if cs.matrices[0].shape[0] != d:
         raise ShapeMismatch("constraint size does not match the moment matrix")
-    q, r = np.linalg.qr(full_row_rank(np.reshape(cs.matrices, (m, d * d)), "constraint matrices").T)
-    basis, r_inv = np.ascontiguousarray(q.T).reshape(m, d, d), np.linalg.inv(r)
+    basis, r = row_basis(np.reshape(cs.matrices, (m, d * d)), "constraint matrices")
+    basis, r_inv = basis.reshape(m, d, d), np.linalg.inv(r)
     targets = r_inv.T @ cs.targets  # b = R'^-1 a
 
     def constrained(theta_hat, mu):

@@ -105,20 +105,23 @@ def check_symmetric(m: np.ndarray, stacked: bool = False) -> np.ndarray:
     return 0.5 * (m + mt)
 
 
-def full_row_rank(mat: np.ndarray, name: str, rank_error=RankDeficient) -> np.ndarray:
-    """mat as a 2-D float array, checked to have linearly independent rows.
+def row_basis(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows Q spanning the rows of mat, and the R with mat = R'Q.
 
-    An empty matrix, or one with more rows than columns, raises
-    ShapeMismatch; a smallest singular value below RANK_RTOL of the
-    largest raises rank_error.
+    Only the row space of a restriction matrix matters, so every caller
+    works in Q. An empty matrix, or one with more rows than columns,
+    raises ShapeMismatch; a smallest singular value below RANK_RTOL of
+    the largest raises RankDeficient. Q is C-contiguous and R upper
+    triangular.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or mat.shape[0] > mat.shape[1]:
         raise ShapeMismatch(f"{name} of shape {mat.shape} is empty or has more rows than columns")
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] < RANK_RTOL * max(svals[0], 1e-300):
-        raise rank_error(f"{name} is rank deficient")
-    return mat
+        raise RankDeficient(f"{name} is rank deficient")
+    q, r = np.linalg.qr(mat.T)
+    return np.ascontiguousarray(q.T), r
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import OmegaEstimate
-from .errors import (
-    RankDeficient,
-    RepeatedEigenvalue,
-    ShapeMismatch,
-    SingularCquad,
-    SingularTheta,
-)
-from .kernels import block_diag, full_row_rank, vech_indices
+from .errors import RepeatedEigenvalue, ShapeMismatch, SingularCquad, SingularTheta
+from .kernels import block_diag, row_basis, vech_indices
 from .moments import AugmentedMoment, MomentLayout
 
 EIG_GAP_RTOL = 1e-10
@@ -34,10 +28,10 @@ class MglhSpec:
     """Hypothesis A B C = T with full-rank contrast matrices, kept orthonormal.
 
     The statistics are invariant to A -> QA, C -> CR, T -> QTR for
-    invertible Q and R, so with A' = Qa Ra and C = Qc Rc the spec stores
-    Qa', Qc and Ra'^-1 T Rc^-1: a near-collinear contrast that passes the
-    rank gate then leaves the bordered moment as well conditioned as the
-    moment itself.
+    invertible Q and R, so with A' = Qa Ra and C = Qc Rc (`kernels.row_basis`
+    of A and C') the spec stores Qa', Qc and Ra'^-1 T Rc^-1: a near-collinear
+    contrast that passes the rank gate then leaves the bordered moment as
+    well conditioned as the moment itself.
     """
 
     a_matrix: np.ndarray
@@ -47,12 +41,12 @@ class MglhSpec:
     def __post_init__(self):
         c_matrix = np.atleast_2d(np.asarray(self.c_matrix, dtype=float))
         t_matrix = np.atleast_2d(np.asarray(self.t_matrix, dtype=float))
-        q_a, r_a = np.linalg.qr(full_row_rank(self.a_matrix, "contrast A", RankDeficient).T)
-        q_c, r_c = np.linalg.qr(full_row_rank(c_matrix.T, "contrast C'", RankDeficient).T)
+        a_rows, r_a = row_basis(self.a_matrix, "contrast A")
+        c_rows, r_c = row_basis(c_matrix.T, "contrast C'")
         a, c = r_a.shape[0], r_c.shape[0]
         if t_matrix.shape != (a, c):
             raise ShapeMismatch(f"target must be {a}x{c}, got {t_matrix.shape}")
-        self.a_matrix, self.c_matrix = q_a.T, q_c
+        self.a_matrix, self.c_matrix = a_rows, c_rows.T
         self.t_matrix = np.linalg.solve(r_c.T, np.linalg.solve(r_a.T, t_matrix).T).T
 
     @property
@@ -164,16 +158,6 @@ def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return vals[..., ::-1], (r @ w)[..., ::-1]
 
 
-def _statistics(vals: np.ndarray, spec: MglhSpec, n_obs: int) -> MglhResult:
-    a, c = spec.n_rows, spec.n_cols
-    inv = 1.0 / vals
-    stats = [np.sum(vals, axis=-1) - c, np.sum(inv, axis=-1) + a - c,
-             np.prod(inv, axis=-1), vals[..., 0] - 1.0]
-    if vals.ndim == 1:
-        stats = [float(x) for x in stats]
-    return MglhResult(*stats, n_obs)
-
-
 def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
     """Point values of the four hypothesis statistics.
 
@@ -182,7 +166,13 @@ def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
     """
     fac = _factorize(tm, spec)
     vals, _ = _g1g2_eigen(fac.g1, fac.g2)
-    return _statistics(vals, spec, tm.n_obs)
+    a, c = spec.n_rows, spec.n_cols
+    inv = 1.0 / vals
+    stats = [np.sum(vals, axis=-1) - c, np.sum(inv, axis=-1) + a - c,
+             np.prod(inv, axis=-1), vals[..., 0] - 1.0]
+    if vals.ndim == 1:
+        stats = [float(x) for x in stats]
+    return MglhResult(*stats, tm.n_obs)
 
 
 def _weights(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarray,
@@ -209,19 +199,6 @@ def _weights(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarra
     return l1, r2, weights
 
 
-def _gradients(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarray,
-               vecs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    l1, r2, weights = _weights(tm, spec, fac, vals, vecs)
-    # tr(W x) on the symmetric x puts W_ab + W_ba on each vech coordinate, W_aa on the diagonal
-    rows, cols = vech_indices(2 * spec.n_cols)
-    fronts = {}
-    for name, (w1, w2) in weights.items():
-        w = block_diag(w1, -w2)
-        fronts[name] = (w + w.T)[rows, cols]
-        fronts[name][rows == cols] *= 0.5
-    return np.hstack([l1, r2]), fronts
-
-
 def mglh_derivatives(tm: AugmentedMoment,
                      spec: MglhSpec) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradients of the four statistics with respect to theta, as a factor and one front each.
@@ -238,7 +215,15 @@ def mglh_derivatives(tm: AugmentedMoment,
     that G1 and G2 were formed from.
     """
     fac = _factorize(tm, spec)
-    return _gradients(tm, spec, fac, *_g1g2_eigen(fac.g1, fac.g2))
+    l1, r2, weights = _weights(tm, spec, fac, *_g1g2_eigen(fac.g1, fac.g2))
+    # tr(W x) on the symmetric x puts W_ab + W_ba on each vech coordinate, W_aa on the diagonal
+    rows, cols = vech_indices(2 * spec.n_cols)
+    fronts = {}
+    for name, (w1, w2) in weights.items():
+        w = block_diag(w1, -w2)
+        fronts[name] = (w + w.T)[rows, cols]
+        fronts[name][rows == cols] *= 0.5
+    return np.hstack([l1, r2]), fronts
 
 
 def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> MglhResult:
@@ -249,10 +234,8 @@ def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> M
     more like chi-square variates in small samples, so the scores are
     flagged as approximations.
     """
-    fac = _factorize(tm, spec)
-    vals, vecs = _g1g2_eigen(fac.g1, fac.g2)
-    result = _statistics(vals, spec, tm.n_obs)
-    factor, fronts = _gradients(tm, spec, fac, vals, vecs)
+    result = mglh_statistics(tm, spec)
+    factor, fronts = mglh_derivatives(tm, spec)
     # the four statistics share one factor and one sandwich
     cov = om.sandwich(factor, front=np.stack(list(fronts.values())))
     variances = dict(zip(fronts, np.diag(cov).tolist()))

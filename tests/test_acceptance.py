@@ -242,7 +242,7 @@ def test_criterion_9_constraint_satisfaction():
         sigma = theta[1:, 1:] - np.outer(mu, mu)
 
         g = rng.standard_normal((int(rng.integers(1, p)), p))
-        point, _ = cn.hedged_delta_theta(tm, cn.HedgeSpec(g), om)
+        point, _ = cn.hedged_delta_theta(tm, cn.SubspaceSpec(g), om)
         w = orc.hedged_weights(point, p, risk_budget=1.0)
         worst_hedge = max(worst_hedge, np.abs(g @ sigma @ w).max())
 

@@ -362,7 +362,7 @@ OMEGA_ESTIMATORS = {
     "subspace_theta": lambda rng, om: cn.subspace_theta(
         _unconditional(rng, 3), cn.SubspaceSpec(np.eye(3)[:2]), om),
     "hedged_delta_theta": lambda rng, om: cn.hedged_delta_theta(
-        _unconditional(rng, 3), cn.HedgeSpec(np.eye(3)[:1]), om),
+        _unconditional(rng, 3), cn.SubspaceSpec(np.eye(3)[:1]), om),
     "markowitz_coefficient": lambda rng, om: cn.markowitz_coefficient(_biconditional(rng, 2, 2), om),
     "constrained_cholesky_estimate": lambda rng, om: cn.constrained_cholesky_estimate(
         _unconditional(rng, 3), cn.CholeskyConstraint(np.zeros((0, 10)), np.zeros(0)), om),

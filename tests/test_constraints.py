@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from portinf import asymptotics as asy
 from portinf import constraints as cn
 from portinf import moments as mo
 from portinf import oracles as orc
-from portinf.errors import LengthMismatch, NonPositiveWeight, ShapeMismatch
+from portinf.errors import LengthMismatch, NonPositiveWeight, RankDeficient, ShapeMismatch
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import MatrixShape, ivech, vech, vech_lower, chol
 from portinf.moments import AugmentedMoment, MomentLayout
@@ -58,11 +58,10 @@ class TestSubspace:
         spec = cn.SubspaceSpec(rng.standard_normal((2, 5)))
         np.testing.assert_allclose(spec.basket @ spec.basket.T, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("spec", [cn.SubspaceSpec, cn.HedgeSpec])
-    def test_more_rows_than_assets_is_rejected(self, rng, spec):
+    def test_more_rows_than_assets_is_rejected(self, rng):
         # a full-rank 4x3 basket would otherwise become the whole 3-asset space
         with pytest.raises(ShapeMismatch, match="more rows than columns"):
-            spec(rng.standard_normal((4, 3)))
+            cn.SubspaceSpec(rng.standard_normal((4, 3)))
 
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = _tm_and_om(rng, 3)
@@ -86,54 +85,79 @@ class TestSubspace:
         np.testing.assert_allclose(h, fd, atol=1e-6)
 
 
-class TestHedgeBasis:
+def _restricted_law(restriction, tm, om, rows, target):
+    """Law of the estimate under the restriction the rows give; only Cholesky reads target."""
+    if restriction == "cholesky":
+        return cn.constrained_cholesky_estimate(tm, cn.CholeskyConstraint(rows, target), om)[1]
+    estimate = cn.hedged_delta_theta if restriction == "hedge" else cn.subspace_theta
+    return estimate(tm, cn.SubspaceSpec(rows), om)[1]
+
+
+class TestRowBasis:
+    @pytest.mark.parametrize("restriction", ["hedge", "subspace", "cholesky"])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 5), log_cond=st.floats(0.0, 6.0),
            omega=st.sampled_from(["gaussian", "vanilla", "bartlett"]))
-    def test_any_basis_of_the_hedge_gives_one_law(self, seed, p, log_cond, omega):
-        """G and QG span one hedge; the QR of (QG)' recovers its row space to eps cond(QG)."""
+    # the Cholesky case missed its bound 1.2e6-fold here while B was used as given
+    @example(seed=227417666, p=4, log_cond=5.615, omega="gaussian")
+    def test_any_basis_of_the_rows_gives_one_law(self, restriction, seed, p, log_cond, omega):
+        """Rows and Q rows give one law: the QR of (Q rows)' gets their span to eps cond(Q rows).
+
+        The rows are a hedge G, a subspace J, or the Cholesky constraint B vech(L) = b,
+        rewritten as (QB, Qb); B leaves the unit corner of L free.
+        """
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, p))
         x = 0.01 + rng.standard_normal((200, p)) @ rand_spd(rng, p) / p
-        rows = mo.augment(x)
-        tm = mo.sample_theta(rows)
+        data = mo.augment(x)
+        tm = mo.sample_theta(data)
         om = {"gaussian": gaussian_omega, "vanilla": asy.omega_vanilla,
-              "bartlett": lambda rows: asy.omega_hac(rows, "bartlett")}[omega]
-        om = om(tm) if omega == "gaussian" else om(rows)
-        g = rng.standard_normal((k, p))
+              "bartlett": lambda data: asy.omega_hac(data, "bartlett")}[omega]
+        om = om(tm) if omega == "gaussian" else om(data)
+        if restriction == "cholesky":
+            rows = rng.standard_normal((k, tm.dim * (tm.dim + 1) // 2))
+            rows[:, 0] = 0.0
+            target = rows @ vech_lower(chol(tm.theta)) + 0.01 * rng.standard_normal(k)
+        else:
+            rows, target = rng.standard_normal((k, p)), np.zeros(k)
         u, _ = np.linalg.qr(rng.standard_normal((k, k)))
         v, _ = np.linalg.qr(rng.standard_normal((k, k)))
         q = u @ np.diag(np.logspace(0.0, -log_cond, k)) @ v.T
-        point, dist = cn.hedged_delta_theta(tm, cn.HedgeSpec(g), om)
-        q_point, q_dist = cn.hedged_delta_theta(tm, cn.HedgeSpec(q @ g), om)
-        rtol = 1e-13 * np.linalg.cond(q @ g)
-        assert np.abs(q_point - point).max() <= rtol * np.abs(point).max()
+        dist = _restricted_law(restriction, tm, om, rows, target)
+        q_dist = _restricted_law(restriction, tm, om, q @ rows, q @ target)
+        rtol = 1e-13 * np.linalg.cond(q @ rows)
+        assert np.abs(q_dist.point - dist.point).max() <= rtol * np.abs(dist.point).max()
         assert (np.abs(q_dist.covariance - dist.covariance).max()
                 <= rtol * np.abs(dist.covariance).max())
+
+    def test_rank_deficient_cholesky_rows_are_rejected_when_built(self):
+        rows = np.array([[0.0, 1.0, 2.0, 0.5, 0.0, 1.0], [0.0, 2.0, 4.0, 1.0, 0.0, 2.0 + 1e-12]])
+        with pytest.raises(RankDeficient, match="constraint matrix B is rank deficient"):
+            cn.CholeskyConstraint(rows, np.zeros(2))
 
 
 class TestHedged:
     def test_full_hedge_zeroes_everything(self, rng):
         tm, om = _tm_and_om(rng, 3)
-        spec = cn.HedgeSpec(np.eye(3))
+        spec = cn.SubspaceSpec(np.eye(3))
         point, _ = cn.hedged_delta_theta(tm, spec, om)
         np.testing.assert_allclose(point, np.zeros_like(point), atol=1e-10)
 
     def test_hedge_constraint_satisfied(self, rng):
         tm, om = _tm_and_om(rng, 2)
-        spec = cn.HedgeSpec(np.array([[1.0, 0.0]]))
+        spec = cn.SubspaceSpec(np.array([[1.0, 0.0]]))
         point, _ = cn.hedged_delta_theta(tm, spec, om)
         w = orc.hedged_weights(point, 2, 1.0)
         mu = tm.theta[1:, 0]
         sigma = tm.theta[1:, 1:] - np.outer(mu, mu)
-        assert abs((spec.hedge @ sigma @ w)[0]) < 1e-12
+        assert abs((spec.basket @ sigma @ w)[0]) < 1e-12
 
     @pytest.mark.parametrize("risk_budget", [0.0, -0.1, np.nan], ids=["zero", "negative", "nan"])
     @pytest.mark.parametrize("reader", ["hedged", "subspace"])
     def test_weight_readers_gate_the_risk_budget(self, rng, reader, risk_budget):
         tm, om = _tm_and_om(rng, 3)
         if reader == "hedged":
-            point, _ = cn.hedged_delta_theta(tm, cn.HedgeSpec(np.array([[1.0, 0.5, 0.0]])), om)
+            point, _ = cn.hedged_delta_theta(tm, cn.SubspaceSpec(np.array([[1.0, 0.5, 0.0]])), om)
             weights = orc.hedged_weights
         else:
             point, _ = cn.subspace_theta(tm, cn.SubspaceSpec(np.eye(3)[:2]), om)
@@ -145,7 +169,7 @@ class TestHedged:
     def test_corner_equals_hedged_snr_formula(self, rng):
         tm, om = _tm_and_om(rng, 3)
         g = rng.standard_normal((1, 3))
-        spec = cn.HedgeSpec(g)
+        spec = cn.SubspaceSpec(g)
         point, _ = cn.hedged_delta_theta(tm, spec, om)
         mu = tm.theta[1:, 0]
         sigma = tm.theta[1:, 1:] - np.outer(mu, mu)
@@ -155,7 +179,7 @@ class TestHedged:
 
     def test_delta_plus_projection_reconstructs_inverse(self, rng):
         tm, om = _tm_and_om(rng, 3)
-        spec = cn.HedgeSpec(rng.standard_normal((2, 3)))
+        spec = cn.SubspaceSpec(rng.standard_normal((2, 3)))
         point, _ = cn.hedged_delta_theta(tm, spec, om)
         gt = spec.augmented(1)
         proj = gt.T @ np.linalg.inv(gt @ tm.theta @ gt.T) @ gt
@@ -164,7 +188,7 @@ class TestHedged:
 
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = _tm_and_om(rng, 2)
-        spec = cn.HedgeSpec(np.array([[0.7, -0.4]]))
+        spec = cn.SubspaceSpec(np.array([[0.7, -0.4]]))
         gt = spec.augmented(1)
 
         def delta_map(v):
@@ -282,7 +306,7 @@ class TestHedgedConditional:
         tm = AugmentedMoment(theta, n_obs=400, layout=MomentLayout.CONDITIONAL, f_dim=2)
         om = asy.OmegaEstimate(np.eye(5), n_obs=400)
         g = rng.standard_normal((1, 3))
-        spec = cn.HedgeSpec(g)
+        spec = cn.SubspaceSpec(g)
         point, _ = cn.hedged_delta_theta(tm, spec, om)
         delta = ivech(point)
         hedged_coef = -delta[2:, :2]
@@ -298,7 +322,7 @@ class TestHedgedConditional:
                           [bmat @ sig_f, sigma + bmat @ sig_f @ bmat.T]])
         tm = AugmentedMoment(theta, n_obs=400, layout=MomentLayout.CONDITIONAL, f_dim=2)
         om = asy.OmegaEstimate(np.eye(4), n_obs=400)
-        spec = cn.HedgeSpec(np.array([[0.6, -0.8]]))
+        spec = cn.SubspaceSpec(np.array([[0.6, -0.8]]))
         gt = spec.augmented(2)
 
         def delta_map(v):
@@ -436,13 +460,14 @@ class TestConstrainedCholesky:
         tm, om = self._conditional_tm(rng)
         y = vech_lower(chol(tm.theta))
         bmat = rng.standard_normal((1, 6))
-        cc = cn.CholeskyConstraint(bmat, bmat @ y + 0.02)
+        target = bmat @ y + 0.02
+        cc = cn.CholeskyConstraint(bmat, target)
         out, dist = cn.constrained_cholesky_estimate(tm, cc, om)
 
         w = np.eye(6)
         winv_bt = np.linalg.solve(w, bmat.T)
         proj = np.eye(6) - winv_bt @ np.linalg.inv(bmat @ winv_bt) @ bmat
-        shift = winv_bt @ np.linalg.inv(bmat @ winv_bt) @ cc.b_vector
+        shift = winv_bt @ np.linalg.inv(bmat @ winv_bt) @ target
 
         def constrained_map(v):
             theta = ivech(v)

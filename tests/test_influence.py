@@ -19,7 +19,7 @@ from portinf import oracles as orc
 from portinf.kernels import chol, d_qform_inv_vech, vech_block, vech_indices, vech_len, vech_lower
 
 T, P, F = 240, 3, 2
-HEDGE = cn.HedgeSpec(np.array([[1.0, -0.5, 0.2]]))
+HEDGE = cn.SubspaceSpec(np.array([[1.0, -0.5, 0.2]]))
 BASKET = cn.SubspaceSpec(np.array([[1.0, 0.4, 0.0], [0.0, 0.3, 1.0]]))
 SPEC = mglh.MglhSpec(np.eye(P - 1), np.eye(F), 0.02 * np.ones((P - 1, F)))
 

@@ -1,5 +1,7 @@
 """Structural operators, vech gathers and derivative rules against their oracles."""
 
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -21,6 +23,8 @@ from portinf.errors import (
 from portinf.kernels import MatrixShape
 
 from conftest import fd_jac, rand_spd, rand_sym
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "portinf"
 
 
 class TestVecVech:
@@ -359,6 +363,34 @@ class TestFactorizations:
     def test_pinv_rank_deficient_raises(self):
         with pytest.raises(RankDeficient):
             orc.pinv_rank(np.diag([4.0, 1.0, 0.0]), 3)
+
+
+class TestRowBasis:
+    def test_orthonormal_rows_that_give_back_the_matrix(self, rng):
+        mat = rng.standard_normal((2, 5))
+        q, r = kn.row_basis(mat, "rows")
+        assert q.flags.c_contiguous
+        np.testing.assert_allclose(q @ q.T, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(r.T @ q, mat, atol=1e-14)
+        np.testing.assert_array_equal(r, np.triu(r))
+
+    def test_only_row_basis_runs_a_qr(self):
+        """Every restriction reaches its orthonormal rows through one function."""
+        found = {(path.name, where)
+                 for path in sorted(SRC.glob("*.py")) if path.name != "oracles.py"
+                 for where in _qr_sites(ast.parse(path.read_text()), "<module>")}
+        assert found == {("kernels.py", "row_basis")}
+
+
+def _qr_sites(node, where):
+    """Names of the innermost functions that read a `qr` attribute or import a `qr`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if (isinstance(node, ast.Attribute) and node.attr == "qr"
+            or isinstance(node, ast.ImportFrom) and "qr" in {a.name for a in node.names}):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _qr_sites(child, where)
 
 
 @settings(max_examples=25, deadline=None)

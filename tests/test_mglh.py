@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from portinf import mglh
 from portinf import oracles as orc
 from portinf.asymptotics import OmegaEstimate
-from portinf.errors import ShapeMismatch
+from portinf.errors import RankDeficient, ShapeMismatch
 from portinf.kernels import ivech, vech
 from portinf.moments import AugmentedMoment, MomentLayout
 
@@ -38,7 +38,7 @@ class TestSpecValidation:
             mglh.MglhSpec(np.eye(2), np.eye(2), np.zeros((1, 2)))
 
     def test_rejects_rank_deficient_contrast(self):
-        with pytest.raises(mglh.RankDeficient):
+        with pytest.raises(RankDeficient):
             mglh.MglhSpec(np.array([[1.0, 0.0], [2.0, 0.0]]), np.eye(2), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("stacked", [False, True])
