@@ -31,6 +31,30 @@ _FIRST_COLUMN = (slice(None), slice(0, 1))  # the block of theta^-1 the weights 
 _BLOCK_BYTES = 1 << 21  # the size of the row blocks that a Parzen sum takes one at a time
 
 
+def _orthonormal_factor(factor: np.ndarray, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns U of the factor, and each front moved onto them.
+
+    With F = U R, R = S V' from the thin SVD, Gamma_k = F W_k F' =
+    U (R W_k R') U'. Where the column blocks of F nearly cancel in Gamma_k
+    (a hedge's two inverses, the MGLH gradient's two terms) the sandwich
+    in F sums terms of size |F|^4 |W_k|^2 to a variance of size
+    |Gamma_k|^2, losing eps times their ratio; in U that cancellation
+    happens once, in R W_k R'. The SVD takes a factor of any shape and
+    rank, as a hedge's wide and rank-deficient one.
+    """
+    u, svals, vt = np.linalg.svd(factor, full_matrices=False)
+    r = svals[:, None] * vt
+    rows, cols = vech_indices(factor.shape[1])
+    fronts = np.atleast_2d(front)
+    w = np.zeros((len(fronts),) + (factor.shape[1],) * 2)
+    w[:, rows, cols] = fronts
+    w = w + w.swapaxes(1, 2)  # 2 W_k: the front off the diagonal, twice the front on it
+    rows, cols = vech_indices(u.shape[1])
+    moved = (r @ w @ r.T)[:, rows, cols]
+    moved[:, rows == cols] *= 0.5
+    return u, moved
+
+
 @dataclass
 class OmegaEstimate:
     """Covariance Omega of vech of the per-row outer products; its fields say which.
@@ -101,15 +125,19 @@ class OmegaEstimate:
         x is vech(F' dtheta F) for the d-by-r `factor` F, or the entries of
         its `block` (rows, cols), column-major; `front` (W_k's weights on x)
         is None for x itself, k-by-c, or a c-vector whose variance comes
-        back as a float.
+        back as a float. A front without a block is first moved onto the
+        factor's orthonormal columns (`_orthonormal_factor`).
         """
         factor = np.asarray(factor, dtype=float)
         self._check_width(vech_len(factor.shape[0]))
+        scalar = front is not None and np.ndim(front) == 1
+        if front is not None and block is None:
+            factor, front = _orthonormal_factor(factor, front)
         if self.rows is None:
             out = self._isserlis(factor, block, front)
         else:
             out = self._long_run(self.influence(factor, block, front))
-        return float(out[0, 0]) if front is not None and np.ndim(front) == 1 else out
+        return float(out[0, 0]) if scalar else out
 
     def influence(self, factor: np.ndarray, block: tuple[slice, slice] | None = None,
                   front: np.ndarray | None = None) -> np.ndarray:

@@ -58,10 +58,13 @@ class TestSubspace:
         spec = cn.SubspaceSpec(rng.standard_normal((2, 5)))
         np.testing.assert_allclose(spec.basket @ spec.basket.T, np.eye(2), atol=1e-12)
 
-    def test_more_rows_than_assets_is_rejected(self, rng):
-        # a full-rank 4x3 basket would otherwise become the whole 3-asset space
+    @pytest.mark.parametrize("estimate", [cn.subspace_theta, cn.hedged_delta_theta],
+                             ids=["SubspaceSpec", "HedgeSpec"])
+    def test_more_rows_than_assets_is_rejected(self, rng, estimate):
+        # a full-rank 4x3 basket or hedge would otherwise become the whole 3-asset space
+        tm, om = _tm_and_om(rng, 3)
         with pytest.raises(ShapeMismatch, match="more rows than columns"):
-            cn.SubspaceSpec(rng.standard_normal((4, 3)))
+            estimate(tm, cn.SubspaceSpec(rng.standard_normal((4, 3))), om)
 
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = _tm_and_om(rng, 3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portinf import mglh
@@ -166,6 +166,8 @@ class TestStatistics:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1.0, 8.0), st.floats(0.0, 1.0))
+    # the pbt variance was off 1.4e-4 here while the sandwich worked in the factor as given
+    @example(1109, 1.0, 0.0)
     def test_invariance_to_ill_conditioned_recombination(self, seed, log_cond_q, log_cond_r):
         # A -> QA, C -> CR, T -> QTR is the same hypothesis for invertible Q
         # and R, so statistics and variances match even when QA is nearly
