@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Print what a fixed list of portinf commands writes, for a byte-identity check.
+
+Usage: python scripts/cli_snapshot.py ROOT
+
+ROOT is a portinf checkout. The script writes the mglh contrasts and the
+LRT constraints into a temporary directory from a fixed seed, with numpy
+alone, copies ROOT's returns fixture beside them, and runs each command
+there as a fresh `python -m portinf.cli` child with PYTHONPATH=ROOT/src.
+For each it prints the argv, the exit code, stdout and stderr. Two
+checkouts behave alike on the list when
+
+    diff <(python scripts/cli_snapshot.py BASE) <(python scripts/cli_snapshot.py .)
+
+prints nothing.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SEED = 5
+DATA = ["--input", "returns.csv", "--assets", "alpha,beta,gamma"]
+FEATURES = ["--features", "level,delta"]
+CONTRASTS = ["--A", "A.csv", "--C", "C.csv", "--T", "T.csv"]
+
+
+def write_inputs(fixture: str, outdir: str) -> None:
+    """The returns fixture, the mglh contrasts and the LRT constraints, as the benchmark writes them."""
+    rng = np.random.default_rng(SEED)
+    shutil.copyfile(fixture, os.path.join(outdir, "returns.csv"))
+
+    def save(name, arr):
+        np.savetxt(os.path.join(outdir, name), arr, delimiter=",")
+
+    save("A.csv", np.eye(3)[:2] + 0.1 * rng.standard_normal((2, 3)))
+    save("C.csv", np.eye(2))
+    save("T.csv", 0.01 * rng.standard_normal((2, 2)))
+    save("C1.csv", np.array([[1.0], [0.5]]))
+    save("T1.csv", 0.01 * rng.standard_normal((2, 1)))
+    # two trace constraints on diagonal precision entries, targets near the sample values
+    values = np.loadtxt(fixture, delimiter=",", skiprows=1, usecols=(1, 2, 3))
+    rows = np.hstack([np.ones((len(values), 1)), values])
+    inv = np.linalg.inv(rows.T @ rows / len(rows))
+    constraints = np.zeros((2, 11))
+    for r, (coord, i) in enumerate(((4, 1), (7, 2))):
+        constraints[r, coord] = 1.0
+        constraints[r, -1] = inv[i, i] * (1.0 + 0.05 * rng.uniform(-1, 1))
+    save("constraints.csv", constraints)
+
+
+def commands() -> list[list[str]]:
+    data_commands = [
+        # the benchmark's six cli_fixture commands
+        ["infer", *DATA, "--risk-budget", "0.1", "--rfr", "0.001"],
+        ["infer", *DATA, "--hac", "bartlett"],
+        ["infer", *DATA, "--model", "biconditional", *FEATURES],
+        ["mglh", *DATA, *FEATURES, *CONTRASTS],
+        ["lrt", *DATA, "--constraints", "constraints.csv"],
+        ["attribute", *DATA],
+        ["attribute", *DATA, "--hac", "bartlett:5"],
+        ["mglh", *DATA, *FEATURES, *CONTRASTS, "--hac", "bartlett"],
+        ["mglh", *DATA, *FEATURES, "--A", "A.csv", "--C", "C1.csv", "--T", "T1.csv",
+         "--hac", "parzen:4"],
+        ["infer", *DATA, "--risk-budget", "0.1", "--rfr", "0.001", "--hac", "bartlett"],
+    ]
+    out = [argv + fmt for argv in data_commands for fmt in ([], ["--format", "json"])]
+    out += [["simulate", "--suite", suite, "--seed", "42"]
+            for suite in ("theorem1", "gaussian", "lrt", "mglh")]
+    return out + [["selftest"]]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/cli_snapshot.py ROOT", file=sys.stderr)
+        return 1
+    root = os.path.abspath(argv[0])
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    with tempfile.TemporaryDirectory() as outdir:
+        write_inputs(os.path.join(root, "data", "synthetic_returns.csv"), outdir)
+        for args in commands():
+            proc = subprocess.run([sys.executable, "-m", "portinf.cli", *args], cwd=outdir,
+                                  env=env, capture_output=True, text=True)
+            print("$ portinf " + " ".join(args))
+            print(f"exit {proc.returncode}")
+            # a warning names the source file; keep the checkout's path out of the diff
+            for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr.replace(root, "ROOT"))):
+                print(f"--- {name}")
+                sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

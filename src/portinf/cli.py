@@ -24,6 +24,7 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 SQRT_HALF = math.sqrt(0.5)
 P_FLOOR = 1e-300
 FEATURE_LAG = 1  # rows the features trail the returns by, unless --feature-lag says
+MGLH_NOTE = "normal-approximation z-scores; finite-sample laws are chi-square-like"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,13 +295,14 @@ def cmd_mglh(args: argparse.Namespace) -> int:
     om = _omega_for(rows, args.hac)
     spec = MglhSpec(_load_matrix(args.a_file), _load_matrix(args.c_file),
                     _load_matrix(args.t_file))
-    res = mglh_asymptotic(tm, spec, om)
+    res, dist = mglh_asymptotic(tm, spec, om)
+    z = asymptotics.wald_statistics(dist)
+    se = dist.standard_errors()
     rows_out = [
-        [name, res.as_dict()[name], float(np.sqrt(res.variances[name] / tm.n_obs)),
-         res.z_scores[name], _two_sided_p(res.z_scores[name])]
-        for name in STAT_NAMES
+        [name, res.as_dict()[name], float(se[i]), float(z[i]), _two_sided_p(z[i])]
+        for i, name in enumerate(STAT_NAMES)
     ]
-    meta = {"n_obs": tm.n_obs, "note": res.note, "omega": om.label}
+    meta = {"n_obs": tm.n_obs, "note": MGLH_NOTE, "omega": om.label}
     tables = [harness.ReportTable("mglh", ["statistic", "value", "se", "z", "p"],
                                   rows_out, meta)]
     print(harness.report(tables, args.format))

@@ -216,19 +216,6 @@ def flatten_volatility(
     return expanded, baskets
 
 
-def inverse_variance_weighting(om: OmegaEstimate) -> np.ndarray:
-    """Diagonal weighting from the reciprocal omega diagonal.
-
-    One candidate for the constrained-projection weighting matrix; the
-    right choice is an open problem, so this carries no endorsement.
-    Zero-variance coordinates get the largest finite weight. The diagonal
-    is read off `om.omega`, so a data estimate forms its m-by-m matrix.
-    """
-    diag = np.diag(om.omega)
-    floor = 1e-12 * max(diag.max(), 1e-300)
-    return np.diag(1.0 / np.clip(diag, floor, None))
-
-
 def constrained_cholesky_estimate(
     tm: AugmentedMoment, cc: CholeskyConstraint, om: OmegaEstimate
 ) -> tuple[AugmentedMoment, DistributionResult]:
@@ -237,41 +224,47 @@ def constrained_cholesky_estimate(
     Solves the W-weighted projection of vech(chol(theta)) onto the
     constraint plane and rebuilds the moment from the projected factor.
     By the Cholesky rule dL = L Phi(L^-1 dtheta L^-T), Phi keeping the
-    lower triangle with its diagonal halved, it moves with the factor L^-T;
-    the front is d theta_c = dL_c L_c' + L_c dL_c', vech(dL_c) = proj vech(dL),
-    at each unit coordinate.
+    lower triangle with its diagonal halved, it moves with the factor L^-T,
+    and the front is the chain rule G(L_c) P H(L): H gives vech(dL) at each
+    unit coordinate, P = I - K B with K = W^-1 B' (B W^-1 B')^-1 projects it
+    (a rank-k update, k the constraint rows), and G maps vech(dL_c) to
+    vech(dL_c L_c' + L_c dL_c').
     """
     d = tm.dim
     m = vech_len(d)
     factor = chol(tm.theta)
-    y = vech_lower(factor)
-    n_c = cc.n_constraints
-
-    if n_c == 0:
-        proj = np.eye(m)
-        z = y
-    else:
+    z = vech_lower(factor)
+    rows, cols = vech_indices(d)
+    # H: at unit coordinate (a, b), dL is column a of L, halved when a = b, in column b
+    front_h = factor[rows[:, None], rows]
+    front_h *= cols[:, None] == cols
+    front_h[:, rows == cols] *= 0.5
+    if cc.n_constraints:
         bmat = cc.b_matrix
         if bmat.shape[1] != m:
             raise ShapeMismatch(f"constraint columns {bmat.shape[1]} != vech length {m}")
-        w_inv, ratio = (np.eye(m), 1.0) if cc.weighting is None else spd_inverse(cc.weighting)
-        winv_bt = w_inv @ bmat.T
+        ratio, winv_bt = 1.0, bmat.T
+        if cc.weighting is not None:
+            w_inv, ratio = spd_inverse(cc.weighting)
+            winv_bt = w_inv @ bmat.T
         gram_inv, gram_ratio = spd_inverse(bmat @ winv_bt)
         if not min(ratio, gram_ratio) >= PD_RTOL:
             raise SingularWeighting("weighting or weighted constraint gram is singular")
-        proj = np.eye(m) - winv_bt @ gram_inv @ bmat
-        z = winv_bt @ gram_inv @ cc.b_vector + proj @ y
+        gain = winv_bt @ gram_inv
+        z = z + gain @ (cc.b_vector - bmat @ z)
+        front_h -= gain @ (bmat @ front_h)
 
     factor_c = ivech(z, MatrixShape.LOWER_TRIANGULAR)
     theta_c = factor_c @ factor_c.T
-    rows, cols = vech_indices(d)
-    # at unit coordinate (a, b), dL is column a of L, halved when a = b, in column b
-    d_factor = np.zeros((m, d, d))
-    d_factor[np.arange(m), :, cols] = factor[:, rows].T * np.where(rows == cols, 0.5, 1.0)[:, None]
-    d_factor_c = np.zeros((m, d, d))
-    d_factor_c[:, rows, cols] = d_factor[:, rows, cols] @ proj.T
-    d_theta = d_factor_c @ factor_c.T
-    front = (d_theta + d_theta.swapaxes(1, 2))[:, rows, cols].T
+    # G: the unit dL_c at (a, b) puts L_c[:, b] in row a and in column a of d theta_c
+    front_g = factor_c[cols[:, None], cols]
+    front_g *= rows[:, None] == rows
+    in_column = factor_c[rows[:, None], cols]
+    in_column *= cols[:, None] == rows
+    front_g += in_column
+    del in_column
+    front = front_g @ front_h
+    del front_g, front_h  # m-by-m each: free them before the sandwich runs
     point = vech(theta_c)
     out = AugmentedMoment(theta_c, tm.n_obs, layout=tm.layout, f_dim=tm.f_dim)
     cov = om.sandwich(tm.inverse @ factor, front=front)  # theta^-1 L = L^-T

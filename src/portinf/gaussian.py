@@ -85,8 +85,7 @@ class LrtSolution:
 
 
 # Member status of a stacked solve: 0 is a solution, the rest name the failure.
-LRT_OK, LRT_INITIAL_NOT_PD, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVERGENCE, \
-    LRT_SAMPLE_NOT_PD = range(6)
+LRT_OK, LRT_SINGULAR_JACOBIAN, LRT_LINE_SEARCH, LRT_NO_CONVERGENCE, LRT_SAMPLE_NOT_PD = range(5)
 LINE_SEARCH_HALVINGS = 20
 LRT_MAX_ITER = 50    # Newton steps before a member is NoConvergence
 # A member stops when its Newton decrement is at most LRT_TOL^2 mu' J mu. The
@@ -123,9 +122,6 @@ class LrtStack:
         code = int(self.status[i])
         if code == LRT_OK:
             return None
-        if code == LRT_INITIAL_NOT_PD:
-            return LostPositiveDefiniteness(
-                "initial multipliers leave no positive definite moment")
         if code == LRT_SINGULAR_JACOBIAN:
             return SingularJacobian("Newton Jacobian is singular")
         if code == LRT_LINE_SEARCH:
@@ -200,7 +196,7 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     mu = np.zeros((n, m))
     theta0 = thetas.copy()
     inv0, ratio = spd_inverse(theta0)
-    status = np.where(ratio >= PD_RTOL, LRT_OK, LRT_INITIAL_NOT_PD)
+    status = np.where(ratio >= PD_RTOL, LRT_OK, LRT_SAMPLE_NOT_PD)
     res = residual_of(inv0)
     history = np.full((n, LRT_MAX_ITER + 1), np.nan)
     iterations = np.zeros(n, dtype=int)

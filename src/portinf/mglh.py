@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import OmegaEstimate
+from .asymptotics import DistributionResult, OmegaEstimate
 from .errors import RepeatedEigenvalue, ShapeMismatch, SingularCquad, SingularTheta
 from .kernels import block_diag, row_basis, vech_indices
 from .moments import AugmentedMoment, MomentLayout
@@ -74,9 +74,6 @@ class MglhResult:
     wilks: float | np.ndarray
     roy: float | np.ndarray
     n_obs: int
-    variances: dict[str, float] | None = None
-    z_scores: dict[str, float] | None = None
-    note: str = ""
 
     def as_dict(self) -> dict[str, float]:
         return {"hlt": self.hlt, "pbt": self.pbt, "wilks": self.wilks, "roy": self.roy}
@@ -226,26 +223,19 @@ def mglh_derivatives(tm: AugmentedMoment,
     return np.hstack([l1, r2]), fronts
 
 
-def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec, om: OmegaEstimate) -> MglhResult:
-    """Statistics with normal-approximation variances and z-scores.
+def mglh_asymptotic(tm: AugmentedMoment, spec: MglhSpec,
+                    om: OmegaEstimate) -> tuple[MglhResult, DistributionResult]:
+    """Statistics with the delta-method normal law of their distance from no effect.
 
-    z-scores are taken against the no-effect values (0, a, 1, 0). The
-    limit law is a straight delta-method normal; the statistics behave
-    more like chi-square variates in small samples, so the scores are
-    flagged as approximations.
+    The law's point is the four statistics, in STAT_NAMES order, less their
+    no-effect values (0, a, 1, 0), so `asymptotics.wald_statistics` reads
+    z-scores off it. The statistics behave more like chi-square variates
+    in small samples, so those scores are approximations.
     """
     result = mglh_statistics(tm, spec)
     factor, fronts = mglh_derivatives(tm, spec)
     # the four statistics share one factor and one sandwich
-    cov = om.sandwich(factor, front=np.stack(list(fronts.values())))
-    variances = dict(zip(fronts, np.diag(cov).tolist()))
+    cov = om.sandwich(factor, front=np.stack([fronts[k] for k in STAT_NAMES]))
     nulls = {"hlt": 0.0, "pbt": float(spec.n_rows), "wilks": 1.0, "roy": 0.0}
-    z = {}
-    for k in STAT_NAMES:
-        se = np.sqrt(variances[k] / tm.n_obs) if variances[k] > 0 else np.inf
-        z[k] = (result.as_dict()[k] - nulls[k]) / se if np.isfinite(se) and se > 0 else 0.0
-    result.variances = variances
-    result.z_scores = z
-    result.note = "normal-approximation z-scores; finite-sample laws are chi-square-like"
-    return result
-
+    point = [result.as_dict()[k] - nulls[k] for k in STAT_NAMES]
+    return result, DistributionResult(point, cov, tm.n_obs)

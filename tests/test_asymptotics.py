@@ -14,7 +14,6 @@ from portinf import moments as mo
 from portinf import constraints as cn
 from portinf import kernels as kn
 from portinf import oracles
-from portinf.constraints import inverse_variance_weighting
 from portinf.errors import (
     BandwidthTooLarge,
     DegenerateCorrelation,
@@ -330,7 +329,7 @@ class TestOmegaDiagonal:
     @pytest.mark.parametrize("kernel", ["vanilla", "bartlett", "parzen"])
     def test_diagonal_from_the_series(self, rng, kernel):
         # each coordinate's long-run variance, from its own projected series,
-        # is the diagonal of the formed matrix, which the weighting reads
+        # is the diagonal of the formed matrix
         x = 0.01 * rng.standard_normal((300, 4)) + 0.002
         x[1:] += 0.3 * x[:-1]
         rows = mo.augment(x)
@@ -338,8 +337,6 @@ class TestOmegaDiagonal:
         own = np.array([jacobian_sandwich(om, e) for e in np.eye(om.dim)])
         diag = np.diag(om.omega)
         assert np.abs(own - diag).max() <= 1e-12 * np.abs(diag).max()
-        w = inverse_variance_weighting(om)
-        np.testing.assert_array_equal(np.diag(w), 1.0 / np.clip(diag, 1e-12 * diag.max(), None))
 
 
 def _unconditional(rng, p):
@@ -759,6 +756,20 @@ class TestCovariancePsdInvariant:
                 cov = dist.covariance
                 np.testing.assert_allclose(cov, cov.T, atol=1e-12)
                 assert np.linalg.eigvalsh(cov)[0] > -1e-10 * max(1.0, np.abs(cov).max())
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(OMEGA_ESTIMATORS) - {"snr_variance", "snr_second_order"}))
+    def test_every_estimator_returns_one_symmetric_psd_law(self, rng, name):
+        # the laws of all estimators but the two SNR ones come as a DistributionResult, last
+        rows = mo.augment(rng.standard_normal((200, 3)) * 0.1 + 0.02)
+        gaussian = gaussian_omega(AugmentedMoment(rand_unit_corner_theta(rng, 3), n_obs=200))
+        for om in (asy.omega_vanilla(rows), asy.omega_hac(rows, bandwidth=4), gaussian):
+            out = OMEGA_ESTIMATORS[name](rng, om)
+            dist = out[-1] if isinstance(out, tuple) else out
+            assert isinstance(dist, asy.DistributionResult), om.label
+            cov = dist.covariance
+            np.testing.assert_array_equal(cov, cov.T)
+            assert np.linalg.eigvalsh(cov)[0] > -1e-10 * max(1.0, np.abs(cov).max()), om.label
 
 
 class TestAttributeError:

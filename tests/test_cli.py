@@ -199,6 +199,7 @@ class TestMglhCommand:
         body = [l for l in out.splitlines() if l and not l.startswith("#")]
         stats = {row.split("\t")[0] for row in body[1:]}
         assert stats == {"hlt", "pbt", "wilks", "roy"}
+        assert "# note=normal-approximation" in out
 
     def test_hac_label_names_kernel_and_bandwidth(self, capsys, tmp_path):
         paths = []
@@ -521,6 +522,10 @@ class TestDemoScript:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert "share of weight error from precision-matrix estimation" in out.stdout
+        # the mglh z-scores, read off the statistics' law by wald_statistics
+        lines = out.stdout.split("joint hypothesis statistics")[1].splitlines()[1:5]
+        assert [line.split()[0] for line in lines] == ["hlt", "pbt", "wilks", "roy"]
+        assert all(np.isfinite(float(line.split("z=")[1])) for line in lines)
 
 
 class TestSimulateCommand:

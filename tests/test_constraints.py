@@ -1,5 +1,7 @@
 """Subspace, hedging, conditional, Cholesky-constrained, and rank-constrained estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +13,7 @@ from portinf import moments as mo
 from portinf import oracles as orc
 from portinf.errors import LengthMismatch, NonPositiveWeight, RankDeficient, ShapeMismatch
 from portinf.gaussian import gaussian_omega
-from portinf.kernels import MatrixShape, ivech, vech, vech_lower, chol
+from portinf.kernels import MatrixShape, ivech, vech, vech_len, vech_lower, chol
 from portinf.moments import AugmentedMoment, MomentLayout
 
 from conftest import fd_jac, rand_spd, rand_unit_corner_theta, theta_from
@@ -448,17 +450,6 @@ class TestConstrainedCholesky:
         z_kkt = np.linalg.solve(kkt, rhs)[:6]
         np.testing.assert_allclose(z_star, z_kkt, atol=1e-8)
 
-    def test_inverse_variance_weighting_option(self, rng):
-        tm, om = self._conditional_tm(rng)
-        w = cn.inverse_variance_weighting(om)
-        assert np.linalg.eigvalsh(w)[0] > 0
-        y = vech_lower(chol(tm.theta))
-        bmat = rng.standard_normal((2, 6))
-        target = bmat @ y + 0.01
-        cc = cn.CholeskyConstraint(bmat, target, weighting=w)
-        est, _ = cn.constrained_cholesky_estimate(tm, cc, om)
-        assert np.abs(bmat @ vech_lower(chol(est.theta)) - target).max() < 1e-10
-
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = self._conditional_tm(rng)
         y = vech_lower(chol(tm.theta))
@@ -488,6 +479,39 @@ class TestConstrainedCholesky:
         h = h1 @ el.T @ proj @ np.linalg.inv(inner)
         fd = fd_jac(constrained_map, vech(tm.theta))
         np.testing.assert_allclose(h, fd, atol=1e-6)
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    @pytest.mark.parametrize("estimator", ["vanilla", "gaussian"])
+    def test_front_holds_no_m_wide_stacks(self, n_rows, estimator):
+        """Beyond its sandwich, the estimate holds the chain rule's m-by-m arrays and no more."""
+        p, t = 20, 400
+        d, m = p + 1, vech_len(p + 1)
+        rng = np.random.default_rng(8)
+        rows = mo.augment(0.01 * rng.standard_normal((t, p)) + 0.002)
+        tm = mo.sample_theta(rows)
+        om = asy.omega_vanilla(rows) if estimator == "vanilla" else gaussian_omega(tm)
+        bmat = rng.standard_normal((n_rows, m))
+        cc = cn.CholeskyConstraint(bmat, bmat @ vech_lower(chol(tm.theta)) + 0.01)
+        cn.constrained_cholesky_estimate(tm, cc, om)  # fills the lasting index caches
+        sandwich, seen = om.sandwich, {}
+
+        def spy(*args, **kwargs):
+            held, seen["before"] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = sandwich(*args, **kwargs)
+            seen["own"] = tracemalloc.get_traced_memory()[1] - held
+            return out
+
+        om.sandwich = spy
+        tracemalloc.start()
+        try:
+            cn.constrained_cholesky_estimate(tm, cc, om)
+            peak = max(seen["before"], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # H, G and their product, the front, and a few m-by-d rows; a front
+        # built through (m, d, d) stacks and an m-by-m projection holds 7.8 to 8.8 m^2
+        assert peak - seen["own"] <= (3 * m * m + 8 * m * d) * 8
 
 
 class TestJacobianSweep:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from portinf import mglh
 from portinf import oracles as orc
-from portinf.asymptotics import OmegaEstimate
+from portinf.asymptotics import OmegaEstimate, wald_statistics
 from portinf.errors import RankDeficient, ShapeMismatch
 from portinf.kernels import ivech, vech
 from portinf.moments import AugmentedMoment, MomentLayout
@@ -180,11 +180,13 @@ class TestStatistics:
         tmat = rng.standard_normal((a, c))
         q, r = ill_conditioned(rng, a, log_cond_q), ill_conditioned(rng, c, log_cond_r)
         om = OmegaEstimate(rand_spd(rng, f + p), n_obs=tm.n_obs)
-        want = mglh.mglh_asymptotic(tm, mglh.MglhSpec(amat, cmat, tmat), om)
-        got = mglh.mglh_asymptotic(tm, mglh.MglhSpec(q @ amat, cmat @ r, q @ tmat @ r), om)
-        for k in mglh.STAT_NAMES:
+        want, want_law = mglh.mglh_asymptotic(tm, mglh.MglhSpec(amat, cmat, tmat), om)
+        got, got_law = mglh.mglh_asymptotic(tm, mglh.MglhSpec(q @ amat, cmat @ r, q @ tmat @ r),
+                                            om)
+        got_var, want_var = np.diag(got_law.covariance), np.diag(want_law.covariance)
+        for i, k in enumerate(mglh.STAT_NAMES):
             assert got.as_dict()[k] == pytest.approx(want.as_dict()[k], rel=1e-5), k
-            assert got.variances[k] == pytest.approx(want.variances[k], rel=1e-5), k
+            assert got_var[i] == pytest.approx(want_var[i], rel=1e-5), k
 
 
 def ill_conditioned(rng, n, log_cond):
@@ -286,13 +288,22 @@ class TestAsymptotic:
         tm, _, _, _ = make_conditional(rng, 2, 2)
         spec = rand_spec(rng, 2, 2, 2, 2)
         om = OmegaEstimate(np.zeros((4, 4)), n_obs=100)
-        res = mglh.mglh_asymptotic(tm, spec, om)
-        assert all(v == 0.0 for v in res.variances.values())
+        _, law = mglh.mglh_asymptotic(tm, spec, om)
+        assert np.all(law.covariance == 0.0)
+        # one z rule for every law: a degenerate variance reads as signed infinity, flagged
+        with pytest.warns(RuntimeWarning, match="signed infinity"):
+            z = wald_statistics(law)
+        nonzero = law.point != 0
+        assert nonzero.any()
+        np.testing.assert_array_equal(z[nonzero], np.sign(law.point[nonzero]) * np.inf)
 
     def test_variances_nonnegative(self, rng):
         tm, _, _, _ = make_conditional(rng, 2, 3)
         spec = rand_spec(rng, 2, 3, 2, 2)
         om = OmegaEstimate(rand_spd(rng, 5), n_obs=100)
-        res = mglh.mglh_asymptotic(tm, spec, om)
-        assert all(v >= 0.0 for v in res.variances.values())
-        assert "approximation" in res.note
+        res, law = mglh.mglh_asymptotic(tm, spec, om)
+        assert np.all(np.diag(law.covariance) >= 0.0)
+        # the law is of the statistics less their no-effect values (0, a, 1, 0)
+        nulls = [0.0, spec.n_rows, 1.0, 0.0]
+        want = [res.as_dict()[k] - null for k, null in zip(mglh.STAT_NAMES, nulls)]
+        np.testing.assert_array_equal(law.point, want)

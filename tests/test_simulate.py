@@ -384,7 +384,7 @@ class TestLrtStack:
         bad = _unit_corner(rng, 3, pd=False)
         thetas = np.stack([good, bad, good])
         stack = ga.lrt_solve_stack(AugmentedMoment(thetas, n_obs=100), cs)
-        assert stack.status.tolist() == [ga.LRT_OK, ga.LRT_INITIAL_NOT_PD, ga.LRT_OK]
+        assert stack.status.tolist() == [ga.LRT_OK, ga.LRT_SAMPLE_NOT_PD, ga.LRT_OK]
         one = ga.lrt_solve(AugmentedMoment(good, n_obs=100), cs)
         for i in (0, 2):
             assert stack.iterations[i] == one.iterations
