@@ -3,10 +3,11 @@
 
 Usage: python scripts/cli_snapshot.py ROOT
 
-ROOT is a portinf checkout. The script writes the mglh contrasts and the
-LRT constraints into a temporary directory from a fixed seed, with numpy
-alone, copies ROOT's returns fixture beside them, and runs each command
-there as a fresh `python -m portinf.cli` child with PYTHONPATH=ROOT/src.
+ROOT is a portinf checkout. The script writes the mglh contrasts, the
+LRT constraints and a panel with a feature in large units into a
+temporary directory from fixed seeds, with numpy alone, copies ROOT's
+returns fixture beside them, and runs each command there as a fresh
+`python -m portinf.cli` child with PYTHONPATH=ROOT/src.
 For each it prints the argv, the exit code, stdout and stderr. Two
 checkouts behave alike on the list when
 
@@ -30,7 +31,11 @@ CONTRASTS = ["--A", "A.csv", "--C", "C.csv", "--T", "T.csv"]
 
 
 def write_inputs(fixture: str, outdir: str) -> None:
-    """The returns fixture, the mglh contrasts and the LRT constraints, as the benchmark writes them."""
+    """The returns fixture, the mglh contrasts and the LRT constraints, as the benchmark writes them.
+
+    Beside them, a two-asset panel whose second feature is in units 1e9
+    times the first's, with its contrasts.
+    """
     rng = np.random.default_rng(SEED)
     shutil.copyfile(fixture, os.path.join(outdir, "returns.csv"))
 
@@ -51,6 +56,16 @@ def write_inputs(fixture: str, outdir: str) -> None:
         constraints[r, coord] = 1.0
         constraints[r, -1] = inv[i, i] * (1.0 + 0.05 * rng.uniform(-1, 1))
     save("constraints.csv", constraints)
+    # two assets on two features, one in units 1e9 times the other's
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal((600, 2))
+    ret = (0.01 + 0.01 * f @ np.array([[0.3, 0.1], [-0.2, 0.25]]).T
+           + 0.02 * rng.standard_normal((600, 2)))
+    np.savetxt(os.path.join(outdir, "units.csv"), np.column_stack([ret, f[:, 0], 1e9 * f[:, 1]]),
+               delimiter=",", header="a,b,level,delta", comments="")
+    save("A2.csv", np.eye(2))
+    save("C2.csv", np.array([[1.0, 1.0], [1.0, -1.0]]))
+    save("T2.csv", np.zeros((2, 2)))
 
 
 def commands() -> list[list[str]]:
@@ -69,6 +84,9 @@ def commands() -> list[list[str]]:
         ["infer", *DATA, "--risk-budget", "0.1", "--rfr", "0.001", "--hac", "bartlett"],
     ]
     out = [argv + fmt for argv in data_commands for fmt in ([], ["--format", "json"])]
+    # a mixing contrast over those features: rounding leaves C' inv(feature gram) C indefinite
+    out.append(["mglh", "--input", "units.csv", "--assets", "a,b", "--features", "level,delta",
+                "--A", "A2.csv", "--C", "C2.csv", "--T", "T2.csv"])
     out += [["simulate", "--suite", suite, "--seed", "42"]
             for suite in ("theorem1", "gaussian", "lrt", "mglh")]
     return out + [["selftest"]]

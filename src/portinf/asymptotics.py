@@ -39,18 +39,14 @@ def _orthonormal_factor(factor: np.ndarray, front: np.ndarray) -> tuple[np.ndarr
     (a hedge's two inverses, the MGLH gradient's two terms) the sandwich
     in F sums terms of size |F|^4 |W_k|^2 to a variance of size
     |Gamma_k|^2, losing eps times their ratio; in U that cancellation
-    happens once, in R W_k R'. The SVD takes a factor of any shape and
-    rank, as a hedge's wide and rank-deficient one.
+    happens once, in R W_k R'. A front is the vech of W_k's lower triangle
+    with its off-diagonal doubled, so vech_pair(R) takes it to vech of
+    2 R W_k R', whose diagonal is halved back. The SVD takes a factor of
+    any shape and rank, as a hedge's wide and rank-deficient one.
     """
     u, svals, vt = np.linalg.svd(factor, full_matrices=False)
-    r = svals[:, None] * vt
-    rows, cols = vech_indices(factor.shape[1])
-    fronts = np.atleast_2d(front)
-    w = np.zeros((len(fronts),) + (factor.shape[1],) * 2)
-    w[:, rows, cols] = fronts
-    w = w + w.swapaxes(1, 2)  # 2 W_k: the front off the diagonal, twice the front on it
+    moved = np.atleast_2d(front) @ vech_pair(svals[:, None] * vt).T
     rows, cols = vech_indices(u.shape[1])
-    moved = (r @ w @ r.T)[:, rows, cols]
     moved[:, rows == cols] *= 0.5
     return u, moved
 
@@ -126,7 +122,7 @@ class OmegaEstimate:
         its `block` (rows, cols), column-major; `front` (W_k's weights on x)
         is None for x itself, k-by-c, or a c-vector whose variance comes
         back as a float. A front without a block is first moved onto the
-        factor's orthonormal columns (`_orthonormal_factor`).
+        factor's orthonormal columns by a rectangular `vech_pair`.
         """
         factor = np.asarray(factor, dtype=float)
         self._check_width(vech_len(factor.shape[0]))

@@ -79,7 +79,6 @@ class LrtSolution:
     dof: int
     iterations: int
     converged: bool
-    residual: np.ndarray = field(default_factory=lambda: np.array([]))
     # Newton decrement res' J^-1 res (see lrt_solve_stack) at the start and after each step
     history: list[float] = field(default_factory=list)
 
@@ -110,7 +109,6 @@ class LrtStack:
     dof: int
     iterations: np.ndarray    # (n,)
     status: np.ndarray        # (n,)
-    residual: np.ndarray      # (n, m)
     history: np.ndarray       # (n, LRT_MAX_ITER + 1)
 
     @property
@@ -139,7 +137,7 @@ class LrtStack:
             raise err
         it = int(self.iterations[i])
         return LrtSolution(self.lam[i], self.theta0[i], float(self.stat[i]), self.dof, it, True,
-                           self.residual[i], [float(h) for h in self.history[i, :it + 1]])
+                           [float(h) for h in self.history[i, :it + 1]])
 
 
 def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
@@ -157,10 +155,10 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     res' J^-1 res, with the old Jacobian, is no larger there (Deuflhard's
     natural monotonicity test); a member stops when that decrement falls
     to LRT_TOL^2 mu' J mu or to its rounding level. No rewriting of the
-    rows moves either test. lam = R^-1 mu and the residual R' res are the
-    caller's. Every inverse is taken and gated by kernels.spd_inverse.
-    Members step together, each with its own line search and status; a
-    single moment is a stack of one.
+    rows moves either test. lam = R^-1 mu are the multipliers of the
+    caller's rows A. Every inverse is taken and gated by
+    kernels.spd_inverse. Members step together, each with its own line
+    search and status; a single moment is a stack of one.
     """
     d = tm.dim
     thetas = tm.theta.reshape(-1, d, d)
@@ -168,7 +166,7 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
     if m == 0:
         empty = np.zeros((n, 0))
         zeros = np.zeros(n, dtype=int)
-        return LrtStack(empty, thetas.copy(), np.zeros(n), 0, zeros, zeros, empty, empty)
+        return LrtStack(empty, thetas.copy(), np.zeros(n), 0, zeros, zeros, empty)
     if cs.matrices[0].shape[0] != d:
         raise ShapeMismatch("constraint size does not match the moment matrix")
     basis, r = row_basis(np.reshape(cs.matrices, (m, d * d)), "constraint matrices")
@@ -250,9 +248,8 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         active[idx[pending | solved(history[idx, iterations[idx]], mu_norm, jac_ratio)]] = False
     status[active] = LRT_NO_CONVERGENCE
 
-    # the caller's multipliers R^-1 mu and residual R' res
+    # the caller's multipliers R^-1 mu
     lam = sum(mu[:, j, None] * r_inv[:, j] for j in range(m))
-    residual = sum(res[:, j, None] * r[j] for j in range(m))
     stat = np.full(n, np.nan)
     good = np.flatnonzero(status == LRT_OK)
     if good.size:
@@ -266,7 +263,7 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         status[good[(1.0 + nu <= 0).any(axis=1)]] = LRT_SAMPLE_NOT_PD
         stat[good] = tm.n_obs * _nu_minus_log1p(np.where(1.0 + nu > 0, nu, 0.0)).sum(axis=1)
         stat[status != LRT_OK] = np.nan
-    return LrtStack(lam, theta0, stat, m, iterations, status, residual, history)
+    return LrtStack(lam, theta0, stat, m, iterations, status, history)
 
 
 def _nu_minus_log1p(nu: np.ndarray) -> np.ndarray:

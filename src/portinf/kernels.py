@@ -208,18 +208,20 @@ def _inv(a: np.ndarray, err: str) -> np.ndarray:
 # --- derivative rules ---------------------------------------------------
 
 def vech_pair(a: np.ndarray, rows=None) -> np.ndarray:
-    """pair(A)[(i,j),(k,l)] = A_ik A_jl + A_il A_jk over vech coordinates.
+    """pair(A)[(i,j),(k,l)] = A_ik A_jl + A_il A_jk over vech of A's rows and of its columns.
 
-    For symmetric A this is L (I + K)(A kron A) L', the covariance of
-    vech(z z') for mean-zero Gaussian z with second moment A. rows picks
-    a subset of the vech rows (any numpy index); columns are all of vech.
+    For n-by-q A this is L_n (I + K_n)(A kron A) L_q', which takes vech(V),
+    V lower triangular, to vech(A (V + V') A'); for symmetric A, the
+    covariance of vech(z z') for mean-zero Gaussian z with second moment A.
+    rows picks a subset of the vech rows (any numpy index); columns are all of vech.
     """
     a = np.asarray(a, dtype=float)
     r, c, _ = _vech_gather(a.shape[0])
+    k, l, _ = _vech_gather(a.shape[1])
     # gather the selected rows of A, then their columns; take gives each
     # product a fresh C-ordered operand that numpy can overwrite in place
     ai, aj = (a[r], a[c]) if rows is None else (a[r[rows]], a[c[rows]])
-    return ai.take(r, axis=1) * aj.take(c, axis=1) + ai.take(c, axis=1) * aj.take(r, axis=1)
+    return ai.take(k, axis=1) * aj.take(l, axis=1) + ai.take(l, axis=1) * aj.take(k, axis=1)
 
 
 def d_qform_inv_vech(proj: np.ndarray, rows=None) -> np.ndarray:

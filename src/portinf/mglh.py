@@ -148,9 +148,12 @@ def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Solved as the symmetric-definite pencil G2 v = lambda inv(G1) v by
     whitening with R = chol(G1): the eigenvectors w of R' G2 R give
     v = R w, normalized to v' inv(G1) v = 1, and the eigenvalues come out
-    real. Works on stacks of factors.
+    real. Works on stacks of factors; an indefinite G1 raises SingularCquad.
     """
-    r = np.linalg.cholesky(g1)
+    try:
+        r = np.linalg.cholesky(g1)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCquad("C' inv(feature gram) C is not positive definite") from exc
     vals, w = np.linalg.eigh(_t(r) @ g2 @ r)
     return vals[..., ::-1], (r @ w)[..., ::-1]
 

@@ -325,6 +325,29 @@ def test_omega_holds_one_series_sized_buffer(estimator):
     assert peak <= ((t + bandwidth) * m + 4 * m * m) * 8
 
 
+def test_front_sandwich_holds_four_front_sized_arrays():
+    """A front without a block is moved by one vech_pair product, never through (k, r, r) stacks."""
+    p, t = 30, 400
+    d, m = p + 1, kn.vech_len(p + 1)
+    rng = np.random.default_rng(8)
+    rows = mo.augment(0.01 * rng.standard_normal((t, p)) + 0.002)
+    tm = mo.sample_theta(rows)
+    om = gaussian_omega(tm)
+    factor = tm.inverse @ kn.chol(tm.theta)  # the Cholesky estimate's factor L^-T
+    front = rng.standard_normal((m, m))  # k = m fronts, as the Cholesky estimate has
+    om.sandwich(factor, front=front)  # first use fills the lasting index caches
+    tracemalloc.start()
+    try:
+        om.sandwich(factor, front=front)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the moved front, vech_pair(R), pair(S) and one product of them, k-by-m
+    # each, and slack for the SVD, vech_pair's m-by-d row gathers and a few
+    # m-vectors; stacks (k, d, d) of the front scattered and doubled hold 5.8 k m
+    assert peak <= (4 * m * m + 8 * m * d) * 8
+
+
 class TestOmegaDiagonal:
     @pytest.mark.parametrize("kernel", ["vanilla", "bartlett", "parzen"])
     def test_diagonal_from_the_series(self, rng, kernel):

@@ -211,6 +211,28 @@ class TestMglhCommand:
         assert code == 0
         assert "# omega=hac:bartlett:8\n" in out     # floor(1.2 * 359^(1/3))
 
+    def test_indefinite_contrast_quadratic_is_a_numerical_failure(self, tmp_path):
+        # a feature in units 1e9 times the other's leaves C' inv(feature gram) C
+        # indefinite after rounding for a mixing C: the run must end with exit 3
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal((600, 2))
+        ret = (0.01 + 0.01 * f @ np.array([[0.3, 0.1], [-0.2, 0.25]]).T
+               + 0.02 * rng.standard_normal((600, 2)))
+        np.savetxt(tmp_path / "returns.csv", np.column_stack([ret, f[:, 0], 1e9 * f[:, 1]]),
+                   delimiter=",", header="a,b,level,delta", comments="")
+        for name, arr in (("A", np.eye(2)), ("C", [[1.0, 1.0], [1.0, -1.0]]),
+                          ("T", np.zeros((2, 2)))):
+            np.savetxt(tmp_path / f"{name}.csv", arr, delimiter=",")
+        out = subprocess.run(
+            [sys.executable, "-m", "portinf.cli", "mglh", "--input", "returns.csv",
+             "--assets", "a,b", "--features", "level,delta",
+             "--A", "A.csv", "--C", "C.csv", "--T", "T.csv"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("numerical failure: ")
+
     @pytest.mark.parametrize("a,c,t", [(np.ones((4, 3)), np.eye(2), np.zeros((4, 2))),
                                        (None, None, None)], ids=["A_4x3", "all_empty"])
     def test_bad_contrast_is_usage_error(self, capsys, tmp_path, a, c, t):

@@ -433,3 +433,13 @@ def test_vech_pair_is_its_definition_bit_for_bit(n, rows, rng):
     if isinstance(rows, list):
         rows = np.array([q for q in rows if q < kn.vech_len(n)], dtype=int)
     np.testing.assert_array_equal(kn.vech_pair(a, rows), _vech_pair_by_coordinate(a, rows))
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 5), (4, 2), (3, 6)])
+def test_rectangular_vech_pair_matches_the_kron_oracle(n, q, rng):
+    # output vech coordinates over R's rows, input coordinates over its columns
+    a = rng.standard_normal((n, q))
+    want = (orc.elimination_matrix(n) @ (np.eye(n * n) + orc.commutation_matrix(n))
+            @ np.kron(a, a) @ orc.elimination_matrix(q).T)
+    assert kn.vech_pair(a).shape == (kn.vech_len(n), kn.vech_len(q))
+    np.testing.assert_allclose(kn.vech_pair(a), want, rtol=0, atol=1e-14 * np.abs(want).max())
