@@ -4,10 +4,11 @@
 Usage: python scripts/cli_snapshot.py ROOT
 
 ROOT is a portinf checkout. The script writes the mglh contrasts, the
-LRT constraints and a panel with a feature in large units into a
-temporary directory from fixed seeds, with numpy alone, copies ROOT's
-returns fixture beside them, and runs each command there as a fresh
-`python -m portinf.cli` child with PYTHONPATH=ROOT/src.
+LRT constraints, a panel with a feature in large units and restrictions
+with a NaN or infinite value into a temporary directory from fixed
+seeds, with numpy alone, copies ROOT's returns fixture beside them, and
+runs each command there as a fresh `python -m portinf.cli` child with
+PYTHONPATH=ROOT/src.
 For each it prints the argv, the exit code, stdout and stderr. Two
 checkouts behave alike on the list when
 
@@ -34,7 +35,8 @@ def write_inputs(fixture: str, outdir: str) -> None:
     """The returns fixture, the mglh contrasts and the LRT constraints, as the benchmark writes them.
 
     Beside them, a two-asset panel whose second feature is in units 1e9
-    times the first's, with its contrasts.
+    times the first's, with its contrasts, and restrictions with a NaN or
+    infinite value in an entry or in a target.
     """
     rng = np.random.default_rng(SEED)
     shutil.copyfile(fixture, os.path.join(outdir, "returns.csv"))
@@ -66,6 +68,14 @@ def write_inputs(fixture: str, outdir: str) -> None:
     save("A2.csv", np.eye(2))
     save("C2.csv", np.array([[1.0, 1.0], [1.0, -1.0]]))
     save("T2.csv", np.zeros((2, 2)))
+    # a NaN in a constraint entry, a NaN target, and an infinite mglh target
+    nan_entry, nan_target = np.zeros((1, 11)), np.zeros((1, 11))
+    nan_entry[0, 4], nan_entry[0, -1] = np.nan, 1.0
+    nan_target[0, 4], nan_target[0, -1] = 1.0, np.nan
+    save("nan_entry.csv", nan_entry)
+    save("nan_target.csv", nan_target)
+    save("A3.csv", np.eye(3)[:2])
+    save("T3.csv", np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
 def commands() -> list[list[str]]:
@@ -87,6 +97,10 @@ def commands() -> list[list[str]]:
     # a mixing contrast over those features: rounding leaves C' inv(feature gram) C indefinite
     out.append(["mglh", "--input", "units.csv", "--assets", "a,b", "--features", "level,delta",
                 "--A", "A2.csv", "--C", "C2.csv", "--T", "T2.csv"])
+    # non-finite restrictions are usage errors
+    out += [["lrt", *DATA, "--constraints", "nan_entry.csv"],
+            ["lrt", *DATA, "--constraints", "nan_target.csv"],
+            ["mglh", *DATA, *FEATURES, "--A", "A3.csv", "--C", "C.csv", "--T", "T3.csv"]]
     out += [["simulate", "--suite", suite, "--seed", "42"]
             for suite in ("theorem1", "gaussian", "lrt", "mglh")]
     return out + [["selftest"]]

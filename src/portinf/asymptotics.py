@@ -36,13 +36,13 @@ def _orthonormal_factor(factor: np.ndarray, front: np.ndarray) -> tuple[np.ndarr
 
     With F = U R, R = S V' from the thin SVD, Gamma_k = F W_k F' =
     U (R W_k R') U'. Where the column blocks of F nearly cancel in Gamma_k
-    (a hedge's two inverses, the MGLH gradient's two terms) the sandwich
+    (the MGLH gradient's two terms, on [L1, R2]) the sandwich
     in F sums terms of size |F|^4 |W_k|^2 to a variance of size
     |Gamma_k|^2, losing eps times their ratio; in U that cancellation
     happens once, in R W_k R'. A front is the vech of W_k's lower triangle
     with its off-diagonal doubled, so vech_pair(R) takes it to vech of
     2 R W_k R', whose diagonal is halved back. The SVD takes a factor of
-    any shape and rank, as a hedge's wide and rank-deficient one.
+    any shape and rank, as the MGLH factor [L1, R2], which can be wide.
     """
     u, svals, vt = np.linalg.svd(factor, full_matrices=False)
     moved = np.atleast_2d(front) @ vech_pair(svals[:, None] * vt).T

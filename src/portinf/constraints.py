@@ -39,6 +39,7 @@ from .kernels import (
     vech_indices,
     vech_len,
     vech_lower,
+    vech_pair,
 )
 from .moments import AugmentedMoment, MomentLayout, augment, unpack_theta_inverse
 
@@ -87,6 +88,8 @@ class CholeskyConstraint:
         target = np.asarray(self.b_vector, dtype=float).ravel()
         if bmat.shape[0] != target.size:
             raise ShapeMismatch("one target per constraint row")
+        if not np.isfinite(target).all():
+            raise ShapeMismatch("non-finite entry in constraint target b")
         if target.size:
             bmat, r = row_basis(bmat, "constraint matrix B")
             target = np.linalg.solve(r.T, target)
@@ -124,19 +127,18 @@ def hedged_delta_theta(
     """Inverse moment minus its projection on the hedged streams, with its asymptotic law.
 
     The corner of the delta is the hedged squared Sharpe; the off-corner
-    column holds the negated hedged portfolio direction. It moves as
-    P dtheta P - theta^-1 dtheta theta^-1 for the hedge projection P: the
-    factor [theta^-1, P], whose F' dtheta F holds the two as its diagonal blocks.
+    column holds the negated hedged portfolio direction. With A = P theta for the hedge
+    projection P, it moves as P dtheta P - Y = A Y A' - Y, Y = theta^-1 dtheta theta^-1:
+    on the factor theta^-1, the front pair(A), its diagonal columns halved, less I.
     """
     gt = spec.augmented(tm.f_dim)
     proj = _project_core(gt, tm.theta)
     point = vech(tm.inverse - proj)
-    d = tm.dim
-    m, (i, j) = vech_len(d), vech_indices(d)
-    front = np.zeros((m, vech_len(2 * d)))
-    for sign, block in ((-1.0, slice(0, d)), (1.0, slice(d, None))):
-        front[np.arange(m), vech_block(2 * d, (block, block))[j * d + i]] = sign
-    cov = om.sandwich(np.hstack([tm.inverse, proj]), front=front)
+    rows, cols = vech_indices(tm.dim)
+    front = vech_pair(proj @ tm.theta)
+    front[:, rows == cols] *= 0.5
+    front[np.diag_indices_from(front)] -= 1.0
+    cov = om.sandwich(tm.inverse, front=front)
     return point, DistributionResult(point, cov, om.n_obs)
 
 
@@ -284,7 +286,7 @@ def reduced_rank_coefficient(
     dropped ones. The only denominator is the kept/dropped gap, gated
     against RANK_RTOL of the leading eigenvalue. It moves with the factor V.
     """
-    f, d, p = tm.f_dim, tm.dim, tm.n_assets
+    f, d = tm.f_dim, tm.dim
     if r < 1 or r > d:
         raise ShapeMismatch(f"rank {r} out of range 1..{d}")
     vals, vecs = np.linalg.eigh(tm.theta)
@@ -301,11 +303,10 @@ def reduced_rank_coefficient(
     div[:r, r:] = g[:, None] / (vals[:r, None] - vals[None, r:])
     div[r:, :r] = div[:r, r:].T
     coef = -((vecs[f:, :r] * g) @ vecs[:f, :r].T)
-    # entry (i, j) of the column-major vec(coef) is -P_ab, a = f + i, b = j; with v_a row
-    # a of V, dP_ab puts K_kl (v_ak v_bl + v_al v_bk) on vech coordinate (k, l), half at k = l
-    va, vb = np.tile(vecs[f:], (f, 1)), np.repeat(vecs[:f], p, axis=0)
+    # entry (i, j) of the column-major vec(coef) is -P_ab, a = f + i, b = j, and dP_ab puts
+    # K_kl pair(V)[(a, b), (k, l)] on vech coordinate (k, l), half at k = l
     rows, cols = vech_indices(d)
-    front = -div[rows, cols] * (va[:, rows] * vb[:, cols] + va[:, cols] * vb[:, rows])
+    front = -div[rows, cols] * vech_pair(vecs, vech_block(d, (slice(f, None), slice(0, f))))
     front[:, rows == cols] *= 0.5
     point = coef.reshape(-1, order="F")
     return coef, DistributionResult(point, om.sandwich(vecs, front=front), om.n_obs)

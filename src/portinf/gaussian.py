@@ -61,6 +61,8 @@ class TraceConstraintSet:
         self.targets = np.asarray(self.targets, dtype=float).ravel()
         if len(self.matrices) != self.targets.size:
             raise ShapeMismatch("one target per constraint matrix")
+        if not np.isfinite(self.targets).all():
+            raise ShapeMismatch("non-finite entry in constraint targets")
         d = self.matrices[0].shape[0] if self.matrices else 0
         for a in self.matrices:
             if a.shape != (d, d):

@@ -109,14 +109,16 @@ def row_basis(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal rows Q spanning the rows of mat, and the R with mat = R'Q.
 
     Only the row space of a restriction matrix matters, so every caller
-    works in Q. An empty matrix, or one with more rows than columns,
-    raises ShapeMismatch; a smallest singular value below RANK_RTOL of
-    the largest raises RankDeficient. Q is C-contiguous and R upper
-    triangular.
+    works in Q. An empty matrix, one with more rows than columns, or one
+    with a NaN or infinite entry raises ShapeMismatch; a smallest singular
+    value below RANK_RTOL of the largest raises RankDeficient. Q is
+    C-contiguous and R upper triangular.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or mat.shape[0] > mat.shape[1]:
         raise ShapeMismatch(f"{name} of shape {mat.shape} is empty or has more rows than columns")
+    if not np.isfinite(mat).all():
+        raise ShapeMismatch(f"non-finite entry in {name}")
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] < RANK_RTOL * max(svals[0], 1e-300):
         raise RankDeficient(f"{name} is rank deficient")

@@ -46,6 +46,8 @@ class MglhSpec:
         a, c = r_a.shape[0], r_c.shape[0]
         if t_matrix.shape != (a, c):
             raise ShapeMismatch(f"target must be {a}x{c}, got {t_matrix.shape}")
+        if not np.isfinite(t_matrix).all():
+            raise ShapeMismatch("non-finite entry in target T")
         self.a_matrix, self.c_matrix = a_rows, c_rows.T
         self.t_matrix = np.linalg.solve(r_c.T, np.linalg.solve(r_a.T, t_matrix).T).T
 

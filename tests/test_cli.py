@@ -593,6 +593,24 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("command,where,message", [
+        ("lrt", "entry", "constraint matrices"), ("lrt", "target", "constraint targets"),
+        ("mglh", "entry", "contrast A"), ("mglh", "target", "target T")])
+    def test_non_finite_restrictions_are_usage_errors(self, capsys, fuzz_files, command,
+                                                      where, message, bad):
+        # a NaN target is no null at all, not one the LRT solver failed to meet (exit 3)
+        if command == "lrt":
+            name = f"constraints_{bad}" + ("_target" if where == "target" else "")
+            files = ["--constraints", fuzz_files[name]]
+        else:
+            a, t = ("A_" + bad, "T") if where == "entry" else ("A", "T_" + bad)
+            files = ["--features", "level,delta", "--A", fuzz_files[a],
+                     "--C", fuzz_files["C"], "--T", fuzz_files[t]]
+        code = cli.main([command, "--input", FIXTURE, "--assets", ASSETS, *files])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: non-finite entry in {message}\n"
+
     @pytest.mark.parametrize("rows,fields", [(1, 1), (1, 7), (1, 8), (2, 10), (1, 12)])
     def test_constraints_of_the_wrong_width_are_usage_errors(self, capsys, tmp_path,
                                                              rows, fields):
@@ -827,6 +845,14 @@ def fuzz_files(tmp_path_factory):
               "A_wide": np.eye(4), "T_bad": np.zeros((5, 1)),
               "constraints": np.eye(11)[[4]] + np.eye(11)[[10]] * 2.0,
               "constraints_wide": np.zeros((1, 7))}
+    for name, bad in (("nan", np.nan), ("inf", np.inf)):
+        # a non-finite value in an entry of a restriction, or in its target
+        arrays[f"A_{name}"] = np.array([[1.0, 0.0, bad], [0.0, 1.0, 0.0]])
+        arrays[f"T_{name}"] = np.array([[bad, 0.0], [0.0, 0.0]])
+        arrays[f"constraints_{name}"] = np.eye(11)[[4]] + np.eye(11)[[10]]
+        arrays[f"constraints_{name}"][0, 5] = bad
+        arrays[f"constraints_{name}_target"] = np.eye(11)[[4]]
+        arrays[f"constraints_{name}_target"][0, 10] = bad
     for name, arr in arrays.items():
         np.savetxt(d / f"{name}.csv", arr, delimiter=",")
         files[name] = str(d / f"{name}.csv")
@@ -858,12 +884,17 @@ EXTRA = {
                        _maybe("--risk-budget", ["0.1", "1", "-0.1", "0", "nan", "inf", "abc"]),
                        _maybe("--rfr", ["0", "0.001", "0.01", "-1", "nan"])),
     "mglh": st.tuples(_maybe("--features", ["level,delta"] * 3 + ["level", "nosuch"]),
-                      st.sampled_from(["A"] * 3 + ["A_wide", "missing", "binary"])
+                      st.sampled_from(["A"] * 3 + ["A_wide", "missing", "binary", "A_nan",
+                                                   "A_inf"])
                       .map(lambda k: ["--A", k]),
                       st.sampled_from(["C"] * 3 + ["missing"]).map(lambda k: ["--C", k]),
-                      st.sampled_from(["T"] * 3 + ["T_bad", "empty"]).map(lambda k: ["--T", k])),
+                      st.sampled_from(["T"] * 3 + ["T_bad", "empty", "T_nan", "T_inf"])
+                      .map(lambda k: ["--T", k])),
     "lrt": st.tuples(st.sampled_from(["constraints"] * 3 + ["constraints_wide", "missing",
-                                                            "binary"])
+                                                            "binary", "constraints_nan",
+                                                            "constraints_inf",
+                                                            "constraints_nan_target",
+                                                            "constraints_inf_target"])
                      .map(lambda k: ["--constraints", k])),
     "attribute": st.just(()),
 }

@@ -135,6 +135,18 @@ class TestRowBasis:
         assert (np.abs(q_dist.covariance - dist.covariance).max()
                 <= rtol * np.abs(dist.covariance).max())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["entry", "target"])
+    def test_non_finite_cholesky_rows_are_rejected_when_built(self, where, bad):
+        rows, target = np.eye(6)[1:3], np.zeros(2)
+        if where == "entry":
+            rows[0, 1] = bad
+        else:
+            target[1] = bad
+        name = "constraint matrix B" if where == "entry" else "constraint target b"
+        with pytest.raises(ShapeMismatch, match=f"non-finite entry in {name}"):
+            cn.CholeskyConstraint(rows, target)
+
     def test_rank_deficient_cholesky_rows_are_rejected_when_built(self):
         rows = np.array([[0.0, 1.0, 2.0, 0.5, 0.0, 1.0], [0.0, 2.0, 4.0, 1.0, 0.0, 2.0 + 1e-12]])
         with pytest.raises(RankDeficient, match="constraint matrix B is rank deficient"):
@@ -181,6 +193,28 @@ class TestHedged:
         proj = g.T @ np.linalg.inv(g @ sigma @ g.T) @ g
         expect = mu @ np.linalg.solve(sigma, mu) - mu @ proj @ mu
         assert point[0] == pytest.approx(expect, rel=1e-10)
+
+    def test_front_holds_five_front_sized_arrays(self):
+        """The hedge's law runs on the factor theta^-1 and an m-by-m front, never a 2d-wide one."""
+        p, t = 30, 400
+        d, m = p + 1, vech_len(p + 1)
+        rng = np.random.default_rng(8)
+        rows = mo.augment(0.01 * rng.standard_normal((t, p)) + 0.002)
+        tm = mo.sample_theta(rows)
+        om = gaussian_omega(tm)
+        spec = cn.SubspaceSpec(rng.standard_normal((3, p)))
+        cn.hedged_delta_theta(tm, spec, om)  # first use fills the lasting index caches
+        tracemalloc.start()
+        try:
+            cn.hedged_delta_theta(tm, spec, om)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at the Isserlis product the front, the moved front, pair(S) less its mean
+        # term, and the two products front @ out @ front' are m-by-m each; slack for
+        # vech_pair's m-by-d row gathers and a few m-vectors. A front on the factor
+        # [theta^-1, P], m-by-vech_len(2d), and its moved copy hold 16 m^2
+        assert peak <= (5 * m * m + 8 * m * d) * 8
 
     def test_delta_plus_projection_reconstructs_inverse(self, rng):
         tm, om = _tm_and_om(rng, 3)

@@ -17,6 +17,7 @@ from portinf.errors import (
     NotPositiveDefinite,
     RankDeficient,
     RepeatedEigenvalue,
+    ShapeMismatch,
     SingularMatrix,
     SingularTheta,
 )
@@ -373,6 +374,13 @@ class TestRowBasis:
         np.testing.assert_allclose(q @ q.T, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(r.T @ q, mat, atol=1e-14)
         np.testing.assert_array_equal(r, np.triu(r))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_is_a_usage_error_naming_the_matrix(self, rng, bad):
+        mat = rng.standard_normal((2, 5))
+        mat[1, 3] = bad
+        with pytest.raises(ShapeMismatch, match="non-finite entry in contrast A"):
+            kn.row_basis(mat, "contrast A")
 
     def test_only_row_basis_runs_a_qr(self):
         """Every restriction reaches its orthonormal rows through one function."""
