@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BandwidthTooLarge, DegenerateCorrelation, NonPositiveRfr, ShapeMismatch
 from .kernels import PD_RTOL, check_symmetric, vech, vech_block, vech_indices, vech_len, vech_pair
-from .moments import AugmentedMoment, mean_and_covariance, portfolio_head
+from .moments import AugmentedMoment, portfolio_head
 
 logger = logging.getLogger(__name__)
 
@@ -340,12 +340,6 @@ def omega_hac(aug_rows: np.ndarray, kernel: str = "bartlett", bandwidth: int | N
     return OmegaEstimate(None, t, kernel, bandwidth, rows=aug_rows)
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root with negative eigenvalues clipped to zero."""
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
 def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> DistributionResult:
     """Asymptotic law of vech of the inverse moment matrix.
 
@@ -355,8 +349,8 @@ def theta_inverse_covariance(tm: AugmentedMoment, om: OmegaEstimate) -> Distribu
     return DistributionResult(vech(tm.inverse), om.sandwich(tm.inverse), om.n_obs)
 
 
-def _weights_front(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weights, their front on the factor theta^-1 and _FIRST_COLUMN, and snr_sq.
+def _weights_front(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and their front on the factor theta^-1 and _FIRST_COLUMN.
 
     d weights / d theta^-1[:, 0] = [-w/(2 psi^2), -(R/psi) I], and that
     column moves as -(P dtheta P)[:, 0].
@@ -365,12 +359,12 @@ def _weights_front(tm: AugmentedMoment, risk_budget: float) -> tuple[np.ndarray,
     p = tm.n_assets
     snr = np.sqrt(snr_sq)
     front = np.hstack([weights[:, None] / (2.0 * snr_sq), (risk_budget / snr) * np.eye(p)])
-    return weights, front, snr_sq
+    return weights, front
 
 
 def portfolio_covariance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> DistributionResult:
     """Asymptotic law of the risk-budgeted optimal weights."""
-    weights, front, _ = _weights_front(tm, risk_budget)
+    weights, front = _weights_front(tm, risk_budget)
     cov = om.sandwich(tm.inverse, _FIRST_COLUMN, front)
     return DistributionResult(weights, cov, om.n_obs)
 
@@ -383,27 +377,10 @@ def snr_variance(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float, rfr
     Only the first column of theta^-1 enters.
     """
     if not rfr > 0:
-        raise NonPositiveRfr("first-order law needs rfr > 0; use snr_second_order")
+        raise NonPositiveRfr("first-order law needs rfr > 0: the ratio's gradient vanishes at rfr = 0")
     _, snr_sq = portfolio_head(tm, risk_budget)
     front = (rfr / (risk_budget * snr_sq)) * np.concatenate([[0.5], tm.theta[1:, 0]])
     return om.sandwich(tm.inverse, _FIRST_COLUMN, front)
-
-
-def snr_second_order(tm: AugmentedMoment, om: OmegaEstimate, risk_budget: float) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature matrix F and mixing matrix M of the second-order ratio law.
-
-    n (SNR(w_hat) - snr) converges to 0.5 z' M' F M z with standard normal
-    z; its mean is 0.5 tr(M' F M). The law only depends on M M', the
-    k-by-k covariance of the weights, so M is its symmetric PSD square
-    root (that covariance can be singular, so a Cholesky factor proper
-    need not exist). That covariance is `portfolio_covariance`'s.
-    """
-    _, front, snr_sq = _weights_front(tm, risk_budget)
-    snr = np.sqrt(snr_sq)
-    mu, sigma = mean_and_covariance(tm)
-    f = (np.outer(mu, mu) / snr - snr * sigma) / risk_budget**2
-    m = psd_sqrt(om.sandwich(tm.inverse, _FIRST_COLUMN, front))
-    return f, m
 
 
 def wald_statistics(dr: DistributionResult) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 from .asymptotics import DistributionResult, OmegaEstimate
 from .errors import (
     EigGapTooSmall,
-    NonPositiveVolFeature,
     RankDeficient,
     ShapeMismatch,
     SingularProjection,
@@ -30,6 +29,7 @@ from .kernels import (
     RANK_RTOL,
     MatrixShape,
     block_diag,
+    check_symmetric,
     chol,
     ivech,
     row_basis,
@@ -90,6 +90,14 @@ class CholeskyConstraint:
             raise ShapeMismatch("one target per constraint row")
         if not np.isfinite(target).all():
             raise ShapeMismatch("non-finite entry in constraint target b")
+        if self.weighting is not None:
+            weighting = np.asarray(self.weighting, dtype=float)
+            side = bmat.shape[1]
+            if weighting.shape != (side, side):
+                raise ShapeMismatch(f"weighting W of shape {weighting.shape}, not {side}x{side}")
+            if not np.isfinite(weighting).all():
+                raise ShapeMismatch("non-finite entry in weighting W")
+            self.weighting = check_symmetric(weighting)
         if target.size:
             bmat, r = row_basis(bmat, "constraint matrix B")
             target = np.linalg.solve(r.T, target)
@@ -100,9 +108,12 @@ class CholeskyConstraint:
         return self.b_vector.size
 
 
-def _project_core(jt: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The projection J~' (J~ theta J~')^-1 J~."""
-    core_inv, ratio = spd_inverse(jt @ theta @ jt.T)
+def _project_core(tm: AugmentedMoment, spec: SubspaceSpec) -> np.ndarray:
+    """The projection J~' (J~ theta J~')^-1 J~ for J~ = diag(I_f, J), J the basket."""
+    if spec.basket.shape[1] != tm.n_assets:
+        raise ShapeMismatch(f"basket of {spec.basket.shape[1]} columns for {tm.n_assets} assets")
+    jt = spec.augmented(tm.f_dim)
+    core_inv, ratio = spd_inverse(jt @ tm.theta @ jt.T)
     if not ratio >= PD_RTOL:
         raise SingularProjection(f"projected moment is singular (eigenvalue ratio {ratio:.3e})")
     return jt.T @ core_inv @ jt
@@ -115,8 +126,7 @@ def subspace_theta(
 
     P = J'(J theta J')^-1 J moves as -P dtheta P, as the inverse does: the factor P.
     """
-    jt = spec.augmented(tm.f_dim)
-    proj = _project_core(jt, tm.theta)
+    proj = _project_core(tm, spec)
     point = vech(proj)
     return point, DistributionResult(point, om.sandwich(proj), om.n_obs)
 
@@ -131,8 +141,7 @@ def hedged_delta_theta(
     projection P, it moves as P dtheta P - Y = A Y A' - Y, Y = theta^-1 dtheta theta^-1:
     on the factor theta^-1, the front pair(A), its diagonal columns halved, less I.
     """
-    gt = spec.augmented(tm.f_dim)
-    proj = _project_core(gt, tm.theta)
+    proj = _project_core(tm, spec)
     point = vech(tm.inverse - proj)
     rows, cols = vech_indices(tm.dim)
     front = vech_pair(proj @ tm.theta)
@@ -186,36 +195,6 @@ def markowitz_coefficient(
     cov = om.sandwich(tm.inverse, (slice(f, None), slice(0, f)))
     point = coef.reshape(-1, order="F")
     return coef, DistributionResult(point, cov, om.n_obs)
-
-
-def flatten_volatility(
-    values: np.ndarray, vol_features: np.ndarray
-) -> tuple[np.ndarray, list[SubspaceSpec]]:
-    """Expand each return row against a vector of volatility features.
-
-    Row t of the output is vec of the outer product of the return row
-    with the (already lagged) volatility row, i.e. p*v pseudo-assets.
-    The t-th basket constrains portfolios on the expanded assets to ones
-    expressible on the original assets at time t: its rows are the
-    Hadamard-inverse volatility blocks, orthonormalized, ready for the
-    subspace projection machinery.
-    """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    vol = np.atleast_2d(np.asarray(vol_features, dtype=float))
-    if vol.shape[0] != values.shape[0]:
-        raise ShapeMismatch("volatility rows must match return rows")
-    if np.any(~np.isfinite(vol)) or np.any(vol <= 0):
-        raise NonPositiveVolFeature("volatility features must be finite and positive")
-    t, p = values.shape
-    v = vol.shape[1]
-    # row t is vec(x_t l_t'), column-major over the p-by-v outer product
-    expanded = (values[:, :, None] * vol[:, None, :]).transpose(0, 2, 1).reshape(t, p * v)
-    baskets = []
-    for i in range(t):
-        # row k holds 1/vol on expanded assets k*v .. k*v + v - 1
-        j = (np.eye(p)[:, :, None] / vol[i]).reshape(p, p * v)
-        baskets.append(SubspaceSpec(j))
-    return expanded, baskets
 
 
 def constrained_cholesky_estimate(

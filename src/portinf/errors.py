@@ -31,10 +31,6 @@ class NonPositiveWeight(PortinfError):
     pass
 
 
-class NonPositiveVolFeature(PortinfError):
-    pass
-
-
 class NonPositiveRfr(PortinfError):
     """Disastrous rate must be strictly positive for the first-order law."""
 

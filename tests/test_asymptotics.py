@@ -378,7 +378,6 @@ OMEGA_ESTIMATORS = {
     "theta_inverse_covariance": lambda rng, om: asy.theta_inverse_covariance(_unconditional(rng, 3), om),
     "portfolio_covariance": lambda rng, om: asy.portfolio_covariance(_unconditional(rng, 3), om, 0.1),
     "snr_variance": lambda rng, om: asy.snr_variance(_unconditional(rng, 3), om, 0.1, 0.001),
-    "snr_second_order": lambda rng, om: asy.snr_second_order(_unconditional(rng, 3), om, 0.1),
     "subspace_theta": lambda rng, om: cn.subspace_theta(
         _unconditional(rng, 3), cn.SubspaceSpec(np.eye(3)[:2]), om),
     "hedged_delta_theta": lambda rng, om: cn.hedged_delta_theta(
@@ -475,8 +474,6 @@ class TestWhitenedRows:
                      jacobian_sandwich(om, oracles.portfolio_jacobian(tm, 0.1)))
         assert_close(asy.snr_variance(tm, om, 0.1, 0.001),
                      jacobian_sandwich(om, oracles.snr_gradient(tm, 0.1, 0.001)))
-        _, m = asy.snr_second_order(tm, om, 0.1)
-        assert_close(m @ m.T, jacobian_sandwich(om, oracles.portfolio_jacobian(tm, 0.1)))
         assert_close(cn.markowitz_coefficient(tm, om)[1].covariance,
                      jacobian_sandwich(om, oracles.coefficient_jacobian(tm)))
         feats = rng.standard_normal((300, f))
@@ -567,7 +564,7 @@ class TestPortfolioCovariance:
         tm = AugmentedMoment(theta, n_obs=100)
         risk_budget = 0.8
         h = oracles.portfolio_jacobian(tm, risk_budget)
-        _, front, _ = asy._weights_front(tm, risk_budget)
+        _, front = asy._weights_front(tm, risk_budget)
         got = oracles.factor_jacobian(tm.inverse, asy._FIRST_COLUMN, front)
         assert np.abs(got - h).max() <= 1e-13 * np.abs(h).max()
 
@@ -627,8 +624,14 @@ class TestSnrVariance:
 
     def test_nonpositive_rfr_raises(self):
         tm = AugmentedMoment(np.array([[1.0, 1.0], [1.0, 2.0]]), n_obs=50)
-        with pytest.raises(NonPositiveRfr):
+        with pytest.raises(NonPositiveRfr, match="gradient vanishes at rfr = 0"):
             asy.snr_variance(tm, gaussian_omega(tm), 1.0, 0.0)
+
+    @pytest.mark.parametrize("rfr", [-0.1, -np.inf, np.nan])
+    def test_negative_or_nan_rfr_raises(self, rfr):
+        tm = AugmentedMoment(np.array([[1.0, 1.0], [1.0, 2.0]]), n_obs=50)
+        with pytest.raises(NonPositiveRfr):
+            asy.snr_variance(tm, gaussian_omega(tm), 1.0, rfr)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_gradient_matches_finite_differences(self, p, rng):
@@ -651,64 +654,10 @@ class TestSnrVariance:
         assert var_got == pytest.approx(var_expect, rel=1e-5)
 
 
-class TestSnrSecondOrder:
-    def test_one_asset_curvature_vanishes(self):
-        tm = AugmentedMoment(np.array([[1.0, 0.7], [0.7, 1.49]]), n_obs=50)
-        f, _ = asy.snr_second_order(tm, gaussian_omega(tm), risk_budget=1.0)
-        np.testing.assert_allclose(f, np.zeros((1, 1)), atol=1e-12)
-
-    def test_curvature_annihilates_the_optimum(self, rng):
-        theta = rand_unit_corner_theta(rng, 3)
-        tm = AugmentedMoment(theta, n_obs=100)
-        om = gaussian_omega(tm)
-        risk_budget = 0.9
-        f, _ = asy.snr_second_order(tm, om, risk_budget)
-        est = mo.sr_optimal_portfolio(tm, risk_budget)
-        np.testing.assert_allclose(f @ est.weights, np.zeros(3), atol=1e-10)
-
-    def test_mixing_matrix_squares_to_the_weight_sandwich(self, rng):
-        rows = mo.augment(rng.standard_normal((400, 3)) * 0.05 + 0.02)
-        tm = mo.sample_theta(rows)
-        for om in (asy.omega_hac(rows, bandwidth=4), gaussian_omega(tm)):
-            _, m = asy.snr_second_order(tm, om, risk_budget=0.5)
-            want = jacobian_sandwich(om, oracles.portfolio_jacobian(tm, 0.5))
-            assert np.abs(m @ m.T - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_monte_carlo_mean_of_quadratic_limit(self):
-        # population law: n (SNR(w_hat) - snr) ~ 0.5 z' M'FM z
-        mu = np.array([0.4, 0.2])
-        sigma = np.array([[1.0, 0.25], [0.25, 0.5]])
-        theta_pop = theta_from(mu, sigma)
-        tm = AugmentedMoment(theta_pop, n_obs=2000)
-        om = gaussian_omega(tm)
-        f, m = asy.snr_second_order(tm, om, risk_budget=1.0)
-        expect = 0.5 * np.trace(m.T @ f @ m)
-        rng = np.random.default_rng(5150)
-        t, trials = 2000, 5000
-        cf = np.linalg.cholesky(sigma)
-        vals = []
-        snr = np.sqrt(mu @ np.linalg.solve(sigma, mu))
-        for _ in range(10):
-            z = rng.standard_normal((trials // 10, t, 2))
-            x = mu + z @ cf.T
-            rows = np.concatenate([np.ones((trials // 10, t, 1)), x], axis=2)
-            thetas = np.einsum("cti,ctj->cij", rows, rows) / t
-            invs = np.linalg.inv(thetas)
-            port = -invs[:, 1:, 0]
-            psi = np.sqrt(invs[:, 0, 0] - 1.0)
-            w = port / psi[:, None]
-            num = w @ mu
-            den = np.sqrt(np.einsum("ci,ij,cj->c", w, sigma, w))
-            vals.append(t * (num / den - snr))
-        mean = float(np.concatenate([np.atleast_1d(v) for v in vals]).mean())
-        assert abs(mean - expect) < 0.15 * abs(expect)
-
-
 PORTFOLIO_FUNCTIONS = {
     "sr_optimal_portfolio": lambda tm, om, r: mo.sr_optimal_portfolio(tm, r),
     "portfolio_covariance": lambda tm, om, r: asy.portfolio_covariance(tm, om, r),
     "snr_variance": lambda tm, om, r: asy.snr_variance(tm, om, r, 0.05),
-    "snr_second_order": lambda tm, om, r: asy.snr_second_order(tm, om, r),
 }
 
 
@@ -780,10 +729,9 @@ class TestCovariancePsdInvariant:
                 np.testing.assert_allclose(cov, cov.T, atol=1e-12)
                 assert np.linalg.eigvalsh(cov)[0] > -1e-10 * max(1.0, np.abs(cov).max())
 
-    @pytest.mark.parametrize(
-        "name", sorted(set(OMEGA_ESTIMATORS) - {"snr_variance", "snr_second_order"}))
+    @pytest.mark.parametrize("name", sorted(set(OMEGA_ESTIMATORS) - {"snr_variance"}))
     def test_every_estimator_returns_one_symmetric_psd_law(self, rng, name):
-        # the laws of all estimators but the two SNR ones come as a DistributionResult, last
+        # the laws of all estimators but the SNR variance come as a DistributionResult, last
         rows = mo.augment(rng.standard_normal((200, 3)) * 0.1 + 0.02)
         gaussian = gaussian_omega(AugmentedMoment(rand_unit_corner_theta(rng, 3), n_obs=200))
         for om in (asy.omega_vanilla(rows), asy.omega_hac(rows, bandwidth=4), gaussian):

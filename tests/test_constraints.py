@@ -11,7 +11,9 @@ from portinf import asymptotics as asy
 from portinf import constraints as cn
 from portinf import moments as mo
 from portinf import oracles as orc
-from portinf.errors import LengthMismatch, NonPositiveWeight, RankDeficient, ShapeMismatch
+from portinf.errors import (
+    AsymmetricInput, LengthMismatch, NonPositiveWeight, RankDeficient, ShapeMismatch,
+    SingularWeighting)
 from portinf.gaussian import gaussian_omega
 from portinf.kernels import MatrixShape, ivech, vech, vech_len, vech_lower, chol
 from portinf.moments import AugmentedMoment, MomentLayout
@@ -60,13 +62,32 @@ class TestSubspace:
         spec = cn.SubspaceSpec(rng.standard_normal((2, 5)))
         np.testing.assert_allclose(spec.basket @ spec.basket.T, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("estimate", [cn.subspace_theta, cn.hedged_delta_theta],
-                             ids=["SubspaceSpec", "HedgeSpec"])
-    def test_more_rows_than_assets_is_rejected(self, rng, estimate):
-        # a full-rank 4x3 basket or hedge would otherwise become the whole 3-asset space
+    @pytest.mark.parametrize("estimate, shape, message", [
+        (cn.subspace_theta, (4, 3), "more rows than columns"),
+        (cn.hedged_delta_theta, (4, 3), "more rows than columns"),
+        (cn.subspace_theta, (2, 2), "basket of 2 columns for 3 assets"),
+        (cn.hedged_delta_theta, (2, 2), "basket of 2 columns for 3 assets")],
+        ids=["SubspaceSpec", "HedgeSpec", "SubspaceSpec-narrow", "HedgeSpec-narrow"])
+    def test_more_rows_than_assets_is_rejected(self, rng, estimate, shape, message):
+        # a full-rank 4x3 basket or hedge would otherwise become the whole 3-asset space,
+        # and a 2-column one spans baskets of some other panel
         tm, om = _tm_and_om(rng, 3)
-        with pytest.raises(ShapeMismatch, match="more rows than columns"):
-            estimate(tm, cn.SubspaceSpec(rng.standard_normal((4, 3))), om)
+        with pytest.raises(ShapeMismatch, match=message):
+            estimate(tm, cn.SubspaceSpec(rng.standard_normal(shape)), om)
+
+    def test_non_axis_basket_gives_the_closed_form_weights(self, rng):
+        # w = c J'(J sigma J')^-1 J mu for two baskets of four assets, J not orthonormal
+        j = np.array([[1.25, 0.625, 0.0, 0.0], [0.0, 0.0, 1.25, 0.625]])
+        mean = np.array([0.2, 0.35, -0.1, 0.15])
+        sigma = rand_spd(rng, 4) / 4
+        tm = AugmentedMoment(theta_from(mean, sigma), n_obs=100)
+        point, _ = cn.subspace_theta(tm, cn.SubspaceSpec(j), gaussian_omega(tm))
+        risk_budget = 0.5
+        w = orc.subspace_weights(point, 4, risk_budget)
+        proj = j.T @ np.linalg.inv(j @ sigma @ j.T) @ j
+        c = risk_budget / np.sqrt(mean @ proj @ mean)
+        np.testing.assert_allclose(w, c * proj @ mean, atol=1e-10)
+        assert w @ sigma @ w == pytest.approx(risk_budget**2, rel=1e-10)
 
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = _tm_and_om(rng, 3)
@@ -379,72 +400,6 @@ class TestHedgedConditional:
         np.testing.assert_allclose(h, fd, atol=1e-6)
 
 
-class TestFlattenVolatility:
-    def test_single_feature_reduces_to_scaling(self, rng):
-        x = rng.standard_normal((10, 3))
-        vol = rng.uniform(0.5, 2.0, (10, 1))
-        expanded, baskets = cn.flatten_volatility(x, vol)
-        np.testing.assert_allclose(expanded, vol * x)
-        for spec in baskets:
-            np.testing.assert_allclose(np.abs(spec.basket), np.eye(3), atol=1e-12)
-
-    def test_hand_case_p1_v2(self):
-        x = np.array([[0.5]])
-        vol = np.array([[1.0, 2.0]])
-        expanded, baskets = cn.flatten_volatility(x, vol)
-        np.testing.assert_allclose(expanded, [[0.5, 1.0]])
-        expect = np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5])
-        np.testing.assert_allclose(np.abs(baskets[0].basket), expect[None, :], atol=1e-12)
-
-    def test_rejects_nonpositive_vol(self):
-        with pytest.raises(cn.NonPositiveVolFeature):
-            cn.flatten_volatility(np.ones((3, 1)), np.array([[1.0], [0.0], [1.0]]))
-
-    def test_flattened_panel_solves_through_subspace_machinery(self, rng):
-        # population moment on the expanded pseudo-assets + the per-time
-        # basket spec must reproduce the conditional optimum
-        p, v = 2, 2
-        vol_row = np.array([[0.8, 1.6]])
-        _, baskets = cn.flatten_volatility(np.zeros((1, p)), vol_row)
-        spec = baskets[0]
-        mean = np.array([0.2, 0.35, -0.1, 0.15])     # B f for the observed f
-        sigma = rand_spd(rng, p * v) / (p * v)
-        tm = AugmentedMoment(theta_from(mean, sigma), n_obs=100)
-        om = gaussian_omega(tm)
-        point, _ = cn.subspace_theta(tm, spec, om)
-        risk_budget = 0.5
-        w = orc.subspace_weights(point, p * v, risk_budget)
-        j = spec.basket
-        proj = j.T @ np.linalg.inv(j @ sigma @ j.T) @ j
-        c = risk_budget / np.sqrt(mean @ proj @ mean)
-        np.testing.assert_allclose(w, c * proj @ mean, atol=1e-10)
-        assert w @ sigma @ w == pytest.approx(risk_budget**2, rel=1e-10)
-
-    def test_lemma_portfolio_matches_grid_search(self):
-        # one real asset, two volatility features: the feasible expanded
-        # portfolios are a line; a dense sweep along it must not beat the
-        # closed-form optimum
-        sigma = np.array([[0.8, 0.3], [0.3, 1.1]])
-        mean = np.array([0.25, 0.4])
-        risk_budget, rfr = 0.9, 0.1
-        _, baskets = cn.flatten_volatility(np.zeros((2, 1)), np.array([[1.0, 2.0], [1.0, 2.0]]))
-        j = baskets[0].basket
-        proj = j.T @ np.linalg.inv(j @ sigma @ j.T) @ j
-        w_star = proj @ mean * (risk_budget / np.sqrt(mean @ proj @ mean))
-        obj_star = np.sqrt(mean @ proj @ mean) - rfr / risk_budget
-
-        d = j[0] / np.linalg.norm(j[0])
-        t_max = risk_budget / np.sqrt(d @ sigma @ d)
-        best = -np.inf
-        for t in np.linspace(-t_max, t_max, 40001):
-            if abs(t) < 1e-12:
-                continue
-            w = t * d
-            best = max(best, (w @ mean - rfr) / np.sqrt(w @ sigma @ w))
-        assert best == pytest.approx(obj_star, abs=1e-3)
-        assert w_star @ sigma @ w_star == pytest.approx(risk_budget**2, rel=1e-10)
-
-
 class TestConstrainedCholesky:
     def _conditional_tm(self, rng, d=3, n_obs=400):
         theta = rand_spd(rng, d) / d + 0.5 * np.eye(d)
@@ -483,6 +438,24 @@ class TestConstrainedCholesky:
         rhs = np.concatenate([w @ y, target])
         z_kkt = np.linalg.solve(kkt, rhs)[:6]
         np.testing.assert_allclose(z_star, z_kkt, atol=1e-8)
+
+    @pytest.mark.parametrize("weighting, error, message", [
+        (np.eye(3), ShapeMismatch, r"shape \(3, 3\), not 6x6"),
+        (np.ones((6, 5)), ShapeMismatch, r"shape \(6, 5\), not 6x6"),
+        (np.diag([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), ShapeMismatch, "non-finite entry in weighting W"),
+        # W, W' and (W + W')/2 would give three different estimates of one objective
+        (np.eye(6) + 0.6 * np.eye(6, k=3), AsymmetricInput, "asymmetry")],
+        ids=["moment_side", "not_square", "nan", "asymmetric"])
+    def test_bad_weighting_is_rejected_when_built(self, weighting, error, message):
+        with pytest.raises(error, match=message):
+            cn.CholeskyConstraint(np.eye(6)[:1], [0.5], weighting)
+
+    @pytest.mark.parametrize("last", [0.0, -1.0], ids=["singular", "indefinite"])
+    def test_weighting_that_is_not_positive_definite_raises(self, rng, last):
+        tm, om = self._conditional_tm(rng)
+        cc = cn.CholeskyConstraint(np.eye(6)[:1], [0.5], np.diag([1.0] * 5 + [last]))
+        with pytest.raises(SingularWeighting, match="weighting or weighted constraint gram"):
+            cn.constrained_cholesky_estimate(tm, cc, om)
 
     def test_jacobian_matches_finite_differences(self, rng):
         tm, om = self._conditional_tm(rng)

@@ -98,15 +98,17 @@ def coefficient_law(values, features, omega):
 
 
 @settings(max_examples=40, deadline=None)
-@given(log_c=st.floats(-6.0, 6.0), f=st.integers(1, 3), **panels)
+@given(log_c=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3), f=st.integers(1, 3),
+       **panels)
 def test_scaling_features(log_c, f, seed, t, p, omega):
-    # features in other units: theta^-1's feature columns scale by 1/c, so
-    # the coefficient does, and its standard errors with it
-    c = 10.0**log_c
+    # each feature in its own units, z D for D = diag(c_j): theta^-1's feature
+    # column j scales by 1/c_j, so the coefficient's column j does, and its
+    # standard errors with it
+    c = 10.0 ** np.array(log_c[:f])
     x = one_factor_panel(seed, t, p)
     z = np.random.default_rng(seed).standard_normal((t, f)) + 0.5
-    base, scaled = coefficient_law(x, z, omega), coefficient_law(x, c * z, omega)
-    assert_close(c * scaled[0], base[0])
+    base, scaled = coefficient_law(x, z, omega), coefficient_law(x, z * c, omega)
+    assert_close(scaled[0] * np.repeat(c, p), base[0])  # column-major: c_j on column j's p rows
     assert_close(scaled[1], base[1])
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from portinf import constraints as cn
 from portinf import mglh
+from portinf import moments as mo
 from portinf import oracles as orc
 from portinf.asymptotics import OmegaEstimate, wald_statistics
 from portinf.errors import RankDeficient, ShapeMismatch
@@ -142,6 +144,61 @@ class TestStatistics:
         res = mglh.mglh_statistics(tm, spec)
         h_scalar = b**2 * sig_f
         assert res.hlt == pytest.approx(h_scalar / sigma, rel=1e-12)
+
+    @staticmethod
+    def _constant_feature_case(seed, t, p, scale):
+        """Statistics of one constant feature with A = I, C = 1, T = 0, the sample's zeta^2 and its bound.
+
+        Theta = [[1, mu'], [mu, Sigma + mu mu']] for the sample mean mu and the
+        divisor-T covariance Sigma, read off theta so that both sides share the
+        sample's sums. G1 is 1 and G2 is (theta^-1)_00 = 1 + zeta^2, so the one
+        eigenvalue is 1 + zeta^2. The bordered inversion and the eigensolve each
+        round at a few d eps of that eigenvalue, d = p + 1, and the reference's
+        solve at d eps cond(Sigma) zeta^2: the gap is a few
+        d eps cond(Sigma) (1 + zeta^2), allowed eight times here. Unit-variance
+        noise keeps cond(Sigma) near 1 and the mean keeps zeta^2 below about 1,
+        where Sigma's own cancellation, eps (1 + zeta^2) relative, adds no more.
+        """
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(p)
+        x = scale * direction / np.linalg.norm(direction) + rng.standard_normal((t, p))
+        rows, layout, f_dim = cn.conditional_rows(x, np.ones((t, 1)),
+                                                  model=cn.ConditionalModel.BICONDITIONAL)
+        tm = mo.sample_theta(rows, layout, f_dim=f_dim)
+        res = mglh.mglh_statistics(tm, mglh.MglhSpec(np.eye(p), [[1.0]], np.zeros((p, 1))))
+        mu = tm.theta[1:, 0]
+        sigma = tm.theta[1:, 1:] - np.outer(mu, mu)
+        zeta_sq = mu @ np.linalg.solve(sigma, mu)
+        bound = 8 * (p + 1) * np.finfo(float).eps * np.linalg.cond(sigma) * (1.0 + zeta_sq)
+        return res, zeta_sq, bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(200, 400), p=st.integers(1, 4),
+           scale=st.floats(0.0, 1.0))
+    def test_hlt_on_a_constant_feature_is_the_squared_sharpe(self, seed, t, p, scale):
+        """One constant feature, A = I, C = 1, T = 0: HLT is the sample's mu' Sigma^-1 mu."""
+        res, zeta_sq, bound = self._constant_feature_case(seed, t, p, scale)
+        assert abs(res.hlt - zeta_sq) <= bound
+
+    @pytest.mark.parametrize("name, of_zeta_sq", [
+        ("pbt", lambda z, p: p - 1 + 1.0 / (1.0 + z)),
+        ("wilks", lambda z, p: 1.0 / (1.0 + z)),
+        ("roy", lambda z, p: z),
+    ], ids=["pbt", "wilks", "roy"])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(200, 400), p=st.integers(1, 4),
+           scale=st.floats(0.0, 1.0))
+    def test_other_statistics_on_a_constant_feature_follow_the_squared_sharpe(
+            self, name, of_zeta_sq, seed, t, p, scale):
+        """With one root 1 + zeta^2, PBT is a - c + 1/(1 + zeta^2), Wilks 1/(1 + zeta^2), Roy zeta^2.
+
+        Each map has slope at most 1 in magnitude for zeta^2 >= 0, so the root's
+        error passes on at most the HLT bound. The last two operations on each
+        side round at eps/2 of a value at most p, adding 2 p eps.
+        """
+        res, zeta_sq, bound = self._constant_feature_case(seed, t, p, scale)
+        expected = of_zeta_sq(zeta_sq, p)
+        assert abs(getattr(res, name) - expected) <= bound + 2 * p * np.finfo(float).eps
 
     @pytest.mark.parametrize("trial", range(10))
     def test_result_bounds(self, trial):
