@@ -2,6 +2,7 @@
 """Print what a fixed list of portinf commands writes, for a byte-identity check.
 
 Usage: python scripts/cli_snapshot.py ROOT
+       python scripts/cli_snapshot.py BASE ROOT
 
 ROOT is a portinf checkout. The script writes the mglh contrasts, the
 LRT constraints, a panel with a feature in large units and restrictions
@@ -14,10 +15,16 @@ checkouts behave alike on the list when
 
     diff <(python scripts/cli_snapshot.py BASE) <(python scripts/cli_snapshot.py .)
 
-prints nothing.
+prints nothing. Given two checkouts, the script snapshots both and prints
+how many lines differ, whether any line outside a `--format json` stdout
+moved, and the largest relative change between the numbers of two lines
+that differ only in their numbers (inf when a line differs otherwise);
+if the two snapshots differ in length, it prints both lengths instead.
 """
 
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -106,23 +113,69 @@ def commands() -> list[list[str]]:
     return out + [["selftest"]]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python scripts/cli_snapshot.py ROOT", file=sys.stderr)
-        return 1
-    root = os.path.abspath(argv[0])
+def snapshot(root: str) -> list[str]:
+    """The snapshot's lines for the checkout at root, each with its newline."""
+    root = os.path.abspath(root)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = []
     with tempfile.TemporaryDirectory() as outdir:
         write_inputs(os.path.join(root, "data", "synthetic_returns.csv"), outdir)
         for args in commands():
             proc = subprocess.run([sys.executable, "-m", "portinf.cli", *args], cwd=outdir,
                                   env=env, capture_output=True, text=True)
-            print("$ portinf " + " ".join(args))
-            print(f"exit {proc.returncode}")
+            out += ["$ portinf " + " ".join(args) + "\n", f"exit {proc.returncode}\n"]
             # a warning names the source file; keep the checkout's path out of the diff
             for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr.replace(root, "ROOT"))):
-                print(f"--- {name}")
-                sys.stdout.write(text)
+                out.append(f"--- {name}\n")
+                out += text.splitlines(keepends=True)
+    return out
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _json_lines(lines: list[str]) -> list[bool]:
+    """Whether each line is stdout of a `--format json` command."""
+    is_json = json = False
+    out = []
+    for line in lines:
+        if line.startswith("$ portinf "):
+            is_json = line.rstrip("\n").endswith("--format json")
+        elif line.startswith("--- "):
+            json = is_json and line == "--- stdout\n"
+        out.append(json and not line.startswith("--- "))
+    return out
+
+
+def _relative_change(old: str, new: str) -> float:
+    """The largest relative change between the numbers of two lines, inf if the rest differs."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new) or len(a) != len(b):
+        return math.inf
+    return max((abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)))
+                for x, y in zip(a, b) if float(x) != float(y)), default=0.0)
+
+
+def compare(base: list[str], new: list[str]) -> list[str]:
+    """Three report lines: changed lines, moved non-JSON lines, largest relative change."""
+    if len(base) != len(new):
+        return [f"line count differs: {len(base)} -> {len(new)}"]
+    json = _json_lines(base)
+    moved = [i for i, (x, y) in enumerate(zip(base, new)) if x != y]
+    largest = max((_relative_change(base[i], new[i]) for i in moved), default=0.0)
+    return [f"changed lines: {len(moved)} of {len(base)}",
+            f"non-json lines moved: {sum(not json[i] for i in moved)}",
+            f"largest relative change: {largest:.3g}"]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print("usage: python scripts/cli_snapshot.py [BASE] ROOT", file=sys.stderr)
+        return 1
+    if len(argv) == 1:
+        sys.stdout.writelines(snapshot(argv[0]))
+    else:
+        print("\n".join(compare(snapshot(argv[0]), snapshot(argv[1]))))
     return 0
 
 

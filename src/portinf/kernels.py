@@ -173,13 +173,14 @@ def spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Inverse of a symmetric matrix, or of each member of an (n, d, d) stack, and its ratio.
 
     Each member is equilibrated, A = D a D with D = diag(a)^-1/2, so the
-    ratio is unit-free. One eigh A = V L V' gives the ratio, the smallest
-    eigenvalue over the largest, and Y = V L^-1 V', which one Newton step
-    Y + Y (I - A Y) refines to the accuracy of an LU inverse; the inverse
-    is D Y D. Callers gate with ratio >= PD_RTOL. The ratio is NaN for a
-    member with a non-finite entry or a non-positive diagonal, and at most
-    0 for one with a non-positive eigenvalue; both get the identity as
-    inverse, so a bad member never fails the rest of a stack.
+    ratio is unit-free: the smallest eigenvalue of A over the largest, from
+    eigvalsh alone. One LU inverse Y of A, refined by one Newton step
+    Y + Y (I - A Y), gives the inverse D Y D; no eigenvector is formed.
+    Callers gate with ratio >= PD_RTOL. The ratio is NaN for a member with
+    a non-finite entry or a non-positive diagonal. Every member below
+    PD_RTOL, NaN included, is replaced by the identity before the LU and
+    gets the identity as inverse, so a bad member never fails the rest of
+    a stack.
     """
     a = np.asarray(a, dtype=float)
     eye = np.eye(a.shape[-1])
@@ -187,13 +188,14 @@ def spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     a = np.where(valid[..., None, None], a, eye)
     scale = 1.0 / np.sqrt(np.diagonal(a, 0, -2, -1))
     a = scale[..., :, None] * a * scale[..., None, :]
-    vals, vecs = np.linalg.eigh(a)
+    vals = np.linalg.eigvalsh(a)
     ratio = np.where(valid, vals[..., 0] / vals[..., -1], np.nan)
-    pd = (ratio > 0)[..., None]
-    y = (vecs / np.where(pd, vals, 1.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    pd = (ratio >= PD_RTOL)[..., None, None]
+    a = np.where(pd, a, eye)
+    y = np.linalg.inv(a)
     y += y @ (eye - a @ y)
     inv = scale[..., :, None] * y * scale[..., None, :]
-    inv = np.where(pd[..., None], 0.5 * (inv + inv.swapaxes(-1, -2)), eye)
+    inv = np.where(pd, 0.5 * (inv + inv.swapaxes(-1, -2)), eye)
     return inv, ratio[()]  # a float for one matrix
 
 

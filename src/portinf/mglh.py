@@ -90,12 +90,12 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + _t(x))
 
 
-def _feature_solve(sig_f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """inv(feature gram) C, with C shared by every gram of a stack."""
+def _shared_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """inv(a) b, with b shared by every member of a stack a; a singular a raises SingularTheta."""
     try:
-        return np.linalg.solve(sig_f, np.broadcast_to(c, sig_f.shape[:-2] + c.shape))
+        return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-2] + b.shape))
     except np.linalg.LinAlgError as exc:
-        raise SingularTheta("feature gram is singular") from exc
+        raise SingularTheta(f"{what} is singular") from exc
 
 
 def _border(spec: MglhSpec, f: int) -> np.ndarray:
@@ -112,15 +112,16 @@ class _Factors:
     """G1 and G2 with the solves their gradient reuses.
 
     g1_inv is C' inv(feature gram) C, the matrix G1 inverts, feature_c is
-    inv(feature gram) C and core_inv the inverse of the bordered moment
-    M' theta M; each is a stack for a stack of moments.
+    inv(feature gram) C and core_s is Q S, the bordered moment M' theta M
+    solved against the stacked contrast and target S (Q its inverse, which
+    is never formed), so G2 = S' Q S; each is a stack for a stack of moments.
     """
 
     g1: np.ndarray
     g2: np.ndarray
     g1_inv: np.ndarray
     feature_c: np.ndarray
-    core_inv: np.ndarray
+    core_s: np.ndarray
 
 
 def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
@@ -128,7 +129,7 @@ def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
         raise ShapeMismatch("need a conditional-layout moment matrix")
     f = tm.f_dim
     spec.validate_against(f, tm.n_assets)
-    feature_c = _feature_solve(tm.theta[..., :f, :f], spec.c_matrix)
+    feature_c = _shared_solve(tm.theta[..., :f, :f], spec.c_matrix, "feature gram")
     cquad = spec.c_matrix.T @ feature_c
     try:
         g1 = np.linalg.inv(cquad)
@@ -136,27 +137,34 @@ def _factorize(tm: AugmentedMoment, spec: MglhSpec) -> _Factors:
         raise SingularCquad("C' inv(feature gram) C is singular") from exc
     mt = _border(spec, f)
     core = mt.T @ tm.theta @ mt
-    try:
-        core_inv = np.linalg.inv(core)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTheta("bordered moment is singular") from exc
     s = _stack(spec)
-    return _Factors(_sym(g1), _sym(s.T @ core_inv @ s), _sym(cquad), feature_c, core_inv)
+    core_s = _shared_solve(core, s, "bordered moment")
+    return _Factors(_sym(g1), _sym(s.T @ core_s), _sym(cquad), feature_c, core_s)
 
 
-def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and right eigenvectors of the product G1 G2.
+def _whiten(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R = chol(G1) and R' G2 R, whose eigenvalues are those of G1 G2.
 
-    Solved as the symmetric-definite pencil G2 v = lambda inv(G1) v by
-    whitening with R = chol(G1): the eigenvectors w of R' G2 R give
-    v = R w, normalized to v' inv(G1) v = 1, and the eigenvalues come out
-    real. Works on stacks of factors; an indefinite G1 raises SingularCquad.
+    Works on stacks of factors; an indefinite G1 raises SingularCquad.
     """
     try:
         r = np.linalg.cholesky(g1)
     except np.linalg.LinAlgError as exc:
         raise SingularCquad("C' inv(feature gram) C is not positive definite") from exc
-    vals, w = np.linalg.eigh(_t(r) @ g2 @ r)
+    return r, _t(r) @ g2 @ r
+
+
+def _g1g2_eigen(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and right eigenvectors of the product G1 G2.
+
+    Solved as the symmetric-definite pencil G2 v = lambda inv(G1) v through
+    `_whiten`: the eigenvectors w of R' G2 R give v = R w, normalized to
+    v' inv(G1) v = 1, and the eigenvalues come out real. Only the gradient
+    reads the eigenvectors; `mglh_statistics` takes eigvalsh of the same
+    R' G2 R.
+    """
+    r, whitened = _whiten(g1, g2)
+    vals, w = np.linalg.eigh(whitened)
     return vals[..., ::-1], (r @ w)[..., ::-1]
 
 
@@ -167,7 +175,7 @@ def mglh_statistics(tm: AugmentedMoment, spec: MglhSpec) -> MglhResult:
     stack order.
     """
     fac = _factorize(tm, spec)
-    vals, _ = _g1g2_eigen(fac.g1, fac.g2)
+    vals = np.linalg.eigvalsh(_whiten(fac.g1, fac.g2)[1])[..., ::-1]
     a, c = spec.n_rows, spec.n_cols
     inv = 1.0 / vals
     stats = [np.sum(vals, axis=-1) - c, np.sum(inv, axis=-1) + a - c,
@@ -183,7 +191,7 @@ def _weights(tm: AugmentedMoment, spec: MglhSpec, fac: _Factors, vals: np.ndarra
     g1, g2 = fac.g1, fac.g2
     l1 = np.zeros((tm.dim, spec.n_cols))
     l1[: tm.f_dim] = fac.feature_c @ g1
-    r2 = _border(spec, tm.f_dim) @ (fac.core_inv @ _stack(spec))
+    r2 = _border(spec, tm.f_dim) @ fac.core_s
 
     g1_inv, g2_inv = fac.g1_inv, np.linalg.inv(g2)
     wilks = np.prod(1.0 / vals)
@@ -213,8 +221,8 @@ def mglh_derivatives(tm: AugmentedMoment,
     F = [L1, R2] and W = diag(W1, -W2). Returns F and, per statistic, W's
     front on vech(F' dtheta F) for `OmegaEstimate.sandwich`. The
     largest-root weights pair the left and right eigenvectors of the
-    (non-symmetric) product G1 G2. inv(feature gram) C and Q are those
-    that G1 and G2 were formed from.
+    (non-symmetric) product G1 G2. inv(feature gram) C and Q S are the
+    solves that G1 and G2 were formed from.
     """
     fac = _factorize(tm, spec)
     l1, r2, weights = _weights(tm, spec, fac, *_g1g2_eigen(fac.g1, fac.g2))

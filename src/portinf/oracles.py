@@ -19,7 +19,7 @@ from .errors import (BadLength, NumericalError, RankDeficient, RepeatedEigenvalu
                      SingularCquad, SingularMatrix, SingularProjection, SingularTheta)
 from .kernels import (MatrixShape, _inv, _vech_gather, check_symmetric, chol, d_qform_inv_vech,
                       ivech, vech_indices, vech_len, vech_lower)
-from .mglh import MglhSpec, _factorize, _feature_solve, _g1g2_eigen, _sym, _t, _weights
+from .mglh import MglhSpec, _factorize, _g1g2_eigen, _shared_solve, _sym, _t, _weights
 from .moments import AugmentedMoment, MomentLayout, check_risk_budget, portfolio_head
 from .simulate import CHUNK
 
@@ -417,7 +417,7 @@ def mglh_he(tm: AugmentedMoment, spec: MglhSpec) -> tuple[np.ndarray, np.ndarray
     sigma = _sym(theta[..., f:, f:] - bhat @ sig_f @ _t(bhat))
     a, c, t = spec.a_matrix, spec.c_matrix, spec.t_matrix
     resid = a @ bhat @ c - t
-    cquad = c.T @ _feature_solve(sig_f, c)
+    cquad = c.T @ _shared_solve(sig_f, c, "feature gram")
     try:
         h = resid @ np.linalg.solve(cquad, _t(resid))
     except np.linalg.LinAlgError as exc:

@@ -20,6 +20,7 @@ library).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,15 @@ def _rng_for(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, chunk)))
 
 
+@lru_cache(maxsize=8)
+def _bartlett_gather(q: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Read-only diagonal and strictly-lower (row, col) indices of a q-by-q factor."""
+    diag, below = np.arange(q), np.tril_indices(q, -1)
+    for arr in (diag, *below):
+        arr.setflags(write=False)
+    return diag, below
+
+
 def _wishart(rng: np.random.Generator, k: int, q: int, df: int) -> np.ndarray:
     """k draws of Wishart(df, I_q), as A A' by Bartlett's decomposition.
 
@@ -87,10 +97,9 @@ def _wishart(rng: np.random.Generator, k: int, q: int, df: int) -> np.ndarray:
     1966). The k-by-q diagonal is drawn first, then the k-by-q(q-1)/2
     entries below it in np.tril_indices(q, -1) order.
     """
+    diag, below = _bartlett_gather(q)
     a = np.zeros((k, q, q))
-    diag = np.arange(q)
     a[:, diag, diag] = np.sqrt(rng.chisquare(df - diag, (k, q)))
-    below = np.tril_indices(q, -1)
     a[:, below[0], below[1]] = rng.standard_normal((k, below[0].size))
     return a @ a.swapaxes(1, 2)
 

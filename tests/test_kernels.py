@@ -150,19 +150,39 @@ class TestSpdInverse:
     def test_stack_is_its_members_and_matches_lu(self, d, n, seed):
         rng = np.random.default_rng(seed)
         # each member in its own units, so the equilibration has work to do
-        stack = np.stack([rand_spd(rng, d) * np.outer(u, u)
-                          for u in 10.0 ** rng.uniform(-2, 2, (n, d))])
+        well = [rand_spd(rng, d) * np.outer(u, u) for u in 10.0 ** rng.uniform(-2, 2, (n, d))]
+        # near the gate: eigenvalues 1 down to 10^-e, e in [2, 10], in units 10^+-8;
+        # equilibrating moves the ratio by at most a factor d (van der Sluis)
+        near = []
+        for e, u in zip(rng.uniform(2, 10, n), 10.0 ** rng.uniform(-8, 8, (n, d))):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = (q * np.logspace(0, -e, d)) @ q.T
+            near.append(0.5 * (m + m.T) * np.outer(u, u))
+        stack = np.stack(well + near)
         inv, ratio = kn.spd_inverse(stack)
-        assert inv.shape == stack.shape and ratio.shape == (n,)
-        for k in range(n):
+        assert inv.shape == stack.shape and ratio.shape == (2 * n,)
+        for k in range(2 * n):
             one, one_ratio = kn.spd_inverse(stack[k])
             np.testing.assert_array_equal(inv[k], one)
             assert ratio[k] == one_ratio and kn.PD_RTOL <= one_ratio <= 1.0
-            want = np.linalg.inv(stack[k])
-            assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
             np.testing.assert_array_equal(one, one.T)
+            if k < n:
+                want = np.linalg.inv(stack[k])
+                assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
+                continue
+            # Check the equilibrated inverse Y = S inv S of A = a / (s s'), s = sqrt(diag a),
+            # by its relative residual. The refined LU inverse has a forward error of
+            # about d eps cond(A) relative, cond(A) = 1/ratio for SPD A; the symmetrization,
+            # the unscaling and this rescaling move it by a few eps. I - A Y = A (A^-1 - Y),
+            # so |I - A Y| <= |A| |Y| d eps / ratio, in 2-norms, up to a constant below 10.
+            # The raw residual is no smaller: symmetrizing Y leaves an antisymmetric part
+            # of about eps / ratio relative, which A does not shrink.
+            s = np.sqrt(np.diagonal(stack[k]))
+            a, y = stack[k] / np.outer(s, s), one * np.outer(s, s)
+            rel = np.linalg.norm(np.eye(d) - a @ y, 2) / (np.linalg.norm(a, 2) * np.linalg.norm(y, 2))
+            assert rel <= 10 * d * np.finfo(float).eps / one_ratio
 
-    @pytest.mark.parametrize("bad", ["nan", "zero_diagonal", "indefinite"])
+    @pytest.mark.parametrize("bad", ["nan", "zero_diagonal", "indefinite", "near_singular"])
     def test_bad_member_fails_the_gate_alone(self, bad, rng):
         stack = np.stack([rand_spd(rng, 3) for _ in range(4)])
         want_inv, want_ratio = kn.spd_inverse(stack)
@@ -170,13 +190,18 @@ class TestSpdInverse:
             stack[2, 0, 1] = stack[2, 1, 0] = np.nan
         elif bad == "zero_diagonal":
             stack[2, 1, 1] = 0.0
-        else:  # a positive diagonal, eigenvalues 3, 1 and -1
+        elif bad == "indefinite":  # a positive diagonal, eigenvalues 3, 1 and -1
             stack[2] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        else:  # eigenvalues 2, 1 and 1e-14: positive, below the gate, invertible by an LU
+            c = 1.0 - 1e-14
+            stack[2] = [[1.0, c, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 1.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inv, ratio = kn.spd_inverse(stack)
         assert not ratio[2] >= kn.PD_RTOL
-        assert np.isnan(ratio[2]) == (bad != "indefinite")
+        assert np.isnan(ratio[2]) == (bad in ("nan", "zero_diagonal"))
+        if bad == "near_singular":
+            assert ratio[2] > 0
         np.testing.assert_array_equal(inv[2], np.eye(3))
         keep = [0, 1, 3]
         np.testing.assert_array_equal(inv[keep], want_inv[keep])
