@@ -181,10 +181,8 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
             out -= mu[:, i, None, None] * basis[i]
         return out
 
-    # trace pairings as elementwise sums, never a product across members, so
-    # that each member's arithmetic does not depend on the stack around it
     def residual_of(inv0):
-        return np.sum(inv0[:, None] * basis, axis=(2, 3)) - targets
+        return _traces(inv0, basis) - targets
 
     # theta0 = theta - mu B rounds by about eps^2 (d + mu' J mu) in the squared
     # J-norm and each of the m residuals sums d^2 products, so the decrement
@@ -206,8 +204,7 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        w = inv0[idx, None] @ basis @ inv0[idx, None]
-        jac = np.sum(w[:, :, None] * basis, axis=(3, 4))
+        jac = _trace_jacobian(inv0[idx], basis)
         # a Jacobian near underflow gives a step that overflows, and the line search rejects it
         with np.errstate(over="ignore", invalid="ignore"):
             jac_inv, jac_ratio = spd_inverse(jac)
@@ -266,6 +263,20 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
         stat[good] = tm.n_obs * _nu_minus_log1p(np.where(1.0 + nu > 0, nu, 0.0)).sum(axis=1)
         stat[status != LRT_OK] = np.nan
     return LrtStack(lam, theta0, stat, m, iterations, status, history)
+
+
+# The trace pairings of lrt_solve_stack are einsum contractions. Without optimize,
+# einsum never hands a product across members to BLAS, so each member's arithmetic
+# does not depend on the stack around it.
+def _traces(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """tr(B_i Y) for each member Y of an (n, d, d) stack and each symmetric B_i: (n, m)."""
+    return np.einsum("njk,ijk->ni", y, basis)
+
+
+def _trace_jacobian(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """tr(B_i Y B_l Y) for each member Y of an (n, d, d) stack, from P_i = B_i Y: (n, m, m)."""
+    prod = basis @ y[:, None]
+    return np.einsum("nijk,nlkj->nil", prod, prod)
 
 
 def _nu_minus_log1p(nu: np.ndarray) -> np.ndarray:

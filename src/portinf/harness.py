@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,46 +52,59 @@ def load_csv(
 ) -> LoadedData:
     """Read an aligned returns (and optional feature) panel from CSV.
 
-    UTF-8, header row, decimal-point numbers. Rows with any missing or
-    unparseable selected value are dropped and counted. Row order is
-    preserved; non-increasing timestamps only warn.
+    UTF-8, header row, decimal-point numbers. Rows with any missing,
+    unparseable, NaN or infinite selected value, or no timestamp when a
+    date column is named, are dropped and counted; blank lines are
+    skipped. Row order is preserved; non-increasing timestamps only warn.
     """
     feature_columns = feature_columns or []
+    columns = asset_columns + feature_columns
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ParseError(f"{path}: no header row")
-            missing = [c for c in asset_columns + feature_columns if c not in reader.fieldnames]
-            if date_column and date_column not in reader.fieldnames:
+            where = {name: i for i, name in enumerate(header)}  # a repeated name reads its last
+            missing = [c for c in columns if c not in where]
+            if date_column and date_column not in where:
                 missing.append(date_column)
             if missing:
                 raise ParseError(f"{path}: missing columns {missing}")
-            rows, feats, stamps = [], [], []
+            picks = [where[c] for c in columns]
+            stamp_at = where[date_column] if date_column else None
+            parsed, stamps = [], []
             n_dropped = 0
-            for lineno, rec in enumerate(reader, start=2):
+            for row in reader:
+                if not row:  # a blank line is no row
+                    continue
                 try:
-                    vals = [float(rec[c]) for c in asset_columns]
-                    fv = [float(rec[c]) for c in feature_columns]
-                except (TypeError, ValueError):
+                    picked = [float(row[i]) for i in picks]
+                    stamp = row[stamp_at] if date_column else None
+                except (IndexError, ValueError):  # a short row or an unparseable value
                     n_dropped += 1
                     continue
-                if not all(np.isfinite(vals)) or not all(np.isfinite(fv)):
-                    n_dropped += 1
-                    continue
-                rows.append(vals)
-                feats.append(fv)
-                if date_column:
-                    stamps.append(rec[date_column])
+                parsed.append(picked)
+                stamps.append(stamp)
     except OSError as exc:  # the OS message repeats the path
         raise ParseError(f"{path}: {exc.strerror or 'not found'}") from exc
-    if not rows:
+    # then drop the parsed rows with a NaN or infinite value, all at once
+    values = np.array(parsed, dtype=float).reshape(len(parsed), len(columns))
+    finite = np.isfinite(values).all(axis=1)
+    n_dropped += int(finite.size - np.count_nonzero(finite))
+    values = values[finite]
+    if not values.shape[0]:
         raise EmptyPanel(f"{path}: no usable rows")
-    if date_column and any(b <= a for a, b in zip(stamps, stamps[1:])):
-        warnings.warn(f"{path}: timestamps are not strictly increasing", RuntimeWarning)
-    panel = ReturnsPanel(np.array(rows), asset_names=list(asset_columns),
-                         timestamps=stamps if date_column else None)
-    features = np.array(feats) if feature_columns else None
+    if date_column:
+        stamps = list(compress(stamps, finite))
+        if any(b <= a for a, b in zip(stamps, stamps[1:])):
+            warnings.warn(f"{path}: timestamps are not strictly increasing", RuntimeWarning)
+    else:
+        stamps = None
+    n_assets = len(asset_columns)
+    panel = ReturnsPanel(np.ascontiguousarray(values[:, :n_assets]),
+                         asset_names=list(asset_columns), timestamps=stamps)
+    features = np.ascontiguousarray(values[:, n_assets:]) if feature_columns else None
     return LoadedData(panel, features, n_dropped)
 
 

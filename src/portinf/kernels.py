@@ -87,22 +87,27 @@ def check_symmetric(m: np.ndarray, stacked: bool = False) -> np.ndarray:
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
         kind = "stack of square matrices" if stacked else "square matrix"
         raise ShapeMismatch(f"expected a {kind}, got {m.shape}")
-    largest = np.abs(m).max(axis=(-2, -1))  # one entry per member of a stack
-    if not math.isfinite(largest.max()):
+    # the largest |entry|, NaN if any entry is NaN
+    largest = max(m.max(), -m.min())
+    if not math.isfinite(largest):
         raise SingularTheta("matrix has a non-finite entry")
     mt = m.swapaxes(-1, -2)
-    if stacked:
-        # gate the member furthest from symmetric, relative to its own scale
-        scale = np.maximum(largest, 1.0)
-        gap = np.abs(m - mt).max(axis=(1, 2))
+    # m - m' is antisymmetric to the bit, so its largest entry is its largest |entry|
+    gap = (m - mt).max()
+    # every member's scale is at least 1, so a stack whose gap passes at scale 1 passes
+    # member by member; otherwise gate the member furthest from symmetric, relative to
+    # its own scale
+    scale = 1.0 if stacked else max(largest, 1.0)
+    if stacked and gap > SYMMETRY_RTOL:
+        gap = (m - mt).max(axis=(1, 2))
+        scale = np.maximum(np.maximum(m.max(axis=(1, 2)), -m.min(axis=(1, 2))), 1.0)
         worst = np.argmax(gap / scale)
         scale, gap = scale[worst], gap[worst]
-    else:
-        scale = max(largest, 1.0)
-        gap = np.abs(m - mt).max()
     if gap > SYMMETRY_RTOL * scale:
         raise AsymmetricInput(f"asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.0e} relative")
-    return 0.5 * (m + mt)
+    out = m + mt
+    out *= 0.5
+    return out
 
 
 def row_basis(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -172,30 +177,36 @@ def ivech(v: np.ndarray, shape: MatrixShape = MatrixShape.SYMMETRIC) -> np.ndarr
 def spd_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Inverse of a symmetric matrix, or of each member of an (n, d, d) stack, and its ratio.
 
-    Each member is equilibrated, A = D a D with D = diag(a)^-1/2, so the
-    ratio is unit-free: the smallest eigenvalue of A over the largest, from
-    eigvalsh alone. One LU inverse Y of A, refined by one Newton step
-    Y + Y (I - A Y), gives the inverse D Y D; no eigenvector is formed.
-    Callers gate with ratio >= PD_RTOL. The ratio is NaN for a member with
-    a non-finite entry or a non-positive diagonal. Every member below
-    PD_RTOL, NaN included, is replaced by the identity before the LU and
-    gets the identity as inverse, so a bad member never fails the rest of
-    a stack.
+    Each member is equilibrated, A = D a D with D = diag(s), s = diag(a)^-1/2
+    (formed as a times the outer product s s'), so the ratio is unit-free: the
+    smallest eigenvalue of A over the largest, from eigvalsh alone. One LU
+    inverse Y of A gives the inverse D Y D, formed as Y times s s' and then
+    symmetrized. No eigenvector is formed, and no refinement step follows,
+    as one would not make Y more accurate. Callers gate with ratio >= PD_RTOL.
+    The ratio is NaN for a member with a non-finite entry or a non-positive
+    diagonal. Every member below PD_RTOL, NaN included, is replaced by the
+    identity before the LU and gets the identity as inverse, so a bad
+    member never fails the rest of a stack.
     """
     a = np.asarray(a, dtype=float)
     eye = np.eye(a.shape[-1])
-    valid = np.isfinite(a).all(axis=(-2, -1)) & (np.diagonal(a, 0, -2, -1) > 0).all(axis=-1)
-    a = np.where(valid[..., None, None], a, eye)
+    valid = np.isfinite(a).all() and (np.diagonal(a, 0, -2, -1) > 0).all()
+    if not valid:  # find the members to replace
+        valid = np.isfinite(a).all(axis=(-2, -1)) & (np.diagonal(a, 0, -2, -1) > 0).all(axis=-1)
+        a = np.where(valid[..., None, None], a, eye)
     scale = 1.0 / np.sqrt(np.diagonal(a, 0, -2, -1))
-    a = scale[..., :, None] * a * scale[..., None, :]
+    outer = scale[..., :, None] * scale[..., None, :]
+    a = a * outer
     vals = np.linalg.eigvalsh(a)
     ratio = np.where(valid, vals[..., 0] / vals[..., -1], np.nan)
-    pd = (ratio >= PD_RTOL)[..., None, None]
-    a = np.where(pd, a, eye)
-    y = np.linalg.inv(a)
-    y += y @ (eye - a @ y)
-    inv = scale[..., :, None] * y * scale[..., None, :]
-    inv = np.where(pd, 0.5 * (inv + inv.swapaxes(-1, -2)), eye)
+    pd = ratio >= PD_RTOL
+    every = pd.all()
+    y = np.linalg.inv(a if every else np.where(pd[..., None, None], a, eye))
+    y *= outer
+    inv = y + y.swapaxes(-1, -2)
+    inv *= 0.5
+    if not every:
+        inv = np.where(pd[..., None, None], inv, eye)
     return inv, ratio[()]  # a float for one matrix
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from portinf import gaussian as ga
 from portinf import moments as mo
 from portinf import oracles as orc
+from portinf import simulate
 from portinf.asymptotics import OmegaEstimate, theta_inverse_covariance
 from portinf.errors import NumericalError, RankDeficient, ShapeMismatch
 from portinf.kernels import vech_len, vech_pair
@@ -380,6 +381,63 @@ def assert_recombination_holds(tm, mats, targets, base, q, log_cond):
                                                  list(q @ np.array(targets))))
     bound = 1e-9 + 100 * np.finfo(float).eps * 10.0**log_cond
     assert abs(got.stat - base.stat) <= bound * base.stat
+
+
+class TestLrtTracePairings:
+    """The solver's einsum trace pairings against the broadcast sums they replaced."""
+
+    @staticmethod
+    def stack(rng, n, d, m):
+        x = rng.standard_normal((n, d, d + 2))
+        units = 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+        return units * (x @ x.swapaxes(1, 2)), np.stack([rand_sym(rng, d) for _ in range(m)])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_match_the_broadcast_sums(self, d, m, rng):
+        # Each form sums the same products in its own order. The residual sums the d^2
+        # products Y_jk B_i,jk; the Jacobian sums the d^4 products
+        # B_i,ja Y_ak B_l,kb Y_bj, through two products of d terms and a pairing of d^2
+        # (the oracle: Y B_i Y, then its pairing with B_l). Each form's rounding is at
+        # most gamma_k times the sum of the products' magnitudes, k = d^2 for the
+        # residual and d^2 + 2d for the Jacobian, so the forms agree to 2 k eps of it.
+        eps = np.finfo(float).eps
+        y, basis = self.stack(rng, 50, d, m)
+        res_old = np.sum(y[:, None] * basis, axis=(2, 3))
+        res_mag = np.sum(np.abs(y)[:, None] * np.abs(basis), axis=(2, 3))
+        assert np.all(np.abs(ga._traces(y, basis) - res_old) <= 2 * d * d * eps * res_mag)
+        w = y[:, None] @ basis @ y[:, None]
+        jac_old = np.sum(w[:, :, None] * basis, axis=(3, 4))
+        mag = np.abs(basis) @ np.abs(y)[:, None]
+        jac_mag = np.sum(mag[:, :, None] * mag[:, None].swapaxes(-1, -2), axis=(3, 4))
+        jac = ga._trace_jacobian(y, basis)
+        assert np.all(np.abs(jac - jac_old) <= 2 * (d * d + 2 * d) * eps * jac_mag)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_member_alone_is_a_member_of_a_stack_of_2000(self, d, rng):
+        y, basis = self.stack(rng, 2000, d, 3)
+        res, jac = ga._traces(y, basis), ga._trace_jacobian(y, basis)
+        for k in range(0, 2000, 111):
+            np.testing.assert_array_equal(ga._traces(y[k:k + 1], basis)[0], res[k])
+            np.testing.assert_array_equal(ga._trace_jacobian(y[k:k + 1], basis)[0], jac[k])
+            # the solver gathers its active members
+            idx = np.array([k, (7 * k + 3) % 2000])
+            np.testing.assert_array_equal(ga._trace_jacobian(y[idx], basis), jac[idx])
+
+    def test_the_lrt_suite_stack_solves_as_its_members(self):
+        # the lrt suite's 2000 trials at its default size: a member solved alone takes the
+        # same steps to the bit
+        rep, pop, tm = simulate._draw("lrt", 3, None, None)
+        mats = [np.diag([0.0, 1.0, 0.0]),
+                np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+        cs = ga.TraceConstraintSet(mats, [np.sum(a * pop.inverse) for a in mats])
+        stack = ga.lrt_solve_stack(tm, cs)
+        assert tm.theta.shape[0] == 2000 and stack.converged.all()
+        for k in range(0, 2000, 97):
+            one = ga.lrt_solve(AugmentedMoment(tm.theta[k], n_obs=tm.n_obs), cs)
+            assert one.iterations == stack.iterations[k] and one.stat == stack.stat[k]
+            np.testing.assert_array_equal(one.lam, stack.lam[k])
+            np.testing.assert_array_equal(one.history, stack.member(k).history)
 
 
 class TestLrtPvalue:

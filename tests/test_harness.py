@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portinf import cli
 from portinf import harness as hs
 from portinf import oracles as orc
 from portinf import simulate
@@ -70,6 +71,55 @@ class TestLoadCsv:
             loaded = hs.load_csv(str(path), ["a", "b"], date_column="date")
         # order preserved, never silently sorted
         assert loaded.panel.timestamps[0] == "2020-01-03"
+
+
+    # nan, inf, -inf, a blank cell and a non-numeric cell, in an asset column and in
+    # the feature column, between rows that parse; then a blank line, a short row and
+    # a row with a cell past the header
+    MIXED = ["d01,0.01,0.02,0.5", "d02,nan,0.02,0.5", "d03,0.01,inf,0.5",
+             "d04,-inf,0.01,0.5", "d05,,0.02,0.5", "d06,abc,0.02,0.5",
+             "d07,-0.01,0.02,0.25", "d08,0.03,0.01,nan", "d09,0.04,0.03,inf",
+             "d10,0.05,0.02,-inf", "d11,0.02,0.01,", "d12,0.04,0.03,x1",
+             "d13,0.06,-0.03,1.5", "", "d14,0.01", "d15,0.07,0.08,2.5,9"]
+
+    def test_non_finite_and_unparseable_cells(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("date,a,b,f\n" + "\n".join(self.MIXED) + "\n")
+        loaded = hs.load_csv(str(path), ["a", "b"], ["f"], date_column="date")
+        assert loaded.n_dropped == 11
+        assert loaded.panel.timestamps == ["d01", "d07", "d13", "d15"]
+        np.testing.assert_array_equal(
+            loaded.panel.values, [[0.01, 0.02], [-0.01, 0.02], [0.06, -0.03], [0.07, 0.08]])
+        np.testing.assert_array_equal(loaded.features, [[0.5], [0.25], [1.5], [2.5]])
+        # unselected, the feature column drops nothing
+        loaded = hs.load_csv(str(path), ["a", "b"], date_column="date")
+        assert loaded.n_dropped == 6 and loaded.features is None
+        assert loaded.panel.timestamps == ["d01", "d07", "d08", "d09", "d10", "d11", "d12",
+                                           "d13", "d15"]
+        np.testing.assert_array_equal(loaded.panel.values[:, 0],
+                                      [0.01, -0.01, 0.03, 0.04, 0.05, 0.02, 0.04, 0.06, 0.07])
+
+    def test_non_finite_rows_only_is_an_empty_panel(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("a,b\nnan,0.1\n0.2,inf\n-inf,0.3\n")
+        with pytest.raises(EmptyPanel, match="r.csv: no usable rows"):
+            hs.load_csv(str(path), ["a", "b"])
+
+    def test_dropped_rows_are_reported(self, capsys, tmp_path, rng):
+        path = tmp_path / "mixed.csv"
+        good = [f"e{i:02d},{a:.6f},{b:.6f},{f:.6f}"
+                for i, (a, b, f) in enumerate(0.01 + 0.02 * rng.standard_normal((40, 3)))]
+        path.write_text("date,a,b,f\n" + "\n".join(self.MIXED + good) + "\n")
+        code = cli.main(["infer", "--input", str(path), "--assets", "a,b", "--features", "f",
+                         "--model", "biconditional", "--date-column", "date"])
+        assert code == 0
+        assert "dropped 11 rows with missing values" in capsys.readouterr().err
+
+    def test_row_without_its_timestamp_is_dropped(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("a,b,date\n0.1,0.2,d1\n0.3,0.4\n0.5,0.6,d3\n0.7,0.8,d4\n0.9,1.0,d5\n")
+        loaded = hs.load_csv(str(path), ["a", "b"], date_column="date")
+        assert loaded.n_dropped == 1 and loaded.panel.timestamps == ["d1", "d3", "d4", "d5"]
 
 
 class TestRollingVolatility:

@@ -2,7 +2,9 @@
 
 import ast
 import pathlib
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +70,40 @@ class TestVecVech:
             kn.check_symmetric(np.stack([big, small]), stacked=True)
         out = kn.check_symmetric(np.stack([big, rand_spd(rng, 3)]), stacked=True)
         np.testing.assert_array_equal(out, out.swapaxes(1, 2))
+
+    def test_stack_past_the_global_gap_is_gated_member_by_member(self, rng):
+        # a gap of 1e-8 in a member of scale 1e6 is past SYMMETRY_RTOL for the stack as
+        # a whole, so the stack takes the per-member gate, which passes it
+        big = 1e6 * rand_spd(rng, 3)
+        big[0, 1] += 1e-8
+        stack = np.stack([rand_spd(rng, 3), big, rand_spd(rng, 3)])
+        assert np.abs(stack - stack.swapaxes(1, 2)).max() > kn.SYMMETRY_RTOL
+        out = kn.check_symmetric(stack, stacked=True)
+        for member, one in zip(stack, out):
+            np.testing.assert_array_equal(one, kn.check_symmetric(member))
+        # a member of scale 1 with a gap of 2e-12 fails, and the message names its gap
+        small = np.full((3, 3), 0.3) + 0.5 * np.eye(3)
+        small[0, 1] += 2e-12
+        with pytest.raises(AsymmetricInput, match="asymmetry 2.000e-12 exceeds"):
+            kn.check_symmetric(np.stack([big, small, rand_spd(rng, 3)]), stacked=True)
+
+    def test_stack_gate_holds_one_stack_beside_its_input(self, rng):
+        # neither path holds |m| and |m - m'| at once: besides its input, the gate holds
+        # the difference, then the output, each one stack, plus ufunc buffers
+        x = rng.standard_normal((8000, 4, 6))
+        stack = x @ x.swapaxes(1, 2)
+        slow = stack.copy()
+        slow[5] *= 1e6
+        slow[5, 0, 1] += 1e-8
+        for m in (stack, slow):
+            kn.check_symmetric(m, stacked=True)
+            tracemalloc.start()
+            try:
+                kn.check_symmetric(m, stacked=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * m.nbytes
 
     def test_ivech_symmetric_and_lower(self):
         np.testing.assert_array_equal(kn.ivech([1, 2, 5]), [[1, 2], [2, 5]])
@@ -171,9 +207,10 @@ class TestSpdInverse:
                 assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
                 continue
             # Check the equilibrated inverse Y = S inv S of A = a / (s s'), s = sqrt(diag a),
-            # by its relative residual. The refined LU inverse has a forward error of
-            # about d eps cond(A) relative, cond(A) = 1/ratio for SPD A; the symmetrization,
-            # the unscaling and this rescaling move it by a few eps. I - A Y = A (A^-1 - Y),
+            # by its relative residual. The LU inverse has a forward error of about
+            # d eps cond(A) relative, cond(A) = 1/ratio for SPD A (see
+            # test_matches_the_exact_inverse); the symmetrization, the unscaling and this
+            # rescaling move it by a few eps. I - A Y = A (A^-1 - Y),
             # so |I - A Y| <= |A| |Y| d eps / ratio, in 2-norms, up to a constant below 10.
             # The raw residual is no smaller: symmetrizing Y leaves an antisymmetric part
             # of about eps / ratio relative, which A does not shrink.
@@ -181,6 +218,31 @@ class TestSpdInverse:
             a, y = stack[k] / np.outer(s, s), one * np.outer(s, s)
             rel = np.linalg.norm(np.eye(d) - a @ y, 2) / (np.linalg.norm(a, 2) * np.linalg.norm(y, 2))
             assert rel <= 10 * d * np.finfo(float).eps / one_ratio
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_exact_inverse(self, d):
+        # Equilibrated members (unit diagonal, so the scaling is exact) with eigenvalues
+        # 1 down to 10^-e, e in [0, 10], against their exact rational inverses. Partial
+        # pivoting on an equilibrated SPD matrix has no growth to speak of, so the LU
+        # inverse has a forward error of about d eps cond(A), cond(A) = 1/ratio, and the
+        # symmetrization adds at most eps relative. The bound, stated before the first
+        # run: max|Y - A^-1| <= 2 d eps / ratio max|A^-1|.
+        rng = np.random.default_rng(d)
+        members = []
+        for e in np.r_[np.arange(11), rng.uniform(0, 10, 22)]:
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = (q * np.logspace(0, -e, d)) @ q.T
+            m = 0.5 * (m + m.T)
+            s = 1.0 / np.sqrt(np.diagonal(m))
+            a = m * np.outer(s, s)
+            np.fill_diagonal(a, 1.0)
+            members.append(a)
+        inv, ratio = kn.spd_inverse(np.stack(members))
+        for a, y, r in zip(members, inv, ratio):
+            exact = _exact_inverse(a)
+            err = max(abs(Fraction(y[i, j]) - exact[i][j]) for i in range(d) for j in range(d))
+            size = max(abs(x) for row in exact for x in row)
+            assert float(err / size) <= 2 * d * np.finfo(float).eps / r
 
     @pytest.mark.parametrize("bad", ["nan", "zero_diagonal", "indefinite", "near_singular"])
     def test_bad_member_fails_the_gate_alone(self, bad, rng):
@@ -214,6 +276,21 @@ class TestSpdInverse:
         inv, ratio = kn.spd_inverse(np.zeros((2, 2)))
         assert isinstance(ratio, float) and np.isnan(ratio)
         np.testing.assert_array_equal(inv, np.eye(2))
+
+
+def _exact_inverse(a):
+    """Exact inverse of a float matrix with non-zero leading minors: Gauss-Jordan over Fractions."""
+    d = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+            for i, row in enumerate(a)]
+    for k in range(d):
+        pivot = rows[k][k]
+        rows[k] = [x / pivot for x in rows[k]]
+        for i in range(d):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[d:] for row in rows]
 
 
 class TestInverseVechDerivative:
