@@ -110,6 +110,9 @@ def commands() -> list[list[str]]:
             ["mglh", *DATA, *FEATURES, "--A", "A3.csv", "--C", "C.csv", "--T", "T3.csv"]]
     out += [["simulate", "--suite", suite, "--seed", "42"]
             for suite in ("theorem1", "gaussian", "lrt", "mglh")]
+    # trial counts past numpy's largest array are usage errors
+    out += [["simulate", "--suite", "lrt", "--seed", "1", "--trials", str(10**18)],
+            ["simulate", "--suite", "mglh", "--seed", "1", "--trials", str(10**20)]]
     return out + [["selftest"]]
 
 

@@ -186,7 +186,9 @@ def lrt_solve_stack(tm: AugmentedMoment, cs: TraceConstraintSet) -> LrtStack:
 
     # theta0 = theta - mu B rounds by about eps^2 (d + mu' J mu) in the squared
     # J-norm and each of the m residuals sums d^2 products, so the decrement
-    # rounds by about d^2 m eps^2 (d + mu' J mu) over the Jacobian's ratio
+    # rounds by about d^2 m eps^2 (d + mu' J mu) over the Jacobian's ratio;
+    # spd_inverse's ratio is a lower bound on it (exact near PD_RTOL), so this
+    # floor stop fires no later than the exact ratio would make it
     def solved(dec, mu_norm, jac_ratio):
         floor = d * d * m * np.finfo(float).eps ** 2 * (d + mu_norm)
         return (dec <= LRT_TOL**2 * mu_norm) | (dec * jac_ratio <= floor)

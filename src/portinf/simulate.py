@@ -119,12 +119,16 @@ def _sampled_moments(seed: int, trials: int, sample_size: int, loading: np.ndarr
     S ~ W(n - 1, I_q) independent of zbar, so G/n is
     [[1, zbar'], [zbar, S/n + zbar zbar']]. Chunk k of CHUNK trials draws
     from _rng_for(seed, k): zbar (unconditional only), then S. The
-    stack is validated as a single moment is.
+    stack is validated as a single moment is. A stack too large to
+    allocate raises ShapeMismatch naming the trial count.
     """
     unit = layout is MomentLayout.UNCONDITIONAL
     dim = loading.shape[0]
     q = dim - 1 if unit else dim
-    theta = np.empty((trials, dim, dim))
+    try:
+        theta = np.empty((trials, dim, dim))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise ShapeMismatch(f"{trials} trials of {dim}x{dim} moments do not fit in memory") from exc
     for idx, start in enumerate(range(0, trials, CHUNK)):
         k = min(CHUNK, trials - start)
         rng = _rng_for(seed, idx)

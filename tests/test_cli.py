@@ -649,15 +649,34 @@ class TestExitCodes:
                              [("gaussian", "1", "0", "50"), ("gaussian", "1", "1", "50"),
                               ("gaussian", "1", "10", "0"), ("gaussian", "-1", "10", "50"),
                               ("theorem1", "1", "10", "1"), ("gaussian", "1", "10", "3"),
-                              ("lrt", "1", "10", "3"), ("mglh", "1", "10", "4")],
+                              ("lrt", "1", "10", "3"), ("mglh", "1", "10", "4"),
+                              # numpy refuses these stacks before it allocates anything
+                              ("lrt", "1", str(10**18), "50"), ("mglh", "1", str(10**20), "50")],
                              ids=["trials0", "trials1", "sample_size0", "seed-1",
                                   "theorem1-sample_size1", "gaussian-sample_size3",
-                                  "lrt-sample_size3", "mglh-sample_size4"])
+                                  "lrt-sample_size3", "mglh-sample_size4",
+                                  "trials1e18", "trials1e20"])
     def test_bad_simulate_inputs_are_usage_errors(self, capsys, suite, seed, trials, sample_size):
         code = cli.main(["simulate", "--suite", suite, "--seed", seed,
                          "--trials", trials, "--sample-size", sample_size])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_trials_past_memory_are_a_usage_error_naming_the_count(self, capsys, monkeypatch):
+        trials = 10**11
+        empty = np.empty
+
+        def refuse(shape, *args, **kwargs):  # as numpy refuses a stack it cannot map
+            if np.ndim(shape) and shape[0] == trials:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        code = cli.main(["simulate", "--suite", "gaussian", "--seed", "1",
+                         "--trials", str(trials)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {trials} trials of 3x3 moments do not fit in memory\n")
 
     @pytest.mark.parametrize("args,message",
                              [(["--features", "level", "--model", "biconditional",

@@ -24,6 +24,7 @@ from portinf.errors import (
     SingularTheta,
 )
 from portinf.kernels import MatrixShape
+from portinf.moments import AugmentedMoment, MomentLayout
 
 from conftest import fd_jac, rand_spd, rand_sym
 
@@ -202,6 +203,8 @@ class TestSpdInverse:
             np.testing.assert_array_equal(inv[k], one)
             assert ratio[k] == one_ratio and kn.PD_RTOL <= one_ratio <= 1.0
             np.testing.assert_array_equal(one, one.T)
+            exact = _exact_ratio(stack[k])
+            _assert_ratio_contract(one_ratio, exact, d)
             if k < n:
                 want = np.linalg.inv(stack[k])
                 assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
@@ -217,7 +220,7 @@ class TestSpdInverse:
             s = np.sqrt(np.diagonal(stack[k]))
             a, y = stack[k] / np.outer(s, s), one * np.outer(s, s)
             rel = np.linalg.norm(np.eye(d) - a @ y, 2) / (np.linalg.norm(a, 2) * np.linalg.norm(y, 2))
-            assert rel <= 10 * d * np.finfo(float).eps / one_ratio
+            assert rel <= 10 * d * np.finfo(float).eps / exact
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_the_exact_inverse(self, d):
@@ -238,7 +241,9 @@ class TestSpdInverse:
             np.fill_diagonal(a, 1.0)
             members.append(a)
         inv, ratio = kn.spd_inverse(np.stack(members))
-        for a, y, r in zip(members, inv, ratio):
+        for a, y, got in zip(members, inv, ratio):
+            r = _exact_ratio(a)
+            _assert_ratio_contract(got, r, d)
             exact = _exact_inverse(a)
             err = max(abs(Fraction(y[i, j]) - exact[i][j]) for i in range(d) for j in range(d))
             size = max(abs(x) for row in exact for x in row)
@@ -269,6 +274,85 @@ class TestSpdInverse:
         np.testing.assert_array_equal(inv[keep], want_inv[keep])
         np.testing.assert_array_equal(ratio[keep], want_ratio[keep])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gate_across_the_threshold_is_eigvalsh_and_member_local(self, d):
+        # Unit-diagonal members, so the equilibration is exact, with eigenvalues 1 down to r
+        # for r from 1e-13 to 1e-10 in random orientations; equilibrating moves the ratio by
+        # at most a factor d. Among them: two indefinite members (one just past singular)
+        # and an exactly singular one, each padded with the identity to d by d.
+        rng = np.random.default_rng(34 + d)
+        sweep = []
+        for r in np.logspace(-13, -10, 61):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = (q * np.logspace(0, np.log10(r), d)) @ q.T
+            s = 1.0 / np.sqrt(np.diagonal(m))
+            a = 0.5 * (m + m.T) * np.outer(s, s)
+            np.fill_diagonal(a, 1.0)
+            sweep.append(a)
+        c = 1.0 + 2e-13
+        bad = [kn.block_diag(b, np.eye(d - 2))
+               for b in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, c], [c, 1.0]], [[1.0, 1.0], [1.0, 1.0]])]
+        mixed = sweep[:20] + bad[:1] + sweep[20:40] + bad[1:2] + sweep[40:] + bad[2:]
+        np.linalg.cholesky(np.stack(sweep))  # the Cholesky certifies this stack
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.stack(mixed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certified = kn.spd_inverse(np.stack(sweep))
+            uncertified = kn.spd_inverse(np.stack(mixed))
+            alone = [kn.spd_inverse(a) for a in mixed]
+        exact = [_exact_ratio(a) for a in mixed]
+        sure = 0
+        for k, (a, (one, one_ratio), r) in enumerate(zip(mixed, alone, exact)):
+            assert (one_ratio >= kn.PD_RTOL) == (r >= kn.PD_RTOL)
+            np.testing.assert_array_equal(uncertified[0][k], one)
+            assert uncertified[1][k] == one_ratio
+            if any(a is b for b in bad):
+                assert one_ratio == r and r < kn.PD_RTOL
+                np.testing.assert_array_equal(one, np.eye(d))
+                continue
+            i = next(i for i, b in enumerate(sweep) if a is b)
+            np.testing.assert_array_equal(certified[0][i], one)
+            assert certified[1][i] == one_ratio
+            _assert_ratio_contract(one_ratio, r, d)
+            sure += one_ratio != r
+        # the sweep crosses the gate, and some members pass on their exact ratio
+        assert min(exact) < kn.PD_RTOL <= max(r for r in exact if r < 2 * kn.PD_RTOL)
+        assert max(exact) > 1e-10 and sure > 0
+
+    def test_eigvalsh_runs_only_on_members_near_the_gate(self, monkeypatch, rng):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        stack = np.stack([rand_spd(rng, 3) * np.outer(u, u)
+                          for u in 10.0 ** rng.uniform(-3, 3, (40, 3))])
+        kn.spd_inverse(stack)
+        assert calls == []
+        r = 1.5e-12  # unit diagonal, eigenvalues 1 + c, 1 and 1 - c: ratio r, which passes
+        c = (1.0 - r) / (1.0 + r)
+        stack[17] = near = [[1.0, c, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        _, ratio = kn.spd_inverse(stack)
+        assert len(calls) == 1 and calls[0].shape == (1, 3, 3)
+        np.testing.assert_array_equal(calls[0][0], near)
+        assert ratio[17] == _exact_ratio(np.array(near)) >= kn.PD_RTOL
+
+    def test_singular_theta_message_prints_the_exact_ratio(self):
+        # eigenvalues 1, 1 and 1e-13 along (1, 1, 1): the infinity-norm bound reads 3/4 of
+        # the exact ratio, so the message tells them apart
+        theta = np.eye(3) - (1.0 - 1e-13) / 3.0
+        exact = _exact_ratio(theta)
+        a = theta / np.diagonal(theta)
+        bound = 1.0 / (np.abs(a).sum(axis=1).max() * np.abs(np.linalg.inv(a)).sum(axis=1).max())
+        assert f"{bound:.3e}" != f"{exact:.3e}"
+        tm = AugmentedMoment(theta, n_obs=10, layout=MomentLayout.CONDITIONAL)
+        with pytest.raises(SingularTheta, match=f"eigenvalue ratio {exact:.3e} of the"):
+            tm.inverse
+
     def test_single_matrix_ratio_is_a_float(self):
         inv, ratio = kn.spd_inverse(np.diag([4.0, 1e-6]))
         assert ratio == 1.0
@@ -276,6 +360,28 @@ class TestSpdInverse:
         inv, ratio = kn.spd_inverse(np.zeros((2, 2)))
         assert isinstance(ratio, float) and np.isnan(ratio)
         np.testing.assert_array_equal(inv, np.eye(2))
+
+
+def _exact_ratio(m):
+    """Smallest over largest eigenvalue of m equilibrated as spd_inverse equilibrates it."""
+    s = 1.0 / np.sqrt(np.diagonal(m))
+    vals = np.linalg.eigvalsh(m * np.outer(s, s))
+    return vals[0] / vals[-1]
+
+
+def _assert_ratio_contract(got, exact, d):
+    """The ratio spd_inverse returns is a lower bound on the exact ratio, within a factor d.
+
+    The bound 1/(|A|inf |Y|inf) lies in [ratio/d, ratio] for the exact inverse;
+    the LU inverse Y moves it by about d eps / ratio relative and eigvalsh moves
+    the exact ratio by about d eps absolute, so each side gets a slack of
+    4 d eps, stated before the first run. Below 2 PD_RTOL the exact ratio is
+    returned, to the bit.
+    """
+    slack = 4 * d * np.finfo(float).eps
+    assert exact / d - slack <= got <= exact + slack
+    if not got >= 2 * kn.PD_RTOL:
+        assert got == exact
 
 
 def _exact_inverse(a):
